@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io
 from .behavior import Behavior, PROFILES, build_emission, fit_behavior_models, sample_behavior_sequence
-from .channel import GestureKind, GestureModel, simulate_plate_sweep
+from .channel import CsiTrace, GestureKind, GestureModel, simulate_plate_sweep
 from .classify import cross_validate, fit
 from .config import PipelineConfig, load_config
 from .corpus import keystroke_burst_script, simulate_script
@@ -162,7 +162,7 @@ def cmd_featurize(args) -> int:
     else:
         segments = segment(series, config.segmenter)
         if annotations:
-            pairs, _ = match_segments(segments, annotations, trace.fs)
+            pairs, _ = match_segments(segments, annotations)
             for ann, det in pairs:
                 examples.append((extract_features(det), LABEL_BY_KIND[ann.label]))
     dataset = [LabeledExample(features=f, label=l) for f, l in examples]
@@ -322,7 +322,11 @@ def cmd_pipeline(args) -> int:
     out = _out_dir(args)
     trace = io.read_trace(args.trace)
     if args.annotations:
-        trace.meta = io.read_annotations(args.annotations)
+        annotations = io.read_annotations(args.annotations)
+        try:
+            trace = CsiTrace(fs=trace.fs, samples=trace.samples, meta=annotations)
+        except ValueError as exc:
+            raise ValueError(f"{args.annotations}: {exc}") from None
     gesture_model = io.read_classifier(args.gesture_model) if args.gesture_model else None
     behavior_models = (
         io.read_behavior_models(args.behavior_models) if args.behavior_models else None

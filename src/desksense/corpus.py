@@ -159,7 +159,7 @@ class SegmentationMetrics:
     end_errors_s: list[float] = field(default_factory=list)
 
 
-def match_segments(detections: list[GestureSegment], annotations, fs: float):
+def match_segments(detections: list[GestureSegment], annotations):
     """Greedy best-overlap matching of detections to ground-truth spans."""
     pairs = []
     used = set()
@@ -185,7 +185,7 @@ def evaluate_segmentation(
     end_errors = []
     for trace in traces:
         detections = segment_trace(config, trace)
-        pairs, used = match_segments(detections, trace.meta, trace.fs)
+        pairs, used = match_segments(detections, trace.meta)
         tp += len(pairs)
         fn += len(trace.meta) - len(pairs)
         fp += len(detections) - len(used)

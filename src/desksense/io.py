@@ -44,9 +44,33 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
+def _read_header(path, fh, casts: dict) -> dict:
+    """The `# key=value ...` first line of fh, each key in casts cast by its type."""
+    header = fh.readline().strip()
+    if not header.startswith("#"):
+        raise ValueError(f"{path}:1: missing header line")
+    fields = {}
+    for token in header.lstrip("# ").split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:1: header token {token!r} is not key=value")
+        fields[key] = value
+    out = {}
+    for key, cast in casts.items():
+        if key not in fields:
+            raise ValueError(f"{path}:1: header lacks {key}=")
+        try:
+            out[key] = cast(fields[key])
+        except ValueError:
+            raise ValueError(
+                f"{path}:1: header field {key}={fields[key]!r} is not a valid {cast.__name__}"
+            ) from None
+    return out
+
+
 def write_trace(path, trace: CsiTrace) -> None:
-    """Header `# fs=<int> subcarriers=<int>`, then rows t, re_1, im_1, ..."""
-    lines = [f"# fs={int(round(trace.fs))} subcarriers={trace.subcarriers}"]
+    """Header `# fs=<float> subcarriers=<int>`, then rows t, re_1, im_1, ..."""
+    lines = [f"# fs={_fmt(trace.fs)} subcarriers={trace.subcarriers}"]
     t = np.arange(trace.n_samples) / trace.fs
     for i in range(trace.n_samples):
         row = [_fmt(t[i])]
@@ -60,19 +84,15 @@ def write_trace(path, trace: CsiTrace) -> None:
 
 def read_trace(path) -> CsiTrace:
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing trace header line")
-        fields = dict(part.split("=") for part in header.lstrip("# ").split())
-        fs = float(fields["fs"])
-        n_sub = int(fields["subcarriers"])
+        header = _read_header(path, fh, {"fs": float, "subcarriers": int})
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    n_sub = header["subcarriers"]
     if data.shape[1] != 1 + 2 * n_sub:
         raise ValueError(f"{path}: expected {1 + 2 * n_sub} columns, got {data.shape[1]}")
     samples = np.empty((n_sub, data.shape[0]), dtype=complex)
     for s in range(n_sub):
         samples[s] = data[:, 1 + 2 * s] + 1j * data[:, 2 + 2 * s]
-    return CsiTrace(fs=fs, samples=samples)
+    return CsiTrace(fs=header["fs"], samples=samples)
 
 
 def write_annotations(path, annotations: list[Annotation]) -> None:
@@ -96,7 +116,7 @@ def read_annotations(path) -> list[Annotation]:
 
 def write_series(path, series) -> None:
     """Two columns `t, amplitude` under a `# fs=... subcarrier=...` header."""
-    lines = [f"# fs={int(round(series.fs))} subcarrier={series.source_subcarrier}"]
+    lines = [f"# fs={_fmt(series.fs)} subcarrier={series.source_subcarrier}"]
     t = np.arange(len(series.values)) / series.fs
     lines += [f"{_fmt(ti)},{_fmt(v)}" for ti, v in zip(t, series.values)]
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -106,13 +126,12 @@ def read_series(path):
     from .preprocess import AmplitudeSeries
 
     with open(path) as fh:
-        header = fh.readline().strip()
-        fields = dict(part.split("=") for part in header.lstrip("# ").split())
+        header = _read_header(path, fh, {"fs": float, "subcarrier": int})
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return AmplitudeSeries(
-        fs=float(fields["fs"]),
+        fs=header["fs"],
         values=data[:, 1],
-        source_subcarrier=int(fields["subcarrier"]),
+        source_subcarrier=header["subcarrier"],
     )
 
 

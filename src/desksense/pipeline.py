@@ -121,7 +121,7 @@ def run_pipeline(
     report.metrics["segments_found"] = len(segments)
 
     if trace.meta:
-        pairs, used = match_segments(segments, trace.meta, trace.fs)
+        pairs, used = match_segments(segments, trace.meta)
         start_err = [abs(d.start_idx - a.start_idx) / trace.fs for a, d in pairs]
         end_err = [abs(d.end_idx - a.end_idx) / trace.fs for a, d in pairs]
         report.metrics["detection"] = {

@@ -9,6 +9,15 @@ keeping the first crossing each), then requiring six consecutive crossing
 candidates to agree within a few samples.  The end point is where nor2
 falls back to its value at the start point.  Segments whose amplitude span
 is too small are discarded.
+
+Both searches look only as far ahead as they need: each runs on a prefix of
+the remaining trace that starts at _FIRST_PREFIX samples and doubles until
+the answer is known (every threshold crossed; a sustained end run found) or
+the prefix reaches the end of the trace.  Work per gesture is then bounded
+by the gesture and its gap, not by what is left of the trace, so the scan
+is linear in trace length.  Cumulative sums run sequentially, so the
+prefix's sums equal the leading sums of the whole remainder bit for bit,
+and the segments equal those of a scan to the end of the trace.
 """
 from __future__ import annotations
 
@@ -25,6 +34,11 @@ DEFAULT_MIN_AMPLITUDE_SPAN = 0.8
 # Samples the end condition must persist; nor2 of band-limited input dips to
 # ~0 wherever nor1 is locally flat, and those lulls are shorter than this.
 DEFAULT_END_HOLD = 200
+
+# First look-ahead of the start sweep and the end-point search, in samples;
+# it doubles until the search has its answer.  About 4 s at the default
+# 1 kHz: a gesture and its gap or two.
+_FIRST_PREFIX = 4096
 
 
 @dataclass(frozen=True)
@@ -152,6 +166,15 @@ def _first_stable_start(candidates: np.ndarray, params: SegmenterParams) -> int 
     return None
 
 
+def _prefix_ends(start: int, n: int):
+    """Ends of the doubling look-ahead windows [start, end), the last one n."""
+    length = _FIRST_PREFIX
+    while start + length < n:
+        yield start + length
+        length *= 2
+    yield n
+
+
 def _sweep_candidates(
     nor1: np.ndarray, nor2: np.ndarray, cursor: int, params: SegmenterParams
 ) -> np.ndarray:
@@ -159,10 +182,16 @@ def _sweep_candidates(
 
     se decreases by nor2 - nor1 at each sample, so the crossing index is
     where the running maximum of the cumulative difference first exceeds se.
+    Once the running maximum passes the largest se, every crossing lies in
+    the prefix scanned so far.
     """
-    diff = np.cumsum(nor2[cursor:] - nor1[cursor:])
-    running_max = np.maximum.accumulate(diff)
-    idx = np.searchsorted(running_max, params.se_values, side="right")
+    se = params.se_values
+    for end in _prefix_ends(cursor, len(nor2)):
+        diff = np.cumsum(nor2[cursor:end] - nor1[cursor:end])
+        running_max = np.maximum.accumulate(diff)
+        if running_max[-1] > se[-1]:
+            break
+    idx = np.searchsorted(running_max, se, side="right")
     idx = idx[idx < len(diff)] + cursor
     return np.sort(idx)
 
@@ -172,26 +201,28 @@ def mark_end_point(
 ) -> tuple[int, bool]:
     """First index after start_idx where nor2 returns to its start value.
 
-    The sub-threshold condition must persist for params.end_hold samples;
-    nor2 of a band-limited series collapses briefly wherever nor1 has a
-    flat moment mid-gesture, and those lulls must not terminate the segment.
+    The sub-threshold condition must persist for params.end_hold samples
+    (or for all that is left of the trace, if that is shorter); nor2 of a
+    band-limited series collapses briefly wherever nor1 has a flat moment
+    mid-gesture, and those lulls must not terminate the segment.
     Returns (end_idx, truncated); truncated means the trace ended first.
     """
     params = params or SegmenterParams()
     threshold = nor2[start_idx]
-    below = nor2[start_idx + 1:] <= threshold
-    if below.any():
-        hold = min(params.end_hold, len(below))
-        counts = np.cumsum(below.astype(np.int64))
-        runs = counts[hold - 1:] - np.concatenate([[0], counts[:-hold]])
-        sustained = np.nonzero(runs == hold)[0]
-        if len(sustained):
-            return start_idx + 1 + int(sustained[0]), False
+    hold = min(params.end_hold, len(nor2) - start_idx - 1)
+    if hold > 0:
+        for end in _prefix_ends(start_idx + 1, len(nor2)):
+            below = nor2[start_idx + 1:end] <= threshold
+            counts = np.cumsum(below.astype(np.int64))
+            runs = counts[hold - 1:] - np.concatenate([[0], counts[:-hold]])
+            sustained = np.nonzero(runs == hold)[0]
+            if len(sustained):
+                return start_idx + 1 + int(sustained[0]), False
     return len(nor2) - 1, True
 
 
 def _scan(nor1: np.ndarray, nor2: np.ndarray, params: SegmenterParams):
-    """Alternate start-point sweeps and end-point marking over the whole trace."""
+    """Alternate start-point sweeps and end-point marking along the trace."""
     n = min(len(nor1), len(nor2))
     nor1 = np.asarray(nor1, dtype=float)[:n]
     nor2 = np.asarray(nor2, dtype=float)[:n]

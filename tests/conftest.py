@@ -2,10 +2,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from desksense import PipelineConfig
 from desksense.classify import cross_validate
 from desksense.corpus import generate_gesture_dataset, generate_segmentation_corpus
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 result does not depend on earlier runs.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,20 @@ class TestRoundTrips:
         back = io.read_trace(path)
         assert back.fs == trace.fs
         np.testing.assert_array_equal(back.samples, trace.samples)
+
+    def test_non_integer_fs(self, tmp_path):
+        trace = random_trace()
+        trace = CsiTrace(fs=999.5, samples=trace.samples)
+        io.write_trace(tmp_path / "trace.csv", trace)
+        assert io.read_trace(tmp_path / "trace.csv").fs == 999.5
+        series = AmplitudeSeries(fs=999.5, values=np.arange(8.0), source_subcarrier=2)
+        io.write_series(tmp_path / "series.csv", series)
+        assert io.read_series(tmp_path / "series.csv").fs == 999.5
+
+    def test_integer_fs_header_unchanged(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        io.write_trace(path, random_trace())
+        assert path.read_text().splitlines()[0] == "# fs=1000 subcarriers=4"
 
     def test_annotations(self, tmp_path):
         anns = [Annotation(5, 20, "keystroke"), Annotation(40, 45, "mouse_move")]
@@ -163,6 +178,31 @@ class TestScriptParsing:
         path.write_text("1.0,keystroke,0.02\n")
         with pytest.raises(ValueError, match="expected 4 or 7 fields"):
             parse_script(path, config)
+
+
+class TestTraceHeader:
+    ROW = "0,1,0\n"
+
+    def write(self, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        path.write_text(header + "\n" + self.ROW)
+        return path
+
+    @pytest.mark.parametrize("header, message", [
+        ("# subcarriers=1", "lacks fs="),
+        ("# fs=1000", "lacks subcarriers="),
+        ("# fs=1000 subcarriers", "'subcarriers' is not key=value"),
+        ("# fs=fast subcarriers=1", "fs='fast' is not a valid float"),
+    ])
+    def test_bad_header_names_file_and_line(self, tmp_path, header, message):
+        path = self.write(tmp_path, header)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: ") + ".*" + re.escape(message)):
+            io.read_trace(path)
+
+    def test_bad_header_pipeline_exit_code(self, tmp_path, capsys):
+        path = self.write(tmp_path, "# subcarriers=1")
+        assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 2
+        assert f"{path}:1:" in capsys.readouterr().err
 
 
 class TestCli:
@@ -329,6 +369,17 @@ class TestCli:
         assert "select_subcarrier" in err
         doc = json.loads((rdir / "report.json").read_text())
         assert doc["metrics"]["failed_stage"] == "select_subcarrier"
+
+    def test_pipeline_annotation_past_trace_end(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        io.write_trace(path, random_trace(n=50))
+        ann = tmp_path / "trace.ann"
+        io.write_annotations(ann, [Annotation(10, 20, "keystroke"), Annotation(40, 60, "keystroke")])
+        code = self.run("--out", str(tmp_path / "o"), "pipeline", "--trace", str(path),
+                        "--annotations", str(ann))
+        assert code == 2
+        assert f"{ann}: annotation exceeds trace length" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_pipeline_report_deterministic(self, tmp_path):
         out = tmp_path / "p"

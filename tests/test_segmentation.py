@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from desksense import segmentation
 from desksense.corpus import (
     evaluate_segmentation,
     generate_segmentation_corpus,
     keystroke_burst_script,
+    random_gesture_script,
     simulate_script,
 )
 from desksense.preprocess import AmplitudeSeries, butterworth_lowpass, select_subcarrier
@@ -221,3 +227,173 @@ class TestGestureSegmentType:
         seg = GestureSegment(start_idx=10, end_idx=13, waveform=np.arange(4.0), fs=FS)
         assert seg.duration == pytest.approx(4 / FS)
         assert seg.amplitude_span == pytest.approx(3.0)
+
+
+# Reference scan: every search runs to the end of the trace.  The segmenter
+# stops each search at the first prefix that holds its answer and must give
+# exactly these results.
+
+def oracle_sweep_candidates(nor1, nor2, cursor, params):
+    diff = np.cumsum(nor2[cursor:] - nor1[cursor:])
+    running_max = np.maximum.accumulate(diff)
+    idx = np.searchsorted(running_max, params.se_values, side="right")
+    idx = idx[idx < len(diff)] + cursor
+    return np.sort(idx)
+
+
+def oracle_first_stable_start(candidates, params):
+    k = params.stability_count
+    for j in range(len(candidates) - k + 1):
+        if candidates[j + k - 1] - candidates[j] < params.stability_spread:
+            return int(candidates[j])
+    return None
+
+
+def oracle_mark_end_point(nor2, start_idx, params):
+    threshold = nor2[start_idx]
+    below = nor2[start_idx + 1:] <= threshold
+    if below.any():
+        hold = min(params.end_hold, len(below))
+        counts = np.cumsum(below.astype(np.int64))
+        runs = counts[hold - 1:] - np.concatenate([[0], counts[:-hold]])
+        sustained = np.nonzero(runs == hold)[0]
+        if len(sustained):
+            return start_idx + 1 + int(sustained[0]), False
+    return len(nor2) - 1, True
+
+
+def oracle_scan(nor1, nor2, params):
+    n = min(len(nor1), len(nor2))
+    nor1 = np.asarray(nor1, dtype=float)[:n]
+    nor2 = np.asarray(nor2, dtype=float)[:n]
+    out = []
+    cursor = 0
+    while cursor < n - 1:
+        candidates = oracle_sweep_candidates(nor1, nor2, cursor, params)
+        if len(candidates) == 0:
+            break
+        start = oracle_first_stable_start(candidates, params)
+        if start is None:
+            advance = int(candidates[-1])
+            cursor = advance if advance > cursor else cursor + 1
+            continue
+        end, truncated = oracle_mark_end_point(nor2, start, params)
+        if end <= start:
+            break
+        out.append((start, end, truncated))
+        if truncated or end <= cursor:
+            break
+        cursor = end
+    return out
+
+
+def oracle_segments(series, params):
+    """(start, end, truncated) of the segments the reference scan keeps."""
+    nor1, nor2 = compute_variance_traces(series, params)
+    out = []
+    for start, end, truncated in oracle_scan(nor1, nor2, params):
+        end = min(end, len(series.values) - 1)
+        waveform = series.values[start:end + 1]
+        if waveform.max() - waveform.min() >= params.min_amplitude_span:
+            out.append((start, end, truncated))
+    return out
+
+
+def as_tuples(segments):
+    return [(s.start_idx, s.end_idx, s.truncated) for s in segments]
+
+
+# First look-ahead lengths to test: tiny ones put a prefix boundary inside
+# nearly every gesture, the module's own one covers the default path.
+FIRST_PREFIXES = st.sampled_from([1, 2, 3, 17, 256, segmentation._FIRST_PREFIX])
+
+
+@st.composite
+def nor_traces(draw):
+    """nor1/nor2-shaped pairs: stationary, noisy, drifting and gesture pieces.
+
+    The trailing cut can end the trace mid-gesture or leave fewer samples
+    after a start than end_hold.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = draw(st.lists(
+        st.tuples(st.sampled_from(["flat", "quiet", "drift", "gesture"]),
+                  st.integers(1, 6000)),
+        min_size=1, max_size=10,
+    ))
+    nor1, nor2 = [], []
+    for kind, n in pieces:
+        if kind == "flat":
+            level = rng.uniform(0.0, 0.01)
+            a = np.full(n, level)
+            b = np.full(n, level)
+        elif kind == "quiet":
+            a = np.abs(rng.normal(0.0, 1e-3, n))
+            b = np.abs(rng.normal(0.0, 1e-3, n))
+        elif kind == "drift":
+            # nor2 a little above nor1: thresholds cross slowly and apart
+            a = np.abs(rng.normal(0.0, 1e-3, n))
+            b = a + rng.uniform(1e-4, 1e-2)
+        else:
+            bump = np.sin(np.linspace(0.0, np.pi, n)) ** 2
+            a = rng.uniform(0.01, 1.0) * bump
+            b = rng.uniform(1.0, 50.0) * bump + np.abs(rng.normal(0.0, 1e-3, n))
+        nor1.append(a)
+        nor2.append(b)
+    nor1 = np.concatenate(nor1)
+    nor2 = np.concatenate(nor2)
+    keep = max(2, len(nor1) - draw(st.integers(0, 3000)))
+    return nor1[:keep], nor2[:keep]
+
+
+@st.composite
+def gesture_series(draw):
+    """A filtered-looking amplitude series: noisy baseline with smooth bumps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(200, 30000))
+    values = 8.0 + rng.normal(0.0, 0.02, n)
+    for _ in range(draw(st.integers(1, 12))):
+        width = int(rng.integers(50, 1500))
+        at = int(rng.integers(0, n))
+        t = np.arange(min(width, n - at))
+        values[at:at + len(t)] += rng.uniform(-4.0, 4.0) * np.sin(np.pi * t / width) ** 2
+    return AmplitudeSeries(fs=FS, values=values)
+
+
+class TestScanMatchesWholeTraceScan:
+    @settings(max_examples=150)
+    @given(traces=nor_traces(), end_hold=st.integers(1, 400), first_prefix=FIRST_PREFIXES)
+    def test_scan(self, traces, end_hold, first_prefix):
+        nor1, nor2 = traces
+        params = SegmenterParams(end_hold=end_hold)
+        with mock.patch.object(segmentation, "_FIRST_PREFIX", first_prefix):
+            got = list(segmentation._scan(nor1, nor2, params))
+        assert got == oracle_scan(nor1, nor2, params)
+
+    @settings(max_examples=150)
+    @given(traces=nor_traces(), end_hold=st.integers(1, 400),
+           first_prefix=FIRST_PREFIXES, data=st.data())
+    def test_mark_end_point(self, traces, end_hold, first_prefix, data):
+        _nor1, nor2 = traces
+        start = data.draw(st.integers(0, len(nor2) - 1))
+        params = SegmenterParams(end_hold=end_hold)
+        with mock.patch.object(segmentation, "_FIRST_PREFIX", first_prefix):
+            got = mark_end_point(nor2, start, params)
+        assert got == oracle_mark_end_point(nor2, start, params)
+
+    @settings(max_examples=60)
+    @given(series=gesture_series(), first_prefix=FIRST_PREFIXES)
+    def test_segment(self, series, first_prefix):
+        params = SegmenterParams()
+        with mock.patch.object(segmentation, "_FIRST_PREFIX", first_prefix):
+            got = as_tuples(segment(series, params))
+        assert got == oracle_segments(series, params)
+
+    def test_sixty_gesture_recording(self, config):
+        rng = np.random.default_rng(11)
+        script, duration = random_gesture_script(config, rng, 60)
+        trace = simulate_script(config, script, duration, seed=11)
+        series = butterworth_lowpass(select_subcarrier(trace), config.filter)
+        got = as_tuples(segment(series, config.segmenter))
+        assert len(got) >= 55
+        assert got == oracle_segments(series, config.segmenter)
