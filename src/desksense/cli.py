@@ -114,58 +114,53 @@ def _filtered_series(config, trace):
     return butterworth_lowpass(select_subcarrier(trace), config.filter)
 
 
-def cmd_segment(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args)
-    trace = io.read_trace(args.trace)
+def _segment_tables(config, trace, out):
+    """Filter and segment trace, writing nor.csv and segments.csv to out."""
     series = _filtered_series(config, trace)
     nor1, nor2 = compute_variance_traces(series, config.segmenter)
     segments = segment(series, config.segmenter)
+    io.write_nor(out / "nor.csv", nor1, nor2)
+    io.write_segments(out / "segments.csv", segments)
+    return series, segments
+
+
+def _annotated(trace, annotations_path) -> CsiTrace:
+    """trace carrying the annotations read from annotations_path, checked
+    to be sorted, disjoint and inside the trace."""
+    annotations = io.read_annotations(annotations_path)
+    try:
+        return CsiTrace(fs=trace.fs, samples=trace.samples, meta=annotations)
+    except ValueError as exc:
+        raise ValueError(f"{annotations_path}: {exc}") from None
+
+
+def cmd_segment(args) -> int:
+    config = _load_config(args)
+    out = _out_dir(args)
+    series, segments = _segment_tables(config, io.read_trace(args.trace), out)
     io.write_series(out / "filtered.csv", series)
-    io.write_table(
-        out / "nor.csv",
-        ["index", "nor1", "nor2"],
-        [(i, float(nor1[i]), float(nor2[i])) for i in range(len(nor2))],
-    )
-    io.write_table(
-        out / "segments.csv",
-        ["start_idx", "end_idx", "truncated"],
-        [(s.start_idx, s.end_idx, int(s.truncated)) for s in segments],
-    )
     print(f"found {len(segments)} segments; artifacts in {out}")
     return 0
 
 
 def cmd_featurize(args) -> int:
     from .classify import LabeledExample, extract_features
-    from .corpus import LABEL_BY_KIND, match_segments
-    from .segmentation import GestureSegment
+    from .corpus import LABEL_BY_KIND, match_segments, segment_trace, segments_from_annotations
 
     config = _load_config(args)
     out = _out_dir(args)
     trace = io.read_trace(args.trace)
-    annotations = io.read_annotations(args.annotations) if args.annotations else []
-    series = _filtered_series(config, trace)
-    examples = []
+    if args.annotations:
+        trace = _annotated(trace, args.annotations)
     if args.use_annotations:
-        if not annotations:
+        if not trace.meta:
             print("featurize: --use-annotations requires --annotations", file=sys.stderr)
             return 2
-        for ann in annotations:
-            seg = GestureSegment(
-                start_idx=ann.start_idx,
-                end_idx=ann.end_idx,
-                waveform=series.values[ann.start_idx:ann.end_idx + 1],
-                fs=series.fs,
-            )
-            examples.append((extract_features(seg), LABEL_BY_KIND[ann.label]))
+        labeled = segments_from_annotations(config, trace)
     else:
-        segments = segment(series, config.segmenter)
-        if annotations:
-            pairs, _ = match_segments(segments, annotations)
-            for ann, det in pairs:
-                examples.append((extract_features(det), LABEL_BY_KIND[ann.label]))
-    dataset = [LabeledExample(features=f, label=l) for f, l in examples]
+        pairs, _ = match_segments(segment_trace(config, trace), trace.meta)
+        labeled = [(det, LABEL_BY_KIND[ann.label]) for ann, det in pairs]
+    dataset = [LabeledExample(features=extract_features(seg), label=l) for seg, l in labeled]
     io.write_dataset(out / "dataset.csv", dataset)
     print(f"wrote {len(dataset)} labeled examples to {out / 'dataset.csv'}")
     return 0
@@ -285,20 +280,7 @@ def cmd_plotdata(args) -> int:
         print(f"wrote {out / 'subcarrier_variance.csv'}")
         return 0
     if args.kind == "segments":
-        trace = io.read_trace(args.artifact)
-        series = _filtered_series(config, trace)
-        nor1, nor2 = compute_variance_traces(series, config.segmenter)
-        segments = segment(series, config.segmenter)
-        io.write_table(
-            out / "nor.csv",
-            ["index", "nor1", "nor2"],
-            [(i, float(nor1[i]), float(nor2[i])) for i in range(len(nor2))],
-        )
-        io.write_table(
-            out / "segments.csv",
-            ["start_idx", "end_idx", "truncated"],
-            [(s.start_idx, s.end_idx, int(s.truncated)) for s in segments],
-        )
+        _segment_tables(config, io.read_trace(args.artifact), out)
         print(f"wrote {out / 'nor.csv'} and {out / 'segments.csv'}")
         return 0
     print(f"plotdata: unknown artifact kind {args.kind!r}", file=sys.stderr)
@@ -310,11 +292,7 @@ def _persist_pipeline_artifacts(out, report, artifacts) -> None:
     if "series" in artifacts:
         io.write_series(out / "filtered.csv", artifacts["series"])
     if "segments" in artifacts:
-        io.write_table(
-            out / "segments.csv",
-            ["start_idx", "end_idx", "truncated"],
-            [(s.start_idx, s.end_idx, int(s.truncated)) for s in artifacts["segments"]],
-        )
+        io.write_segments(out / "segments.csv", artifacts["segments"])
 
 
 def cmd_pipeline(args) -> int:
@@ -322,11 +300,7 @@ def cmd_pipeline(args) -> int:
     out = _out_dir(args)
     trace = io.read_trace(args.trace)
     if args.annotations:
-        annotations = io.read_annotations(args.annotations)
-        try:
-            trace = CsiTrace(fs=trace.fs, samples=trace.samples, meta=annotations)
-        except ValueError as exc:
-            raise ValueError(f"{args.annotations}: {exc}") from None
+        trace = _annotated(trace, args.annotations)
     gesture_model = io.read_classifier(args.gesture_model) if args.gesture_model else None
     behavior_models = (
         io.read_behavior_models(args.behavior_models) if args.behavior_models else None

@@ -1,13 +1,16 @@
 """Text file formats shared across the pipeline.
 
 Everything is plain text at full double precision so artifacts diff cleanly
-and round-trip losslessly.  Writes go through a temp file and rename.
+and round-trip losslessly.  Writes go through a temp file and rename;
+numeric tables (traces, series, nor/segment tables) are streamed into it a
+block of rows at a time.
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +27,44 @@ from .classify import (
 )
 
 FLOAT_FMT = "%.17g"
+_BLOCK_ROWS = 1024
 
 
-def atomic_write_text(path, content: str) -> None:
+@contextmanager
+def _atomic_open(path):
+    """Text handle on a temp file beside path, renamed over path on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, content: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(content)
+
+
+def _write_rows(fh, columns, fmts) -> None:
+    """Rows of equal-length numeric columns, each value in its column's format.
+
+    A block of _BLOCK_ROWS rows is formatted by one `%` over the block's
+    Python floats, so the text never exists as a whole.  float64 -> float is
+    exact, so the bytes are those of formatting each value on its own;
+    integer columns ("%d") are exact up to 2**53.
+    """
+    row_fmt = ",".join(fmts) + "\n"
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        block = np.column_stack([np.asarray(c[start:start + _BLOCK_ROWS], dtype=float)
+                                 for c in columns])
+        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _fmt(x: float) -> str:
@@ -70,16 +97,12 @@ def _read_header(path, fh, casts: dict) -> dict:
 
 def write_trace(path, trace: CsiTrace) -> None:
     """Header `# fs=<float> subcarriers=<int>`, then rows t, re_1, im_1, ..."""
-    lines = [f"# fs={_fmt(trace.fs)} subcarriers={trace.subcarriers}"]
-    t = np.arange(trace.n_samples) / trace.fs
-    for i in range(trace.n_samples):
-        row = [_fmt(t[i])]
-        for s in range(trace.subcarriers):
-            v = trace.samples[s, i]
-            row.append(_fmt(v.real))
-            row.append(_fmt(v.imag))
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [np.arange(trace.n_samples) / trace.fs]
+    for row in trace.samples:
+        columns += [row.real, row.imag]
+    with _atomic_open(path) as fh:
+        fh.write(f"# fs={_fmt(trace.fs)} subcarriers={trace.subcarriers}\n")
+        _write_rows(fh, columns, [FLOAT_FMT] * len(columns))
 
 
 def read_trace(path) -> CsiTrace:
@@ -89,9 +112,8 @@ def read_trace(path) -> CsiTrace:
     n_sub = header["subcarriers"]
     if data.shape[1] != 1 + 2 * n_sub:
         raise ValueError(f"{path}: expected {1 + 2 * n_sub} columns, got {data.shape[1]}")
-    samples = np.empty((n_sub, data.shape[0]), dtype=complex)
-    for s in range(n_sub):
-        samples[s] = data[:, 1 + 2 * s] + 1j * data[:, 2 + 2 * s]
+    # (re, im) column pairs viewed as complex keep every bit, signed zeros too
+    samples = np.ascontiguousarray(np.ascontiguousarray(data[:, 1:]).view(complex).T)
     return CsiTrace(fs=header["fs"], samples=samples)
 
 
@@ -110,16 +132,19 @@ def read_annotations(path) -> list[Annotation]:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected start,end,label")
-            out.append(Annotation(int(parts[0]), int(parts[1]), parts[2]))
+            try:
+                out.append(Annotation(int(parts[0]), int(parts[1]), parts[2]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
 def write_series(path, series) -> None:
     """Two columns `t, amplitude` under a `# fs=... subcarrier=...` header."""
-    lines = [f"# fs={_fmt(series.fs)} subcarrier={series.source_subcarrier}"]
     t = np.arange(len(series.values)) / series.fs
-    lines += [f"{_fmt(ti)},{_fmt(v)}" for ti, v in zip(t, series.values)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(f"# fs={_fmt(series.fs)} subcarrier={series.source_subcarrier}\n")
+        _write_rows(fh, [t, series.values], [FLOAT_FMT] * 2)
 
 
 def read_series(path):
@@ -220,9 +245,19 @@ def write_classifier(path, model) -> None:
     atomic_write_text(path, json.dumps(classifier_to_dict(model), indent=2) + "\n")
 
 
-def read_classifier(path):
+def _read_json_model(path, build):
+    """build(document of the JSON file at path); a malformed model names the file."""
     with open(path) as fh:
-        return classifier_from_dict(json.load(fh))
+        try:
+            return build(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def read_classifier(path):
+    return _read_json_model(path, classifier_from_dict)
 
 
 def write_behavior_models(path, models: dict[Behavior, BehaviorHmm]) -> None:
@@ -233,9 +268,7 @@ def write_behavior_models(path, models: dict[Behavior, BehaviorHmm]) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def read_behavior_models(path) -> dict[Behavior, BehaviorHmm]:
-    with open(path) as fh:
-        doc = json.load(fh)
+def _behavior_models_from_dict(doc: dict) -> dict[Behavior, BehaviorHmm]:
     return {
         Behavior(name): BehaviorHmm(
             pi=np.array(entry["pi"]),
@@ -245,6 +278,10 @@ def read_behavior_models(path) -> dict[Behavior, BehaviorHmm]:
         )
         for name, entry in doc.items()
     }
+
+
+def read_behavior_models(path) -> dict[Behavior, BehaviorHmm]:
+    return _read_json_model(path, _behavior_models_from_dict)
 
 
 def write_sequence(path, seq) -> None:
@@ -262,6 +299,22 @@ def read_sequence(path):
             if line:
                 obs.append(GestureLabel.from_name(line).value)
     return GestureSequence(observations=np.array(obs, dtype=int))
+
+
+def write_nor(path, nor1, nor2) -> None:
+    """Plot table `index,nor1,nor2` of the segmenter's variance traces."""
+    with _atomic_open(path) as fh:
+        fh.write("index,nor1,nor2\n")
+        _write_rows(fh, [np.arange(len(nor2)), nor1, nor2], ["%d", FLOAT_FMT, FLOAT_FMT])
+
+
+def write_segments(path, segments) -> None:
+    """Plot table `start_idx,end_idx,truncated`, one row per segment."""
+    columns = [[s.start_idx for s in segments], [s.end_idx for s in segments],
+               [int(s.truncated) for s in segments]]
+    with _atomic_open(path) as fh:
+        fh.write("start_idx,end_idx,truncated\n")
+        _write_rows(fh, columns, ["%d"] * 3)
 
 
 def write_table(path, header: list[str], rows) -> None:

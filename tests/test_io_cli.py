@@ -1,8 +1,13 @@
 import json
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desksense import io
 from desksense.behavior import Behavior, BehaviorHmm, GestureSequence
@@ -11,6 +16,7 @@ from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
 from desksense.cli import main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
 from desksense.preprocess import AmplitudeSeries
+from desksense.segmentation import GestureSegment
 
 
 def random_trace(seed=0, n_sub=4, n=50):
@@ -113,6 +119,157 @@ class TestRoundTrips:
         np.testing.assert_array_equal(back.observations, seq.observations)
 
 
+# Reference writers: one `%` per value, joined into one string.  The
+# block-streamed writers must produce exactly these bytes.
+
+def oracle_write_trace(path, trace):
+    fmt = io.FLOAT_FMT
+    lines = [f"# fs={fmt % trace.fs} subcarriers={trace.subcarriers}"]
+    t = np.arange(trace.n_samples) / trace.fs
+    for i in range(trace.n_samples):
+        row = [fmt % t[i]]
+        for s in range(trace.subcarriers):
+            v = trace.samples[s, i]
+            row.append(fmt % v.real)
+            row.append(fmt % v.imag)
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def oracle_write_series(path, series):
+    fmt = io.FLOAT_FMT
+    lines = [f"# fs={fmt % series.fs} subcarrier={series.source_subcarrier}"]
+    t = np.arange(len(series.values)) / series.fs
+    lines += [f"{fmt % ti},{fmt % v}" for ti, v in zip(t, series.values)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# ±0, the smallest subnormal, a subnormal, the smallest normal, the largest
+# finite value and other extremes, scattered into ordinary values.
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e-300,
+                  0.1, 1 / 3, 1.0, -2.5]
+
+ROW_COUNTS = st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025]), st.integers(0, 2100))
+SAMPLE_RATES = st.one_of(
+    st.integers(1, 100_000).map(float),
+    st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
+)
+# Tiny blocks put a block boundary inside every table the tests draw.
+BLOCK_ROWS = st.sampled_from([1, 2, 3, 7, io._BLOCK_ROWS])
+
+
+def special_floats(draw, shape):
+    """Normal draws with SPECIAL_VALUES and hypothesis floats scattered in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), shape).ravel()
+    extra = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    pool = np.array(SPECIAL_VALUES + extra)
+    if values.size:
+        hits = rng.integers(0, values.size, min(values.size, 4 * len(pool)))
+        values[hits] = pool[rng.integers(0, len(pool), len(hits))]
+    return values.reshape(shape)
+
+
+def complex_from_parts(re, im):
+    """re + i*im with every bit kept (arithmetic would lose signed zeros)."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+@st.composite
+def traces(draw):
+    n_sub = draw(st.integers(1, 4))
+    n = draw(ROW_COUNTS)
+    re = special_floats(draw, (n_sub, n))
+    im = special_floats(draw, (n_sub, n))
+    return CsiTrace(fs=draw(SAMPLE_RATES), samples=complex_from_parts(re, im))
+
+
+class TestBlockWriter:
+    @settings(max_examples=60)
+    @given(trace=traces(), block_rows=BLOCK_ROWS)
+    def test_trace_bytes(self, trace, block_rows):
+        with tempfile.TemporaryDirectory() as d:
+            with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+                io.write_trace(Path(d) / "new.csv", trace)
+            oracle_write_trace(Path(d) / "old.csv", trace)
+            assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2048])
+    def test_trace_bytes_at_block_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        samples = complex_from_parts(rng.normal(size=(3, n)), rng.normal(size=(3, n)))
+        trace = CsiTrace(fs=999.5, samples=samples)
+        io.write_trace(tmp_path / "new.csv", trace)
+        oracle_write_trace(tmp_path / "old.csv", trace)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @settings(max_examples=60)
+    @given(data=st.data(), n=ROW_COUNTS, fs=SAMPLE_RATES, block_rows=BLOCK_ROWS,
+           subcarrier=st.integers(0, 63))
+    def test_series_bytes(self, data, n, fs, block_rows, subcarrier):
+        values = special_floats(data.draw, (n,))
+        series = AmplitudeSeries(fs=fs, values=values, source_subcarrier=subcarrier)
+        with tempfile.TemporaryDirectory() as d:
+            with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+                io.write_series(Path(d) / "new.csv", series)
+            oracle_write_series(Path(d) / "old.csv", series)
+            assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
+
+    @settings(max_examples=30)
+    @given(data=st.data(), n=ROW_COUNTS, block_rows=BLOCK_ROWS)
+    def test_segment_tables_bytes(self, data, n, block_rows):
+        nor1 = special_floats(data.draw, (n,))
+        nor2 = special_floats(data.draw, (n,))
+        bounds = sorted(data.draw(st.lists(st.integers(0, 50_000), max_size=40, unique=True)))
+        segments = [
+            GestureSegment(start_idx=a, end_idx=b, waveform=np.zeros(b - a + 1), fs=1000.0,
+                           truncated=data.draw(st.booleans()))
+            for a, b in zip(bounds[::2], bounds[1::2])
+        ]
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+                io.write_nor(d / "nor.csv", nor1, nor2)
+                io.write_segments(d / "segments.csv", segments)
+            io.write_table(d / "nor_old.csv", ["index", "nor1", "nor2"],
+                           [(i, float(nor1[i]), float(nor2[i])) for i in range(n)])
+            io.write_table(d / "segments_old.csv", ["start_idx", "end_idx", "truncated"],
+                           [(s.start_idx, s.end_idx, int(s.truncated)) for s in segments])
+            assert (d / "nor.csv").read_bytes() == (d / "nor_old.csv").read_bytes()
+            assert (d / "segments.csv").read_bytes() == (d / "segments_old.csv").read_bytes()
+
+    @settings(max_examples=40)
+    @given(trace=traces())
+    def test_trace_round_trip_bit_exact(self, trace):
+        if trace.n_samples == 0:
+            return
+        with tempfile.TemporaryDirectory() as d:
+            io.write_trace(Path(d) / "trace.csv", trace)
+            back = io.read_trace(Path(d) / "trace.csv")
+        assert back.fs == trace.fs
+        np.testing.assert_array_equal(back.samples.view(np.uint64), trace.samples.view(np.uint64))
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("old\n")
+        with mock.patch.object(io, "_write_rows", side_effect=RuntimeError("disk full")):
+            with pytest.raises(RuntimeError, match="disk full"):
+                io.write_trace(path, random_trace())
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    def test_signed_zeros_round_trip(self, tmp_path):
+        samples = complex_from_parts(np.array([[-0.0, -0.0, 0.0, -0.0]]),
+                                     np.array([[-0.0, 2.0, -0.0, 0.0]]))
+        io.write_trace(tmp_path / "trace.csv", CsiTrace(fs=1000.0, samples=samples))
+        back = io.read_trace(tmp_path / "trace.csv")
+        np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+
+
 class TestConfig:
     def test_defaults_validate(self):
         PipelineConfig().validate()
@@ -203,6 +360,75 @@ class TestTraceHeader:
         path = self.write(tmp_path, "# subcarriers=1")
         assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 2
         assert f"{path}:1:" in capsys.readouterr().err
+
+
+class TestModelFiles:
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "knn"}, "missing key 'standardizer'"),
+        ({"kind": "knn", "standardizer": {"mean": [0, 0, 0], "std": [1, 1, 1]}},
+         "missing key 'k'"),
+        ([], "list indices"),
+        ("{not json", "Expecting property name"),
+    ])
+    def test_bad_gesture_model_exit_code(self, tmp_path, capsys, doc, message):
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace())
+        model = tmp_path / "model.json"
+        model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code = main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(trace),
+                     "--gesture-model", str(model)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {model}: " in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"surfing": {"pi": [0.5, 0.5], "B": [[0.9, 0.1], [0.2, 0.8]]}}, "missing key 'A'"),
+        ({"sleeping": {"pi": [0.5, 0.5], "A": [[0.5, 0.5], [0.5, 0.5]],
+                       "B": [[0.9, 0.1], [0.2, 0.8]]}}, "'sleeping'"),
+        ({"surfing": [1, 2]}, "list indices"),
+    ])
+    def test_bad_behavior_models_exit_code(self, tmp_path, capsys, doc, message):
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace())
+        models = tmp_path / "models.json"
+        models.write_text(json.dumps(doc))
+        code = main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(trace),
+                     "--behavior-models", str(models)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {models}: " in err and message in err
+
+
+class TestAnnotationFiles:
+    @pytest.mark.parametrize("lines, location, message", [
+        (["10,2x0,keystroke"], 1, "invalid literal for int()"),
+        (["1,4,keystroke", "10,5,keystroke"], 2, "annotation indices out of order"),
+        (["-3,5,keystroke"], 1, "annotation indices out of order"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, lines, location, message):
+        path = tmp_path / "trace.ann"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{location}: {message}")):
+            io.read_annotations(path)
+
+    @pytest.mark.parametrize("spans, message", [
+        ([(10, 20), (15, 30)], "annotations must be disjoint and sorted"),
+        ([(10, 20), (40, 60)], "annotation exceeds trace length"),
+    ])
+    @pytest.mark.parametrize("use_annotations", [True, False])
+    def test_featurize_rejects_bad_spans(self, tmp_path, capsys, spans, message,
+                                         use_annotations):
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace(n=50))
+        ann = tmp_path / "trace.ann"
+        ann.write_text("".join(f"{a},{b},keystroke\n" for a, b in spans))
+        argv = ["--out", str(tmp_path / "o"), "featurize", "--trace", str(trace),
+                "--annotations", str(ann)]
+        code = main(argv + (["--use-annotations"] if use_annotations else []))
+        assert code == 2
+        assert f"error: {ann}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
 
 
 class TestCli:
