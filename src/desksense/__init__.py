@@ -43,7 +43,6 @@ from .classify import (
     cross_validate,
     extract_features,
     fit,
-    predict,
 )
 from .config import PipelineConfig, load_config
 from .pipeline import RunReport, evaluate_system, run_pipeline
@@ -60,7 +59,6 @@ from .segmentation import (
     SegmenterParams,
     compute_variance_traces,
     mark_end_point,
-    mark_start_points,
     moving_sum,
     segment,
     sliding_variance,

@@ -24,7 +24,6 @@ class Behavior(Enum):
     SURFING = "surfing"
     WORKING = "working"
     GAMING = "gaming"
-    STATIC = "static"   # simulator profile only, never classified
 
     @classmethod
     def classified(cls) -> tuple["Behavior", ...]:
@@ -250,16 +249,17 @@ def classify_behavior(
         raise ValueError("need at least two behavior models")
     n = len(seq)
     ordered = [b for b in Behavior.classified() if b in models]
-    ordered += [b for b in models if b not in ordered]
 
     if method == "likelihood":
         scores = {b: forward_log_likelihood(models[b], seq) / n for b in ordered}
         better = max
     elif method == "model-distance":
-        any_model = next(iter(models.values()))
+        B = next(iter(models.values())).B
+        if any(not np.array_equal(m.B, B) for m in models.values()):
+            raise ValueError("model-distance needs behavior models that share B")
         pi_c = estimate_initial([seq])
-        A_c, _ = baum_welch([seq], B=any_model.B, pi=pi_c)
-        candidate = BehaviorHmm(pi=pi_c, A=A_c, B=any_model.B)
+        A_c, _ = baum_welch([seq], B=B, pi=pi_c)
+        candidate = BehaviorHmm(pi=pi_c, A=A_c, B=B)
         ll_candidate = forward_log_likelihood(candidate, seq)
         scores = {
             b: (ll_candidate - forward_log_likelihood(models[b], seq)) / n
@@ -322,7 +322,6 @@ PROFILES: dict[Behavior, BehaviorProfile] = {
     Behavior.SURFING: _profile(Behavior.SURFING, 0.25, typing_run=2.0, mouse_run=6.0),
     Behavior.WORKING: _profile(Behavior.WORKING, 0.65, typing_run=6.0, mouse_run=42.0 / 13.0),
     Behavior.GAMING: _profile(Behavior.GAMING, 0.50, typing_run=2.0, mouse_run=2.0),
-    Behavior.STATIC: _profile(Behavior.STATIC, 0.50, typing_run=12.0, mouse_run=12.0),
 }
 
 

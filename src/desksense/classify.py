@@ -187,10 +187,6 @@ def fit(kind: str, examples: list[LabeledExample], k: int = DEFAULT_KNN_K) -> Cl
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 
-def predict(model: Classifier, features: FeatureVector) -> GestureLabel:
-    return model.predict(features)
-
-
 @dataclass
 class CrossValidationResult:
     fold_accuracies: list[float]

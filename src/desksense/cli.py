@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .behavior import Behavior, PROFILES, build_emission, fit_behavior_models, sample_behavior_sequence
+from .behavior import build_emission
 from .channel import CsiTrace, GestureKind, GestureModel, simulate_plate_sweep
 from .classify import cross_validate, fit
 from .config import PipelineConfig, load_config
 from .corpus import keystroke_burst_script, simulate_script
-from .preprocess import analytic_gain, butterworth_lowpass, measured_gain, select_subcarrier
-from .pipeline import StageError, evaluate_system, run_pipeline
+from .preprocess import analytic_gain, filtered_series, measured_gain
+from .pipeline import StageError, evaluate_system, run_pipeline, train_behavior_models
 from .segmentation import compute_variance_traces, segment
 
 
@@ -110,13 +110,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _filtered_series(config, trace):
-    return butterworth_lowpass(select_subcarrier(trace), config.filter)
-
-
 def _segment_tables(config, trace, out):
     """Filter and segment trace, writing nor.csv and segments.csv to out."""
-    series = _filtered_series(config, trace)
+    series = filtered_series(trace, config.filter)
     nor1, nor2 = compute_variance_traces(series, config.segmenter)
     segments = segment(series, config.segmenter)
     io.write_nor(out / "nor.csv", nor1, nor2)
@@ -144,8 +140,8 @@ def cmd_segment(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    from .classify import LabeledExample, extract_features
-    from .corpus import LABEL_BY_KIND, match_segments, segment_trace, segments_from_annotations
+    from .classify import GestureLabel, LabeledExample, extract_features
+    from .corpus import match_segments, segment_trace, segments_from_annotations
 
     config = _load_config(args)
     out = _out_dir(args)
@@ -159,7 +155,7 @@ def cmd_featurize(args) -> int:
         labeled = segments_from_annotations(config, trace)
     else:
         pairs, _ = match_segments(segment_trace(config, trace), trace.meta)
-        labeled = [(det, LABEL_BY_KIND[ann.label]) for ann, det in pairs]
+        labeled = [(det, GestureLabel.from_name(ann.label)) for ann, det in pairs]
     dataset = [LabeledExample(features=extract_features(seg), label=l) for seg, l in labeled]
     io.write_dataset(out / "dataset.csv", dataset)
     print(f"wrote {len(dataset)} labeled examples to {out / 'dataset.csv'}")
@@ -190,20 +186,21 @@ def cmd_train_gesture(args) -> int:
     return 0
 
 
+def _read_emission(path) -> np.ndarray:
+    """Emission matrix from the counts of a cv_confusion.csv (train-gesture)."""
+    try:
+        return build_emission(
+            np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_train_behavior(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    confusion = np.loadtxt(args.confusion, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
-    B = build_emission(confusion)
-    rng_base = config.seeds.behavior
-    training = {
-        b: [
-            sample_behavior_sequence(PROFILES[b], B, args.length, seed=rng_base + 1000 * i_b + i)
-            for i in range(args.sequences)
-        ]
-        for i_b, b in enumerate(Behavior.classified())
-    }
-    models = fit_behavior_models(training, B=B, max_iter=config.hmm.max_iter, tol=config.hmm.tol)
+    B = _read_emission(args.confusion)
+    models = train_behavior_models(config, B, args.sequences, args.length)
     io.write_behavior_models(out / "behavior_models.json", models)
     print(f"trained {len(models)} behavior models -> {out / 'behavior_models.json'}")
     return 0

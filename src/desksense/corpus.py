@@ -22,33 +22,8 @@ from .channel import (
 )
 from .classify import GestureLabel, LabeledExample, extract_features
 from .config import PipelineConfig
-from .preprocess import butterworth_lowpass, select_subcarrier
+from .preprocess import filtered_series
 from .segmentation import GestureSegment, segment
-
-LABEL_BY_KIND = {
-    GestureKind.KEYSTROKE.value: GestureLabel.TYPING,
-    GestureKind.MOUSE_MOVE.value: GestureLabel.MOUSE,
-}
-
-
-def keystroke(rest_pos, travel=0.02, duration=0.7, jitter_std=0.0) -> GestureModel:
-    return GestureModel(
-        kind=GestureKind.KEYSTROKE,
-        rest_pos=rest_pos,
-        travel=travel,
-        duration=duration,
-        jitter_std=jitter_std,
-    )
-
-
-def mouse_move(rest_pos, travel=0.03, duration=0.6, jitter_std=0.0) -> GestureModel:
-    return GestureModel(
-        kind=GestureKind.MOUSE_MOVE,
-        rest_pos=rest_pos,
-        travel=travel,
-        duration=duration,
-        jitter_std=jitter_std,
-    )
 
 
 def keystroke_burst_script(
@@ -63,7 +38,7 @@ def keystroke_burst_script(
     script = []
     t = lead_in
     for _ in range(count):
-        g = keystroke(rest, jitter_std=sim.gesture_jitter_std)
+        g = GestureModel(GestureKind.KEYSTROKE, rest, jitter_std=sim.gesture_jitter_std)
         script.append((t, g))
         t += g.duration + gap
     return script, t + 1.0
@@ -88,16 +63,18 @@ def random_gesture_script(
         kind = kinds[int(rng.integers(0, len(kinds)))]
         if kind is GestureKind.KEYSTROKE:
             depth = rng.uniform(0.57, 0.66)
-            model = keystroke(
-                np.array([np.clip(x, 0.12 * d, 0.88 * d), 0.0, -depth]),
+            model = GestureModel(
+                kind=kind,
+                rest_pos=np.array([np.clip(x, 0.12 * d, 0.88 * d), 0.0, -depth]),
                 travel=0.02,
                 duration=rng.uniform(0.6, 0.8),
                 jitter_std=sim.gesture_jitter_std,
             )
         else:
             depth = rng.uniform(0.57, 0.66)
-            model = mouse_move(
-                np.array([np.clip(x, 0.12 * d, 0.85 * d), 0.0, -depth]),
+            model = GestureModel(
+                kind=kind,
+                rest_pos=np.array([np.clip(x, 0.12 * d, 0.85 * d), 0.0, -depth]),
                 travel=rng.uniform(0.03, 0.05),
                 duration=rng.uniform(0.4, 1.0),
                 jitter_std=sim.gesture_jitter_std,
@@ -143,8 +120,7 @@ def generate_segmentation_corpus(
 
 
 def segment_trace(config: PipelineConfig, trace: CsiTrace) -> list[GestureSegment]:
-    series = butterworth_lowpass(select_subcarrier(trace), config.filter)
-    return segment(series, config.segmenter)
+    return segment(filtered_series(trace, config.filter), config.segmenter)
 
 
 @dataclass
@@ -213,7 +189,7 @@ def segments_from_annotations(
     config: PipelineConfig, trace: CsiTrace
 ) -> list[tuple[GestureSegment, GestureLabel]]:
     """Ground-truth-sliced segments of the filtered series, with labels."""
-    series = butterworth_lowpass(select_subcarrier(trace), config.filter)
+    series = filtered_series(trace, config.filter)
     out = []
     for ann in trace.meta:
         seg = GestureSegment(
@@ -222,7 +198,7 @@ def segments_from_annotations(
             waveform=series.values[ann.start_idx:ann.end_idx + 1],
             fs=series.fs,
         )
-        out.append((seg, LABEL_BY_KIND[ann.label]))
+        out.append((seg, GestureLabel.from_name(ann.label)))
     return out
 
 
@@ -243,16 +219,18 @@ def _dataset_script(config, rng, n_gestures, kind, jitter_std):
         depth = rng.uniform(0.57, 0.66)
         if kind is GestureKind.KEYSTROKE:
             x = d / 2 + side * rng.uniform(0.15, 0.30) * d
-            model = keystroke(
-                np.array([x, 0.0, -depth]),
+            model = GestureModel(
+                kind=kind,
+                rest_pos=np.array([x, 0.0, -depth]),
                 travel=0.02,
                 duration=rng.uniform(0.65, 0.75),
                 jitter_std=jitter_std,
             )
         else:
             x = d / 2 + side * rng.uniform(0.04, 0.15) * d
-            model = mouse_move(
-                np.array([x, 0.0, -depth]),
+            model = GestureModel(
+                kind=kind,
+                rest_pos=np.array([x, 0.0, -depth]),
                 travel=rng.uniform(0.015, 0.04),
                 duration=rng.uniform(0.35, 1.0),
                 jitter_std=jitter_std,

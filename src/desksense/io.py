@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .behavior import Behavior, BehaviorHmm
-from .channel import Annotation, CsiTrace
+from .channel import Annotation, CsiTrace, GestureKind
 from .classify import (
     FeatureVector,
     GaussianNbClassifier,
@@ -108,10 +108,15 @@ def write_trace(path, trace: CsiTrace) -> None:
 def read_trace(path) -> CsiTrace:
     with open(path) as fh:
         header = _read_header(path, fh, {"fs": float, "subcarriers": int})
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n_sub = header["subcarriers"]
-    if data.shape[1] != 1 + 2 * n_sub:
-        raise ValueError(f"{path}: expected {1 + 2 * n_sub} columns, got {data.shape[1]}")
+        n_cols = 1 + 2 * header["subcarriers"]
+        body = fh.tell()
+        if fh.readline():
+            fh.seek(body)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        else:  # a zero-sample trace is its header alone
+            data = np.empty((0, n_cols))
+    if data.shape[1] != n_cols:
+        raise ValueError(f"{path}: expected {n_cols} columns, got {data.shape[1]}")
     # (re, im) column pairs viewed as complex keep every bit, signed zeros too
     samples = np.ascontiguousarray(np.ascontiguousarray(data[:, 1:]).view(complex).T)
     return CsiTrace(fs=header["fs"], samples=samples)
@@ -132,6 +137,8 @@ def read_annotations(path) -> list[Annotation]:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected start,end,label")
+            if parts[2] not in {kind.value for kind in GestureKind}:
+                raise ValueError(f"{path}:{lineno}: unknown label {parts[2]!r}")
             try:
                 out.append(Annotation(int(parts[0]), int(parts[1]), parts[2]))
             except ValueError as exc:
@@ -147,27 +154,13 @@ def write_series(path, series) -> None:
         _write_rows(fh, [t, series.values], [FLOAT_FMT] * 2)
 
 
-def read_series(path):
-    from .preprocess import AmplitudeSeries
-
-    with open(path) as fh:
-        header = _read_header(path, fh, {"fs": float, "subcarrier": int})
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return AmplitudeSeries(
-        fs=header["fs"],
-        values=data[:, 1],
-        source_subcarrier=header["subcarrier"],
-    )
-
-
 def write_dataset(path, examples: list[LabeledExample]) -> None:
-    lines = ["variance,slope_ratio,duration,label"]
-    for ex in examples:
-        f = ex.features
-        lines.append(
-            f"{_fmt(f.variance)},{_fmt(f.slope_ratio)},{_fmt(f.duration)},{ex.label.name.lower()}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(
+        path,
+        ["variance", "slope_ratio", "duration", "label"],
+        [(float(ex.features.variance), float(ex.features.slope_ratio),
+          float(ex.features.duration), ex.label.name.lower()) for ex in examples],
+    )
 
 
 def read_dataset(path) -> list[LabeledExample]:
@@ -282,23 +275,6 @@ def _behavior_models_from_dict(doc: dict) -> dict[Behavior, BehaviorHmm]:
 
 def read_behavior_models(path) -> dict[Behavior, BehaviorHmm]:
     return _read_json_model(path, _behavior_models_from_dict)
-
-
-def write_sequence(path, seq) -> None:
-    lines = [GestureLabel(o).name.lower() for o in seq.observations]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_sequence(path):
-    from .behavior import GestureSequence
-
-    obs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obs.append(GestureLabel.from_name(line).value)
-    return GestureSequence(observations=np.array(obs, dtype=int))
 
 
 def write_nor(path, nor1, nor2) -> None:

@@ -163,6 +163,30 @@ def run_pipeline(
     return report, artifacts
 
 
+def train_behavior_models(
+    config: PipelineConfig, B: np.ndarray, n_train: int = 50, train_length: int = 100
+):
+    """Per-behavior HMMs fitted on n_train sampled sequences per behavior.
+
+    Sequence i of the i_b-th classified behavior is sampled from its profile
+    through the emission matrix B with seed config.seeds.behavior +
+    1000 * i_b + i.
+    """
+    seed0 = config.seeds.behavior
+    training = {
+        b: [
+            sample_behavior_sequence(
+                PROFILES[b], B, train_length, seed=seed0 + 1000 * i_b + i
+            )
+            for i in range(n_train)
+        ]
+        for i_b, b in enumerate(Behavior.classified())
+    }
+    return fit_behavior_models(
+        training, B=B, max_iter=config.hmm.max_iter, tol=config.hmm.tol
+    )
+
+
 def behavior_study(
     config: PipelineConfig,
     confusion: np.ndarray,
@@ -179,19 +203,7 @@ def behavior_study(
     B = build_emission(confusion)
     behaviors = Behavior.classified()
     seed0 = config.seeds.behavior
-
-    training = {
-        b: [
-            sample_behavior_sequence(
-                PROFILES[b], B, train_length, seed=seed0 + 1000 * i_b + i
-            )
-            for i in range(n_train)
-        ]
-        for i_b, b in enumerate(behaviors)
-    }
-    models = fit_behavior_models(
-        training, B=B, max_iter=config.hmm.max_iter, tol=config.hmm.tol
-    )
+    models = train_behavior_models(config, B, n_train, train_length)
 
     confusion_b = np.zeros((len(behaviors), len(behaviors)), dtype=int)
     for i_b, b in enumerate(behaviors):

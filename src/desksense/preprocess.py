@@ -92,6 +92,11 @@ def butterworth_lowpass(series: AmplitudeSeries, spec: FilterSpec | None = None)
     )
 
 
+def filtered_series(trace: CsiTrace, spec: FilterSpec | None = None) -> AmplitudeSeries:
+    """The front end: the most varying subcarrier's amplitude, low-passed."""
+    return butterworth_lowpass(select_subcarrier(trace), spec)
+
+
 def analytic_gain(freq_hz, spec: FilterSpec | None = None) -> np.ndarray:
     """Ideal Butterworth magnitude response 1/sqrt(1 + (f/fc)^(2*order))."""
     spec = spec or FilterSpec()

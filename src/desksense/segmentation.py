@@ -115,10 +115,8 @@ def sliding_variance(values: np.ndarray, window_samples: int, step: int = 1) -> 
     if len(x) < w:
         raise ValueError("series shorter than one window")
     x = x - x.mean()  # improves conditioning; variance is shift-invariant
-    c1 = np.concatenate([[0.0], np.cumsum(x)])
-    c2 = np.concatenate([[0.0], np.cumsum(x * x)])
-    s1 = c1[w:] - c1[:-w]
-    s2 = c2[w:] - c2[:-w]
+    s1 = moving_sum(x, w)
+    s2 = moving_sum(x * x, w)
     var = s2 / w - (s1 / w) ** 2
     return np.maximum(var[::step], 0.0)
 
@@ -245,13 +243,6 @@ def _scan(nor1: np.ndarray, nor2: np.ndarray, params: SegmenterParams):
         if truncated or end <= cursor:
             break
         cursor = end
-
-
-def mark_start_points(
-    nor1: np.ndarray, nor2: np.ndarray, params: SegmenterParams | None = None
-) -> list[int]:
-    params = params or SegmenterParams()
-    return [start for start, _end, _tr in _scan(nor1, nor2, params)]
 
 
 def segment(

@@ -242,19 +242,15 @@ class TestClassifyBehavior:
         assert result.tie
         assert result.behavior is Behavior.WORKING  # working precedes gaming
 
-    def test_duplicate_models_cannot_change_winner(self):
-        B = B_REF
-        training = {
-            b: [sample_behavior_sequence(PROFILES[b], B, 150, seed=7 + i) for i in range(10)]
-            for b in Behavior.classified()
+    def test_model_distance_rejects_models_with_different_emissions(self):
+        models = {
+            Behavior.SURFING: BehaviorHmm(pi=PI_REF, A=A_REF, B=B_REF),
+            Behavior.WORKING: BehaviorHmm(pi=PI_REF, A=A_REF, B=[[0.8, 0.2], [0.2, 0.8]]),
         }
-        models = fit_behavior_models(training, B=B)
-        seq = sample_behavior_sequence(PROFILES[Behavior.WORKING], B, 60, seed=123)
-        base = classify_behavior(models, seq)
-        extended = dict(models)
-        extended[Behavior.STATIC] = models[base.behavior]
-        again = classify_behavior(extended, seq)
-        assert again.behavior is base.behavior
+        seq = GestureSequence(np.array([0, 1, 1, 0]))
+        with pytest.raises(ValueError, match="share B"):
+            classify_behavior(models, seq, method="model-distance")
+        assert classify_behavior(models, seq, method="likelihood").behavior is not None
 
     def test_model_distance_method_agrees_on_clear_cases(self):
         B = B_REF

@@ -10,7 +10,6 @@ from desksense.classify import (
     cross_validate,
     extract_features,
     fit,
-    predict,
 )
 from desksense.segmentation import GestureSegment
 
@@ -125,8 +124,8 @@ class TestPredict:
             example(6.0, 2.5, 0.5, GestureLabel.MOUSE),
         ]
         model = fit("knn", examples, k=1)
-        assert predict(model, examples[0].features) is GestureLabel.TYPING
-        assert predict(model, examples[1].features) is GestureLabel.MOUSE
+        assert model.predict(examples[0].features) is GestureLabel.TYPING
+        assert model.predict(examples[1].features) is GestureLabel.MOUSE
 
     def test_gaussian_nb_prior_dominates_at_midpoint(self):
         examples = (
@@ -137,7 +136,7 @@ class TestPredict:
         )
         model = fit("gaussian_nb", examples)
         midpoint = FeatureVector(variance=2.1, slope_ratio=1.0, duration=0.5)
-        assert predict(model, midpoint) is GestureLabel.TYPING
+        assert model.predict(midpoint) is GestureLabel.TYPING
 
     def test_knn_invariant_to_uniform_feature_scaling(self):
         rng = np.random.default_rng(4)
@@ -157,7 +156,7 @@ class TestPredict:
         m1 = fit("knn", examples, k=3)
         m2 = fit("knn", scaled, k=3)
         for ex, exs in zip(examples, scaled):
-            assert predict(m1, ex.features) is predict(m2, exs.features)
+            assert m1.predict(ex.features) is m2.predict(exs.features)
 
 
 class TestCrossValidate:

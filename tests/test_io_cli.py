@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desksense import io
-from desksense.behavior import Behavior, BehaviorHmm, GestureSequence
+from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import Annotation, CsiTrace
 from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
 from desksense.cli import main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
+from desksense.pipeline import behavior_study
 from desksense.preprocess import AmplitudeSeries
 from desksense.segmentation import GestureSegment
 
@@ -41,7 +43,8 @@ class TestRoundTrips:
         assert io.read_trace(tmp_path / "trace.csv").fs == 999.5
         series = AmplitudeSeries(fs=999.5, values=np.arange(8.0), source_subcarrier=2)
         io.write_series(tmp_path / "series.csv", series)
-        assert io.read_series(tmp_path / "series.csv").fs == 999.5
+        header = (tmp_path / "series.csv").read_bytes().split(b"\n")[0]
+        assert header == b"# fs=999.5 subcarrier=2"
 
     def test_integer_fs_header_unchanged(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -53,16 +56,6 @@ class TestRoundTrips:
         path = tmp_path / "trace.ann"
         io.write_annotations(path, anns)
         assert io.read_annotations(path) == anns
-
-    def test_series(self, tmp_path):
-        rng = np.random.default_rng(1)
-        series = AmplitudeSeries(fs=500.0, values=rng.uniform(0, 10, 64), source_subcarrier=7)
-        path = tmp_path / "series.csv"
-        io.write_series(path, series)
-        back = io.read_series(path)
-        assert back.fs == series.fs
-        assert back.source_subcarrier == 7
-        np.testing.assert_array_equal(back.values, series.values)
 
     def test_dataset(self, tmp_path):
         examples = [
@@ -110,13 +103,6 @@ class TestRoundTrips:
         for b in models:
             np.testing.assert_array_equal(back[b].A, models[b].A)
             np.testing.assert_array_equal(back[b].pi, models[b].pi)
-
-    def test_sequence(self, tmp_path):
-        seq = GestureSequence(np.array([0, 1, 1, 0, 1]))
-        path = tmp_path / "seq.txt"
-        io.write_sequence(path, seq)
-        back = io.read_sequence(path)
-        np.testing.assert_array_equal(back.observations, seq.observations)
 
 
 # Reference writers: one `%` per value, joined into one string.  The
@@ -245,11 +231,11 @@ class TestBlockWriter:
     @settings(max_examples=40)
     @given(trace=traces())
     def test_trace_round_trip_bit_exact(self, trace):
-        if trace.n_samples == 0:
-            return
-        with tempfile.TemporaryDirectory() as d:
+        with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+            warnings.simplefilter("error")
             io.write_trace(Path(d) / "trace.csv", trace)
             back = io.read_trace(Path(d) / "trace.csv")
+        assert back.samples.shape == trace.samples.shape
         assert back.fs == trace.fs
         np.testing.assert_array_equal(back.samples.view(np.uint64), trace.samples.view(np.uint64))
 
@@ -405,6 +391,7 @@ class TestAnnotationFiles:
         (["10,2x0,keystroke"], 1, "invalid literal for int()"),
         (["1,4,keystroke", "10,5,keystroke"], 2, "annotation indices out of order"),
         (["-3,5,keystroke"], 1, "annotation indices out of order"),
+        (["1,4,keystroke", "10,20,wave"], 2, "unknown label 'wave'"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, lines, location, message):
         path = tmp_path / "trace.ann"
@@ -429,6 +416,21 @@ class TestAnnotationFiles:
         assert code == 2
         assert f"error: {ann}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["featurize", "--use-annotations"], ["featurize"], ["pipeline"],
+    ])
+    def test_unknown_label_exit_code(self, tmp_path, capsys, command):
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace(n=50))
+        ann = tmp_path / "trace.ann"
+        ann.write_text("10,20,wave\n")
+        argv = ["--out", str(tmp_path / "o"), command[0], "--trace", str(trace),
+                "--annotations", str(ann)] + command[1:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {ann}:1: unknown label 'wave'" in err
+        assert "Traceback" not in err
 
 
 class TestCli:
@@ -595,6 +597,45 @@ class TestCli:
         assert "select_subcarrier" in err
         doc = json.loads((rdir / "report.json").read_text())
         assert doc["metrics"]["failed_stage"] == "select_subcarrier"
+
+    def test_pipeline_empty_trace_fails_at_select_subcarrier(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        io.write_trace(path, CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
+        assert path.read_text() == "# fs=1000 subcarriers=2\n"
+        rdir = tmp_path / "er"
+        assert self.run("--out", str(rdir), "pipeline", "--trace", str(path)) == 1
+        assert "select_subcarrier" in capsys.readouterr().err
+        doc = json.loads((rdir / "report.json").read_text())
+        assert doc["metrics"]["failed_stage"] == "select_subcarrier"
+
+    @pytest.mark.parametrize("rows, message", [
+        (["typing,4,x", "mouse,1,5"], "could not convert string 'x'"),
+        (["typing,4,1", "mouse,1,5", "other,2,2"], "cannot reshape array of size 6"),
+    ])
+    def test_train_behavior_bad_confusion_exit_code(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "cv_confusion.csv"
+        path.write_text("true,predicted_typing,predicted_mouse\n" + "\n".join(rows) + "\n")
+        code = self.run("--out", str(tmp_path / "o"), "train-behavior", "--confusion", str(path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and message in err
+
+    def test_train_behavior_matches_behavior_study(self, tmp_path):
+        # the CLI and the evaluation study train through one function
+        confusion = [[18, 2], [3, 17]]
+        path = tmp_path / "cv_confusion.csv"
+        io.write_table(path, ["true", "predicted_typing", "predicted_mouse"],
+                       [("typing", *confusion[0]), ("mouse", *confusion[1])])
+        assert self.run("--out", str(tmp_path), "train-behavior", "--confusion", str(path),
+                        "--sequences", "4", "--length", "30") == 0
+        got = io.read_behavior_models(tmp_path / "behavior_models.json")
+        _macro, _confusion, want = behavior_study(
+            PipelineConfig(), np.array(confusion), n_train=4, train_length=30, n_test=1
+        )
+        assert list(got) == list(want)
+        for b in want:
+            for name in ("pi", "A", "B"):
+                assert getattr(got[b], name).tobytes() == getattr(want[b], name).tobytes()
 
     def test_pipeline_annotation_past_trace_end(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"

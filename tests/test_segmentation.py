@@ -19,7 +19,6 @@ from desksense.segmentation import (
     SegmenterParams,
     compute_variance_traces,
     mark_end_point,
-    mark_start_points,
     segment,
     sliding_variance,
     smooth_variance,
@@ -108,16 +107,20 @@ class TestParams:
             SegmenterParams().window_samples(10.0)
 
 
+def start_points(nor1, nor2, params):
+    return [start for start, _end, _truncated in segmentation._scan(nor1, nor2, params)]
+
+
 class TestMarking:
     def test_flat_trace_no_start_points(self):
         nor1 = np.zeros(3000)
         nor2 = np.zeros(3000)
-        assert mark_start_points(nor1, nor2) == []
+        assert start_points(nor1, nor2, SegmenterParams()) == []
 
     def test_two_gestures_two_start_points(self, config):
         series, meta = filtered_burst(config, count=2, seed=3, gap=2.0)
         nor1, nor2 = compute_variance_traces(series, config.segmenter)
-        starts = mark_start_points(nor1, nor2, config.segmenter)
+        starts = start_points(nor1, nor2, config.segmenter)
         assert len(starts) == 2
         for start, ann in zip(starts, meta):
             assert abs(start - ann.start_idx) <= 100
@@ -125,7 +128,7 @@ class TestMarking:
     def test_seventeen_start_points(self, config):
         series, _ = filtered_burst(config, count=17, seed=1)
         nor1, nor2 = compute_variance_traces(series, config.segmenter)
-        assert len(mark_start_points(nor1, nor2, config.segmenter)) == 17
+        assert len(start_points(nor1, nor2, config.segmenter)) == 17
 
     def test_end_point_symmetric_bump(self):
         # bump symmetric around index 1000; start on the rising flank at 850
