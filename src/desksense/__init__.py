@@ -53,6 +53,7 @@ from .preprocess import (
     butterworth_lowpass,
     measured_gain,
     select_subcarrier,
+    subcarrier_variances,
 )
 from .segmentation import (
     GestureSegment,

@@ -19,7 +19,7 @@ from .channel import CsiTrace, GestureKind, GestureModel, simulate_plate_sweep
 from .classify import cross_validate, fit
 from .config import PipelineConfig, load_config
 from .corpus import keystroke_burst_script, simulate_script
-from .preprocess import analytic_gain, filtered_series, measured_gain
+from .preprocess import analytic_gain, filtered_series, measured_gain, subcarrier_variances
 from .pipeline import StageError, evaluate_system, run_pipeline, train_behavior_models
 from .segmentation import compute_variance_traces, segment
 
@@ -188,10 +188,14 @@ def cmd_train_gesture(args) -> int:
 
 def _read_emission(path) -> np.ndarray:
     """Emission matrix from the counts of a cv_confusion.csv (train-gesture)."""
+    with open(path) as fh:
+        rows = fh.read().splitlines()[1:]
+    # loadtxt warns on input without data; rows that are blank once
+    # comments are cut are what it skips
+    if not any(row.partition("#")[0].strip() for row in rows):
+        raise ValueError(f"{path}: no confusion rows")
     try:
-        return build_emission(
-            np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
-        )
+        return build_emission(np.loadtxt(rows, delimiter=",", usecols=(1, 2), ndmin=2))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -268,7 +272,7 @@ def cmd_plotdata(args) -> int:
         return 0
     if args.kind == "subcarrier-variance":
         trace = io.read_trace(args.artifact)
-        variances = trace.amplitude().var(axis=1)
+        variances = subcarrier_variances(trace)
         io.write_table(
             out / "subcarrier_variance.csv",
             ["subcarrier", "variance"],

@@ -8,6 +8,7 @@ small seeded micro-motion so synthetic strokes are not unnaturally smooth.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,13 +136,35 @@ class SegmentationMetrics:
     end_errors_s: list[float] = field(default_factory=list)
 
 
+def _check_ordered(spans, what: str) -> None:
+    """Raise unless each span starts at or after the previous span's end."""
+    for prev, span in zip(spans, spans[1:]):
+        if span.start_idx < prev.end_idx:
+            raise ValueError(f"{what} must be sorted and disjoint")
+
+
 def match_segments(detections: list[GestureSegment], annotations):
-    """Greedy best-overlap matching of detections to ground-truth spans."""
+    """Greedy best-overlap matching of detections to ground-truth spans.
+
+    Each annotation in turn takes the unused detection of largest overlap
+    (min end - max start, > 0); the first of equal overlaps wins.  Both
+    lists must be sorted and disjoint, as segment() and CsiTrace make them
+    (a span may start on its predecessor's last index), else ValueError.
+    Then only the detections from the first one ending after an
+    annotation's start to the last one starting before its end can
+    overlap it, and only those are compared.
+    """
+    _check_ordered(detections, "detections")
+    _check_ordered(annotations, "annotations")
+    ends = [det.end_idx for det in detections]
     pairs = []
     used = set()
     for ann in annotations:
         best = None
-        for i, det in enumerate(detections):
+        for i in range(bisect_right(ends, ann.start_idx), len(detections)):
+            det = detections[i]
+            if det.start_idx >= ann.end_idx:
+                break
             if i in used:
                 continue
             overlap = min(det.end_idx, ann.end_idx) - max(det.start_idx, ann.start_idx)

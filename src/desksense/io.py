@@ -168,7 +168,7 @@ def read_dataset(path) -> list[LabeledExample]:
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("variance"):
-            raise ValueError(f"{path}: missing dataset header")
+            raise ValueError(f"{path}:1: missing dataset header")
         for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
@@ -176,16 +176,19 @@ def read_dataset(path) -> list[LabeledExample]:
             parts = line.split(",")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 columns")
-            out.append(
-                LabeledExample(
-                    features=FeatureVector(
-                        variance=float(parts[0]),
-                        slope_ratio=float(parts[1]),
-                        duration=float(parts[2]),
-                    ),
-                    label=GestureLabel.from_name(parts[3]),
+            try:
+                out.append(
+                    LabeledExample(
+                        features=FeatureVector(
+                            variance=float(parts[0]),
+                            slope_ratio=float(parts[1]),
+                            duration=float(parts[2]),
+                        ),
+                        label=GestureLabel.from_name(parts[3]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -49,20 +49,32 @@ class FilterSpec:
             raise ValueError("order must be a positive even integer")
 
 
+def subcarrier_variances(trace: CsiTrace) -> np.ndarray:
+    """Variance of |H| over the trace, per subcarrier.
+
+    One row's amplitude exists at a time; each row's variance equals the
+    row of np.abs(trace.samples).var(axis=1) bit for bit.
+    """
+    return np.array([np.abs(row).var() for row in trace.samples])
+
+
 def select_subcarrier(trace: CsiTrace) -> AmplitudeSeries:
     """Pick the subcarrier whose amplitude variance is largest.
 
     Motion sensitivity differs per subcarrier; the variance of |H| over the
     whole trace ranks them.  Ties break toward the lowest index.
     """
-    amp = trace.amplitude()
-    if amp.size == 0:
+    if trace.samples.size == 0:
         raise ValueError("trace is empty")
-    if not np.any(amp):
+    variances = subcarrier_variances(trace)
+    # an all-zero trace has only zero variances, so the samples need a
+    # scan of their own only when no variance is non-zero or NaN
+    if not np.any(variances) and not np.any(trace.samples):
         raise ValueError("all-zero trace: no informative subcarrier")
-    variances = amp.var(axis=1)
     idx = int(np.argmax(variances))
-    return AmplitudeSeries(fs=trace.fs, values=amp[idx], source_subcarrier=idx)
+    return AmplitudeSeries(
+        fs=trace.fs, values=np.abs(trace.samples[idx]), source_subcarrier=idx
+    )
 
 
 def design_sos(spec: FilterSpec, fs: float) -> np.ndarray:

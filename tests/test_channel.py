@@ -1,8 +1,14 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from desksense.channel import (
+    _build_reflector_track,
     Annotation,
     ChannelModel,
     CsiTrace,
@@ -405,3 +411,54 @@ class TestPlateSweep:
     def test_unordered_sides_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
             simulate_plate_sweep(GEOM, [0.05, 0.03])
+
+
+def one_shot_noise_samples(model, script, duration, fs, lams):
+    """The simulator's samples with its noise drawn as one (2, S, T) array
+    and added out of place, after the reflector track's jitter draws."""
+    noiseless = simulate_trace(
+        replace(model, noise_std=0.0), script, duration, fs=fs, subcarrier_wavelengths_m=lams
+    ).samples
+    rng = np.random.default_rng(model.rng_seed)
+    if script:
+        _build_reflector_track(script, noiseless.shape[1], fs, rng)
+    if model.noise_std == 0:
+        return noiseless
+    noise = rng.normal(0.0, model.noise_std, (2,) + noiseless.shape)
+    return noiseless + noise[0] + 1j * noise[1]
+
+
+class TestStreamedNoise:
+    @given(
+        n_sub=st.integers(1, 4),
+        n_samples=st.integers(1, 1500),
+        noise_std=st.sampled_from([0.0]) | st.floats(1e-3, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+        jitter=st.sampled_from([None, 0.0, 5e-4]),
+    )
+    def test_matches_one_shot_draw(self, n_sub, n_samples, noise_std, seed, jitter):
+        # the gesture (and its jitter draws) only in traces that hold all of it
+        script = [] if jitter is None or n_samples < 400 else [
+            (0.05, GestureModel(kind=GestureKind.KEYSTROKE, duration=0.3, jitter_std=jitter))
+        ]
+        model = make_model(static_component=8.0, noise_std=noise_std, rng_seed=seed)
+        lams = subcarrier_wavelengths(GEOM.wavelength, count=n_sub)
+        duration = n_samples / 1000.0
+        got = simulate_trace(model, script, duration, fs=1000.0, subcarrier_wavelengths_m=lams)
+        want = one_shot_noise_samples(model, script, duration, 1000.0, lams)
+        assert got.samples.shape == want.shape
+        assert np.array_equal(got.samples.view(np.uint64), want.view(np.uint64))
+
+    def test_peak_memory_near_the_samples(self):
+        # 60 s x 30 subcarriers: the samples are 28.8 MB; the one-shot noise
+        # draw and its complex temporaries took about four times that
+        gesture = GestureModel(kind=GestureKind.KEYSTROKE, jitter_std=5e-4)
+        model = make_model(static_component=8.0, noise_std=0.16, rng_seed=3)
+        tracemalloc.start()
+        try:
+            trace = simulate_trace(model, [(1.0, gesture)], duration=60.0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.samples.shape == (30, 60000)
+        assert peak <= 1.5 * trace.samples.nbytes

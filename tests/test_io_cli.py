@@ -386,6 +386,34 @@ class TestModelFiles:
         assert f"error: {models}: " in err and message in err
 
 
+class TestDatasetFiles:
+    HEADER = "variance,slope_ratio,duration,label\n"
+    GOOD = "0.5,1.2,0.7,typing\n"
+
+    @pytest.mark.parametrize("body, location, message", [
+        ("x,1.2,0.7,typing\n", 2, "could not convert string to float: 'x'"),
+        ("0.5,0.5,0.7,typing\n", 2, "slope_ratio must be >= 1"),
+        (GOOD + "0.5,1.2,0,mouse\n", 3, "duration must be positive"),
+        (GOOD + "\n-1,1.2,0.7,mouse\n", 4, "variance must be >= 0"),
+        (GOOD + "0.5,1.2,0.7,wave\n", 3, "unknown gesture label 'wave'"),
+        (GOOD + "0.5,1.2,0.7\n", 3, "expected 4 columns"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, body, location, message):
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.HEADER + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{location}: {message}')}$"):
+            io.read_dataset(path)
+        code = main(["--out", str(tmp_path / "o"), "train-gesture", "--dataset", str(path)])
+        assert code == 2
+        assert f"error: {path}:{location}: {message}" in capsys.readouterr().err
+
+    def test_missing_header_names_line_one(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_text(self.GOOD)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: missing dataset header$"):
+            io.read_dataset(path)
+
+
 class TestAnnotationFiles:
     @pytest.mark.parametrize("lines, location, message", [
         (["10,2x0,keystroke"], 1, "invalid literal for int()"),
@@ -619,6 +647,17 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {path}: " in err and message in err
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n# no rows yet\n  \n"])
+    def test_train_behavior_header_only_confusion(self, tmp_path, capsys, body):
+        path = tmp_path / "cv_confusion.csv"
+        path.write_text("true,predicted_typing,predicted_mouse" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.run("--out", str(tmp_path / "o"), "train-behavior",
+                            "--confusion", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: no confusion rows\n"
 
     def test_train_behavior_matches_behavior_study(self, tmp_path):
         # the CLI and the evaluation study train through one function

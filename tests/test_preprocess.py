@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from desksense.channel import CsiTrace
 from desksense.corpus import keystroke_burst_script, simulate_script
@@ -10,6 +14,7 @@ from desksense.preprocess import (
     butterworth_lowpass,
     measured_gain,
     select_subcarrier,
+    subcarrier_variances,
 )
 
 FS = 1000.0
@@ -51,6 +56,104 @@ class TestSelectSubcarrier:
         base = select_subcarrier(trace_from_amplitudes(rows))
         scaled = select_subcarrier(trace_from_amplitudes(rows * 7.5))
         assert base.source_subcarrier == scaled.source_subcarrier
+
+
+def whole_array_select(trace):
+    """Subcarrier selection over the whole (S, T) amplitude array at once."""
+    amp = np.abs(trace.samples)
+    if amp.size == 0:
+        raise ValueError("trace is empty")
+    if not np.any(amp):
+        raise ValueError("all-zero trace: no informative subcarrier")
+    idx = int(np.argmax(amp.var(axis=1)))
+    return AmplitudeSeries(fs=trace.fs, values=amp[idx], source_subcarrier=idx)
+
+
+def outcome(select, trace):
+    """(index, value bytes) of a selection, or the message it raised."""
+    try:
+        series = select(trace)
+    except ValueError as exc:
+        return str(exc)
+    return series.source_subcarrier, series.values.tobytes()
+
+
+@st.composite
+def traces_with_repeated_rows(draw):
+    """Complex traces whose rows are drawn from a small pool, so equal rows
+    (ties), zero rows and all-zero traces all occur."""
+    n_sub = draw(st.integers(0, 6))
+    n = draw(st.sampled_from([0, 1, 2, 127, 128, 129, 1100]) | st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 8.0, 1e6]))
+    pool = rng.normal(0.0, scale, (3, 2, n)) + draw(st.sampled_from([0.0, 8.0]))
+    pool[0] = 0.0
+    picks = draw(st.lists(st.integers(0, 2), min_size=n_sub, max_size=n_sub))
+    samples = pool[picks, 0] + 1j * pool[picks, 1] if picks else np.zeros((0, n))
+    return CsiTrace(fs=FS, samples=np.asarray(samples, dtype=complex).reshape(n_sub, n))
+
+
+class TestRowStreamedSelection:
+    # zero-sample rows have NaN variance (numpy warns), as before
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(traces_with_repeated_rows())
+    def test_variances_match_whole_array(self, trace):
+        want = np.abs(trace.samples).var(axis=1)
+        got = subcarrier_variances(trace)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(traces_with_repeated_rows())
+    def test_selection_matches_whole_array(self, trace):
+        assert outcome(select_subcarrier, trace) == outcome(whole_array_select, trace)
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.zeros((3, 0)), "trace is empty"),
+        (np.zeros((0, 5)), "trace is empty"),
+        (np.zeros((4, 100)), "all-zero trace: no informative subcarrier"),
+    ])
+    def test_errors_unchanged(self, rows, message):
+        trace = trace_from_amplitudes(rows)
+        assert outcome(select_subcarrier, trace) == outcome(whole_array_select, trace) == message
+
+    def test_constant_rows_are_not_all_zero(self):
+        # every variance is zero, yet the trace is not: the lowest index wins
+        rows = np.zeros((3, 50), dtype=complex)
+        rows[1:] = 8.0 + 8.0j
+        trace = trace_from_amplitudes(rows)
+        assert outcome(select_subcarrier, trace) == outcome(whole_array_select, trace)
+        assert outcome(select_subcarrier, trace)[0] == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_row_resolves_as_before(self):
+        rows = np.ones((3, 50), dtype=complex)
+        rows[2, 7] = np.nan
+        rows[1, 3] = np.inf
+        trace = trace_from_amplitudes(rows)
+        assert outcome(select_subcarrier, trace) == outcome(whole_array_select, trace)
+        assert "finite" in outcome(select_subcarrier, trace)
+
+    def test_simulated_trace_matches_whole_array(self, config):
+        script, duration = keystroke_burst_script(config, count=4)
+        trace = simulate_script(config, script, duration, seed=9)
+        want = np.abs(trace.samples).var(axis=1)
+        assert subcarrier_variances(trace).tobytes() == want.tobytes()
+        assert outcome(select_subcarrier, trace) == outcome(whole_array_select, trace)
+
+    def test_peak_memory_a_few_rows(self, config):
+        # the whole (30, T) amplitude array and its variance temporaries are
+        # never built: the peak is the winning row plus one row in flight
+        script, _duration = keystroke_burst_script(config, count=2)
+        trace = simulate_script(config, script, 60.0, seed=4)
+        assert trace.subcarriers == 30
+        tracemalloc.start()
+        try:
+            series = select_subcarrier(trace)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.values.nbytes == trace.n_samples * 8
+        assert peak <= 3 * trace.n_samples * 8
 
 
 class TestButterworth:

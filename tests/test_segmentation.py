@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desksense import segmentation
+from desksense.channel import Annotation
 from desksense.corpus import (
     evaluate_segmentation,
     generate_segmentation_corpus,
     keystroke_burst_script,
+    match_segments,
     random_gesture_script,
     simulate_script,
 )
@@ -400,3 +402,87 @@ class TestScanMatchesWholeTraceScan:
         got = as_tuples(segment(series, config.segmenter))
         assert len(got) >= 55
         assert got == oracle_segments(series, config.segmenter)
+
+
+def all_pairs_match(detections, annotations):
+    """Greedy best-overlap matching comparing every annotation with every detection."""
+    pairs = []
+    used = set()
+    for ann in annotations:
+        best = None
+        for i, det in enumerate(detections):
+            if i in used:
+                continue
+            overlap = min(det.end_idx, ann.end_idx) - max(det.start_idx, ann.start_idx)
+            if overlap > 0 and (best is None or overlap > best[0]):
+                best = (overlap, i)
+        if best is not None:
+            used.add(best[1])
+            pairs.append((ann, detections[best[1]]))
+    return pairs, used
+
+
+def detection(start, end):
+    return GestureSegment(start_idx=start, end_idx=end, waveform=np.zeros(end - start + 1),
+                          fs=FS)
+
+
+def as_indices(result, detections, annotations):
+    """A matching as (annotation index, detection index) pairs and the used set."""
+    pairs, used = result
+    det_index = {id(d): i for i, d in enumerate(detections)}
+    ann_index = {id(a): i for i, a in enumerate(annotations)}
+    return [(ann_index[id(a)], det_index[id(d)]) for a, d in pairs], used
+
+
+@st.composite
+def ordered_spans(draw, min_gap, min_length):
+    """(start, end) spans laid end to end with gaps of at least min_gap
+    (0: a span may start on its predecessor's last index)."""
+    spans = []
+    end = draw(st.integers(0, 40)) - min_gap
+    for _ in range(draw(st.integers(0, 12))):
+        start = end + min_gap + draw(st.integers(0, 40))
+        end = start + min_length + draw(st.integers(0, 60))
+        spans.append((start, end))
+    return spans
+
+
+class TestMatchSegments:
+    @settings(max_examples=300)
+    @given(det_spans=ordered_spans(0, 1), ann_spans=ordered_spans(1, 0))
+    def test_matches_all_pairs_greedy(self, det_spans, ann_spans):
+        detections = [detection(a, b) for a, b in det_spans]
+        annotations = [Annotation(a, b, "keystroke") for a, b in ann_spans]
+        got = match_segments(detections, annotations)
+        want = all_pairs_match(detections, annotations)
+        assert (as_indices(got, detections, annotations)
+                == as_indices(want, detections, annotations))
+
+    @pytest.mark.parametrize("det_spans, ann_spans, want", [
+        # one detection over two annotations: the first takes it
+        ([(10, 100)], [(20, 40), (50, 70)], [(0, 0)]),
+        # annotations clear of every detection, and one touching at one index
+        ([(10, 20), (60, 80)], [(0, 5), (20, 30), (40, 50), (90, 95)], []),
+        # equal overlaps: the first detection wins; the second goes to the next
+        ([(0, 15), (15, 30)], [(5, 25), (26, 40)], [(0, 0), (1, 1)]),
+        # the larger overlap wins over the earlier detection
+        ([(0, 12), (14, 40)], [(10, 30)], [(0, 1)]),
+    ])
+    def test_cases(self, det_spans, ann_spans, want):
+        detections = [detection(a, b) for a, b in det_spans]
+        annotations = [Annotation(a, b, "keystroke") for a, b in ann_spans]
+        for match in (match_segments, all_pairs_match):
+            pairs, used = as_indices(match(detections, annotations), detections, annotations)
+            assert pairs == want and used == {d for _a, d in want}
+
+    @pytest.mark.parametrize("det_spans, ann_spans, what", [
+        ([(50, 60), (10, 20)], [], "detections"),
+        ([(10, 30), (20, 40)], [(10, 30)], "detections"),
+        ([(10, 20)], [(50, 60), (10, 20)], "annotations"),
+    ])
+    def test_rejects_unordered_spans(self, det_spans, ann_spans, what):
+        detections = [detection(a, b) for a, b in det_spans]
+        annotations = [Annotation(a, b, "keystroke") for a, b in ann_spans]
+        with pytest.raises(ValueError, match=f"{what} must be sorted and disjoint"):
+            match_segments(detections, annotations)
