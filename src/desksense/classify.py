@@ -42,6 +42,12 @@ class FeatureVector:
     duration: float
 
     def __post_init__(self):
+        # extract_features gives slope_ratio +inf when one half-slope is 0
+        if math.isnan(self.slope_ratio):
+            raise ValueError("slope_ratio must not be NaN")
+        for name in ("variance", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.variance < 0:
             raise ValueError("variance must be >= 0")
         if self.slope_ratio < 1:

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 from .channel import (
     DEFAULT_ANTENNA_DISTANCE,
@@ -142,11 +144,27 @@ _SECTIONS = {
 }
 
 
+# JSON value checks by field annotation; values are kept as given, so an
+# int in a float field stays an int and to_dict() round-trips the file
+_TYPE_CHECKS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+            "a finite number"),
+    str: (lambda v: type(v) is str, "a string"),
+}
+
+
 def _build_section(name: str, cls, doc: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(doc) - known
+    if not isinstance(doc, dict):
+        raise ValueError(f"config section {name!r} must be an object")
+    hints = get_type_hints(cls)   # the dataclass's fields and their types
+    unknown = set(doc) - set(hints)
     if unknown:
         raise ValueError(f"unknown config key {name}.{sorted(unknown)[0]}")
+    for key, value in doc.items():
+        accepts, kind = _TYPE_CHECKS[hints[key]]
+        if not accepts(value):
+            raise ValueError(f"{name}.{key}: must be {kind}, got {value!r}")
     try:
         return cls(**doc)
     except (TypeError, ValueError) as exc:
@@ -166,12 +184,19 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     return config
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config root must be an object")
-    return config_from_dict(doc)
+    try:
+        return config_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -3,13 +3,16 @@
 Everything is plain text at full double precision so artifacts diff cleanly
 and round-trip losslessly.  Writes go through a temp file and rename;
 numeric tables (traces, series, nor/segment tables) are streamed into it a
-block of rows at a time.
+block of rows at a time.  Traces are read back a block of rows at a time
+too, into one array allocated up front.
 """
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,6 +31,8 @@ from .classify import (
 
 FLOAT_FMT = "%.17g"
 _BLOCK_ROWS = 1024
+_CHUNK_BYTES = 1 << 20
+_ROW_IN_CALL = re.compile(r"at row \d+, ")
 
 
 @contextmanager
@@ -71,9 +76,9 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def _read_header(path, fh, casts: dict) -> dict:
-    """The `# key=value ...` first line of fh, each key in casts cast by its type."""
-    header = fh.readline().strip()
+def _read_header(path, line: str, casts: dict) -> dict:
+    """The `# key=value ...` first line of a file, each key in casts cast by its type."""
+    header = line.strip()
     if not header.startswith("#"):
         raise ValueError(f"{path}:1: missing header line")
     fields = {}
@@ -105,20 +110,82 @@ def write_trace(path, trace: CsiTrace) -> None:
         _write_rows(fh, columns, [FLOAT_FMT] * len(columns))
 
 
+def _count_lines(fb, stop) -> int:
+    """Lines from fb's position to byte offset stop, a last one without a
+    newline included, counted 1 MiB at a time."""
+    n, last = 0, b"\n"
+    while (left := stop - fb.tell()) > 0 and (chunk := fb.read(min(left, _CHUNK_BYTES))):
+        n += chunk.count(b"\n")
+        last = chunk[-1:]
+    return n + (last != b"\n")
+
+
+def _loadtxt(lines, max_rows=None) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", ndmin=2, max_rows=max_rows, encoding="utf-8")
+
+
+def _bad_line(path, fb, start: int, n_cols: int) -> ValueError:
+    """The error naming the first line from byte offset start (a line start)
+    that does not parse or does not have n_cols columns."""
+    fb.seek(0)
+    first = _count_lines(fb, start) + 1
+    for lineno, line in enumerate(fb, first):
+        try:
+            row = _loadtxt([line])
+        except ValueError as exc:
+            # the line number replaces numpy's row within the one-line call
+            return ValueError(f"{path}:{lineno}: {_ROW_IN_CALL.sub('at ', str(exc))}")
+        if len(row) and row.shape[1] != n_cols:
+            return ValueError(f"{path}:{lineno}: expected {n_cols} columns, got {row.shape[1]}")
+    return ValueError(f"{path}:{first}: rows from here do not parse")
+
+
 def read_trace(path) -> CsiTrace:
-    with open(path) as fh:
-        header = _read_header(path, fh, {"fs": float, "subcarriers": int})
-        n_cols = 1 + 2 * header["subcarriers"]
-        body = fh.tell()
-        if fh.readline():
-            fh.seek(body)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        else:  # a zero-sample trace is its header alone
-            data = np.empty((0, n_cols))
-    if data.shape[1] != n_cols:
-        raise ValueError(f"{path}: expected {n_cols} columns, got {data.shape[1]}")
-    # (re, im) column pairs viewed as complex keep every bit, signed zeros too
-    samples = np.ascontiguousarray(np.ascontiguousarray(data[:, 1:]).view(complex).T)
+    """Inverse of write_trace, parsed _BLOCK_ROWS rows at a time into one
+    preallocated (S, T) array, so a read holds the samples once.
+
+    A bad cell, a row of the wrong width and a truncated last row raise
+    ValueError("<path>:<line>: ...").
+    """
+    with open(path, "rb") as fb:
+        header = _read_header(path, fb.readline().decode(errors="replace"),
+                              {"fs": float, "subcarriers": int})
+        n_sub = header["subcarriers"]
+        n_cols = 1 + 2 * n_sub
+        body = fb.tell()
+        # an upper bound: blank and '#' lines, which loadtxt skips, count too
+        n_rows = _count_lines(fb, os.fstat(fb.fileno()).st_size)
+        fb.seek(body)
+        samples = None
+        i = 0
+        with warnings.catch_warnings():
+            # skipped lines are not data rows, and past the last data row
+            # only they remain: the end, not a fault
+            warnings.filterwarnings(
+                "ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning
+            )
+            while i < n_rows:
+                start = fb.tell()
+                want = min(_BLOCK_ROWS, n_rows - i)
+                try:
+                    block = _loadtxt(fb, want)
+                except ValueError:
+                    raise _bad_line(path, fb, start, n_cols) from None
+                if not len(block):
+                    break
+                if block.shape[1] != n_cols:
+                    raise _bad_line(path, fb, start, n_cols)
+                if samples is None:  # allocated once a row has the header's width
+                    samples = np.empty((n_sub, n_rows), dtype=complex)
+                # (re, im) column pairs viewed as complex keep every bit, signed zeros too
+                samples[:, i:i + len(block)] = block[:, 1:].view(complex).T
+                i += len(block)
+                if len(block) < want:
+                    break
+    if samples is None:
+        samples = np.empty((n_sub, 0), dtype=complex)
+    elif i < n_rows:
+        samples = np.ascontiguousarray(samples[:, :i])
     return CsiTrace(fs=header["fs"], samples=samples)
 
 

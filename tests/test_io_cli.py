@@ -1,6 +1,8 @@
 import json
+import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -256,6 +258,140 @@ class TestBlockWriter:
         np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
 
 
+# Reference reader: the whole-file parse the block-streamed reader replaced.
+
+def oracle_read_trace(path):
+    with open(path) as fh:
+        fields = dict(token.split("=") for token in fh.readline().lstrip("# ").split())
+        n_cols = 1 + 2 * int(fields["subcarriers"])
+        body = fh.tell()
+        if fh.readline():
+            fh.seek(body)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        else:
+            data = np.empty((0, n_cols))
+    assert data.shape[1] == n_cols
+    return float(fields["fs"]), np.ascontiguousarray(
+        np.ascontiguousarray(data[:, 1:]).view(complex).T)
+
+
+SKIPPED_LINES = st.sampled_from(["", "#", "# a comment", "#1,2,3"])
+
+
+@st.composite
+def dirty_bodies(draw):
+    """(trace, extra lines keyed by the body line they precede, trailing newline)."""
+    n_sub = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]), st.integers(0, 2100)))
+    trace = CsiTrace(fs=draw(SAMPLE_RATES), samples=complex_from_parts(
+        special_floats(draw, (n_sub, n)), special_floats(draw, (n_sub, n))))
+    edges = [k for k in (0, 1, 1023, 1024, 1025, 2048, n) if k <= n]
+    where = st.one_of(st.sampled_from(edges), st.integers(0, n))
+    extra = draw(st.lists(st.tuples(where, SKIPPED_LINES), max_size=6))
+    return trace, extra, draw(st.booleans())
+
+
+def write_dirty_trace(path, trace, extra, trailing_newline):
+    io.write_trace(path, trace)
+    lines = path.read_text().splitlines()
+    for at, line in sorted(extra, key=lambda e: -e[0]):
+        lines.insert(1 + at, line)
+    path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""))
+
+
+class TestBlockReader:
+    @settings(max_examples=50)
+    @given(body=dirty_bodies(), block_rows=st.sampled_from([1, 2, 7, io._BLOCK_ROWS]))
+    def test_matches_whole_file_reader(self, body, block_rows):
+        trace, extra, trailing_newline = body
+        with tempfile.TemporaryDirectory() as d:
+            clean, dirty = Path(d) / "clean.csv", Path(d) / "dirty.csv"
+            io.write_trace(clean, trace)
+            write_dirty_trace(dirty, trace, extra, trailing_newline)
+            # the whole-file reader fails on a body of skipped lines alone
+            fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
+            with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+                got = io.read_trace(dirty)
+        assert got.fs == fs == trace.fs
+        assert got.samples.shape == want.shape == trace.samples.shape
+        assert got.samples.flags.c_contiguous
+        np.testing.assert_array_equal(got.samples.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_block_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        trace = CsiTrace(fs=999.5, samples=complex_from_parts(rng.normal(size=(3, n)),
+                                                              rng.normal(size=(3, n))))
+        io.write_trace(tmp_path / "trace.csv", trace)
+        got = io.read_trace(tmp_path / "trace.csv")
+        assert got.samples.flags.c_contiguous
+        np.testing.assert_array_equal(got.samples.view(np.uint64),
+                                      trace.samples.view(np.uint64))
+
+    @pytest.mark.parametrize("body", ["\n", "\n# no rows yet\n\n", "#"])
+    def test_only_skipped_lines_read_as_no_samples(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_text("# fs=1000 subcarriers=2\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = io.read_trace(path)
+        assert got.samples.shape == (2, 0)
+        assert got.samples.flags.c_contiguous
+
+    def test_header_wider_than_rows_allocates_nothing(self, tmp_path):
+        # a (10**12, T) array cannot be allocated; the first row's width is checked first
+        path = tmp_path / "trace.csv"
+        path.write_text("# fs=1000 subcarriers=1000000000000\n0,1,2\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: expected 2000000000001 columns, got 3")):
+            io.read_trace(path)
+
+    def test_peak_memory_near_the_samples(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 30_000
+        trace = CsiTrace(fs=1000.0, samples=complex_from_parts(rng.normal(size=(4, n)),
+                                                               rng.normal(size=(4, n))))
+        io.write_trace(tmp_path / "trace.csv", trace)
+        tracemalloc.start()
+        try:
+            got = io.read_trace(tmp_path / "trace.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.samples.shape == (4, n)
+        assert peak <= 1.25 * got.samples.nbytes
+
+    GOOD = "0,1,2\n"
+
+    @pytest.mark.parametrize("body, line, message", [
+        pytest.param(GOOD + "0.001,1,x\n", 3,
+                     "could not convert string 'x' to float64 at column 3", id="bad-cell"),
+        pytest.param(GOOD + "0.001,1\n" + GOOD, 3, "expected 3 columns, got 2", id="short-row"),
+        pytest.param(GOOD + "0.001,1,2,3\n", 3, "expected 3 columns, got 4", id="long-row"),
+        pytest.param(GOOD + "0.001,1", 3, "expected 3 columns, got 2", id="truncated-last"),
+        pytest.param(GOOD + "0.001,1,", 3, "could not convert string '' to float64 at column 3",
+                     id="truncated-last-cell"),
+        pytest.param("0,1\n" + GOOD, 2, "expected 3 columns, got 2", id="first-row"),
+        # later blocks, their lines counted past skipped lines
+        pytest.param(GOOD * 1500 + "0,x,2\n", 1502, "could not convert string 'x'",
+                     id="second-block"),
+        pytest.param(GOOD * 700 + "\n# note\n" + GOOD * 324 + "0,1\n", 1028,
+                     "expected 3 columns, got 2", id="after-skipped-lines"),
+        pytest.param(GOOD * 1024 + "0,1\n", 1026, "expected 3 columns, got 2",
+                     id="block-edge"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, body, line, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("# fs=1000 subcarriers=1\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {message}')}"):
+            io.read_trace(path)
+        for command in ("pipeline", "segment", "featurize"):
+            code = main(["--out", str(tmp_path / "o"), command, "--trace", str(path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}:{line}: {message}")
+
+
 class TestConfig:
     def test_defaults_validate(self):
         PipelineConfig().validate()
@@ -290,6 +426,41 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="not valid JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"hmm": {"max_iter": 2.5}}', "hmm.max_iter: must be an integer, got 2.5"),
+        ('{"hmm": {"max_iter": true}}', "hmm.max_iter: must be an integer, got True"),
+        ('{"seeds": {"simulation": 1.0}}', "seeds.simulation: must be an integer, got 1.0"),
+        ('{"filter": {"cutoff_hz": "7.5"}}', "filter.cutoff_hz: must be a finite number"),
+        ('{"filter": {"cutoff_hz": 1e400}}',
+         "filter.cutoff_hz: must be a finite number, got inf"),
+        ('{"classifier": {"kind": 3}}', "classifier.kind: must be a string, got 3"),
+        ('{"hmm": []}', "config section 'hmm' must be an object"),
+        ('{"filter": {"cutoff_hz": NaN}}', "not valid JSON (NaN is not a JSON number)"),
+        ('{"geometry": {"wavelength": Infinity}}',
+         "not valid JSON (Infinity is not a JSON number)"),
+        ('{"geometry": {"wavelength": -Infinity}}',
+         "not valid JSON (-Infinity is not a JSON number)"),
+    ])
+    def test_field_types_checked(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_config(path)
+        confusion = tmp_path / "cv_confusion.csv"
+        confusion.write_text("true,predicted_typing,predicted_mouse\ntyping,9,1\nmouse,2,8\n")
+        code = main(["--config", str(path), "--out", str(tmp_path / "o"), "train-behavior",
+                     "--confusion", str(confusion), "--sequences", "2", "--length", "10"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    def test_int_in_float_field_kept_as_given(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"filter": {"cutoff_hz": 7}, "simulation": {"fs": 1000}}')
+        config = load_config(path)
+        assert type(config.filter.cutoff_hz) is int and config.filter.cutoff_hz == 7
+        assert config.to_dict()["simulation"]["fs"] == 1000
+        assert '"cutoff_hz": 7,' in config.to_json()
 
 
 class TestScriptParsing:
@@ -397,6 +568,11 @@ class TestDatasetFiles:
         (GOOD + "\n-1,1.2,0.7,mouse\n", 4, "variance must be >= 0"),
         (GOOD + "0.5,1.2,0.7,wave\n", 3, "unknown gesture label 'wave'"),
         (GOOD + "0.5,1.2,0.7\n", 3, "expected 4 columns"),
+        ("nan,1.2,0.7,typing\n", 2, "variance must be finite"),
+        (GOOD + "inf,1.2,0.7,mouse\n", 3, "variance must be finite"),
+        (GOOD + "0.5,nan,0.7,mouse\n", 3, "slope_ratio must not be NaN"),
+        (GOOD + "0.5,1.2,nan,mouse\n", 3, "duration must be finite"),
+        (GOOD + "0.5,1.2,inf,mouse\n", 3, "duration must be finite"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, body, location, message):
         path = tmp_path / "dataset.csv"
@@ -406,6 +582,12 @@ class TestDatasetFiles:
         code = main(["--out", str(tmp_path / "o"), "train-gesture", "--dataset", str(path)])
         assert code == 2
         assert f"error: {path}:{location}: {message}" in capsys.readouterr().err
+
+    def test_infinite_slope_ratio_kept(self, tmp_path):
+        # extract_features gives +inf when exactly one half-slope is 0
+        example = LabeledExample(FeatureVector(0.5, math.inf, 0.7), GestureLabel.TYPING)
+        io.write_dataset(tmp_path / "dataset.csv", [example])
+        assert io.read_dataset(tmp_path / "dataset.csv") == [example]
 
     def test_missing_header_names_line_one(self, tmp_path):
         path = tmp_path / "dataset.csv"
