@@ -7,6 +7,7 @@ runtime failure, 2 bad configuration or arguments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -92,14 +93,27 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _usage_error(args, message: str) -> int:
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_simulate(args) -> int:
+    if args.keystrokes < 0:
+        return _usage_error(args, f"--keystrokes must be >= 0, got {args.keystrokes}")
+    if args.duration is not None:
+        if not args.script:
+            return _usage_error(args, "--duration needs --script")
+        if not 0 < args.duration < math.inf:
+            return _usage_error(args, f"--duration must be > 0 and finite, got {args.duration}")
     config = _load_config(args)
     out = _out_dir(args)
     if args.script:
         script = parse_script(args.script, config)
-        duration = args.duration or (
-            max(t + g.duration for t, g in script) + 1.0 if script else 5.0
-        )
+        if args.duration is not None:
+            duration = args.duration
+        else:
+            duration = max(t + g.duration for t, g in script) + 1.0 if script else 5.0
     else:
         script, duration = keystroke_burst_script(config, count=args.keystrokes)
     trace = simulate_script(config, script, duration, config.seeds.simulation)
@@ -150,8 +164,7 @@ def cmd_featurize(args) -> int:
         trace = _annotated(trace, args.annotations)
     if args.use_annotations:
         if not trace.meta:
-            print("featurize: --use-annotations requires --annotations", file=sys.stderr)
-            return 2
+            return _usage_error(args, "--use-annotations requires --annotations")
         labeled = segments_from_annotations(config, trace)
     else:
         pairs, _ = match_segments(segment_trace(config, trace), trace.meta)
@@ -211,6 +224,10 @@ def cmd_train_behavior(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    for flag, value in (("--traces", args.traces), ("--segments", args.segments),
+                        ("--behavior-sequences", args.behavior_sequences)):
+        if value < 1:
+            return _usage_error(args, f"{flag} must be >= 1, got {value}")
     config = _load_config(args)
     out = _out_dir(args)
     report = evaluate_system(
@@ -257,6 +274,8 @@ def cmd_sweep_plate(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    if args.kind in ("subcarrier-variance", "segments") and args.artifact is None:
+        return _usage_error(args, f"--kind {args.kind} needs --artifact")
     config = _load_config(args)
     out = _out_dir(args)
     if args.kind == "filter-response":
@@ -284,8 +303,7 @@ def cmd_plotdata(args) -> int:
         _segment_tables(config, io.read_trace(args.artifact), out)
         print(f"wrote {out / 'nor.csv'} and {out / 'segments.csv'}")
         return 0
-    print(f"plotdata: unknown artifact kind {args.kind!r}", file=sys.stderr)
-    return 2
+    return _usage_error(args, f"unknown artifact kind {args.kind!r}")
 
 
 def _persist_pipeline_artifacts(out, report, artifacts) -> None:

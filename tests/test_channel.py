@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from desksense import channel
 from desksense.channel import (
+    _add_paths,
     _build_reflector_track,
+    _check_slab,
     Annotation,
     ChannelModel,
     CsiTrace,
@@ -18,6 +23,7 @@ from desksense.channel import (
     cfr_at,
     default_subcarrier_gains,
     excess_path,
+    path_length,
     simulate_plate_sweep,
     simulate_trace,
     subcarrier_wavelengths,
@@ -358,6 +364,31 @@ class TestSimulateTrace:
             simulate_trace(make_model(), [], duration=1.0, fs=0.0)
         with pytest.raises(ValueError, match="duration"):
             simulate_trace(make_model(), [], duration=0.0)
+        for fs, duration in ((np.inf, 1.0), (np.nan, 1.0), (1000.0, np.inf), (1000.0, np.nan)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                simulate_trace(make_model(), [], duration=duration, fs=fs)
+
+    def test_sample_limit(self, monkeypatch):
+        lams = subcarrier_wavelengths(GEOM.wavelength, count=2)
+        monkeypatch.setattr(channel, "MAX_TRACE_SAMPLES", 100)
+        trace = simulate_trace(make_model(), [], duration=0.05, fs=1000.0,
+                               subcarrier_wavelengths_m=lams)
+        assert trace.samples.shape == (2, 50)
+        with pytest.raises(ValueError, match=r"^trace of 51 samples x 2 subcarriers "
+                                             r"exceeds the limit of 100 samples$"):
+            simulate_trace(make_model(), [], duration=0.051, fs=1000.0,
+                           subcarrier_wavelengths_m=lams)
+
+    def test_oversized_trace_refused_before_allocating(self):
+        # 10**12 samples per subcarrier would be 16 TB per row
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="trace of 1000000000000 samples x 30 "):
+                simulate_trace(make_model(), [], duration=1.0, fs=1e12)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_zone_nesting_random_geometries(self):
         rng = np.random.default_rng(6)
@@ -462,3 +493,112 @@ class TestStreamedNoise:
             tracemalloc.stop()
         assert trace.samples.shape == (30, 60000)
         assert peak <= 1.5 * trace.samples.nbytes
+
+
+def serial_simulate_trace(model, script, duration, fs, lams, gains, reflection_amplitude):
+    """The simulator as one serial loop: each subcarrier's whole row from
+    the kernel, then the noise added a row at a time (real parts, then
+    imaginary parts)."""
+    n_samples = int(round(fs * duration))
+    rng = np.random.default_rng(model.rng_seed)
+    t = np.arange(n_samples) / fs
+    paths = []
+    annotations = []
+    if script:
+        track, annotations = _build_reflector_track(script, n_samples, fs, rng)
+        _check_slab(model.geometry, track)
+        paths.append((path_length(model.geometry, track), reflection_amplitude))
+    for traj, amp in model.dynamic_paths:
+        pos = np.asarray(traj(t), dtype=float)
+        _check_slab(model.geometry, pos)
+        paths.append((path_length(model.geometry, pos), amp))
+    samples = np.empty((len(lams), n_samples), dtype=complex)
+    for s, lam in enumerate(lams):
+        h = np.full(n_samples, model.static_component, dtype=complex)
+        _add_paths(h, paths, lam)
+        samples[s] = gains[s] * h
+    if model.noise_std > 0:
+        for part in (samples.real, samples.imag):
+            for row in part:
+                row += rng.normal(0.0, model.noise_std, n_samples)
+    return samples, annotations
+
+
+def swaying_hand(t):
+    """A second reflector drifting slowly along y over the trace."""
+    t = np.atleast_1d(t)
+    out = np.zeros(t.shape + (3,))
+    out[..., 0] = 0.4
+    out[..., 1] = 0.01 * np.sin(0.7 * t)
+    out[..., 2] = -0.58
+    return out
+
+
+def assert_matches_serial(model, script, n_samples, n_sub, fs=1000.0):
+    lams = subcarrier_wavelengths(GEOM.wavelength, count=n_sub)
+    gains = default_subcarrier_gains(n_sub)
+    duration = n_samples / fs
+    got = simulate_trace(model, script, duration, fs=fs, subcarrier_wavelengths_m=lams,
+                         subcarrier_gains=gains, reflection_amplitude=3.0)
+    want, annotations = serial_simulate_trace(model, script, duration, fs, lams, gains, 3.0)
+    assert got.samples.shape == (n_sub, n_samples)
+    assert np.array_equal(got.samples.view(np.uint64), want.view(np.uint64))
+    assert got.meta == annotations
+    return got
+
+
+class TestBlockedSimulator:
+    KEYSTROKE = [(1.0, GestureModel(kind=GestureKind.KEYSTROKE, jitter_std=5e-4))]
+
+    @staticmethod
+    def model(noise_std, rng_seed=5):
+        return make_model(static_component=8.0, noise_std=noise_std, rng_seed=rng_seed,
+                          dynamic_paths=((swaying_hand, 0.7),))
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.16])
+    @pytest.mark.parametrize("offset", ["block-1", "block", "block+1", "2*block+1"])
+    def test_matches_serial_loop_at_block_edges(self, offset, noise_std):
+        block = channel._BLOCK
+        n_samples = {"block-1": block - 1, "block": block, "block+1": block + 1,
+                     "2*block+1": 2 * block + 1}[offset]
+        for n_sub in (1, 2, 3, 4):
+            assert_matches_serial(self.model(noise_std), self.KEYSTROKE, n_samples, n_sub)
+
+    @given(
+        n_sub=st.integers(1, 4),
+        n_samples=st.integers(1, 300),
+        block=st.integers(1, 70),
+        noise_std=st.sampled_from([0.0]) | st.floats(1e-3, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+        with_script=st.booleans(),
+    )
+    def test_matches_serial_loop_for_any_block(self, n_sub, n_samples, block, noise_std,
+                                                seed, with_script):
+        script = [
+            (0.02, GestureModel(kind=GestureKind.MOUSE_MOVE, duration=0.05, jitter_std=1e-4))
+        ] if with_script and n_samples >= 80 else []
+        with mock.patch.object(channel, "_BLOCK", block):
+            assert_matches_serial(self.model(noise_std, seed), script, n_samples, n_sub)
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_same_bytes_at_any_worker_count(self, monkeypatch, workers):
+        # one worker, and more workers than CPUs with thread switches
+        # forced every microsecond
+        n_samples = 2 * channel._BLOCK + 1
+        default = assert_matches_serial(self.model(0.16), self.KEYSTROKE, n_samples, 4)
+        monkeypatch.setattr(channel, "_worker_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = assert_matches_serial(self.model(0.16), self.KEYSTROKE, n_samples, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.samples.tobytes() == default.samples.tobytes()
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def broken(h, paths, lam):
+            raise FloatingPointError("kernel failed")
+
+        monkeypatch.setattr(channel, "_add_paths", broken)
+        with pytest.raises(FloatingPointError, match="kernel failed"):
+            simulate_trace(self.model(0.16), self.KEYSTROKE, duration=20.0)

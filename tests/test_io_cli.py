@@ -679,6 +679,45 @@ class TestCli:
         assert code == 2
         assert "travel_m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--keystrokes", "-1"], "--keystrokes must be >= 0, got -1"),
+        (["--duration", "5"], "--duration needs --script"),
+        (["--duration", "-5"], "--duration needs --script"),
+        (["--script", "{script}", "--duration", "0"], "--duration must be > 0 and finite, got 0.0"),
+        (["--script", "{script}", "--duration", "-5"], "--duration must be > 0 and finite, got -5.0"),
+        (["--script", "{script}", "--duration", "nan"], "--duration must be > 0 and finite, got nan"),
+        (["--script", "{script}", "--duration", "inf"], "--duration must be > 0 and finite, got inf"),
+    ])
+    def test_simulate_bad_arguments_exit_code(self, tmp_path, capsys, argv, message):
+        script = tmp_path / "script.txt"
+        script.write_text("1.0,keystroke,0.02,0.7\n")
+        out = tmp_path / "o"
+        argv = [arg.format(script=script) for arg in argv]
+        assert self.run("--out", str(out), "simulate", *argv) == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+        assert not out.exists()
+
+    def test_simulate_duration_and_zero_keystrokes(self, tmp_path):
+        script = tmp_path / "script.txt"
+        script.write_text("1.0,keystroke,0.02,0.7\n")
+        out = tmp_path / "d"
+        assert self.run("--out", str(out), "simulate", "--script", str(script),
+                        "--duration", "2.5") == 0
+        assert io.read_trace(out / "trace.csv").n_samples == 2500
+        out = tmp_path / "k"
+        assert self.run("--out", str(out), "simulate", "--keystrokes", "0") == 0
+        assert io.read_annotations(out / "trace.ann") == []
+
+    def test_simulate_oversized_trace_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"simulation": {"fs": 1e12}}')
+        code = self.run("--config", str(config), "--out", str(tmp_path / "o"), "simulate")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: trace of 36000000000000 samples x 30 subcarriers exceeds "
+            "the limit of 1073741824 samples\n"
+        )
+
     def test_sweep_plate_table(self, tmp_path):
         out = tmp_path / "sweep"
         code = self.run(
@@ -719,6 +758,13 @@ class TestCli:
         ) == 0
         rows = (out / "subcarrier_variance.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 30
+
+    @pytest.mark.parametrize("kind", ["subcarrier-variance", "segments"])
+    def test_plotdata_without_artifact_exit_code(self, tmp_path, capsys, kind):
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), "plotdata", "--kind", kind) == 2
+        assert capsys.readouterr().err == f"plotdata: --kind {kind} needs --artifact\n"
+        assert not out.exists()
 
     def test_flat_trace_pipeline_zero_segments(self, tmp_path):
         # a script with no gestures produces a quiet trace: pipeline reports
@@ -793,6 +839,16 @@ class TestCli:
         assert "gesture_cv" in doc["metrics"]
         table = doc["metrics"]["behavior"]["table"]
         assert "SURFING" in table and "AVG." in table
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--traces", "0"), ("--segments", "0"), ("--behavior-sequences", "0"),
+        ("--traces", "-2"),
+    ])
+    def test_evaluate_sizes_below_one_exit_code(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), "evaluate", flag, value) == 2
+        assert capsys.readouterr().err == f"evaluate: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
 
     def test_pipeline_stage_failure_reported_with_name(self, tmp_path, capsys):
         # an all-zero trace has no informative subcarrier: the failing stage
