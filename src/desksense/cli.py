@@ -229,13 +229,21 @@ def cmd_evaluate(args) -> int:
         if value < 1:
             return _usage_error(args, f"{flag} must be >= 1, got {value}")
     config = _load_config(args)
+    if args.segments < config.classifier.folds:
+        return _usage_error(args, f"--segments must be at least the {config.classifier.folds} "
+                                  f"cross-validation folds, got {args.segments}")
     out = _out_dir(args)
-    report = evaluate_system(
-        config,
-        n_traces=args.traces,
-        n_gesture_segments=args.segments,
-        n_behavior_test=args.behavior_sequences,
-    )
+    try:
+        report = evaluate_system(
+            config,
+            n_traces=args.traces,
+            n_gesture_segments=args.segments,
+            n_behavior_test=args.behavior_sequences,
+        )
+    except StageError as exc:
+        io.atomic_write_text(out / "report.json", exc.report.to_json() + "\n")
+        print(f"evaluate failed at stage {exc.stage!r}: {exc.cause}", file=sys.stderr)
+        return 1
     io.atomic_write_text(out / "report.json", report.to_json() + "\n")
     print(report.metrics["behavior"]["table"])
     seg = report.metrics["segmentation"]

@@ -2,24 +2,31 @@
 
 Everything is plain text at full double precision so artifacts diff cleanly
 and round-trip losslessly.  Writes go through a temp file and rename;
-numeric tables (traces, series, nor/segment tables) are streamed into it a
-block of rows at a time.  Traces are read back a block of rows at a time
-too, into one array allocated up front.
+numeric tables (traces, series, nor/segment tables) are formatted a block of
+rows at a time on forked worker processes and streamed into it in order.
+Traces are read back as byte ranges of whole lines, parsed on the workers,
+into one array allocated up front.
 """
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
+import signal
 import tempfile
+import threading
+import traceback
 import warnings
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
+from io import BytesIO
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .behavior import Behavior, BehaviorHmm
-from .channel import Annotation, CsiTrace, GestureKind
+from .channel import Annotation, CsiTrace, GestureKind, _worker_count
 from .classify import (
     FeatureVector,
     GaussianNbClassifier,
@@ -30,9 +37,114 @@ from .classify import (
 )
 
 FLOAT_FMT = "%.17g"
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 1024      # rows formatted by one `%`
+_TASK_VALUES = 1 << 14  # values a writer task formats
+_RANGE_BYTES = 1 << 17  # body bytes a reader task parses, rounded up to a line end
 _CHUNK_BYTES = 1 << 20
 _ROW_IN_CALL = re.compile(r"at row \d+, ")
+_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _serve(conn, fn) -> None:
+    """A worker process: fn(*task) for each task received on conn, answered
+    with (True, result) or (False, (the exception raised, its traceback))."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C stops the parent, which stops this
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # no handler inherited from the parent
+    while True:
+        task = conn.recv()
+        try:
+            reply = (True, fn(*task))
+        except Exception as exc:
+            reply = (False, (exc, traceback.format_exc()))
+        conn.send(reply)
+
+
+class _Worker:
+    """fn on a forked process, which runs the tasks sent to it in order."""
+
+    def __init__(self, fn):
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.get_context("fork").Process(
+            target=_serve, args=(child, fn), daemon=True)
+        self.process.start()
+        child.close()
+
+    def send(self, task) -> None:
+        self.conn.send(task)
+
+    def recv(self):
+        try:
+            ok, value = self.conn.recv()
+        except EOFError:
+            self.process.join()
+            raise ChildProcessError(
+                f"worker process {self.process.pid} exited with code {self.process.exitcode}"
+            ) from None
+        if not ok:
+            exc, where = value
+            raise exc from RuntimeError(f"in worker process {self.process.pid}:\n{where}")
+        return value
+
+    def stop(self) -> None:
+        self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+class _InProcess:
+    """_Worker's interface in the calling process: a task runs when its
+    result is asked for."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def send(self, task) -> None:
+        self.task = task
+
+    def recv(self):
+        return self.fn(*self.task)
+
+    def stop(self) -> None:
+        pass
+
+
+def _in_workers(fn, tasks):
+    """fn(*task) for each task, yielded in task order.
+
+    The tasks are dealt in turn to forked worker processes, one per CPU in
+    the affinity mask.  A worker has one task at a time, and its result is
+    received only when it is next in order, so the calling process holds
+    one result whatever the number of tasks.  A single task, a single CPU, a
+    platform without fork or a process with other threads alive (a fork
+    copies no thread, and could copy a lock one of them holds) runs the
+    tasks here, one at a time.  An error or interrupt, or closing the
+    generator, stops the workers and drops the tasks they hold.
+    """
+    tasks = iter(tasks)
+    head = list(islice(tasks, 2))
+    forking = len(head) > 1 and _FORK and threading.active_count() == 1
+    n = _worker_count() if forking else 1
+    workers = []
+    sent = 0
+    try:
+        for _ in range(n):   # in the try: a failed fork stops the workers started
+            workers.append(_Worker(fn) if n > 1 else _InProcess(fn))
+        for task in chain(head, tasks):
+            worker = workers[sent % n]
+            if sent < n:
+                worker.send(task)
+            else:
+                # the worker's previous result is taken before it gets the
+                # next task, and used while it runs that one
+                result = worker.recv()
+                worker.send(task)
+                yield result
+            sent += 1
+        for k in range(max(sent - n, 0), sent):
+            yield workers[k % n].recv()
+    finally:
+        for worker in workers:
+            worker.stop()
 
 
 @contextmanager
@@ -56,20 +168,43 @@ def atomic_write_text(path, content: str) -> None:
         fh.write(content)
 
 
+def _format_rows(row_fmt: str, block: np.ndarray) -> str:
+    """The text of a (rows, columns) float block, one `%` per _BLOCK_ROWS rows.
+
+    float64 -> float is exact, so the bytes are those of formatting each
+    value on its own; integer columns ("%d") are exact up to 2**53.
+    """
+    return "".join((row_fmt * len(part)) % tuple(part.ravel().tolist())
+                   for part in (block[a:a + _BLOCK_ROWS] for a in range(0, len(block), _BLOCK_ROWS)))
+
+
 def _write_rows(fh, columns, fmts) -> None:
     """Rows of equal-length numeric columns, each value in its column's format.
 
-    A block of _BLOCK_ROWS rows is formatted by one `%` over the block's
-    Python floats, so the text never exists as a whole.  float64 -> float is
-    exact, so the bytes are those of formatting each value on its own;
-    integer columns ("%d") are exact up to 2**53.
+    Rows are stacked here into float blocks of about _TASK_VALUES values,
+    formatted on the workers of _in_workers and written in order, so the
+    text never exists as a whole.
     """
     row_fmt = ",".join(fmts) + "\n"
     n = len(columns[0])
-    for start in range(0, n, _BLOCK_ROWS):
-        block = np.column_stack([np.asarray(c[start:start + _BLOCK_ROWS], dtype=float)
-                                 for c in columns])
-        fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    step = max(1, _TASK_VALUES // len(columns))
+    tasks = ((row_fmt, np.column_stack([np.asarray(c[a:a + step], dtype=float) for c in columns]))
+             for a in range(0, n, step))
+    with closing(_in_workers(_format_rows, tasks)) as texts:
+        fh.writelines(texts)   # holds one text at a time
+
+
+class _Times:
+    """The column i / fs of an n-row table, made a slice at a time."""
+
+    def __init__(self, n: int, fs: float):
+        self.n, self.fs = n, fs
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.arange(*rows.indices(self.n)) / self.fs
 
 
 def _fmt(x: float) -> str:
@@ -102,7 +237,7 @@ def _read_header(path, line: str, casts: dict) -> dict:
 
 def write_trace(path, trace: CsiTrace) -> None:
     """Header `# fs=<float> subcarriers=<int>`, then rows t, re_1, im_1, ..."""
-    columns = [np.arange(trace.n_samples) / trace.fs]
+    columns = [_Times(trace.n_samples, trace.fs)]
     for row in trace.samples:
         columns += [row.real, row.imag]
     with _atomic_open(path) as fh:
@@ -120,8 +255,37 @@ def _count_lines(fb, stop) -> int:
     return n + (last != b"\n")
 
 
-def _loadtxt(lines, max_rows=None) -> np.ndarray:
-    return np.loadtxt(lines, delimiter=",", ndmin=2, max_rows=max_rows, encoding="utf-8")
+def _line_ranges(fb) -> tuple[list[tuple[int, int]], int]:
+    """Byte ranges of whole lines from fb's position to the end of the file,
+    each of _RANGE_BYTES rounded up to a line end, and the number of lines,
+    a last one without a newline included."""
+    ranges, n, last = [], 0, b"\n"
+    start = fb.tell()
+    while chunk := fb.read(_RANGE_BYTES):
+        tail = b"" if chunk.endswith(b"\n") else fb.readline()
+        end = start + len(chunk) + len(tail)
+        ranges.append((start, end))
+        n += chunk.count(b"\n") + tail.count(b"\n")
+        last = (tail or chunk)[-1:]
+        start = end
+    return ranges, n + (last != b"\n")
+
+
+def _loadtxt(lines) -> np.ndarray:
+    with warnings.catch_warnings():
+        # skipped lines are not data rows, and a range may hold only them
+        warnings.filterwarnings(
+            "ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning
+        )
+        return np.loadtxt(lines, delimiter=",", ndmin=2, encoding="utf-8")
+
+
+def _parse_range(path, start: int, stop: int) -> np.ndarray:
+    """The rows of bytes [start, stop) of path, whole lines."""
+    with open(path, "rb") as fb:
+        fb.seek(start)
+        data = fb.read(stop - start)
+    return _loadtxt(BytesIO(data))
 
 
 def _bad_line(path, fb, start: int, n_cols: int) -> ValueError:
@@ -141,8 +305,9 @@ def _bad_line(path, fb, start: int, n_cols: int) -> ValueError:
 
 
 def read_trace(path) -> CsiTrace:
-    """Inverse of write_trace, parsed _BLOCK_ROWS rows at a time into one
-    preallocated (S, T) array, so a read holds the samples once.
+    """Inverse of write_trace: byte ranges of about _RANGE_BYTES are parsed
+    on the workers of _in_workers and copied in order into one preallocated
+    (S, T) array, so a read holds the samples once.
 
     A bad cell, a row of the wrong width and a truncated last row raise
     ValueError("<path>:<line>: ...").
@@ -152,27 +317,19 @@ def read_trace(path) -> CsiTrace:
                               {"fs": float, "subcarriers": int})
         n_sub = header["subcarriers"]
         n_cols = 1 + 2 * n_sub
-        body = fb.tell()
-        # an upper bound: blank and '#' lines, which loadtxt skips, count too
-        n_rows = _count_lines(fb, os.fstat(fb.fileno()).st_size)
-        fb.seek(body)
+        # n_rows is an upper bound: blank and '#' lines, which loadtxt skips, count too
+        ranges, n_rows = _line_ranges(fb)
         samples = None
         i = 0
-        with warnings.catch_warnings():
-            # skipped lines are not data rows, and past the last data row
-            # only they remain: the end, not a fault
-            warnings.filterwarnings(
-                "ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning
-            )
-            while i < n_rows:
-                start = fb.tell()
-                want = min(_BLOCK_ROWS, n_rows - i)
+        blocks = _in_workers(_parse_range, [(path, a, b) for a, b in ranges])
+        with closing(blocks):
+            for start, _ in ranges:
                 try:
-                    block = _loadtxt(fb, want)
+                    block = next(blocks)
                 except ValueError:
                     raise _bad_line(path, fb, start, n_cols) from None
                 if not len(block):
-                    break
+                    continue
                 if block.shape[1] != n_cols:
                     raise _bad_line(path, fb, start, n_cols)
                 if samples is None:  # allocated once a row has the header's width
@@ -180,8 +337,6 @@ def read_trace(path) -> CsiTrace:
                 # (re, im) column pairs viewed as complex keep every bit, signed zeros too
                 samples[:, i:i + len(block)] = block[:, 1:].view(complex).T
                 i += len(block)
-                if len(block) < want:
-                    break
     if samples is None:
         samples = np.empty((n_sub, 0), dtype=complex)
     elif i < n_rows:
@@ -215,10 +370,9 @@ def read_annotations(path) -> list[Annotation]:
 
 def write_series(path, series) -> None:
     """Two columns `t, amplitude` under a `# fs=... subcarrier=...` header."""
-    t = np.arange(len(series.values)) / series.fs
     with _atomic_open(path) as fh:
         fh.write(f"# fs={_fmt(series.fs)} subcarrier={series.source_subcarrier}\n")
-        _write_rows(fh, [t, series.values], [FLOAT_FMT] * 2)
+        _write_rows(fh, [_Times(len(series.values), series.fs), series.values], [FLOAT_FMT] * 2)
 
 
 def write_dataset(path, examples: list[LabeledExample]) -> None:

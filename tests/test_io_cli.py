@@ -1,7 +1,12 @@
+import contextlib
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -27,6 +32,40 @@ def random_trace(seed=0, n_sub=4, n=50):
     rng = np.random.default_rng(seed)
     samples = rng.normal(0, 1, (n_sub, n)) + 1j * rng.normal(0, 1, (n_sub, n))
     return CsiTrace(fs=1000.0, samples=samples)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every read and write stops its worker processes, whether it succeeded or failed."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def codec_split(workers=None, task_values=None, range_bytes=None, block_rows=None):
+    """io's worker count and task sizes patched where given."""
+    with contextlib.ExitStack() as stack:
+        for name, value in (("_TASK_VALUES", task_values), ("_RANGE_BYTES", range_bytes),
+                            ("_BLOCK_ROWS", block_rows)):
+            if value is not None:
+                stack.enter_context(mock.patch.object(io, name, value))
+        if workers is not None:
+            stack.enter_context(mock.patch.object(io, "_worker_count", lambda: workers))
+        yield
+
+
+@contextlib.contextmanager
+def watch_forks():
+    """The number of live threads of this process at each fork, in order."""
+    threads = []
+    fork = os.fork
+
+    def counted_fork():
+        threads.append(threading.active_count())
+        return fork()
+
+    with mock.patch.object(os, "fork", counted_fork):
+        yield threads
 
 
 class TestRoundTrips:
@@ -143,8 +182,11 @@ SAMPLE_RATES = st.one_of(
     st.integers(1, 100_000).map(float),
     st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
 )
-# Tiny blocks put a block boundary inside every table the tests draw.
+# Tiny blocks, tasks and ranges put a `%` block, worker task or byte range
+# boundary inside every table the tests draw.
 BLOCK_ROWS = st.sampled_from([1, 2, 3, 7, io._BLOCK_ROWS])
+TASK_VALUES = st.sampled_from([1, 40, io._TASK_VALUES])
+RANGE_BYTES = st.sampled_from([1, 4096, io._RANGE_BYTES])
 
 
 def special_floats(draw, shape):
@@ -178,10 +220,10 @@ def traces(draw):
 
 class TestBlockWriter:
     @settings(max_examples=60)
-    @given(trace=traces(), block_rows=BLOCK_ROWS)
-    def test_trace_bytes(self, trace, block_rows):
+    @given(trace=traces(), block_rows=BLOCK_ROWS, task_values=TASK_VALUES)
+    def test_trace_bytes(self, trace, block_rows, task_values):
         with tempfile.TemporaryDirectory() as d:
-            with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+            with codec_split(task_values=task_values, block_rows=block_rows):
                 io.write_trace(Path(d) / "new.csv", trace)
             oracle_write_trace(Path(d) / "old.csv", trace)
             assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
@@ -197,19 +239,19 @@ class TestBlockWriter:
 
     @settings(max_examples=60)
     @given(data=st.data(), n=ROW_COUNTS, fs=SAMPLE_RATES, block_rows=BLOCK_ROWS,
-           subcarrier=st.integers(0, 63))
-    def test_series_bytes(self, data, n, fs, block_rows, subcarrier):
+           task_values=TASK_VALUES, subcarrier=st.integers(0, 63))
+    def test_series_bytes(self, data, n, fs, block_rows, task_values, subcarrier):
         values = special_floats(data.draw, (n,))
         series = AmplitudeSeries(fs=fs, values=values, source_subcarrier=subcarrier)
         with tempfile.TemporaryDirectory() as d:
-            with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+            with codec_split(task_values=task_values, block_rows=block_rows):
                 io.write_series(Path(d) / "new.csv", series)
             oracle_write_series(Path(d) / "old.csv", series)
             assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
 
     @settings(max_examples=30)
-    @given(data=st.data(), n=ROW_COUNTS, block_rows=BLOCK_ROWS)
-    def test_segment_tables_bytes(self, data, n, block_rows):
+    @given(data=st.data(), n=ROW_COUNTS, block_rows=BLOCK_ROWS, task_values=TASK_VALUES)
+    def test_segment_tables_bytes(self, data, n, block_rows, task_values):
         nor1 = special_floats(data.draw, (n,))
         nor2 = special_floats(data.draw, (n,))
         bounds = sorted(data.draw(st.lists(st.integers(0, 50_000), max_size=40, unique=True)))
@@ -220,7 +262,7 @@ class TestBlockWriter:
         ]
         with tempfile.TemporaryDirectory() as d:
             d = Path(d)
-            with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+            with codec_split(task_values=task_values, block_rows=block_rows):
                 io.write_nor(d / "nor.csv", nor1, nor2)
                 io.write_segments(d / "segments.csv", segments)
             io.write_table(d / "nor_old.csv", ["index", "nor1", "nor2"],
@@ -301,8 +343,8 @@ def write_dirty_trace(path, trace, extra, trailing_newline):
 
 class TestBlockReader:
     @settings(max_examples=50)
-    @given(body=dirty_bodies(), block_rows=st.sampled_from([1, 2, 7, io._BLOCK_ROWS]))
-    def test_matches_whole_file_reader(self, body, block_rows):
+    @given(body=dirty_bodies(), range_bytes=RANGE_BYTES)
+    def test_matches_whole_file_reader(self, body, range_bytes):
         trace, extra, trailing_newline = body
         with tempfile.TemporaryDirectory() as d:
             clean, dirty = Path(d) / "clean.csv", Path(d) / "dirty.csv"
@@ -310,7 +352,7 @@ class TestBlockReader:
             write_dirty_trace(dirty, trace, extra, trailing_newline)
             # the whole-file reader fails on a body of skipped lines alone
             fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
-            with mock.patch.object(io, "_BLOCK_ROWS", block_rows):
+            with codec_split(range_bytes=range_bytes):
                 got = io.read_trace(dirty)
         assert got.fs == fs == trace.fs
         assert got.samples.shape == want.shape == trace.samples.shape
@@ -379,17 +421,201 @@ class TestBlockReader:
                      "expected 3 columns, got 2", id="after-skipped-lines"),
         pytest.param(GOOD * 1024 + "0,1\n", 1026, "expected 3 columns, got 2",
                      id="block-edge"),
+        pytest.param(GOOD * 1024 + "0,x,2\n" + GOOD, 1026, "could not convert string 'x'",
+                     id="range-start-bad-cell"),
+        pytest.param(GOOD * 1023 + "0,x,2\n" + GOOD, 1025, "could not convert string 'x'",
+                     id="range-end-bad-cell"),
+        pytest.param(GOOD * 5000 + "0,1,x\n" + GOOD, 5002,
+                     "could not convert string 'x' to float64 at column 3", id="later-range"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, body, line, message):
         path = tmp_path / "trace.csv"
         path.write_text("# fs=1000 subcarriers=1\n" + body)
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {message}')}"):
+        # byte ranges of 1,024 good lines, parsed on two workers
+        with codec_split(workers=2, range_bytes=len(self.GOOD) * 1024):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {message}')}"):
+                io.read_trace(path)
+            assert multiprocessing.active_children() == []
+            for command in ("pipeline", "segment", "featurize"):
+                code = main(["--out", str(tmp_path / "o"), command, "--trace", str(path)])
+                assert code == 2
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {path}:{line}: {message}")
+                assert multiprocessing.active_children() == []
+
+
+# Worker tasks for the tests below; module level, so a worker process can
+# unpickle them.
+
+def failing_format(row_fmt, block):
+    raise RuntimeError(f"disk full at t={float(block[0, 0])!r}")
+
+
+def signal_at(i, stop, pid=None):
+    """Task i; task stop first sends Ctrl-C's SIGINT to process pid, or to
+    the process running it."""
+    if i == stop:
+        os.kill(pid or os.getpid(), signal.SIGINT)
+    return i
+
+
+def exit_at(i, stop):
+    if i == stop:
+        os._exit(3)
+    return i
+
+
+WORKER_COUNTS = [1, 2, 3]   # 3 is more workers than a 2-CPU host has CPUs
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @settings(max_examples=10)
+    @given(trace=traces(), task_values=st.sampled_from([1, 4, 30]),
+           range_bytes=st.sampled_from([1, 5, 120]))
+    def test_same_bytes_and_bits_at_any_worker_count(self, workers, trace, task_values,
+                                                     range_bytes):
+        series = AmplitudeSeries(fs=trace.fs, values=trace.samples[0].imag, source_subcarrier=5)
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            with codec_split(workers, task_values, range_bytes, block_rows=2), \
+                    watch_forks() as threads:
+                io.write_trace(d / "trace.csv", trace)
+                io.write_series(d / "series.csv", series)
+                got = io.read_trace(d / "trace.csv")
+            oracle_write_trace(d / "trace_old.csv", trace)
+            oracle_write_series(d / "series_old.csv", series)
+            assert (d / "trace.csv").read_bytes() == (d / "trace_old.csv").read_bytes()
+            assert (d / "series.csv").read_bytes() == (d / "series_old.csv").read_bytes()
+            fs, want = oracle_read_trace(d / "trace_old.csv")
+        assert got.fs == fs
+        assert got.samples.shape == want.shape
+        np.testing.assert_array_equal(got.samples.view(np.uint64), want.view(np.uint64))
+        # no fork while another thread of the process is alive
+        assert threads == [1] * len(threads)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @settings(max_examples=10)
+    @given(body=dirty_bodies(), range_bytes=st.sampled_from([1, 5, 120]))
+    def test_dirty_bodies_same_bits_at_any_worker_count(self, workers, body, range_bytes):
+        trace, extra, trailing_newline = body
+        with tempfile.TemporaryDirectory() as d:
+            clean, dirty = Path(d) / "clean.csv", Path(d) / "dirty.csv"
+            io.write_trace(clean, trace)
+            write_dirty_trace(dirty, trace, extra, trailing_newline)
+            fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
+            with codec_split(workers, range_bytes=range_bytes), watch_forks() as threads:
+                got = io.read_trace(dirty)
+        assert got.fs == fs
+        assert got.samples.shape == want.shape
+        assert got.samples.flags.c_contiguous
+        np.testing.assert_array_equal(got.samples.view(np.uint64), want.view(np.uint64))
+        assert threads == [1] * len(threads)
+
+    def test_pool_only_for_tables_of_several_tasks(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        trace = random_trace(n=50)   # 9 x 50 values: one writer task, one byte range
+        with codec_split(workers=2), watch_forks() as threads:
+            io.write_trace(path, trace)
             io.read_trace(path)
-        for command in ("pipeline", "segment", "featurize"):
-            code = main(["--out", str(tmp_path / "o"), command, "--trace", str(path)])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}:{line}: {message}")
+        assert threads == []
+        with codec_split(workers=2, task_values=9 * 10, range_bytes=1000), \
+                watch_forks() as threads:
+            io.write_trace(path, trace)
+            got = io.read_trace(path)
+        # one worker per CPU for the write, then for the read, each forked
+        # while this thread was the only one
+        assert threads == [1, 1, 1, 1]
+        np.testing.assert_array_equal(got.samples, trace.samples)
+
+    @pytest.mark.parametrize("case", ["one-cpu", "no-fork", "another-thread"])
+    def test_in_process_without_a_pool(self, tmp_path, case):
+        trace = random_trace(n=50)
+        release = threading.Event()
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(codec_split(workers=1 if case == "one-cpu" else 2,
+                                            task_values=9, range_bytes=1))
+            if case == "no-fork":
+                stack.enter_context(mock.patch.object(io, "_FORK", False))
+            if case == "another-thread":
+                other = threading.Thread(target=release.wait, args=(10,))
+                other.start()
+                stack.callback(other.join, 10)
+                stack.callback(release.set)
+            threads = stack.enter_context(watch_forks())
+            io.write_trace(tmp_path / "trace.csv", trace)
+            got = io.read_trace(tmp_path / "trace.csv")
+        assert threads == []
+        if case == "another-thread":
+            assert not other.is_alive()
+        oracle_write_trace(tmp_path / "old.csv", trace)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        np.testing.assert_array_equal(got.samples, trace.samples)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_worker_error_reaches_the_caller(self, tmp_path, workers):
+        path = tmp_path / "trace.csv"
+        path.write_text("old\n")
+        with codec_split(workers, task_values=90), \
+                mock.patch.object(io, "_format_rows", failing_format):
+            with pytest.raises(RuntimeError, match=re.escape("disk full at t=0.0")) as raised:
+                io.write_trace(path, random_trace(n=500))
+        if workers > 1:   # the worker's traceback comes along
+            assert "in failing_format" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_interrupt_stops_the_workers(self, workers):
+        seen = []
+        tasks = [(i, 5, os.getpid()) for i in range(1000)]
+        with codec_split(workers), pytest.raises(KeyboardInterrupt):
+            for i in io._in_workers(signal_at, tasks):
+                seen.append(i)
+        assert seen == list(range(len(seen)))
+        assert len(seen) < len(tasks)
+        if workers == 1:
+            assert len(seen) == 5
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_ignore_ctrl_c(self, workers):
+        # Ctrl-C reaches every process of the terminal's group; the calling
+        # process alone handles it
+        with codec_split(workers):
+            got = list(io._in_workers(signal_at, [(i, i, None) for i in range(10)]))
+        assert got == list(range(10))
+
+    def test_dead_worker_named(self):
+        with codec_split(workers=2), pytest.raises(
+                ChildProcessError, match=r"worker process \d+ exited with code 3"):
+            list(io._in_workers(exit_at, [(i, 3) for i in range(10)]))
+        assert multiprocessing.active_children() == []
+
+    def test_caller_leaving_early_stops_the_workers(self):
+        with codec_split(workers=2):
+            results = io._in_workers(exit_at, [(i, -1) for i in range(1000)])
+            with contextlib.closing(results):
+                assert next(results) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_writer_peak_memory_independent_of_length(self, tmp_path):
+        rng = np.random.default_rng(0)
+
+        def write_peak(n):
+            trace = CsiTrace(fs=1000.0, samples=complex_from_parts(rng.normal(size=(4, n)),
+                                                                   rng.normal(size=(4, n))))
+            tracemalloc.start()
+            try:
+                io.write_trace(tmp_path / "trace.csv", trace)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        write_peak(30_000)   # first-use allocations are not the writer's
+        assert write_peak(120_000) <= 1.1 * write_peak(30_000)
 
 
 class TestConfig:
@@ -849,6 +1075,26 @@ class TestCli:
         assert self.run("--out", str(out), "evaluate", flag, value) == 2
         assert capsys.readouterr().err == f"evaluate: {flag} must be >= 1, got {value}\n"
         assert not out.exists()
+
+    def test_evaluate_segments_below_folds_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), "evaluate", "--traces", "1", "--segments", "5",
+                        "--behavior-sequences", "1") == 2
+        assert capsys.readouterr().err == (
+            "evaluate: --segments must be at least the 10 cross-validation folds, got 5\n")
+        assert not out.exists()
+
+    def test_evaluate_stage_failure_reported_with_name(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with mock.patch("desksense.pipeline.generate_segmentation_corpus",
+                        side_effect=ValueError("no traces today")):
+            code = self.run("--out", str(out), "evaluate", "--traces", "1", "--segments", "10",
+                            "--behavior-sequences", "1")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "evaluate failed at stage 'segmentation_study': no traces today\n"
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["metrics"]["failed_stage"] == "segmentation_study"
 
     def test_pipeline_stage_failure_reported_with_name(self, tmp_path, capsys):
         # an all-zero trace has no informative subcarrier: the failing stage

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desksense.channel import CsiTrace
@@ -12,6 +12,7 @@ from desksense.preprocess import (
     FilterSpec,
     analytic_gain,
     butterworth_lowpass,
+    design_sos,
     measured_gain,
     select_subcarrier,
     subcarrier_variances,
@@ -199,3 +200,20 @@ class TestButterworth:
             assert abs(measured - ideal) < 0.01
             if ideal > 0.1:
                 assert measured == pytest.approx(ideal, rel=0.01)
+
+    @settings(max_examples=60)
+    @given(order=st.sampled_from([2, 4, 6, 8]), fs=st.floats(20.0, 5000.0),
+           cutoff_fraction=st.floats(0.01, 0.9), start=st.floats(-100.0, 100.0),
+           level=st.floats(-100.0, 100.0))
+    def test_dc_gain_is_one(self, order, fs, cutoff_fraction, start, level):
+        spec = FilterSpec(cutoff_hz=cutoff_fraction * fs / 2, order=order)
+        sos = design_sos(spec, fs)
+        # the gain at z = 1 is the product of each section's (b0+b1+b2)/(a0+a1+a2)
+        assert np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1)) == pytest.approx(1.0)
+        # a step from `start` to a constant `level`, held there until the
+        # slowest pole's transient has decayed by e**-40
+        radius = max(np.abs(np.roots(section[3:])).max() for section in sos)
+        settle = int(40 / -np.log(radius))
+        values = np.concatenate([np.full(50, start), np.full(settle + 50, level)])
+        out = butterworth_lowpass(AmplitudeSeries(fs=fs, values=values), spec).values
+        np.testing.assert_allclose(out[-50:], level, rtol=1e-9, atol=1e-9 * (abs(start) + 1))
