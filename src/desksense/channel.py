@@ -517,6 +517,8 @@ def simulate_plate_sweep(
         raise ValueError("side lengths must be ascending")
     if drag_range <= 0 or drag_speed <= 0:
         raise ValueError("drag range and speed must be positive")
+    if not 0 <= noise_std < math.inf:
+        raise ValueError("noise_std must be non-negative and finite")
 
     mid = geometry.midpoint
     axis = geometry.axis

@@ -32,7 +32,7 @@ class ScriptError(ValueError):
 def parse_script(path, config: PipelineConfig):
     """Gesture script: lines of `start_s,kind,travel_m,duration_s[,x,y,z]`."""
     script = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -201,7 +201,7 @@ def cmd_train_gesture(args) -> int:
 
 def _read_emission(path) -> np.ndarray:
     """Emission matrix from the counts of a cv_confusion.csv (train-gesture)."""
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         rows = fh.read().splitlines()[1:]
     # loadtxt warns on input without data; rows that are blank once
     # comments are cut are what it skips
@@ -257,13 +257,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_plate(args) -> int:
+    if args.min_cm > args.max_cm:
+        return _usage_error(args, f"--min-cm must be <= --max-cm, "
+                                  f"got {args.min_cm} > {args.max_cm}")
+    if args.repeats < 1:
+        return _usage_error(args, f"--repeats must be >= 1, got {args.repeats}")
+    if not 0 <= args.noise_std < math.inf:
+        return _usage_error(args, f"--noise-std must be >= 0 and finite, got {args.noise_std}")
     config = _load_config(args)
     out = _out_dir(args)
     geometry = config.geometry.build()
     sides = [s / 100.0 for s in range(args.min_cm, args.max_cm + 1)]
-    repeats = max(1, args.repeats)
     acc = np.zeros(len(sides))
-    for r in range(repeats):
+    for r in range(args.repeats):
         rows = simulate_plate_sweep(
             geometry,
             sides,
@@ -271,13 +277,13 @@ def cmd_sweep_plate(args) -> int:
             rng_seed=config.seeds.simulation + r,
         )
         acc += np.array([pp for _s, pp in rows])
-    acc /= repeats
+    acc /= args.repeats
     io.write_table(
         out / "plate_sweep.csv",
         ["side_m", "peak_to_peak"],
         [(float(s), float(v)) for s, v in zip(sides, acc)],
     )
-    print(f"wrote {out / 'plate_sweep.csv'} ({len(sides)} sizes, {repeats} repeats)")
+    print(f"wrote {out / 'plate_sweep.csv'} ({len(sides)} sizes, {args.repeats} repeats)")
     return 0
 
 
@@ -323,6 +329,8 @@ def _persist_pipeline_artifacts(out, report, artifacts) -> None:
 
 
 def cmd_pipeline(args) -> int:
+    if args.behavior_models and not args.gesture_model:
+        return _usage_error(args, "--behavior-models needs --gesture-model")
     config = _load_config(args)
     out = _out_dir(args)
     trace = io.read_trace(args.trace)

@@ -2,10 +2,10 @@
 
 Everything is plain text at full double precision so artifacts diff cleanly
 and round-trip losslessly.  Writes go through a temp file and rename;
-numeric tables (traces, series, nor/segment tables) are formatted a block of
-rows at a time on forked worker processes and streamed into it in order.
+numeric tables (traces, series, nor/segment tables) are formatted one `%`
+per task of rows on forked worker processes and streamed into it in order.
 Traces are read back as byte ranges of whole lines, parsed on the workers,
-into one array allocated up front.
+into one array allocated up front; each range knows its first line number.
 """
 from __future__ import annotations
 
@@ -37,10 +37,8 @@ from .classify import (
 )
 
 FLOAT_FMT = "%.17g"
-_BLOCK_ROWS = 1024      # rows formatted by one `%`
 _TASK_VALUES = 1 << 14  # values a writer task formats
 _RANGE_BYTES = 1 << 17  # body bytes a reader task parses, rounded up to a line end
-_CHUNK_BYTES = 1 << 20
 _ROW_IN_CALL = re.compile(r"at row \d+, ")
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -91,23 +89,6 @@ class _Worker:
         self.conn.close()
 
 
-class _InProcess:
-    """_Worker's interface in the calling process: a task runs when its
-    result is asked for."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def send(self, task) -> None:
-        self.task = task
-
-    def recv(self):
-        return self.fn(*self.task)
-
-    def stop(self) -> None:
-        pass
-
-
 def _in_workers(fn, tasks):
     """fn(*task) for each task, yielded in task order.
 
@@ -124,11 +105,15 @@ def _in_workers(fn, tasks):
     head = list(islice(tasks, 2))
     forking = len(head) > 1 and _FORK and threading.active_count() == 1
     n = _worker_count() if forking else 1
+    if n == 1:
+        for task in chain(head, tasks):
+            yield fn(*task)
+        return
     workers = []
     sent = 0
     try:
         for _ in range(n):   # in the try: a failed fork stops the workers started
-            workers.append(_Worker(fn) if n > 1 else _InProcess(fn))
+            workers.append(_Worker(fn))
         for task in chain(head, tasks):
             worker = workers[sent % n]
             if sent < n:
@@ -169,13 +154,12 @@ def atomic_write_text(path, content: str) -> None:
 
 
 def _format_rows(row_fmt: str, block: np.ndarray) -> str:
-    """The text of a (rows, columns) float block, one `%` per _BLOCK_ROWS rows.
+    """The text of a (rows, columns) float block, in one `%`.
 
     float64 -> float is exact, so the bytes are those of formatting each
     value on its own; integer columns ("%d") are exact up to 2**53.
     """
-    return "".join((row_fmt * len(part)) % tuple(part.ravel().tolist())
-                   for part in (block[a:a + _BLOCK_ROWS] for a in range(0, len(block), _BLOCK_ROWS)))
+    return (row_fmt * len(block)) % tuple(block.ravel().tolist())
 
 
 def _write_rows(fh, columns, fmts) -> None:
@@ -245,26 +229,17 @@ def write_trace(path, trace: CsiTrace) -> None:
         _write_rows(fh, columns, [FLOAT_FMT] * len(columns))
 
 
-def _count_lines(fb, stop) -> int:
-    """Lines from fb's position to byte offset stop, a last one without a
-    newline included, counted 1 MiB at a time."""
-    n, last = 0, b"\n"
-    while (left := stop - fb.tell()) > 0 and (chunk := fb.read(min(left, _CHUNK_BYTES))):
-        n += chunk.count(b"\n")
-        last = chunk[-1:]
-    return n + (last != b"\n")
-
-
-def _line_ranges(fb) -> tuple[list[tuple[int, int]], int]:
-    """Byte ranges of whole lines from fb's position to the end of the file,
-    each of _RANGE_BYTES rounded up to a line end, and the number of lines,
-    a last one without a newline included."""
+def _line_ranges(fb, line: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Byte ranges of whole lines from fb's position, the start of line
+    number line, to the end of the file, each of _RANGE_BYTES rounded up to
+    a line end and given with the number of its first line, and the number
+    of lines, a last one without a newline included."""
     ranges, n, last = [], 0, b"\n"
     start = fb.tell()
     while chunk := fb.read(_RANGE_BYTES):
         tail = b"" if chunk.endswith(b"\n") else fb.readline()
         end = start + len(chunk) + len(tail)
-        ranges.append((start, end))
+        ranges.append((start, end, line + n))
         n += chunk.count(b"\n") + tail.count(b"\n")
         last = (tail or chunk)[-1:]
         start = end
@@ -288,11 +263,10 @@ def _parse_range(path, start: int, stop: int) -> np.ndarray:
     return _loadtxt(BytesIO(data))
 
 
-def _bad_line(path, fb, start: int, n_cols: int) -> ValueError:
-    """The error naming the first line from byte offset start (a line start)
-    that does not parse or does not have n_cols columns."""
-    fb.seek(0)
-    first = _count_lines(fb, start) + 1
+def _bad_line(path, fb, start: int, first: int, n_cols: int) -> ValueError:
+    """The error naming the first line from byte offset start, the start of
+    line first, that does not parse or does not have n_cols columns."""
+    fb.seek(start)
     for lineno, line in enumerate(fb, first):
         try:
             row = _loadtxt([line])
@@ -315,23 +289,25 @@ def read_trace(path) -> CsiTrace:
     with open(path, "rb") as fb:
         header = _read_header(path, fb.readline().decode(errors="replace"),
                               {"fs": float, "subcarriers": int})
+        if not 0 < header["fs"] < np.inf:
+            raise ValueError(f"{path}:1: fs must be positive and finite, got {header['fs']!r}")
         n_sub = header["subcarriers"]
         n_cols = 1 + 2 * n_sub
         # n_rows is an upper bound: blank and '#' lines, which loadtxt skips, count too
-        ranges, n_rows = _line_ranges(fb)
+        ranges, n_rows = _line_ranges(fb, 2)
         samples = None
         i = 0
-        blocks = _in_workers(_parse_range, [(path, a, b) for a, b in ranges])
+        blocks = _in_workers(_parse_range, [(path, a, b) for a, b, _ in ranges])
         with closing(blocks):
-            for start, _ in ranges:
+            for start, _, line in ranges:
                 try:
                     block = next(blocks)
                 except ValueError:
-                    raise _bad_line(path, fb, start, n_cols) from None
+                    raise _bad_line(path, fb, start, line, n_cols) from None
                 if not len(block):
                     continue
                 if block.shape[1] != n_cols:
-                    raise _bad_line(path, fb, start, n_cols)
+                    raise _bad_line(path, fb, start, line, n_cols)
                 if samples is None:  # allocated once a row has the header's width
                     samples = np.empty((n_sub, n_rows), dtype=complex)
                 # (re, im) column pairs viewed as complex keep every bit, signed zeros too
@@ -351,7 +327,7 @@ def write_annotations(path, annotations: list[Annotation]) -> None:
 
 def read_annotations(path) -> list[Annotation]:
     out = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -386,7 +362,7 @@ def write_dataset(path, examples: list[LabeledExample]) -> None:
 
 def read_dataset(path) -> list[LabeledExample]:
     out = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:
         header = fh.readline()
         if not header.startswith("variance"):
             raise ValueError(f"{path}:1: missing dataset header")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_likelihood
 from desksense.behavior import (
@@ -81,34 +83,48 @@ class TestForward:
             assert forward_log_likelihood(hmm, seq) <= 0.0
 
 
-class TestBaumWelch:
-    def sample_set(self, A_true, n_seqs=20, length=500, seed=17):
-        profile_like = BehaviorHmm(pi=np.array([0.5, 0.5]), A=A_true, B=B_REF)
-        rng = np.random.default_rng(seed)
-        seqs = []
-        for _ in range(n_seqs):
-            hidden = np.empty(length, dtype=int)
-            hidden[0] = rng.choice(2, p=profile_like.pi)
-            for t in range(1, length):
-                hidden[t] = rng.choice(2, p=A_true[hidden[t - 1]])
-            obs = np.array([rng.choice(2, p=B_REF[h]) for h in hidden])
-            seqs.append(GestureSequence(obs))
-        return seqs
+def sample_set(A_true, n_seqs=20, length=500, seed=17):
+    profile_like = BehaviorHmm(pi=np.array([0.5, 0.5]), A=A_true, B=B_REF)
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for _ in range(n_seqs):
+        hidden = np.empty(length, dtype=int)
+        hidden[0] = rng.choice(2, p=profile_like.pi)
+        for t in range(1, length):
+            hidden[t] = rng.choice(2, p=A_true[hidden[t - 1]])
+        obs = np.array([rng.choice(2, p=B_REF[h]) for h in hidden])
+        seqs.append(GestureSequence(obs))
+    return seqs
 
-    def test_log_likelihood_non_decreasing(self):
-        seqs = self.sample_set(A_REF, n_seqs=4, length=60)
-        _, history = baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]), max_iter=40)
-        assert np.all(np.diff(history) >= -1e-9)
+
+# A strictly positive 2-vector summing to 1, or a matrix of two such rows.
+POSITIVE = st.floats(1e-3, 1 - 1e-3)
+STOCHASTIC_ROW = POSITIVE.map(lambda p: [p, 1 - p])
+STOCHASTIC_MATRIX = st.lists(STOCHASTIC_ROW, min_size=2, max_size=2)
+
+
+class TestBaumWelch:
+    @settings(max_examples=60)
+    @given(pi=STOCHASTIC_ROW, B=STOCHASTIC_MATRIX, A_init=STOCHASTIC_MATRIX,
+           observations=st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=60),
+                                 min_size=1, max_size=8))
+    @example(pi=[0.5, 0.5], B=B_REF, A_init=None,
+             observations=[s.observations for s in sample_set(A_REF, n_seqs=4, length=60)])
+    def test_log_likelihood_non_decreasing(self, pi, B, A_init, observations):
+        seqs = [GestureSequence(obs) for obs in observations]
+        _, history = baum_welch(seqs, B=B, pi=pi, A_init=A_init, max_iter=40)
+        assert np.all(np.isfinite(history))
+        assert np.all(np.diff(history) >= -1e-9 * np.maximum(1.0, np.abs(history[:-1])))
 
     def test_parameter_recovery(self):
         A_true = np.array([[0.8, 0.2], [0.3, 0.7]])
-        seqs = self.sample_set(A_true)
+        seqs = sample_set(A_true)
         A, _ = baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]))
         assert np.max(np.abs(A - A_true)) < 0.05
 
     def test_fixed_point(self):
         A_true = np.array([[0.75, 0.25], [0.35, 0.65]])
-        seqs = self.sample_set(A_true, n_seqs=10, length=400, seed=3)
+        seqs = sample_set(A_true, n_seqs=10, length=400, seed=3)
         A_star, _ = baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]))
         again, history = baum_welch(
             seqs, B=B_REF, pi=np.array([0.5, 0.5]), A_init=A_star, max_iter=2
@@ -116,13 +132,13 @@ class TestBaumWelch:
         assert np.max(np.abs(again - A_star)) < 1e-4
 
     def test_rows_stay_stochastic(self):
-        seqs = self.sample_set(A_REF, n_seqs=3, length=50)
+        seqs = sample_set(A_REF, n_seqs=3, length=50)
         A, _ = baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]), max_iter=25)
         np.testing.assert_allclose(A.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(A >= 0)
 
     def test_rejects_nonpositive_init(self):
-        seqs = self.sample_set(A_REF, n_seqs=2, length=30)
+        seqs = sample_set(A_REF, n_seqs=2, length=30)
         with pytest.raises(ValueError, match="strictly positive"):
             baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]),
                        A_init=np.array([[1.0, 0.0], [0.5, 0.5]]))

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import json
 import math
 import multiprocessing
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksense import io
+from desksense import cli, io
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import Annotation, CsiTrace
 from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
@@ -34,6 +35,28 @@ def random_trace(seed=0, n_sub=4, n=50):
     return CsiTrace(fs=1000.0, samples=samples)
 
 
+# Examples of both labels, enough to fit either classifier.
+EXAMPLES = [
+    LabeledExample(FeatureVector(1.0 + 0.1 * i, 1.0 + 0.2 * i, 0.5), GestureLabel(i % 2))
+    for i in range(10)
+]
+
+BEHAVIOR_MODELS = {
+    Behavior.SURFING: BehaviorHmm(
+        pi=[0.25, 0.75],
+        A=[[0.5, 0.5], [1 / 6, 5 / 6]],
+        B=[[0.9, 0.1], [0.2, 0.8]],
+        behavior=Behavior.SURFING,
+    ),
+    Behavior.GAMING: BehaviorHmm(
+        pi=[0.5, 0.5],
+        A=[[0.5, 0.5], [0.5, 0.5]],
+        B=[[0.9, 0.1], [0.2, 0.8]],
+        behavior=Behavior.GAMING,
+    ),
+}
+
+
 @pytest.fixture(autouse=True)
 def no_worker_left():
     """Every read and write stops its worker processes, whether it succeeded or failed."""
@@ -42,11 +65,10 @@ def no_worker_left():
 
 
 @contextlib.contextmanager
-def codec_split(workers=None, task_values=None, range_bytes=None, block_rows=None):
+def codec_split(workers=None, task_values=None, range_bytes=None):
     """io's worker count and task sizes patched where given."""
     with contextlib.ExitStack() as stack:
-        for name, value in (("_TASK_VALUES", task_values), ("_RANGE_BYTES", range_bytes),
-                            ("_BLOCK_ROWS", block_rows)):
+        for name, value in (("_TASK_VALUES", task_values), ("_RANGE_BYTES", range_bytes)):
             if value is not None:
                 stack.enter_context(mock.patch.object(io, name, value))
         if workers is not None:
@@ -109,13 +131,9 @@ class TestRoundTrips:
         assert back == examples
 
     def test_classifiers(self, tmp_path):
-        examples = [
-            LabeledExample(FeatureVector(1.0 + 0.1 * i, 1.0 + 0.2 * i, 0.5), GestureLabel(i % 2))
-            for i in range(10)
-        ]
         probe = FeatureVector(1.33, 1.77, 0.5)
         for kind in ("knn", "gaussian_nb"):
-            model = fit(kind, examples)
+            model = fit(kind, EXAMPLES)
             path = tmp_path / f"{kind}.json"
             io.write_classifier(path, model)
             back = io.read_classifier(path)
@@ -123,20 +141,7 @@ class TestRoundTrips:
             np.testing.assert_array_equal(back.standardizer.mean, model.standardizer.mean)
 
     def test_behavior_models(self, tmp_path):
-        models = {
-            Behavior.SURFING: BehaviorHmm(
-                pi=[0.25, 0.75],
-                A=[[0.5, 0.5], [1 / 6, 5 / 6]],
-                B=[[0.9, 0.1], [0.2, 0.8]],
-                behavior=Behavior.SURFING,
-            ),
-            Behavior.GAMING: BehaviorHmm(
-                pi=[0.5, 0.5],
-                A=[[0.5, 0.5], [0.5, 0.5]],
-                B=[[0.9, 0.1], [0.2, 0.8]],
-                behavior=Behavior.GAMING,
-            ),
-        }
+        models = BEHAVIOR_MODELS
         path = tmp_path / "models.json"
         io.write_behavior_models(path, models)
         back = io.read_behavior_models(path)
@@ -182,9 +187,8 @@ SAMPLE_RATES = st.one_of(
     st.integers(1, 100_000).map(float),
     st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
 )
-# Tiny blocks, tasks and ranges put a `%` block, worker task or byte range
-# boundary inside every table the tests draw.
-BLOCK_ROWS = st.sampled_from([1, 2, 3, 7, io._BLOCK_ROWS])
+# Tiny tasks and ranges put a worker task or byte range boundary inside
+# every table the tests draw.
 TASK_VALUES = st.sampled_from([1, 40, io._TASK_VALUES])
 RANGE_BYTES = st.sampled_from([1, 4096, io._RANGE_BYTES])
 
@@ -220,10 +224,10 @@ def traces(draw):
 
 class TestBlockWriter:
     @settings(max_examples=60)
-    @given(trace=traces(), block_rows=BLOCK_ROWS, task_values=TASK_VALUES)
-    def test_trace_bytes(self, trace, block_rows, task_values):
+    @given(trace=traces(), task_values=TASK_VALUES)
+    def test_trace_bytes(self, trace, task_values):
         with tempfile.TemporaryDirectory() as d:
-            with codec_split(task_values=task_values, block_rows=block_rows):
+            with codec_split(task_values=task_values):
                 io.write_trace(Path(d) / "new.csv", trace)
             oracle_write_trace(Path(d) / "old.csv", trace)
             assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
@@ -238,20 +242,20 @@ class TestBlockWriter:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @settings(max_examples=60)
-    @given(data=st.data(), n=ROW_COUNTS, fs=SAMPLE_RATES, block_rows=BLOCK_ROWS,
-           task_values=TASK_VALUES, subcarrier=st.integers(0, 63))
-    def test_series_bytes(self, data, n, fs, block_rows, task_values, subcarrier):
+    @given(data=st.data(), n=ROW_COUNTS, fs=SAMPLE_RATES, task_values=TASK_VALUES,
+           subcarrier=st.integers(0, 63))
+    def test_series_bytes(self, data, n, fs, task_values, subcarrier):
         values = special_floats(data.draw, (n,))
         series = AmplitudeSeries(fs=fs, values=values, source_subcarrier=subcarrier)
         with tempfile.TemporaryDirectory() as d:
-            with codec_split(task_values=task_values, block_rows=block_rows):
+            with codec_split(task_values=task_values):
                 io.write_series(Path(d) / "new.csv", series)
             oracle_write_series(Path(d) / "old.csv", series)
             assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
 
     @settings(max_examples=30)
-    @given(data=st.data(), n=ROW_COUNTS, block_rows=BLOCK_ROWS, task_values=TASK_VALUES)
-    def test_segment_tables_bytes(self, data, n, block_rows, task_values):
+    @given(data=st.data(), n=ROW_COUNTS, task_values=TASK_VALUES)
+    def test_segment_tables_bytes(self, data, n, task_values):
         nor1 = special_floats(data.draw, (n,))
         nor2 = special_floats(data.draw, (n,))
         bounds = sorted(data.draw(st.lists(st.integers(0, 50_000), max_size=40, unique=True)))
@@ -262,7 +266,7 @@ class TestBlockWriter:
         ]
         with tempfile.TemporaryDirectory() as d:
             d = Path(d)
-            with codec_split(task_values=task_values, block_rows=block_rows):
+            with codec_split(task_values=task_values):
                 io.write_nor(d / "nor.csv", nor1, nor2)
                 io.write_segments(d / "segments.csv", segments)
             io.write_table(d / "nor_old.csv", ["index", "nor1", "nor2"],
@@ -443,6 +447,28 @@ class TestBlockReader:
                 assert err.startswith(f"error: {path}:{line}: {message}")
                 assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=15)
+    @given(body=dirty_bodies(), data=st.data(),
+           range_bytes=st.sampled_from([1, 5, 120, 4096]))
+    def test_bad_line_anywhere_named(self, workers, body, data, range_bytes):
+        trace, extra, trailing_newline = body
+        n_cols = 1 + 2 * trace.subcarriers
+        with tempfile.TemporaryDirectory() as d:
+            write_dirty_trace(Path(d) / "dirty.csv", trace, extra, trailing_newline)
+            lines = (Path(d) / "dirty.csv").read_text().splitlines()
+            at = data.draw(st.integers(1, len(lines)), label="index of the bad line")
+            lines.insert(at, data.draw(st.sampled_from([
+                "0,x" + ",1" * (n_cols - 2),   # a bad cell
+                "0,1",                         # a short row
+                ",".join(["0"] * (n_cols + 1)),  # a long row
+            ])))
+            path = Path(d) / "bad.csv"
+            path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""))
+            with codec_split(workers, range_bytes=range_bytes), \
+                    pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{at + 1}: ')}"):
+                io.read_trace(path)
+
 
 # Worker tasks for the tests below; module level, so a worker process can
 # unpickle them.
@@ -478,8 +504,7 @@ class TestWorkerProcesses:
         series = AmplitudeSeries(fs=trace.fs, values=trace.samples[0].imag, source_subcarrier=5)
         with tempfile.TemporaryDirectory() as d:
             d = Path(d)
-            with codec_split(workers, task_values, range_bytes, block_rows=2), \
-                    watch_forks() as threads:
+            with codec_split(workers, task_values, range_bytes), watch_forks() as threads:
                 io.write_trace(d / "trace.csv", trace)
                 io.write_series(d / "series.csv", series)
                 got = io.read_trace(d / "trace.csv")
@@ -733,6 +758,11 @@ class TestTraceHeader:
         ("# fs=1000", "lacks subcarriers="),
         ("# fs=1000 subcarriers", "'subcarriers' is not key=value"),
         ("# fs=fast subcarriers=1", "fs='fast' is not a valid float"),
+        ("# fs=nan subcarriers=1", "fs must be positive and finite, got nan"),
+        ("# fs=inf subcarriers=1", "fs must be positive and finite, got inf"),
+        ("# fs=1e400 subcarriers=1", "fs must be positive and finite, got inf"),
+        ("# fs=0 subcarriers=1", "fs must be positive and finite, got 0.0"),
+        ("# fs=-1000 subcarriers=1", "fs must be positive and finite, got -1000.0"),
     ])
     def test_bad_header_names_file_and_line(self, tmp_path, header, message):
         path = self.write(tmp_path, header)
@@ -776,8 +806,10 @@ class TestModelFiles:
         io.write_trace(trace, random_trace())
         models = tmp_path / "models.json"
         models.write_text(json.dumps(doc))
+        gesture_model = tmp_path / "gesture_model.json"
+        io.write_classifier(gesture_model, fit("knn", EXAMPLES))
         code = main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(trace),
-                     "--behavior-models", str(models)])
+                     "--gesture-model", str(gesture_model), "--behavior-models", str(models)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {models}: " in err and message in err
@@ -964,6 +996,20 @@ class TestCli:
                 "--repeats", reps,
             ) == 0
         assert (out1 / "plate_sweep.csv").read_text() == (out20 / "plate_sweep.csv").read_text()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--min-cm", "6", "--max-cm", "5"], "--min-cm must be <= --max-cm, got 6 > 5"),
+        (["--repeats", "0"], "--repeats must be >= 1, got 0"),
+        (["--repeats", "-2"], "--repeats must be >= 1, got -2"),
+        (["--noise-std", "-1"], "--noise-std must be >= 0 and finite, got -1.0"),
+        (["--noise-std", "nan"], "--noise-std must be >= 0 and finite, got nan"),
+        (["--noise-std", "inf"], "--noise-std must be >= 0 and finite, got inf"),
+    ])
+    def test_sweep_plate_bad_arguments_exit_code(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), "sweep-plate", *argv) == 2
+        assert capsys.readouterr().err == f"sweep-plate: {message}\n"
+        assert not out.exists()
 
     def test_plotdata_filter_response(self, tmp_path):
         out = tmp_path / "plot"
@@ -1171,6 +1217,19 @@ class TestCli:
         assert f"{ann}: annotation exceeds trace length" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_pipeline_behavior_models_need_gesture_model(self, tmp_path, capsys):
+        # without gesture labels there is no sequence to classify, and the
+        # report would silently lack its behavior metric
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace())
+        models = tmp_path / "models.json"
+        io.write_behavior_models(models, BEHAVIOR_MODELS)
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), "pipeline", "--trace", str(trace),
+                        "--behavior-models", str(models)) == 2
+        assert capsys.readouterr().err == "pipeline: --behavior-models needs --gesture-model\n"
+        assert not out.exists()
+
     def test_pipeline_report_deterministic(self, tmp_path):
         out = tmp_path / "p"
         assert self.run("--out", str(out), "simulate", "--keystrokes", "3") == 0
@@ -1187,3 +1246,76 @@ class TestCli:
         b.pop("timings_s")
         assert a == b
         assert a["metrics"]["segments_found"] == 3
+
+
+# Reader fuzz: a valid file of each kind, written by its writer, then mutated.
+
+def write_script(path):
+    path.write_text("# start_s,kind,travel_m,duration_s[,x,y,z]\n1.0,keystroke,0.02,0.7\n"
+                    "3.0,mouse_move,0.03,0.5,0.35,0.0,-0.62\n")
+
+
+READERS = {   # kind: (write a valid file, read a file)
+    "trace": (lambda p: io.write_trace(p, random_trace(n=12, n_sub=2)), io.read_trace),
+    "annotations": (lambda p: io.write_annotations(
+        p, [Annotation(1, 4, "keystroke"), Annotation(6, 9, "mouse_move")]), io.read_annotations),
+    "dataset": (lambda p: io.write_dataset(p, EXAMPLES[:4]), io.read_dataset),
+    "script": (write_script, lambda p: parse_script(p, PipelineConfig())),
+    "config": (lambda p: p.write_text(PipelineConfig().to_json()), load_config),
+    "knn-classifier": (lambda p: io.write_classifier(p, fit("knn", EXAMPLES[:4])),
+                       io.read_classifier),
+    "nb-classifier": (lambda p: io.write_classifier(p, fit("gaussian_nb", EXAMPLES)),
+                      io.read_classifier),
+    "behavior-models": (lambda p: io.write_behavior_models(p, BEHAVIOR_MODELS),
+                        io.read_behavior_models),
+    "confusion": (lambda p: io.write_table(p, ["true", "predicted_typing", "predicted_mouse"],
+                                           [("typing", 9, 1), ("mouse", 2, 8)]),
+                  cli._read_emission),
+}
+
+JUNK = st.one_of(
+    st.binary(min_size=1, max_size=3),
+    st.sampled_from([b"\xff", b"\x00", b"\n", b",", b"#", b"=", b"-", b".", b"0", b"e",
+                     b"nan", b"inf", b"1e400", b'"', b"[", b"]", b"{", b"}", b"null"]),
+)
+
+
+@st.composite
+def mutants(draw, data: bytes) -> bytes:
+    """data with 1-3 spans replaced, inserted, deleted or cut off."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        if op == "truncate":
+            del data[at:]
+        elif op == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            junk = draw(JUNK)
+            data[at:at + (len(junk) if op == "replace" else 0)] = junk
+    return bytes(data)
+
+
+@functools.cache
+def valid_file(kind) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / kind
+        READERS[kind][0](path)
+        return path.read_bytes()
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("kind", list(READERS))
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_mutant_parses_or_names_the_file(self, kind, data):
+        with tempfile.TemporaryDirectory() as d:
+            # the valid file is cached and each mutant is a new file: on ext4,
+            # replacing a file's contents costs a flush of the old ones
+            path = Path(d) / "file"
+            path.write_bytes(data.draw(mutants(valid_file(kind)), label="mutant"))
+            try:
+                READERS[kind][1](path)
+            except (ValueError, OSError) as exc:
+                assert str(path) in str(exc)
