@@ -9,7 +9,7 @@ small seeded micro-motion so synthetic strokes are not unnaturally smooth.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,12 +128,10 @@ def segment_trace(config: PipelineConfig, trace: CsiTrace) -> list[GestureSegmen
 class SegmentationMetrics:
     recall: float
     precision: float
-    mean_boundary_error_s: float
+    mean_boundary_error_s: float | None
     matched: int
     false_negatives: int
     false_positives: int
-    start_errors_s: list[float] = field(default_factory=list)
-    end_errors_s: list[float] = field(default_factory=list)
 
 
 def _check_ordered(spans, what: str) -> None:
@@ -176,36 +174,34 @@ def match_segments(detections: list[GestureSegment], annotations):
     return pairs, used
 
 
-def evaluate_segmentation(
-    config: PipelineConfig, traces: list[CsiTrace]
-) -> SegmentationMetrics:
+def score_detections(runs) -> SegmentationMetrics:
+    """Detection metrics over (detections, annotated trace) pairs, matched by
+    match_segments.  The boundary error is the mean absolute start and end
+    error of the matches in seconds, None when nothing matched."""
     tp = fn = fp = 0
     start_errors = []
     end_errors = []
-    for trace in traces:
-        detections = segment_trace(config, trace)
+    for detections, trace in runs:
         pairs, used = match_segments(detections, trace.meta)
         tp += len(pairs)
         fn += len(trace.meta) - len(pairs)
         fp += len(detections) - len(used)
-        for ann, det in pairs:
-            start_errors.append((det.start_idx - ann.start_idx) / trace.fs)
-            end_errors.append((det.end_idx - ann.end_idx) / trace.fs)
-    boundary = (
-        float(np.mean(np.abs(start_errors)) + np.mean(np.abs(end_errors))) / 2.0
-        if start_errors
-        else float("nan")
-    )
+        start_errors += [abs(det.start_idx - ann.start_idx) / trace.fs for ann, det in pairs]
+        end_errors += [abs(det.end_idx - ann.end_idx) / trace.fs for ann, det in pairs]
     return SegmentationMetrics(
         recall=tp / (tp + fn) if tp + fn else 0.0,
         precision=tp / (tp + fp) if tp + fp else 0.0,
-        mean_boundary_error_s=boundary,
+        mean_boundary_error_s=float(np.mean(start_errors + end_errors)) if tp else None,
         matched=tp,
         false_negatives=fn,
         false_positives=fp,
-        start_errors_s=start_errors,
-        end_errors_s=end_errors,
     )
+
+
+def evaluate_segmentation(
+    config: PipelineConfig, traces: list[CsiTrace]
+) -> SegmentationMetrics:
+    return score_detections((segment_trace(config, trace), trace) for trace in traces)
 
 
 def segments_from_annotations(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .corpus import (
     evaluate_segmentation,
     generate_gesture_dataset,
     generate_segmentation_corpus,
-    match_segments,
+    score_detections,
 )
 from .preprocess import butterworth_lowpass, select_subcarrier
 from .segmentation import segment
@@ -121,17 +121,13 @@ def run_pipeline(
     report.metrics["segments_found"] = len(segments)
 
     if trace.meta:
-        pairs, used = match_segments(segments, trace.meta)
-        start_err = [abs(d.start_idx - a.start_idx) / trace.fs for a, d in pairs]
-        end_err = [abs(d.end_idx - a.end_idx) / trace.fs for a, d in pairs]
+        scores = score_detections([(segments, trace)])
         report.metrics["detection"] = {
             "annotated": len(trace.meta),
-            "matched": len(pairs),
-            "recall": len(pairs) / len(trace.meta),
-            "precision": len(pairs) / len(segments) if segments else 0.0,
-            "mean_boundary_error_s": (
-                float(np.mean(start_err + end_err)) if pairs else None
-            ),
+            "matched": scores.matched,
+            "recall": scores.recall,
+            "precision": scores.precision,
+            "mean_boundary_error_s": scores.mean_boundary_error_s,
         }
 
     if not segments:
@@ -242,14 +238,7 @@ def evaluate_system(
     with _StageTimer(report, "segmentation_study"):
         traces = generate_segmentation_corpus(config, n_traces=n_traces)
         seg_metrics = evaluate_segmentation(config, traces)
-    report.metrics["segmentation"] = {
-        "recall": seg_metrics.recall,
-        "precision": seg_metrics.precision,
-        "mean_boundary_error_s": seg_metrics.mean_boundary_error_s,
-        "matched": seg_metrics.matched,
-        "false_negatives": seg_metrics.false_negatives,
-        "false_positives": seg_metrics.false_positives,
-    }
+    report.metrics["segmentation"] = asdict(seg_metrics)
 
     with _StageTimer(report, "gesture_study"):
         dataset = generate_gesture_dataset(config, n_segments=n_gesture_segments)

@@ -44,7 +44,6 @@ _FIRST_PREFIX = 4096
 @dataclass(frozen=True)
 class SegmenterParams:
     window: float = 1.0 / 20.0        # seconds
-    step: int = 1                     # samples
     smoothing_gain: float = 100.0
     se_start: float = 0.1
     se_stop: float = 5.0
@@ -55,8 +54,8 @@ class SegmenterParams:
     end_hold: int = DEFAULT_END_HOLD
 
     def __post_init__(self):
-        if self.window <= 0 or self.step < 1:
-            raise ValueError("window must be positive and step >= 1 sample")
+        if self.window <= 0:
+            raise ValueError("window must be positive")
         if self.smoothing_gain <= 0:
             raise ValueError("smoothing gain must be positive")
         if self.stability_count < 2 or self.stability_spread <= 0:
@@ -106,8 +105,8 @@ class GestureSegment:
         return float(self.waveform.max() - self.waveform.min())
 
 
-def sliding_variance(values: np.ndarray, window_samples: int, step: int = 1) -> np.ndarray:
-    """Population variance over each window of `window_samples`, advancing by step."""
+def sliding_variance(values: np.ndarray, window_samples: int) -> np.ndarray:
+    """Population variance over each window of `window_samples` consecutive samples."""
     x = np.asarray(values, dtype=float)
     w = int(window_samples)
     if w < 2:
@@ -118,28 +117,26 @@ def sliding_variance(values: np.ndarray, window_samples: int, step: int = 1) -> 
     s1 = moving_sum(x, w)
     s2 = moving_sum(x * x, w)
     var = s2 / w - (s1 / w) ** 2
-    return np.maximum(var[::step], 0.0)
+    return np.maximum(var, 0.0)
 
 
-def moving_sum(values: np.ndarray, window_samples: int, step: int = 1) -> np.ndarray:
+def moving_sum(values: np.ndarray, window_samples: int) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     w = int(window_samples)
     if len(x) < w:
         raise ValueError("series shorter than one window")
     c = np.concatenate([[0.0], np.cumsum(x)])
-    return (c[w:] - c[:-w])[::step]
+    return c[w:] - c[:-w]
 
 
-def smooth_variance(
-    nor1: np.ndarray, window_samples: int, step: int = 1, gain: float = 100.0
-) -> np.ndarray:
+def smooth_variance(nor1: np.ndarray, window_samples: int, gain: float = 100.0) -> np.ndarray:
     """nor2: variance of nor1's moving sum, amplified by `gain`.
 
     Suppresses the micro-fluctuations nor1 shows in stationary spans while
     reacting strongly where the variance level itself changes.
     """
-    summed = moving_sum(nor1, window_samples, step)
-    return gain * sliding_variance(summed, window_samples, step)
+    summed = moving_sum(nor1, window_samples)
+    return gain * sliding_variance(summed, window_samples)
 
 
 def compute_variance_traces(
@@ -148,11 +145,15 @@ def compute_variance_traces(
     """nor1 and nor2 for a filtered series, truncated to a common length.
 
     Both are indexed at the window's left edge relative to the input series.
+    With a window of w samples, N samples give N - 3w + 3 values of each;
+    a series shorter than 3w - 2 samples gives two empty traces.
     """
     params = params or SegmenterParams()
     w = params.window_samples(series.fs)
-    nor1 = sliding_variance(series.values, w, params.step)
-    nor2 = smooth_variance(nor1, w, params.step, params.smoothing_gain)
+    if len(series.values) < 3 * w - 2:
+        return np.zeros(0), np.zeros(0)
+    nor1 = sliding_variance(series.values, w)
+    nor2 = smooth_variance(nor1, w, params.smoothing_gain)
     return nor1[: len(nor2)], nor2
 
 
@@ -240,7 +241,7 @@ def _scan(nor1: np.ndarray, nor2: np.ndarray, params: SegmenterParams):
         if end <= start:
             break
         yield start, end, truncated
-        if truncated or end <= cursor:
+        if truncated:
             break
         cursor = end
 
@@ -258,12 +259,10 @@ def segment(
     nor1, nor2 = compute_variance_traces(series, params)
     segments = []
     for start, end, truncated in _scan(nor1, nor2, params):
-        end_in_series = min(end, len(series.values) - 1)
-        waveform = series.values[start:end_in_series + 1]
         seg = GestureSegment(
             start_idx=start,
-            end_idx=end_in_series,
-            waveform=waveform,
+            end_idx=end,
+            waveform=series.values[start:end + 1],
             fs=series.fs,
             truncated=truncated,
         )

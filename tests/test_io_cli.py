@@ -338,11 +338,18 @@ def dirty_bodies(draw):
 
 
 def write_dirty_trace(path, trace, extra, trailing_newline):
-    io.write_trace(path, trace)
-    lines = path.read_text().splitlines()
+    """Write trace to path with extra lines inserted; return the clean file.
+
+    The clean trace goes to a sibling file, so that path is written once: on
+    ext4, truncating a file that was just written forces a flush to disk.
+    """
+    clean = path.with_name(path.name + ".clean")
+    io.write_trace(clean, trace)
+    lines = clean.read_text().splitlines()
     for at, line in sorted(extra, key=lambda e: -e[0]):
         lines.insert(1 + at, line)
     path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""))
+    return clean
 
 
 class TestBlockReader:
@@ -351,9 +358,8 @@ class TestBlockReader:
     def test_matches_whole_file_reader(self, body, range_bytes):
         trace, extra, trailing_newline = body
         with tempfile.TemporaryDirectory() as d:
-            clean, dirty = Path(d) / "clean.csv", Path(d) / "dirty.csv"
-            io.write_trace(clean, trace)
-            write_dirty_trace(dirty, trace, extra, trailing_newline)
+            dirty = Path(d) / "dirty.csv"
+            clean = write_dirty_trace(dirty, trace, extra, trailing_newline)
             # the whole-file reader fails on a body of skipped lines alone
             fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
             with codec_split(range_bytes=range_bytes):
@@ -526,9 +532,8 @@ class TestWorkerProcesses:
     def test_dirty_bodies_same_bits_at_any_worker_count(self, workers, body, range_bytes):
         trace, extra, trailing_newline = body
         with tempfile.TemporaryDirectory() as d:
-            clean, dirty = Path(d) / "clean.csv", Path(d) / "dirty.csv"
-            io.write_trace(clean, trace)
-            write_dirty_trace(dirty, trace, extra, trailing_newline)
+            dirty = Path(d) / "dirty.csv"
+            clean = write_dirty_trace(dirty, trace, extra, trailing_newline)
             fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
             with codec_split(workers, range_bytes=range_bytes), watch_forks() as threads:
                 got = io.read_trace(dirty)
@@ -1053,6 +1058,29 @@ class TestCli:
         assert doc["metrics"]["segments_found"] == 0
         assert "gesture_counts" not in doc["metrics"]
 
+    def test_trace_shorter_than_the_nor_cascade_zero_segments(self, tmp_path):
+        # 120 samples: fewer than the 148 one nor2 value needs at the defaults
+        path = tmp_path / "short.csv"
+        io.write_trace(path, random_trace(n=120))
+        sdir, rdir = tmp_path / "seg", tmp_path / "run"
+        assert self.run("--out", str(sdir), "segment", "--trace", str(path)) == 0
+        assert (sdir / "nor.csv").read_text() == "index,nor1,nor2\n"
+        assert (sdir / "segments.csv").read_text() == "start_idx,end_idx,truncated\n"
+        assert self.run("--out", str(rdir), "pipeline", "--trace", str(path)) == 0
+        doc = json.loads((rdir / "report.json").read_text())
+        assert doc["metrics"]["segments_found"] == 0
+        assert "failed_stage" not in doc["metrics"]
+
+    def test_pipeline_segmenter_step_rejected(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        io.write_trace(path, random_trace(n=200))
+        cfg = tmp_path / "step.json"
+        cfg.write_text('{"segmenter": {"step": 2}}')
+        code = self.run("--config", str(cfg), "--out", str(tmp_path / "o"),
+                        "pipeline", "--trace", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key segmenter.step\n"
+
     def test_featurize_from_detections(self, tmp_path):
         out = tmp_path / "det"
         assert self.run("--out", str(out), "simulate", "--keystrokes", "4") == 0
@@ -1111,6 +1139,24 @@ class TestCli:
         assert "gesture_cv" in doc["metrics"]
         table = doc["metrics"]["behavior"]["table"]
         assert "SURFING" in table and "AVG." in table
+
+    def test_evaluate_nothing_matched_boundary_null(self, tmp_path, capsys):
+        cfg = tmp_path / "no_segments.json"
+        cfg.write_text('{"segmenter": {"min_amplitude_span": 1e9}}')
+        out = tmp_path / "eval"
+        assert self.run(
+            "--config", str(cfg), "--out", str(out), "evaluate", "--traces", "1",
+            "--segments", "40", "--behavior-sequences", "1",
+        ) == 0
+        assert "recall 0.000 precision 0.000 boundary n/a\n" in capsys.readouterr().out
+
+        def no_constants(name):
+            raise ValueError(f"{name} in report.json")
+
+        doc = json.loads((out / "report.json").read_text(), parse_constant=no_constants)
+        seg = doc["metrics"]["segmentation"]
+        assert seg["mean_boundary_error_s"] is None
+        assert seg["matched"] == seg["false_positives"] == 0
 
     @pytest.mark.parametrize("flag, value", [
         ("--traces", "0"), ("--segments", "0"), ("--behavior-sequences", "0"),

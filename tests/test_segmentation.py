@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desksense import segmentation
-from desksense.channel import Annotation
+from desksense.channel import Annotation, CsiTrace
 from desksense.corpus import (
     evaluate_segmentation,
     generate_segmentation_corpus,
     keystroke_burst_script,
     match_segments,
     random_gesture_script,
+    score_detections,
     simulate_script,
 )
+from desksense.pipeline import run_pipeline
 from desksense.preprocess import AmplitudeSeries, butterworth_lowpass, select_subcarrier
 from desksense.segmentation import (
     GestureSegment,
@@ -47,10 +49,9 @@ class TestVarianceTraces:
         out = sliding_variance(x, 2)
         np.testing.assert_allclose(out, 0.25, atol=1e-12)
 
-    def test_output_length_and_step(self):
+    def test_output_length(self):
         x = np.arange(100.0)
         assert len(sliding_variance(x, 10)) == 91
-        assert len(sliding_variance(x, 10, step=5)) == 19
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -60,6 +61,15 @@ class TestVarianceTraces:
         rng = np.random.default_rng(0)
         x = rng.normal(1e6, 1e-8, 500)  # large offset stresses cancellation
         assert np.all(sliding_variance(x, 50) >= 0.0)
+
+    @pytest.mark.parametrize("n", [147, 148])
+    def test_series_shorter_than_the_nor_cascade_no_segments(self, n):
+        # nor2 needs 3w - 2 = 148 samples at the default 50-sample window
+        rng = np.random.default_rng(n)
+        series = AmplitudeSeries(fs=FS, values=8.0 + rng.normal(0.0, 1.0, n))
+        nor1, nor2 = compute_variance_traces(series)
+        assert len(nor1) == len(nor2) == n - 147
+        assert segment(series) == []
 
     def test_smooth_variance_zero_input(self):
         out = smooth_variance(np.zeros(300), 50)
@@ -404,6 +414,14 @@ class TestScanMatchesWholeTraceScan:
         assert got == oracle_segments(series, config.segmenter)
 
 
+class TestSegmentProperties:
+    @settings(max_examples=200)
+    @given(series=gesture_series(), shift=st.floats(-1e3, 1e3))
+    def test_amplitude_shift_invariance(self, series, shift):
+        shifted = AmplitudeSeries(fs=series.fs, values=series.values + shift)
+        assert as_tuples(segment(shifted)) == as_tuples(segment(series))
+
+
 def all_pairs_match(detections, annotations):
     """Greedy best-overlap matching comparing every annotation with every detection."""
     pairs = []
@@ -486,3 +504,41 @@ class TestMatchSegments:
         annotations = [Annotation(a, b, "keystroke") for a, b in ann_spans]
         with pytest.raises(ValueError, match=f"{what} must be sorted and disjoint"):
             match_segments(detections, annotations)
+
+
+def annotated_trace(fs, n, spans):
+    return CsiTrace(fs=fs, samples=np.zeros((1, n), dtype=complex),
+                    meta=[Annotation(a, b, "keystroke") for a, b in spans])
+
+
+class TestScoreDetections:
+    def test_counts_and_boundary_error_over_runs(self):
+        runs = [
+            # one match (2 samples off at each end), one miss, one false alarm
+            ([detection(12, 48), detection(160, 190)],
+             annotated_trace(1000.0, 200, [(10, 50), (100, 150)])),
+            # one match, 5 and 10 samples off at 500 Hz
+            ([detection(25, 70)], annotated_trace(500.0, 100, [(20, 60)])),
+        ]
+        got = score_detections(runs)
+        assert (got.matched, got.false_negatives, got.false_positives) == (2, 1, 1)
+        assert got.recall == got.precision == pytest.approx(2 / 3)
+        assert got.mean_boundary_error_s == pytest.approx((0.002 + 0.01 + 0.002 + 0.02) / 4)
+
+    def test_nothing_matched_boundary_error_none(self):
+        got = score_detections([([], annotated_trace(FS, 200, [(10, 50)]))])
+        assert got.mean_boundary_error_s is None
+        assert (got.recall, got.precision, got.matched, got.false_negatives) == (0.0, 0.0, 0, 1)
+
+    def test_pipeline_detection_is_evaluate_score(self, config):
+        script, duration = keystroke_burst_script(config, count=3)
+        trace = simulate_script(config, script, duration, seed=5)
+        report, _ = run_pipeline(config, trace)
+        scores = evaluate_segmentation(config, [trace])
+        assert report.metrics["detection"] == {
+            "annotated": len(trace.meta),
+            "matched": scores.matched,
+            "recall": scores.recall,
+            "precision": scores.precision,
+            "mean_boundary_error_s": scores.mean_boundary_error_s,
+        }
