@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -412,9 +413,10 @@ def simulate_trace(
     model.rng_seed, so identical inputs give bit-identical traces.
 
     Worker threads, one per CPU in the process's affinity mask, fill the
-    rows in blocks while the calling thread draws the noise in one fixed
-    order, so the bytes are the same at any CPU count.  A trace of more
-    than MAX_TRACE_SAMPLES samples over all subcarriers is refused.
+    rows in blocks, and the calling thread adds the noise in one fixed
+    order as they arrive, so the bytes are the same at any CPU count.  A
+    trace of more than MAX_TRACE_SAMPLES samples over all subcarriers is
+    refused.
     """
     if not 0 < fs < math.inf:
         raise ValueError("fs must be positive and finite")
@@ -463,28 +465,18 @@ def simulate_trace(
         _add_paths(block, [(lengths[a:b], amp) for lengths, amp in paths], lams[s])
         block *= gains[s]
 
-    blocks = [(a, min(a + _BLOCK, n_samples)) for a in range(0, n_samples, _BLOCK)]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        tasks = [
-            (s, a, b, pool.submit(fill_block, s, a, b))
-            for s in range(len(lams))
-            for a, b in blocks
-        ]
-        try:
+    blocks = [(s, a, min(a + _BLOCK, n_samples))
+              for s in range(len(lams)) for a in range(0, n_samples, _BLOCK)]
+    # all real parts block by block as the blocks are filled, then all
+    # imaginary parts: the numbers of one (2, S, T) normal() call in its order
+    with (ThreadPoolExecutor(max_workers=_worker_count()) as pool,
+          closing(pool.map(fill_block, *zip(*blocks))) as filled):  # closing cancels the rest
+        for (s, a, b), _ in zip(blocks, filled):  # also without noise: a worker's exception
             if model.noise_std > 0:
-                # all real parts row by row, then all imaginary parts: the
-                # numbers of one (2, S, T) normal() call in its order, drawn
-                # here while the workers fill the blocks
-                for part in (samples.real, samples.imag):
-                    for s, a, b, task in tasks:
-                        noise = rng.normal(0.0, model.noise_std, b - a)
-                        task.result()
-                        part[s, a:b] += noise
-            for *_, task in tasks:  # also without noise: a worker's exception
-                task.result()
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+                samples.real[s, a:b] += rng.normal(0.0, model.noise_std, b - a)
+    if model.noise_std > 0:
+        for s, a, b in blocks:
+            samples.imag[s, a:b] += rng.normal(0.0, model.noise_std, b - a)
     return CsiTrace(fs=fs, samples=samples, meta=annotations)
 
 

@@ -10,6 +10,7 @@ features with training-fold statistics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -101,10 +102,27 @@ def extract_features(segment: GestureSegment) -> FeatureVector:
     )
 
 
+def _check_array(name: str, value, shape: tuple, positive: bool = False) -> None:
+    """ValueError unless value is an array of finite real numbers of shape
+    (a None dimension: any length >= 1), all > 0 if positive."""
+    value = np.asarray(value)
+    if value.ndim != len(shape) or any(
+            got != want if want else got < 1 for got, want in zip(value.shape, shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}".replace("None", "n"))
+    if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite numbers")
+    if positive and not (value > 0).all():
+        raise ValueError(f"{name} must be > 0")
+
+
 @dataclass(frozen=True)
 class Standardizer:
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self):
+        _check_array("standardizer mean", self.mean, (3,))
+        _check_array("standardizer std", self.std, (3,), positive=True)
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "Standardizer":
@@ -124,6 +142,15 @@ class KnnClassifier:
     standardizer: Standardizer
     points: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        _check_array("points", self.points, (None, 3))
+        labels = np.asarray(self.labels)
+        if (labels.shape != (len(self.points),) or labels.dtype.kind not in "iu"
+                or not np.isin(labels, (0, 1)).all()):
+            raise ValueError(f"labels must be {len(self.points)} integers, each 0 or 1")
 
     def predict(self, features: FeatureVector) -> GestureLabel:
         x = self.standardizer.transform(features.as_array())
@@ -149,6 +176,11 @@ class GaussianNbClassifier:
     means: np.ndarray       # (classes, features)
     variances: np.ndarray   # (classes, features), floored
 
+    def __post_init__(self):
+        _check_array("log_priors", self.log_priors, (2,))
+        _check_array("means", self.means, (2, 3))
+        _check_array("variances", self.variances, (2, 3), positive=True)
+
     def predict(self, features: FeatureVector) -> GestureLabel:
         x = self.standardizer.transform(features.as_array())
         log_post = self.log_priors - 0.5 * np.sum(
@@ -172,8 +204,6 @@ def fit(kind: str, examples: list[LabeledExample], k: int = DEFAULT_KNN_K) -> Cl
     standardizer = Standardizer.fit(feats)
     z = standardizer.transform(feats)
     if kind == "knn":
-        if k < 1:
-            raise ValueError("k must be >= 1")
         return KnnClassifier(k=k, standardizer=standardizer, points=z, labels=labels)
     if kind == "gaussian_nb":
         means = np.zeros((2, feats.shape[1]))

@@ -247,8 +247,9 @@ def cmd_evaluate(args) -> int:
     io.atomic_write_text(out / "report.json", report.to_json() + "\n")
     print(report.metrics["behavior"]["table"])
     seg = report.metrics["segmentation"]
-    boundary = seg["mean_boundary_error_s"]
-    print(f"segmentation: recall {seg['recall']:.3f} precision {seg['precision']:.3f} "
+    precision, boundary = seg["precision"], seg["mean_boundary_error_s"]
+    print(f"segmentation: recall {seg['recall']:.3f} "
+          f"precision {'n/a' if precision is None else f'{precision:.3f}'} "
           f"boundary {'n/a' if boundary is None else f'{boundary * 1000:.0f} ms'}")
     for kind, res in report.metrics["gesture_cv"].items():
         print(f"gesture cv [{kind}]: mean accuracy {res['mean_accuracy']:.3f}")

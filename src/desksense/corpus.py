@@ -127,7 +127,7 @@ def segment_trace(config: PipelineConfig, trace: CsiTrace) -> list[GestureSegmen
 @dataclass
 class SegmentationMetrics:
     recall: float
-    precision: float
+    precision: float | None
     mean_boundary_error_s: float | None
     matched: int
     false_negatives: int
@@ -177,7 +177,8 @@ def match_segments(detections: list[GestureSegment], annotations):
 def score_detections(runs) -> SegmentationMetrics:
     """Detection metrics over (detections, annotated trace) pairs, matched by
     match_segments.  The boundary error is the mean absolute start and end
-    error of the matches in seconds, None when nothing matched."""
+    error of the matches in seconds, None when nothing matched; precision is
+    None when nothing was detected."""
     tp = fn = fp = 0
     start_errors = []
     end_errors = []
@@ -190,7 +191,7 @@ def score_detections(runs) -> SegmentationMetrics:
         end_errors += [abs(det.end_idx - ann.end_idx) / trace.fs for ann, det in pairs]
     return SegmentationMetrics(
         recall=tp / (tp + fn) if tp + fn else 0.0,
-        precision=tp / (tp + fp) if tp + fp else 0.0,
+        precision=tp / (tp + fp) if tp + fp else None,
         mean_boundary_error_s=float(np.mean(start_errors + end_errors)) if tp else None,
         matched=tp,
         false_negatives=fn,

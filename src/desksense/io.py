@@ -3,9 +3,10 @@
 Everything is plain text at full double precision so artifacts diff cleanly
 and round-trip losslessly.  Writes go through a temp file and rename;
 numeric tables (traces, series, nor/segment tables) are formatted one `%`
-per task of rows on forked worker processes and streamed into it in order.
-Traces are read back as byte ranges of whole lines, parsed on the workers,
-into one array allocated up front; each range knows its first line number.
+per task of rows and streamed into it in order, on forked worker processes
+when the table has enough tasks to pay for them.  Traces are read back as
+byte ranges of whole lines, parsed the same way, into one array allocated
+up front; each range knows its first line number.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import traceback
 import warnings
 from contextlib import closing, contextmanager
 from io import BytesIO
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -39,36 +39,35 @@ from .classify import (
 FLOAT_FMT = "%.17g"
 _TASK_VALUES = 1 << 14  # values a writer task formats
 _RANGE_BYTES = 1 << 17  # body bytes a reader task parses, rounded up to a line end
+_MIN_TASKS_PER_WORKER = 8  # below this, starting and stopping a worker costs what it saves
 _ROW_IN_CALL = re.compile(r"at row \d+, ")
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-def _serve(conn, fn) -> None:
-    """A worker process: fn(*task) for each task received on conn, answered
-    with (True, result) or (False, (the exception raised, its traceback))."""
+def _serve(conn, fn, tasks) -> None:
+    """A worker process: fn(*task) for each of tasks in order, each answered
+    on conn with (True, result), or (False, (the exception raised, its
+    traceback)) after which the worker stops."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C stops the parent, which stops this
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # no handler inherited from the parent
-    while True:
-        task = conn.recv()
+    for task in tasks:
         try:
-            reply = (True, fn(*task))
+            result = fn(*task)
         except Exception as exc:
-            reply = (False, (exc, traceback.format_exc()))
-        conn.send(reply)
+            conn.send((False, (exc, traceback.format_exc())))
+            return
+        conn.send((True, result))
 
 
 class _Worker:
-    """fn on a forked process, which runs the tasks sent to it in order."""
+    """fn over tasks on a forked process, which inherits both unpickled."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, tasks):
         self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.get_context("fork").Process(
-            target=_serve, args=(child, fn), daemon=True)
+            target=_serve, args=(child, fn, tasks), daemon=True)
         self.process.start()
         child.close()
-
-    def send(self, task) -> None:
-        self.conn.send(task)
 
     def recv(self):
         try:
@@ -89,44 +88,31 @@ class _Worker:
         self.conn.close()
 
 
-def _in_workers(fn, tasks):
-    """fn(*task) for each task, yielded in task order.
+def _in_workers(fn, tasks: list):
+    """fn(*task) for each of tasks, yielded in task order.
 
-    The tasks are dealt in turn to forked worker processes, one per CPU in
-    the affinity mask.  A worker has one task at a time, and its result is
-    received only when it is next in order, so the calling process holds
-    one result whatever the number of tasks.  A single task, a single CPU, a
-    platform without fork or a process with other threads alive (a fork
-    copies no thread, and could copy a lock one of them holds) runs the
-    tasks here, one at a time.  An error or interrupt, or closing the
-    generator, stops the workers and drops the tasks they hold.
+    The tasks are split over forked worker processes, at most one per CPU in
+    the affinity mask and at least _MIN_TASKS_PER_WORKER tasks each: worker
+    k of n runs tasks[k::n], so result i comes from worker i % n.  A worker
+    blocks on its pipe until its results are taken, in order, so the
+    calling process holds one result whatever the number of tasks.  Fewer
+    tasks than two workers need, a single CPU, a platform without fork or a
+    process with other threads alive (a fork copies no thread, and could
+    copy a lock one of them holds) runs the tasks here, one at a time.  An
+    error or interrupt, or closing the generator, stops the workers and
+    drops the tasks they hold.
     """
-    tasks = iter(tasks)
-    head = list(islice(tasks, 2))
-    forking = len(head) > 1 and _FORK and threading.active_count() == 1
-    n = _worker_count() if forking else 1
-    if n == 1:
-        for task in chain(head, tasks):
+    n = min(_worker_count(), len(tasks) // _MIN_TASKS_PER_WORKER)
+    if n <= 1 or not _FORK or threading.active_count() > 1:
+        for task in tasks:
             yield fn(*task)
         return
     workers = []
-    sent = 0
     try:
-        for _ in range(n):   # in the try: a failed fork stops the workers started
-            workers.append(_Worker(fn))
-        for task in chain(head, tasks):
-            worker = workers[sent % n]
-            if sent < n:
-                worker.send(task)
-            else:
-                # the worker's previous result is taken before it gets the
-                # next task, and used while it runs that one
-                result = worker.recv()
-                worker.send(task)
-                yield result
-            sent += 1
-        for k in range(max(sent - n, 0), sent):
-            yield workers[k % n].recv()
+        for k in range(n):   # in the try: a failed fork stops the workers started
+            workers.append(_Worker(fn, tasks[k::n]))
+        for i in range(len(tasks)):
+            yield workers[i % n].recv()
     finally:
         for worker in workers:
             worker.stop()
@@ -165,16 +151,19 @@ def _format_rows(row_fmt: str, block: np.ndarray) -> str:
 def _write_rows(fh, columns, fmts) -> None:
     """Rows of equal-length numeric columns, each value in its column's format.
 
-    Rows are stacked here into float blocks of about _TASK_VALUES values,
+    Ranges of about _TASK_VALUES values are stacked into float blocks and
     formatted on the workers of _in_workers and written in order, so the
     text never exists as a whole.
     """
     row_fmt = ",".join(fmts) + "\n"
-    n = len(columns[0])
     step = max(1, _TASK_VALUES // len(columns))
-    tasks = ((row_fmt, np.column_stack([np.asarray(c[a:a + step], dtype=float) for c in columns]))
-             for a in range(0, n, step))
-    with closing(_in_workers(_format_rows, tasks)) as texts:
+
+    def rows(a, b):
+        return _format_rows(row_fmt, np.column_stack([np.asarray(c[a:b], dtype=float)
+                                                      for c in columns]))
+
+    ranges = [(a, a + step) for a in range(0, len(columns[0]), step)]
+    with closing(_in_workers(rows, ranges)) as texts:
         fh.writelines(texts)   # holds one text at a time
 
 
@@ -419,10 +408,10 @@ def classifier_from_dict(doc: dict):
     )
     if doc["kind"] == "knn":
         return KnnClassifier(
-            k=int(doc["k"]),
+            k=doc["k"],
             standardizer=std,
             points=np.array(doc["points"]),
-            labels=np.array(doc["labels"], dtype=int),
+            labels=np.array(doc["labels"]),
         )
     if doc["kind"] == "gaussian_nb":
         return GaussianNbClassifier(

@@ -1,3 +1,5 @@
+import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -12,6 +14,15 @@ from desksense.corpus import generate_gesture_dataset, generate_segmentation_cor
 # database, so a tier-1 result does not depend on earlier runs.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Every test leaves no worker behind: the codec's forked processes and
+    the simulator's threads stop whether the call succeeded or failed."""
+    yield
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
 
 
 @pytest.fixture()

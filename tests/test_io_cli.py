@@ -57,13 +57,6 @@ BEHAVIOR_MODELS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def no_worker_left():
-    """Every read and write stops its worker processes, whether it succeeded or failed."""
-    yield
-    assert multiprocessing.active_children() == []
-
-
 @contextlib.contextmanager
 def codec_split(workers=None, task_values=None, range_bytes=None):
     """io's worker count and task sizes patched where given."""
@@ -476,23 +469,34 @@ class TestBlockReader:
                 io.read_trace(path)
 
 
-# Worker tasks for the tests below; module level, so a worker process can
-# unpickle them.
+# Worker tasks for the tests below.
+
+TEST_PID = os.getpid()
+
 
 def failing_format(row_fmt, block):
     raise RuntimeError(f"disk full at t={float(block[0, 0])!r}")
 
 
+def worker_pid():
+    """The pid of the worker process running a task; raises in the test's
+    own process, which the task would otherwise signal or end."""
+    if os.getpid() == TEST_PID:
+        raise RuntimeError("task ran in the test process, not on a worker")
+    return os.getpid()
+
+
 def signal_at(i, stop, pid=None):
     """Task i; task stop first sends Ctrl-C's SIGINT to process pid, or to
-    the process running it."""
+    the worker running it."""
     if i == stop:
-        os.kill(pid or os.getpid(), signal.SIGINT)
+        os.kill(pid or worker_pid(), signal.SIGINT)
     return i
 
 
 def exit_at(i, stop):
     if i == stop:
+        worker_pid()
         os._exit(3)
     return i
 
@@ -545,19 +549,47 @@ class TestWorkerProcesses:
 
     def test_pool_only_for_tables_of_several_tasks(self, tmp_path):
         path = tmp_path / "trace.csv"
-        trace = random_trace(n=50)   # 9 x 50 values: one writer task, one byte range
+        least = io._MIN_TASKS_PER_WORKER
+        for workers, tasks, forked in [(2, 1, 0), (2, 5, 0), (2, 2 * least - 1, 0),
+                                       (2, 2 * least, 2), (3, 3 * least - 1, 2),
+                                       (3, 3 * least, 3)]:
+            # one-row writer tasks and one-line byte ranges: n rows, n tasks
+            trace = random_trace(n=tasks)
+            with codec_split(workers, task_values=9, range_bytes=1), \
+                    watch_forks() as threads:
+                io.write_trace(path, trace)
+                got = io.read_trace(path)
+            # the workers of the write, then those of the read, each forked
+            # while this thread was the only one
+            assert threads == [1] * 2 * forked, (workers, tasks)
+            np.testing.assert_array_equal(got.samples, trace.samples)
+
+    def test_small_tables_in_process_trace_files_forked(self, tmp_path):
+        # the sizes of a 36 s, 30-subcarrier trace and of its filtered series
+        # and nor table: 134 writer tasks and 300 or more byte ranges for the
+        # trace, 5 tasks for the series and 7 for nor.csv
+        n = 36_000
+        values = np.random.default_rng(0).normal(size=n)
+        series = AmplitudeSeries(fs=1000.0, values=values, source_subcarrier=3)
         with codec_split(workers=2), watch_forks() as threads:
-            io.write_trace(path, trace)
-            io.read_trace(path)
+            io.write_series(tmp_path / "filtered.csv", series)
+            io.write_nor(tmp_path / "nor.csv", values, values)
         assert threads == []
-        with codec_split(workers=2, task_values=9 * 10, range_bytes=1000), \
-                watch_forks() as threads:
-            io.write_trace(path, trace)
-            got = io.read_trace(path)
-        # one worker per CPU for the write, then for the read, each forked
-        # while this thread was the only one
-        assert threads == [1, 1, 1, 1]
+        trace = random_trace(n_sub=30, n=n)
+        with codec_split(workers=2), watch_forks() as threads:
+            io.write_trace(tmp_path / "trace.csv", trace)
+            got = io.read_trace(tmp_path / "trace.csv")
+        assert threads == [1] * 4
         np.testing.assert_array_equal(got.samples, trace.samples)
+
+    def test_tasks_reach_the_workers_unpickled(self):
+        lock = threading.Lock()   # a lock cannot be pickled
+        with codec_split(workers=2), watch_forks() as threads:
+            got = list(io._in_workers(lambda i, held: (i, held.locked(), worker_pid()),
+                                      [(i, lock) for i in range(40)]))
+        assert threads == [1, 1]
+        assert [(i, locked) for i, locked, _ in got] == [(i, False) for i in range(40)]
+        assert len({pid for *_, pid in got}) == 2
 
     @pytest.mark.parametrize("case", ["one-cpu", "no-fork", "another-thread"])
     def test_in_process_without_a_pool(self, tmp_path, case):
@@ -615,13 +647,13 @@ class TestWorkerProcesses:
         # Ctrl-C reaches every process of the terminal's group; the calling
         # process alone handles it
         with codec_split(workers):
-            got = list(io._in_workers(signal_at, [(i, i, None) for i in range(10)]))
-        assert got == list(range(10))
+            got = list(io._in_workers(signal_at, [(i, i, None) for i in range(40)]))
+        assert got == list(range(40))
 
     def test_dead_worker_named(self):
         with codec_split(workers=2), pytest.raises(
                 ChildProcessError, match=r"worker process \d+ exited with code 3"):
-            list(io._in_workers(exit_at, [(i, 3) for i in range(10)]))
+            list(io._in_workers(exit_at, [(i, 3) for i in range(40)]))
         assert multiprocessing.active_children() == []
 
     def test_caller_leaving_early_stops_the_workers(self):
@@ -780,6 +812,14 @@ class TestTraceHeader:
         assert f"{path}:1:" in capsys.readouterr().err
 
 
+# Valid model documents, each with two training points.
+KNN = {"kind": "knn", "standardizer": {"mean": [0, 0, 0], "std": [1, 1, 1]}, "k": 1,
+       "points": [[0, 0, 0], [1, 1, 1]], "labels": [0, 1]}
+NB = {"kind": "gaussian_nb", "standardizer": {"mean": [0, 0, 0], "std": [1, 1, 1]},
+      "log_priors": [-0.7, -0.7], "means": [[0, 0, 0], [1, 1, 1]],
+      "variances": [[1, 1, 1], [1, 1, 1]]}
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("doc, message", [
         ({"kind": "knn"}, "missing key 'standardizer'"),
@@ -787,6 +827,21 @@ class TestModelFiles:
          "missing key 'k'"),
         ([], "list indices"),
         ("{not json", "Expecting property name"),
+        (dict(KNN, k=0), "k must be an integer >= 1, got 0"),
+        (dict(KNN, k=-1), "k must be an integer >= 1, got -1"),
+        (dict(KNN, k=2.5), "k must be an integer >= 1, got 2.5"),
+        (dict(KNN, labels=[0, 5]), "labels must be 2 integers, each 0 or 1"),
+        (dict(KNN, labels=[0]), "labels must be 2 integers, each 0 or 1"),
+        (dict(KNN, points=[[0, 0], [1, 1]]), "points must have shape (n, 3), got (2, 2)"),
+        (dict(KNN, points=[], labels=[]), "points must have shape (n, 3), got (0,)"),
+        (dict(KNN, points=[[0, 0, None], [1, 1, 1]]), "points must be finite numbers"),
+        (dict(KNN, standardizer={"mean": [0, 0, 0], "std": [1, 0, 1]}),
+         "standardizer std must be > 0"),
+        (dict(KNN, standardizer={"mean": [0, 0], "std": [1, 1, 1]}),
+         "standardizer mean must have shape (3,), got (2,)"),
+        (dict(NB, variances=[[1, 1, 1], [1, -1, 1]]), "variances must be > 0"),
+        (dict(NB, means=[[0, 0, 0]]), "means must have shape (2, 3), got (1, 3)"),
+        (dict(NB, log_priors=[-0.7, "x"]), "log_priors must be finite numbers"),
     ])
     def test_bad_gesture_model_exit_code(self, tmp_path, capsys, doc, message):
         trace = tmp_path / "trace.csv"
@@ -1148,14 +1203,14 @@ class TestCli:
             "--config", str(cfg), "--out", str(out), "evaluate", "--traces", "1",
             "--segments", "40", "--behavior-sequences", "1",
         ) == 0
-        assert "recall 0.000 precision 0.000 boundary n/a\n" in capsys.readouterr().out
+        assert "recall 0.000 precision n/a boundary n/a\n" in capsys.readouterr().out
 
         def no_constants(name):
             raise ValueError(f"{name} in report.json")
 
         doc = json.loads((out / "report.json").read_text(), parse_constant=no_constants)
         seg = doc["metrics"]["segmentation"]
-        assert seg["mean_boundary_error_s"] is None
+        assert seg["precision"] is seg["mean_boundary_error_s"] is None
         assert seg["matched"] == seg["false_positives"] == 0
 
     @pytest.mark.parametrize("flag, value", [

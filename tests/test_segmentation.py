@@ -528,7 +528,10 @@ class TestScoreDetections:
     def test_nothing_matched_boundary_error_none(self):
         got = score_detections([([], annotated_trace(FS, 200, [(10, 50)]))])
         assert got.mean_boundary_error_s is None
-        assert (got.recall, got.precision, got.matched, got.false_negatives) == (0.0, 0.0, 0, 1)
+        # nothing detected: precision 0/0 is undefined, not 0
+        assert (got.recall, got.precision, got.matched, got.false_negatives) == (0.0, None, 0, 1)
+        got = score_detections([([detection(100, 150)], annotated_trace(FS, 200, [(10, 50)]))])
+        assert (got.recall, got.precision, got.false_positives) == (0.0, 0.0, 1)
 
     def test_pipeline_detection_is_evaluate_score(self, config):
         script, duration = keystroke_burst_script(config, count=3)
