@@ -58,7 +58,7 @@ from .preprocess import (
 from .segmentation import (
     GestureSegment,
     SegmenterParams,
-    compute_variance_traces,
+    Segmentation,
     mark_end_point,
     moving_sum,
     segment,

@@ -22,7 +22,7 @@ from .config import PipelineConfig, load_config
 from .corpus import keystroke_burst_script, simulate_script
 from .preprocess import analytic_gain, filtered_series, measured_gain, subcarrier_variances
 from .pipeline import StageError, evaluate_system, run_pipeline, train_behavior_models
-from .segmentation import compute_variance_traces, segment
+from .segmentation import segment
 
 
 class ScriptError(ValueError):
@@ -127,11 +127,10 @@ def cmd_simulate(args) -> int:
 def _segment_tables(config, trace, out):
     """Filter and segment trace, writing nor.csv and segments.csv to out."""
     series = filtered_series(trace, config.filter)
-    nor1, nor2 = compute_variance_traces(series, config.segmenter)
-    segments = segment(series, config.segmenter)
-    io.write_nor(out / "nor.csv", nor1, nor2)
-    io.write_segments(out / "segments.csv", segments)
-    return series, segments
+    result = segment(series, config.segmenter)
+    io.write_nor(out / "nor.csv", result.nor1, result.nor2)
+    io.write_segments(out / "segments.csv", result.segments)
+    return series, result
 
 
 def _annotated(trace, annotations_path) -> CsiTrace:
@@ -147,9 +146,10 @@ def _annotated(trace, annotations_path) -> CsiTrace:
 def cmd_segment(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    series, segments = _segment_tables(config, io.read_trace(args.trace), out)
+    series, result = _segment_tables(config, io.read_trace(args.trace), out)
     io.write_series(out / "filtered.csv", series)
-    print(f"found {len(segments)} segments; artifacts in {out}")
+    print(f"found {len(result.segments)} segments ({len(result.dropped)} below the span floor); "
+          f"artifacts in {out}")
     return 0
 
 

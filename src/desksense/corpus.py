@@ -121,7 +121,7 @@ def generate_segmentation_corpus(
 
 
 def segment_trace(config: PipelineConfig, trace: CsiTrace) -> list[GestureSegment]:
-    return segment(filtered_series(trace, config.filter), config.segmenter)
+    return segment(filtered_series(trace, config.filter), config.segmenter).segments
 
 
 @dataclass

@@ -254,7 +254,8 @@ def _parse_range(path, start: int, stop: int) -> np.ndarray:
 
 def _bad_line(path, fb, start: int, first: int, n_cols: int) -> ValueError:
     """The error naming the first line from byte offset start, the start of
-    line first, that does not parse or does not have n_cols columns."""
+    line first, that does not parse, does not have n_cols columns or has a
+    non-finite sample."""
     fb.seek(start)
     for lineno, line in enumerate(fb, first):
         try:
@@ -264,6 +265,10 @@ def _bad_line(path, fb, start: int, first: int, n_cols: int) -> ValueError:
             return ValueError(f"{path}:{lineno}: {_ROW_IN_CALL.sub('at ', str(exc))}")
         if len(row) and row.shape[1] != n_cols:
             return ValueError(f"{path}:{lineno}: expected {n_cols} columns, got {row.shape[1]}")
+        finite = np.isfinite(row[:, 1:]).all(axis=0)
+        if not finite.all():
+            col = 1 + int(np.argmin(finite))
+            return ValueError(f"{path}:{lineno}: non-finite value {row[0, col]} in column {col + 1}")
     return ValueError(f"{path}:{first}: rows from here do not parse")
 
 
@@ -272,8 +277,8 @@ def read_trace(path) -> CsiTrace:
     on the workers of _in_workers and copied in order into one preallocated
     (S, T) array, so a read holds the samples once.
 
-    A bad cell, a row of the wrong width and a truncated last row raise
-    ValueError("<path>:<line>: ...").
+    A bad or non-finite cell, a row of the wrong width and a truncated last
+    row raise ValueError("<path>:<line>: ...").
     """
     with open(path, "rb") as fb:
         header = _read_header(path, fb.readline().decode(errors="replace"),
@@ -295,7 +300,7 @@ def read_trace(path) -> CsiTrace:
                     raise _bad_line(path, fb, start, line, n_cols) from None
                 if not len(block):
                     continue
-                if block.shape[1] != n_cols:
+                if block.shape[1] != n_cols or not np.isfinite(block[:, 1:]).all():
                     raise _bad_line(path, fb, start, line, n_cols)
                 if samples is None:  # allocated once a row has the header's width
                     samples = np.empty((n_sub, n_rows), dtype=complex)

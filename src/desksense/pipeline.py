@@ -116,7 +116,7 @@ def run_pipeline(
     artifacts["series"] = filtered
 
     with _StageTimer(report, "segment", artifacts):
-        segments = segment(filtered, config.segmenter)
+        segments = segment(filtered, config.segmenter).segments
     artifacts["segments"] = segments
     report.metrics["segments_found"] = len(segments)
 

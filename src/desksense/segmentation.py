@@ -8,7 +8,7 @@ accumulator threshold over the nor2-nor1 difference (50 threshold values,
 keeping the first crossing each), then requiring six consecutive crossing
 candidates to agree within a few samples.  The end point is where nor2
 falls back to its value at the start point.  Segments whose amplitude span
-is too small are discarded.
+is too small are dropped, and returned apart from the kept ones.
 
 Both searches look only as far ahead as they need: each runs on a prefix of
 the remaining trace that starts at _FIRST_PREFIX samples and doubles until
@@ -64,13 +64,15 @@ class SegmenterParams:
             raise ValueError("min_amplitude_span must be positive")
         if self.end_hold < 1:
             raise ValueError("end_hold must be >= 1 sample")
-        if len(self.se_values) != 50:
+        if self.se_step <= 0:  # the sweep's early stop takes the last se for the largest
+            raise ValueError("se_step must be positive")
+        # round(steps) == 49, counted without building (or overflowing) the sweep
+        if not 48.5 < (self.se_stop - self.se_start) / self.se_step < 49.5:
             raise ValueError("the se sweep must yield exactly 50 candidates")
 
     @property
     def se_values(self) -> np.ndarray:
-        n = int(round((self.se_stop - self.se_start) / self.se_step)) + 1
-        return self.se_start + self.se_step * np.arange(n)
+        return self.se_start + self.se_step * np.arange(50)
 
     def window_samples(self, fs: float) -> int:
         w = int(round(self.window * fs))
@@ -139,24 +141,6 @@ def smooth_variance(nor1: np.ndarray, window_samples: int, gain: float = 100.0) 
     return gain * sliding_variance(summed, window_samples)
 
 
-def compute_variance_traces(
-    series: AmplitudeSeries, params: SegmenterParams | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """nor1 and nor2 for a filtered series, truncated to a common length.
-
-    Both are indexed at the window's left edge relative to the input series.
-    With a window of w samples, N samples give N - 3w + 3 values of each;
-    a series shorter than 3w - 2 samples gives two empty traces.
-    """
-    params = params or SegmenterParams()
-    w = params.window_samples(series.fs)
-    if len(series.values) < 3 * w - 2:
-        return np.zeros(0), np.zeros(0)
-    nor1 = sliding_variance(series.values, w)
-    nor2 = smooth_variance(nor1, w, params.smoothing_gain)
-    return nor1[: len(nor2)], nor2
-
-
 def _first_stable_start(candidates: np.ndarray, params: SegmenterParams) -> int | None:
     k = params.stability_count
     for j in range(len(candidates) - k + 1):
@@ -221,12 +205,10 @@ def mark_end_point(
 
 
 def _scan(nor1: np.ndarray, nor2: np.ndarray, params: SegmenterParams):
-    """Alternate start-point sweeps and end-point marking along the trace."""
-    n = min(len(nor1), len(nor2))
-    nor1 = np.asarray(nor1, dtype=float)[:n]
-    nor2 = np.asarray(nor2, dtype=float)[:n]
+    """Alternate start-point sweeps and end-point marking along nor1 and nor2,
+    float arrays of one length."""
     cursor = 0
-    while cursor < n - 1:
+    while cursor < len(nor2) - 1:
         candidates = _sweep_candidates(nor1, nor2, cursor, params)
         if len(candidates) == 0:
             break
@@ -246,26 +228,35 @@ def _scan(nor1: np.ndarray, nor2: np.ndarray, params: SegmenterParams):
         cursor = end
 
 
-def segment(
-    series: AmplitudeSeries, params: SegmenterParams | None = None
-) -> list[GestureSegment]:
-    """Cut a filtered amplitude series into validated gesture segments.
+@dataclass(frozen=True)
+class Segmentation:
+    """What one segmentation pass saw: nor1 and nor2, indexed at the window's
+    left edge (a window of w samples gives N - 3w + 3 values of each from N
+    samples, none below 3w - 2), the kept segments, and those dropped for a
+    span below min_amplitude_span.  Each list is disjoint and ordered."""
 
-    Runs the nor1/nor2 construction, start/end marking, and drops candidate
-    segments whose amplitude span is below params.min_amplitude_span.
-    Returned segments are disjoint and ordered.
-    """
+    nor1: np.ndarray
+    nor2: np.ndarray
+    segments: list[GestureSegment]
+    dropped: list[GestureSegment]
+
+    def __len__(self) -> int:
+        # the kept count: perfbench's segment probe counts segments with len()
+        return len(self.segments)
+
+
+def segment(series: AmplitudeSeries, params: SegmenterParams | None = None) -> Segmentation:
+    """Cut a filtered amplitude series into gesture segments in one pass:
+    the nor1/nor2 construction, start/end marking, and the span floor."""
     params = params or SegmenterParams()
-    nor1, nor2 = compute_variance_traces(series, params)
-    segments = []
+    w = params.window_samples(series.fs)
+    nor1, nor2 = np.zeros(0), np.zeros(0)
+    if len(series.values) >= 3 * w - 2:
+        nor1 = sliding_variance(series.values, w)
+        nor2 = smooth_variance(nor1, w, params.smoothing_gain)
+        nor1 = nor1[: len(nor2)]
+    kept, dropped = [], []
     for start, end, truncated in _scan(nor1, nor2, params):
-        seg = GestureSegment(
-            start_idx=start,
-            end_idx=end,
-            waveform=series.values[start:end + 1],
-            fs=series.fs,
-            truncated=truncated,
-        )
-        if seg.amplitude_span >= params.min_amplitude_span:
-            segments.append(seg)
-    return segments
+        seg = GestureSegment(start, end, series.values[start:end + 1], series.fs, truncated)
+        (kept if seg.amplitude_span >= params.min_amplitude_span else dropped).append(seg)
+    return Segmentation(nor1, nor2, kept, dropped)

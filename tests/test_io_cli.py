@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksense import cli, io
+from desksense import cli, io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import Annotation, CsiTrace
 from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
@@ -430,6 +430,11 @@ class TestBlockReader:
                      id="range-end-bad-cell"),
         pytest.param(GOOD * 5000 + "0,1,x\n" + GOOD, 5002,
                      "could not convert string 'x' to float64 at column 3", id="later-range"),
+        # a sample read as a number the segmenter cannot use
+        pytest.param(GOOD + "0.001,nan,2\n", 3, "non-finite value nan in column 2", id="nan"),
+        pytest.param(GOOD + "0.001,1,inf\n", 3, "non-finite value inf in column 3", id="inf"),
+        pytest.param(GOOD * 1500 + "0,-inf,2\n" + GOOD, 1502,
+                     "non-finite value -inf in column 2", id="later-range-inf"),
     ])
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, body, line, message):
         path = tmp_path / "trace.csv"
@@ -459,6 +464,7 @@ class TestBlockReader:
             at = data.draw(st.integers(1, len(lines)), label="index of the bad line")
             lines.insert(at, data.draw(st.sampled_from([
                 "0,x" + ",1" * (n_cols - 2),   # a bad cell
+                "0,nan" + ",1" * (n_cols - 2),  # a non-finite sample
                 "0,1",                         # a short row
                 ",".join(["0"] * (n_cols + 1)),  # a long row
             ])))
@@ -742,6 +748,27 @@ class TestConfig:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
+    @pytest.mark.parametrize("segmenter", [
+        {"se_step": 0}, {"se_step": -0.1, "se_start": 5, "se_stop": 0.1}, {"se_step": 1e-6},
+        {"se_step": 1e-320},
+    ], ids=["zero", "negative", "tiny", "subnormal"])
+    def test_se_step_checked(self, tmp_path, capsys, segmenter):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"segmenter": segmenter}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: invalid config section 'segmenter': ")
+
+    def test_tiny_se_step_refused_before_the_sweep_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="50 candidates"):
+                config_from_dict({"segmenter": {"se_step": 1e-6}})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_int_in_float_field_kept_as_given(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"filter": {"cutoff_hz": 7}, "simulation": {"fs": 1000}}')
@@ -961,6 +988,14 @@ class TestAnnotationFiles:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def keystroke_trace(tmp_path_factory):
+    """trace.csv of `simulate --keystrokes 17` at the default seed."""
+    out = tmp_path_factory.mktemp("keystrokes")
+    assert main(["--out", str(out), "simulate", "--keystrokes", "17"]) == 0
+    return str(out / "trace.csv")
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
@@ -1125,6 +1160,21 @@ class TestCli:
         doc = json.loads((rdir / "report.json").read_text())
         assert doc["metrics"]["segments_found"] == 0
         assert "failed_stage" not in doc["metrics"]
+
+    def test_segment_runs_the_nor_cascade_once(self, keystroke_trace, tmp_path, capsys):
+        with mock.patch.object(segmentation, "smooth_variance",
+                               wraps=segmentation.smooth_variance) as nor2:
+            assert self.run("--out", str(tmp_path), "segment", "--trace", keystroke_trace) == 0
+        assert nor2.call_count == 1
+        assert capsys.readouterr().out.startswith("found 17 segments (0 below the span floor); ")
+
+    def test_segment_counts_the_dropped(self, keystroke_trace, tmp_path, capsys):
+        cfg = tmp_path / "floor.json"
+        cfg.write_text('{"segmenter": {"min_amplitude_span": 1e9}}')
+        assert self.run("--config", str(cfg), "--out", str(tmp_path), "segment",
+                        "--trace", keystroke_trace) == 0
+        assert capsys.readouterr().out.startswith("found 0 segments (17 below the span floor); ")
+        assert (tmp_path / "segments.csv").read_text() == "start_idx,end_idx,truncated\n"
 
     def test_pipeline_segmenter_step_rejected(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"

@@ -21,7 +21,6 @@ from desksense.preprocess import AmplitudeSeries, butterworth_lowpass, select_su
 from desksense.segmentation import (
     GestureSegment,
     SegmenterParams,
-    compute_variance_traces,
     mark_end_point,
     segment,
     sliding_variance,
@@ -67,9 +66,9 @@ class TestVarianceTraces:
         # nor2 needs 3w - 2 = 148 samples at the default 50-sample window
         rng = np.random.default_rng(n)
         series = AmplitudeSeries(fs=FS, values=8.0 + rng.normal(0.0, 1.0, n))
-        nor1, nor2 = compute_variance_traces(series)
-        assert len(nor1) == len(nor2) == n - 147
-        assert segment(series) == []
+        result = segment(series)
+        assert len(result.nor1) == len(result.nor2) == n - 147
+        assert result.segments == result.dropped == []
 
     def test_smooth_variance_zero_input(self):
         out = smooth_variance(np.zeros(300), 50)
@@ -88,7 +87,8 @@ class TestVarianceTraces:
     def test_quiet_span_difference_small(self, config):
         # stationary spans: |nor1 - nor2| well under 5% of the gesture-span level
         series, meta = filtered_burst(config, count=3, seed=2, gap=2.0)
-        nor1, nor2 = compute_variance_traces(series, config.segmenter)
+        result = segment(series, config.segmenter)
+        nor1, nor2 = result.nor1, result.nor2
         quiet = slice(0, 700)
         gesture = slice(meta[0].start_idx, meta[0].end_idx)
         quiet_diff = np.abs(nor1[quiet] - nor2[quiet]).mean()
@@ -131,16 +131,16 @@ class TestMarking:
 
     def test_two_gestures_two_start_points(self, config):
         series, meta = filtered_burst(config, count=2, seed=3, gap=2.0)
-        nor1, nor2 = compute_variance_traces(series, config.segmenter)
-        starts = start_points(nor1, nor2, config.segmenter)
+        result = segment(series, config.segmenter)
+        starts = start_points(result.nor1, result.nor2, config.segmenter)
         assert len(starts) == 2
         for start, ann in zip(starts, meta):
             assert abs(start - ann.start_idx) <= 100
 
     def test_seventeen_start_points(self, config):
         series, _ = filtered_burst(config, count=17, seed=1)
-        nor1, nor2 = compute_variance_traces(series, config.segmenter)
-        assert len(start_points(nor1, nor2, config.segmenter)) == 17
+        result = segment(series, config.segmenter)
+        assert len(start_points(result.nor1, result.nor2, config.segmenter)) == 17
 
     def test_end_point_symmetric_bump(self):
         # bump symmetric around index 1000; start on the rising flank at 850
@@ -173,11 +173,11 @@ class TestSegment:
     def test_flat_trace_empty(self):
         rng = np.random.default_rng(5)
         series = AmplitudeSeries(fs=FS, values=8.0 + rng.normal(0, 0.02, 6000))
-        assert segment(series) == []
+        assert segment(series).segments == []
 
     def test_seventeen_keystrokes(self, config):
         series, meta = filtered_burst(config, count=17, seed=1)
-        segments = segment(series, config.segmenter)
+        segments = segment(series, config.segmenter).segments
         assert len(segments) == 17
         for seg, ann in zip(segments, meta):
             assert abs(seg.start_idx - ann.start_idx) <= 100
@@ -191,12 +191,12 @@ class TestSegment:
         t = np.arange(400)
         values[2600:3000] += blip * np.sin(np.pi * t / 400) ** 2
         injected = AmplitudeSeries(fs=series.fs, values=values)
-        segments = segment(injected, config.segmenter)
+        segments = segment(injected, config.segmenter).segments
         assert len(segments) == 1
 
     def test_disjoint_and_sorted(self, config):
         series, _ = filtered_burst(config, count=5, seed=6, gap=1.6)
-        segments = segment(series, config.segmenter)
+        segments = segment(series, config.segmenter).segments
         for a, b in zip(segments, segments[1:]):
             assert a.end_idx <= b.start_idx
             assert a.start_idx < b.start_idx
@@ -207,19 +207,19 @@ class TestSegment:
             fs=series.fs, values=series.values + 5.0,
             source_subcarrier=series.source_subcarrier,
         )
-        a = [(s.start_idx, s.end_idx) for s in segment(series, config.segmenter)]
-        b = [(s.start_idx, s.end_idx) for s in segment(shifted, config.segmenter)]
+        a = [(s.start_idx, s.end_idx) for s in segment(series, config.segmenter).segments]
+        b = [(s.start_idx, s.end_idx) for s in segment(shifted, config.segmenter).segments]
         assert a == b
 
     def test_determinism(self, config):
         series, _ = filtered_burst(config, count=4, seed=8, gap=1.7)
-        a = [(s.start_idx, s.end_idx) for s in segment(series, config.segmenter)]
-        b = [(s.start_idx, s.end_idx) for s in segment(series, config.segmenter)]
+        a = [(s.start_idx, s.end_idx) for s in segment(series, config.segmenter).segments]
+        b = [(s.start_idx, s.end_idx) for s in segment(series, config.segmenter).segments]
         assert a == b
 
     def test_waveform_matches_span(self, config):
         series, _ = filtered_burst(config, count=2, seed=9, gap=2.0)
-        for seg in segment(series, config.segmenter):
+        for seg in segment(series, config.segmenter).segments:
             assert len(seg.waveform) == seg.end_idx - seg.start_idx + 1
             np.testing.assert_array_equal(
                 seg.waveform, series.values[seg.start_idx:seg.end_idx + 1]
@@ -302,9 +302,19 @@ def oracle_scan(nor1, nor2, params):
     return out
 
 
+def oracle_variance_traces(series, params):
+    """nor1 and nor2 computed on their own, truncated to a common length."""
+    w = params.window_samples(series.fs)
+    if len(series.values) < 3 * w - 2:
+        return np.zeros(0), np.zeros(0)
+    nor1 = sliding_variance(series.values, w)
+    nor2 = smooth_variance(nor1, w, params.smoothing_gain)
+    return nor1[: len(nor2)], nor2
+
+
 def oracle_segments(series, params):
     """(start, end, truncated) of the segments the reference scan keeps."""
-    nor1, nor2 = compute_variance_traces(series, params)
+    nor1, nor2 = oracle_variance_traces(series, params)
     out = []
     for start, end, truncated in oracle_scan(nor1, nor2, params):
         end = min(end, len(series.values) - 1)
@@ -401,15 +411,40 @@ class TestScanMatchesWholeTraceScan:
     def test_segment(self, series, first_prefix):
         params = SegmenterParams()
         with mock.patch.object(segmentation, "_FIRST_PREFIX", first_prefix):
-            got = as_tuples(segment(series, params))
+            got = as_tuples(segment(series, params).segments)
         assert got == oracle_segments(series, params)
+
+    @settings(max_examples=60)
+    @given(series=gesture_series(), first_prefix=FIRST_PREFIXES,
+           floor=st.floats(0.01, 6.0))
+    def test_kept_and_dropped_are_the_scan(self, series, first_prefix, floor):
+        params = SegmenterParams(min_amplitude_span=floor)
+        with mock.patch.object(segmentation, "_FIRST_PREFIX", first_prefix):
+            result = segment(series, params)
+        cut = sorted(result.segments + result.dropped, key=lambda s: s.start_idx)
+        assert as_tuples(cut) == oracle_scan(*oracle_variance_traces(series, params), params)
+        assert all(s.amplitude_span >= floor for s in result.segments)
+        assert all(s.amplitude_span < floor for s in result.dropped)
+        assert len(result) == len(result.segments)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2000), w=st.integers(2, 200))
+    def test_nor_traces_bit_identical(self, seed, n, w):
+        # n runs from far below the 3w - 2 samples the cascade needs
+        rng = np.random.default_rng(seed)
+        series = AmplitudeSeries(fs=FS, values=8.0 + rng.normal(0.0, 1.0, n))
+        params = SegmenterParams(window=w / FS)
+        result = segment(series, params)
+        nor1, nor2 = oracle_variance_traces(series, params)
+        np.testing.assert_array_equal(result.nor1.view(np.uint64), nor1.view(np.uint64))
+        np.testing.assert_array_equal(result.nor2.view(np.uint64), nor2.view(np.uint64))
 
     def test_sixty_gesture_recording(self, config):
         rng = np.random.default_rng(11)
         script, duration = random_gesture_script(config, rng, 60)
         trace = simulate_script(config, script, duration, seed=11)
         series = butterworth_lowpass(select_subcarrier(trace), config.filter)
-        got = as_tuples(segment(series, config.segmenter))
+        got = as_tuples(segment(series, config.segmenter).segments)
         assert len(got) >= 55
         assert got == oracle_segments(series, config.segmenter)
 
@@ -419,7 +454,7 @@ class TestSegmentProperties:
     @given(series=gesture_series(), shift=st.floats(-1e3, 1e3))
     def test_amplitude_shift_invariance(self, series, shift):
         shifted = AmplitudeSeries(fs=series.fs, values=series.values + shift)
-        assert as_tuples(segment(shifted)) == as_tuples(segment(series))
+        assert as_tuples(segment(shifted).segments) == as_tuples(segment(series).segments)
 
 
 def all_pairs_match(detections, annotations):
