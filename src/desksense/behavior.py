@@ -9,8 +9,10 @@ highest per-symbol forward log-likelihood.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -18,6 +20,8 @@ import numpy as np
 STOCHASTIC_TOL = 1e-12
 DEFAULT_BW_TOL = 1e-6
 DEFAULT_BW_MAX_ITER = 200
+
+logger = logging.getLogger(__name__)
 
 
 class Behavior(Enum):
@@ -31,8 +35,11 @@ class Behavior(Enum):
         return (cls.SURFING, cls.WORKING, cls.GAMING)
 
 
-def _check_stochastic(name: str, m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+def _check_stochastic(name: str, m, shape) -> np.ndarray:
+    """m as a float array of the given shape, each row a finite distribution."""
+    m = np.asarray(m, dtype=float).reshape(shape)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     if np.any(m < 0):
         raise ValueError(f"{name} has negative entries")
     sums = m.sum(axis=-1)
@@ -51,9 +58,9 @@ class BehaviorHmm:
     behavior: Behavior | None = None
 
     def __post_init__(self):
-        self.pi = _check_stochastic("pi", np.asarray(self.pi, dtype=float).reshape(2))
-        self.A = _check_stochastic("A", np.asarray(self.A, dtype=float).reshape(2, 2))
-        self.B = _check_stochastic("B", np.asarray(self.B, dtype=float).reshape(2, 2))
+        self.pi = _check_stochastic("pi", self.pi, 2)
+        self.A = _check_stochastic("A", self.A, (2, 2))
+        self.B = _check_stochastic("B", self.B, (2, 2))
 
 
 @dataclass
@@ -78,42 +85,46 @@ class GestureSequence:
         return len(self.observations)
 
 
-def _scaled_forward(hmm: BehaviorHmm, obs: np.ndarray):
-    """Forward pass with per-step scaling; returns (alphas, log-likelihood)."""
-    alpha = hmm.pi * hmm.B[:, obs[0]]
-    scale = alpha.sum()
-    if scale == 0.0:
-        return None, -np.inf
-    alpha = alpha / scale
-    log_like = np.log(scale)
-    alphas = [alpha]
-    for o in obs[1:]:
-        alpha = (alpha @ hmm.A) * hmm.B[:, o]
-        scale = alpha.sum()
-        if scale == 0.0:
-            return None, -np.inf
-        alpha = alpha / scale
-        log_like += np.log(scale)
-        alphas.append(alpha)
-    return np.array(alphas), float(log_like)
+def _forward(pi: np.ndarray, A: np.ndarray, B: np.ndarray, obs: np.ndarray):
+    """Scaled forward pass over an (N, T) stack of equal-length sequences.
+
+    Returns the scaled alphas, shape (T, N, 2), and the N log-likelihoods.
+    A sequence the model cannot emit gets -inf: its scale hits 0, and the
+    NaNs that follow are caught once, after the loop.
+    """
+    emit = B.T[obs.T]                                   # (T, N, 2): B[:, obs[n, t]]
+    alphas = np.empty_like(emit)
+    scales = np.empty(emit.shape[:2] + (1,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        predicted = pi
+        for alpha, e, scale in zip(alphas, emit, scales):
+            np.multiply(predicted, e, out=alpha)
+            alpha.sum(axis=1, keepdims=True, out=scale)
+            alpha /= scale
+            predicted = alpha @ A
+        # cumsum adds in step order, as a running sum does (np.sum pairs)
+        log_like = np.log(scales[:, :, 0]).cumsum(axis=0)[-1]
+    log_like[np.isnan(log_like)] = -np.inf
+    return alphas, log_like
+
+
+def _backward(A: np.ndarray, B: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Backward variables of an (N, T) stack, normalized per step (enough
+    for the EM ratios); shape (T, N, 2)."""
+    emit = B.T[obs.T]
+    betas = np.empty_like(emit)
+    betas[-1] = 1.0
+    with np.errstate(invalid="ignore"):
+        for t in range(len(emit) - 2, -1, -1):
+            b = (emit[t + 1] * betas[t + 1]) @ A.T
+            np.divide(b, b.sum(axis=1, keepdims=True), out=betas[t])
+    return betas
 
 
 def forward_log_likelihood(hmm: BehaviorHmm, seq: GestureSequence) -> float:
     """log P(observations | model); -inf for impossible sequences."""
-    _, log_like = _scaled_forward(hmm, seq.observations)
-    return log_like
-
-
-def _scaled_backward(hmm: BehaviorHmm, obs: np.ndarray) -> np.ndarray:
-    """Backward variables normalized per step (sufficient for EM ratios)."""
-    n = len(obs)
-    betas = np.empty((n, 2))
-    betas[-1] = 1.0
-    for t in range(n - 2, -1, -1):
-        b = hmm.A @ (hmm.B[:, obs[t + 1]] * betas[t + 1])
-        s = b.sum()
-        betas[t] = b / s if s > 0 else 0.0
-    return betas
+    _, log_like = _forward(hmm.pi, hmm.A, hmm.B, seq.observations[None])
+    return float(log_like[0])
 
 
 def baum_welch(
@@ -126,64 +137,57 @@ def baum_welch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """EM re-estimation of the transition matrix with B and pi held fixed.
 
-    Returns (A, log-likelihood history); the history is non-decreasing up
-    to numerical slack.  Rows whose state is never visited keep their
-    previous values.
+    Sequences of one length are stacked and stepped together through the
+    forward/backward kernels.  Returns (A, log-likelihood history); the
+    history is non-decreasing up to numerical slack.  Rows whose state is
+    never visited keep their previous values.  A fit that stops at max_iter
+    before the change in log-likelihood falls below tol logs a warning.
     """
     if not sequences:
         raise ValueError("need at least one training sequence")
-    B = _check_stochastic("B", np.asarray(B, dtype=float).reshape(2, 2))
-    pi = _check_stochastic("pi", np.asarray(pi, dtype=float).reshape(2))
+    B = _check_stochastic("B", B, (2, 2))
+    pi = _check_stochastic("pi", pi, 2)
     if A_init is None:
         A = np.array([[0.6, 0.4], [0.4, 0.6]])
     else:
-        A = _check_stochastic("A_init", np.asarray(A_init, dtype=float).reshape(2, 2))
+        A = _check_stochastic("A_init", A_init, (2, 2))
         if np.any(A <= 0):
             raise ValueError("A_init must be strictly positive")
+    stacks = [np.stack([seq.observations for seq in group])
+              for _, group in groupby(sorted(sequences, key=len), key=len)]
 
-    history = []
+    history, change = [], np.nan
     for _ in range(max_iter):
-        hmm = BehaviorHmm(pi=pi, A=A, B=B)
         total_ll = 0.0
         xi_num = np.zeros((2, 2))
-        gamma_den = np.zeros(2)
-        for seq in sequences:
-            obs = seq.observations
-            alphas, ll = _scaled_forward(hmm, obs)
-            if alphas is None:
-                total_ll = -np.inf
-                continue
-            total_ll += ll
-            if len(obs) < 2:
-                continue
-            betas = _scaled_backward(hmm, obs)
-            emit_beta = B[:, obs[1:]].T * betas[1:]          # (T-1, 2)
-            terms = alphas[:-1, :, None] * A[None, :, :] * emit_beta[:, None, :]
-            norms = terms.sum(axis=(1, 2))
-            ok = norms > 0
-            xi = terms[ok] / norms[ok, None, None]
-            xi_num += xi.sum(axis=0)
-            gamma_den += xi.sum(axis=(0, 2))
+        for obs in stacks:
+            alphas, log_like = _forward(pi, A, B, obs)
+            total_ll += float(log_like.sum())
+            emit_beta = B.T[obs.T[1:]] * _backward(A, B, obs)[1:]      # (T-1, N, 2)
+            terms = alphas[:-1, :, :, None] * A * emit_beta[:, :, None, :]
+            norms = terms.sum(axis=(2, 3), keepdims=True)
+            # an impossible sequence has zero or NaN norms and adds nothing
+            xi = np.divide(terms, norms, out=np.zeros_like(terms), where=norms > 0)
+            xi_num += xi.sum(axis=(0, 1))
+        # a quiet NaN (Python floats) when the data stays impossible at -inf:
+        # nothing further to optimise
+        change = total_ll - history[-1] if history else np.inf
         history.append(total_ll)
-        new_A = A.copy()
-        for i in range(2):
-            if gamma_den[i] > 0:
-                new_A[i] = xi_num[i] / gamma_den[i]
-        new_A = np.clip(new_A, 0.0, None)
-        new_A /= new_A.sum(axis=1, keepdims=True)
-        if len(history) >= 2:
-            prev, last = history[-2], history[-1]
-            # impossible data stays at -inf: nothing further to optimise
-            if last == prev == -np.inf or abs(last - prev) < tol:
-                A = new_A
-                break
-        A = new_A
+        gamma_den = xi_num.sum(axis=1, keepdims=True)
+        A = np.divide(xi_num, gamma_den, out=A.copy(), where=gamma_den > 0)
+        if abs(change) < tol or np.isnan(change):
+            break
+    else:
+        logger.warning("Baum-Welch stopped at max_iter=%d before converging: last "
+                       "log-likelihood change %.3g (tol %g)", max_iter, change, tol)
     return A, np.array(history)
 
 
 def build_emission(confusion: np.ndarray) -> np.ndarray:
     """Row-normalized confusion counts; add-one smoothing if any cell is zero."""
     counts = np.asarray(confusion, dtype=float).reshape(2, 2)
+    if not np.all(np.isfinite(counts)):
+        raise ValueError("confusion counts must be finite")
     if np.any(counts < 0):
         raise ValueError("confusion counts must be >= 0")
     if np.any(counts.sum(axis=1) == 0):
@@ -259,8 +263,7 @@ def classify_behavior(
             raise ValueError("model-distance needs behavior models that share B")
         pi_c = estimate_initial([seq])
         A_c, _ = baum_welch([seq], B=B, pi=pi_c)
-        candidate = BehaviorHmm(pi=pi_c, A=A_c, B=B)
-        ll_candidate = forward_log_likelihood(candidate, seq)
+        ll_candidate = forward_log_likelihood(BehaviorHmm(pi=pi_c, A=A_c, B=B), seq)
         scores = {
             b: (ll_candidate - forward_log_likelihood(models[b], seq)) / n
             for b in ordered
@@ -290,12 +293,8 @@ class BehaviorProfile:
     A_true: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pi_true", _check_stochastic("pi_true", np.asarray(self.pi_true).reshape(2))
-        )
-        object.__setattr__(
-            self, "A_true", _check_stochastic("A_true", np.asarray(self.A_true).reshape(2, 2))
-        )
+        object.__setattr__(self, "pi_true", _check_stochastic("pi_true", self.pi_true, 2))
+        object.__setattr__(self, "A_true", _check_stochastic("A_true", self.A_true, (2, 2)))
 
     def stationary(self) -> np.ndarray:
         """Stationary distribution of A_true."""
@@ -331,7 +330,7 @@ def sample_behavior_sequence(
     """Sample a hidden gesture chain and emit observations through B."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    B = _check_stochastic("B", np.asarray(B, dtype=float).reshape(2, 2))
+    B = _check_stochastic("B", B, (2, 2))
     rng = np.random.default_rng(seed)
     hidden = np.empty(length, dtype=int)
     hidden[0] = rng.choice(2, p=profile.pi_true)

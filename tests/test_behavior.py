@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from desksense.behavior import (
     BehaviorHmm,
     GestureSequence,
     PROFILES,
+    _forward,
     baum_welch,
     build_emission,
     classify_behavior,
@@ -19,6 +22,10 @@ from desksense.behavior import (
 )
 
 IDENTITY = np.eye(2)
+# A strictly positive 2-vector summing to 1, or a matrix of two such rows.
+POSITIVE = st.floats(1e-3, 1 - 1e-3)
+STOCHASTIC_ROW = POSITIVE.map(lambda p: [p, 1 - p])
+STOCHASTIC_MATRIX = st.lists(STOCHASTIC_ROW, min_size=2, max_size=2)
 B_REF = np.array([[0.9, 0.1], [0.2, 0.8]])
 A_REF = np.array([[0.7, 0.3], [0.4, 0.6]])
 PI_REF = np.array([0.6, 0.4])
@@ -30,6 +37,125 @@ def unscaled_forward(hmm, obs):
     for o in obs[1:]:
         alpha = (alpha @ hmm.A) * hmm.B[:, o]
     return float(alpha.sum())
+
+
+def reference_forward(pi, A, B, obs):
+    """One sequence at a time, a step at a time: (alphas, log-likelihood)."""
+    alpha = pi * B[:, obs[0]]
+    scale = alpha.sum()
+    if scale == 0.0:
+        return None, -np.inf
+    alpha = alpha / scale
+    log_like = np.log(scale)
+    alphas = [alpha]
+    for o in obs[1:]:
+        alpha = (alpha @ A) * B[:, o]
+        scale = alpha.sum()
+        if scale == 0.0:
+            return None, -np.inf
+        alpha = alpha / scale
+        log_like += np.log(scale)
+        alphas.append(alpha)
+    return np.array(alphas), float(log_like)
+
+
+def reference_backward(A, B, obs):
+    """Backward variables of one sequence, normalized per step."""
+    betas = np.empty((len(obs), 2))
+    betas[-1] = 1.0
+    for t in range(len(obs) - 2, -1, -1):
+        b = A @ (B[:, obs[t + 1]] * betas[t + 1])
+        s = b.sum()
+        betas[t] = b / s if s > 0 else 0.0
+    return betas
+
+
+def reference_baum_welch(sequences, B, pi, A, max_iter, tol):
+    """Baum-Welch over one sequence at a time: (A, log-likelihood history)."""
+    history = []
+    for _ in range(max_iter):
+        total_ll = 0.0
+        xi_num = np.zeros((2, 2))
+        gamma_den = np.zeros(2)
+        for obs in sequences:
+            alphas, ll = reference_forward(pi, A, B, obs)
+            if alphas is None:
+                total_ll = -np.inf
+                continue
+            total_ll += ll
+            if len(obs) < 2:
+                continue
+            betas = reference_backward(A, B, obs)
+            emit_beta = B[:, obs[1:]].T * betas[1:]
+            terms = alphas[:-1, :, None] * A[None, :, :] * emit_beta[:, None, :]
+            norms = terms.sum(axis=(1, 2))
+            ok = norms > 0
+            xi = terms[ok] / norms[ok, None, None]
+            xi_num += xi.sum(axis=0)
+            gamma_den += xi.sum(axis=(0, 2))
+        history.append(total_ll)
+        new_A = A.copy()
+        for i in range(2):
+            if gamma_den[i] > 0:
+                new_A[i] = xi_num[i] / gamma_den[i]
+        new_A = np.clip(new_A, 0.0, None)
+        new_A /= new_A.sum(axis=1, keepdims=True)
+        A = new_A
+        if len(history) >= 2:
+            prev, last = history[-2], history[-1]
+            if last == prev == -np.inf or abs(last - prev) < tol:
+                break
+    return A, np.array(history)
+
+
+# A probability in [0, 1] that is 0 or 1 now and then, so that some
+# sequences cannot be emitted.
+PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1 - 1e-3)
+ROW = PROBABILITY.map(lambda p: np.array([p, 1 - p]))
+MATRIX = st.tuples(ROW, ROW).map(np.array)
+
+
+@st.composite
+def mixed_length_sequences(draw):
+    """1-10 observation arrays; lengths repeat, so stacks have several rows."""
+    lengths = draw(st.lists(st.sampled_from([1, 2, 5, 8, 13, 40]), min_size=1, max_size=10))
+    return [np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=int)
+            for n in lengths]
+
+
+class TestBatchedKernel:
+    """The (N, T) kernels against the per-sequence reference above."""
+
+    @settings(max_examples=150)
+    @given(pi=ROW, A=MATRIX, B=MATRIX, sequences=mixed_length_sequences())
+    def test_stack_matches_each_sequence_alone(self, pi, A, B, sequences):
+        hmm = BehaviorHmm(pi=pi, A=A, B=B)
+        for n in {len(obs) for obs in sequences}:
+            stack = [obs for obs in sequences if len(obs) == n]
+            _, got = _forward(pi, A, B, np.stack(stack))
+            for obs, log_like in zip(stack, got):
+                _, want = reference_forward(pi, A, B, obs)
+                # N = 1 gives the reference's bits, -inf included
+                alone = forward_log_likelihood(hmm, GestureSequence(obs))
+                assert np.float64(alone).tobytes() == np.float64(want).tobytes()
+                if want == -np.inf:
+                    assert log_like == -np.inf
+                else:
+                    assert abs(log_like - want) <= 1e-12 * abs(want)
+                if n <= 8:
+                    brute = brute_force_likelihood(pi, A, B, obs)
+                    assert np.exp(log_like) == pytest.approx(brute, rel=1e-10, abs=0)
+
+    @settings(max_examples=60)
+    @given(pi=ROW, B=MATRIX, A_init=STOCHASTIC_MATRIX, sequences=mixed_length_sequences())
+    def test_baum_welch_matches_per_sequence_reference(self, pi, B, A_init, sequences):
+        A, history = baum_welch([GestureSequence(obs) for obs in sequences], B=B, pi=pi,
+                                A_init=A_init, max_iter=12, tol=0.0)
+        A_ref, history_ref = reference_baum_welch(sequences, B, pi, np.array(A_init),
+                                                  max_iter=12, tol=0.0)
+        assert len(history) == len(history_ref)
+        np.testing.assert_allclose(history, history_ref, rtol=1e-9)
+        np.testing.assert_allclose(A, A_ref, rtol=0, atol=1e-9)
 
 
 class TestForward:
@@ -97,12 +223,6 @@ def sample_set(A_true, n_seqs=20, length=500, seed=17):
     return seqs
 
 
-# A strictly positive 2-vector summing to 1, or a matrix of two such rows.
-POSITIVE = st.floats(1e-3, 1 - 1e-3)
-STOCHASTIC_ROW = POSITIVE.map(lambda p: [p, 1 - p])
-STOCHASTIC_MATRIX = st.lists(STOCHASTIC_ROW, min_size=2, max_size=2)
-
-
 class TestBaumWelch:
     @settings(max_examples=60)
     @given(pi=STOCHASTIC_ROW, B=STOCHASTIC_MATRIX, A_init=STOCHASTIC_MATRIX,
@@ -142,6 +262,20 @@ class TestBaumWelch:
         with pytest.raises(ValueError, match="strictly positive"):
             baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]),
                        A_init=np.array([[1.0, 0.0], [0.5, 0.5]]))
+
+    def test_capped_fit_logs_a_warning(self, caplog):
+        seqs = sample_set(A_REF, n_seqs=3, length=50)
+        weak = np.array([[0.55, 0.45], [0.45, 0.55]])
+        with caplog.at_level(logging.WARNING, logger="desksense.behavior"):
+            _, history = baum_welch(seqs, B=weak, pi=np.array([0.5, 0.5]), max_iter=3)
+            assert len(history) == 3
+            [record] = caplog.records
+            assert record.levelno == logging.WARNING
+            assert "max_iter=3" in record.getMessage()
+            assert f"change {history[-1] - history[-2]:.3g} " in record.getMessage()
+            caplog.clear()
+            baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]))
+            assert caplog.records == []
 
     def test_impossible_data_flagged_not_failed(self):
         # emissions cannot produce the observed symbol: likelihood stays -inf
@@ -319,6 +453,15 @@ class TestValidation:
             BehaviorHmm(pi=[0.5, 0.6], A=IDENTITY, B=IDENTITY)
         with pytest.raises(ValueError):
             BehaviorHmm(pi=[0.5, 0.5], A=[[0.9, 0.2], [0.5, 0.5]], B=IDENTITY)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="A must be finite"):
+            BehaviorHmm(pi=PI_REF, A=[[bad, 0.3], [0.4, 0.6]], B=B_REF)
+        with pytest.raises(ValueError, match="pi must be finite"):
+            baum_welch([GestureSequence([0, 1])], B=B_REF, pi=[bad, 0.5])
+        with pytest.raises(ValueError, match="confusion counts must be finite"):
+            build_emission(np.array([[bad, 1.0], [2.0, 3.0]]))
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):

@@ -887,6 +887,8 @@ class TestModelFiles:
         ({"sleeping": {"pi": [0.5, 0.5], "A": [[0.5, 0.5], [0.5, 0.5]],
                        "B": [[0.9, 0.1], [0.2, 0.8]]}}, "'sleeping'"),
         ({"surfing": [1, 2]}, "list indices"),
+        ({"surfing": {"pi": [0.5, 0.5], "A": [[float("nan"), 0.3], [0.4, 0.6]],
+                      "B": [[0.9, 0.1], [0.2, 0.8]]}}, "A must be finite"),
     ])
     def test_bad_behavior_models_exit_code(self, tmp_path, capsys, doc, message):
         trace = tmp_path / "trace.csv"
@@ -1320,6 +1322,7 @@ class TestCli:
     @pytest.mark.parametrize("rows, message", [
         (["typing,4,x", "mouse,1,5"], "could not convert string 'x'"),
         (["typing,4,1", "mouse,1,5", "other,2,2"], "cannot reshape array of size 6"),
+        (["typing,4,nan", "mouse,1,5"], "confusion counts must be finite"),
     ])
     def test_train_behavior_bad_confusion_exit_code(self, tmp_path, capsys, rows, message):
         path = tmp_path / "cv_confusion.csv"
