@@ -241,12 +241,15 @@ def classify_behavior(
     models: dict[Behavior, BehaviorHmm],
     seq: GestureSequence,
     method: str = "likelihood",
+    max_iter: int = DEFAULT_BW_MAX_ITER,
+    tol: float = DEFAULT_BW_TOL,
 ) -> BehaviorClassification:
     """Assign a sequence to the best-matching behavior model.
 
     "likelihood" (default): argmax of forward log-likelihood per symbol.
-    "model-distance": fit a candidate model on the sequence itself, then
-    take the behavior minimizing [log P(O|candidate) - log P(O|model)] / T.
+    "model-distance": fit a candidate model on the sequence itself (Baum-Welch
+    with max_iter and tol), then take the behavior minimizing
+    [log P(O|candidate) - log P(O|model)] / T.
     Ties resolve in the fixed order surfing < working < gaming.
     """
     if len(models) < 2:
@@ -262,7 +265,7 @@ def classify_behavior(
         if any(not np.array_equal(m.B, B) for m in models.values()):
             raise ValueError("model-distance needs behavior models that share B")
         pi_c = estimate_initial([seq])
-        A_c, _ = baum_welch([seq], B=B, pi=pi_c)
+        A_c, _ = baum_welch([seq], B=B, pi=pi_c, max_iter=max_iter, tol=tol)
         ll_candidate = forward_log_likelihood(BehaviorHmm(pi=pi_c, A=A_c, B=B), seq)
         scores = {
             b: (ll_candidate - forward_log_likelihood(models[b], seq)) / n

@@ -6,12 +6,13 @@ below ~7.5 Hz; the default filter cuts there.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, sosfilt, sosfilt_zi
 
-from .channel import CsiTrace
+from .channel import CsiTrace, _worker_count
 
 DEFAULT_CUTOFF_HZ = 7.5
 DEFAULT_ORDER = 4
@@ -49,13 +50,31 @@ class FilterSpec:
             raise ValueError("order must be a positive even integer")
 
 
+def _row_variance(row: np.ndarray) -> np.float64:
+    """np.abs(row).var(), bit for bit, in the one float row np.abs makes:
+    numpy's own var steps, with the deviations squared in place."""
+    a = np.abs(row)
+    n = a.size
+    m = np.add.reduce(a, keepdims=True)
+    m /= n
+    np.subtract(a, m, out=a)
+    np.multiply(a, a, out=a)
+    return np.add.reduce(a) / n
+
+
 def subcarrier_variances(trace: CsiTrace) -> np.ndarray:
     """Variance of |H| over the trace, per subcarrier.
 
-    One row's amplitude exists at a time; each row's variance equals the
-    row of np.abs(trace.samples).var(axis=1) bit for bit.
+    Rows are taken one per worker thread (numpy releases the GIL in abs and
+    the sums), so each worker holds one amplitude row; each row's variance
+    equals the row of np.abs(trace.samples).var(axis=1) bit for bit.  The
+    pool is gone when this returns, so a later fork in io sees one thread.
     """
-    return np.array([np.abs(row).var() for row in trace.samples])
+    if trace.samples.size == 0:
+        raise ValueError("trace is empty")
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        return np.fromiter(pool.map(_row_variance, trace.samples), dtype=float,
+                           count=trace.subcarriers)
 
 
 def select_subcarrier(trace: CsiTrace) -> AmplitudeSeries:
@@ -64,8 +83,6 @@ def select_subcarrier(trace: CsiTrace) -> AmplitudeSeries:
     Motion sensitivity differs per subcarrier; the variance of |H| over the
     whole trace ranks them.  Ties break toward the lowest index.
     """
-    if trace.samples.size == 0:
-        raise ValueError("trace is empty")
     variances = subcarrier_variances(trace)
     # an all-zero trace has only zero variances, so the samples need a
     # scan of their own only when no variance is non-zero or NaN

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -18,14 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksense import cli, io, segmentation
+from desksense import cli, io, preprocess, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import Annotation, CsiTrace
 from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
 from desksense.cli import main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
-from desksense.pipeline import behavior_study
-from desksense.preprocess import AmplitudeSeries
+from desksense.corpus import keystroke_burst_script, simulate_script
+from desksense.pipeline import behavior_study, run_pipeline
+from desksense.preprocess import AmplitudeSeries, select_subcarrier
 from desksense.segmentation import GestureSegment
 
 
@@ -588,6 +590,25 @@ class TestWorkerProcesses:
         assert threads == [1] * 4
         np.testing.assert_array_equal(got.samples, trace.samples)
 
+    def test_trace_write_forks_right_after_selection(self, tmp_path):
+        # the selection's thread pool is shut down when it returns, so the
+        # write that follows in this process still forks its workers
+        trace = random_trace(n=200)
+        children = []
+        in_workers = io._in_workers
+
+        def watched(fn, tasks):
+            for result in in_workers(fn, tasks):
+                children.append(len(multiprocessing.active_children()))
+                yield result
+
+        with codec_split(workers=2, task_values=9), \
+                mock.patch.object(preprocess, "_worker_count", lambda: 2), \
+                mock.patch.object(io, "_in_workers", watched):
+            select_subcarrier(trace)
+            io.write_trace(tmp_path / "trace.csv", trace)
+        assert children[0] == 2
+
     def test_tasks_reach_the_workers_unpickled(self):
         lock = threading.Lock()   # a lock cannot be pickled
         with codec_split(workers=2), watch_forks() as threads:
@@ -902,6 +923,35 @@ class TestModelFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {models}: " in err and message in err
+
+
+
+class TestHmmConfigReachesModelDistance:
+    """config.hmm's max_iter and tol reach the candidate fit of
+    classify_behavior(method="model-distance") at both pipeline call sites."""
+
+    @staticmethod
+    def capped(caplog, max_iter):
+        return [r for r in caplog.records if f"max_iter={max_iter} " in r.getMessage()]
+
+    def test_behavior_study(self, caplog):
+        confusion = np.array([[196, 4], [10, 190]])
+        for hmm, fits_capped in [({"max_iter": 3}, 6), ({"max_iter": 3, "tol": 10.0}, 0)]:
+            config = config_from_dict({"hmm": {"method": "model-distance", **hmm}})
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="desksense.behavior"):
+                behavior_study(config, confusion, n_train=2, train_length=30, n_test=1)
+            # three training fits, then one candidate fit per test sequence
+            assert len(self.capped(caplog, 3)) == fits_capped
+
+    def test_run_pipeline(self, caplog):
+        config = config_from_dict({"hmm": {"method": "model-distance", "max_iter": 1}})
+        script, duration = keystroke_burst_script(config, count=3)
+        trace = simulate_script(config, script, duration, seed=5)
+        with caplog.at_level(logging.WARNING, logger="desksense.behavior"):
+            report, _ = run_pipeline(config, trace, fit("knn", EXAMPLES), BEHAVIOR_MODELS)
+        assert report.metrics["behavior"]["label"] is not None
+        assert len(self.capped(caplog, 1)) == 1
 
 
 class TestDatasetFiles:
@@ -1318,6 +1368,19 @@ class TestCli:
         assert "select_subcarrier" in capsys.readouterr().err
         doc = json.loads((rdir / "report.json").read_text())
         assert doc["metrics"]["failed_stage"] == "select_subcarrier"
+
+    def test_plotdata_subcarrier_variance_empty_trace_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("# fs=1000 subcarriers=2\n")
+        out = tmp_path / "pv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = self.run("--out", str(out), "plotdata", "--kind", "subcarrier-variance",
+                            "--artifact", str(path))
+        assert code == 2
+        assert capsys.readouterr().err == "error: trace is empty\n"
+        assert caught == []
+        assert not (out / "subcarrier_variance.csv").exists()
 
     @pytest.mark.parametrize("rows, message", [
         (["typing,4,x", "mouse,1,5"], "could not convert string 'x'"),

@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from desksense import preprocess
 from desksense.channel import CsiTrace
 from desksense.corpus import keystroke_burst_script, simulate_script
 from desksense.preprocess import (
@@ -95,10 +97,12 @@ def traces_with_repeated_rows(draw):
 
 
 class TestRowStreamedSelection:
-    # zero-sample rows have NaN variance (numpy warns), as before
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(traces_with_repeated_rows())
     def test_variances_match_whole_array(self, trace):
+        if trace.samples.size == 0:
+            with pytest.raises(ValueError, match="trace is empty"):
+                subcarrier_variances(trace)
+            return
         want = np.abs(trace.samples).var(axis=1)
         got = subcarrier_variances(trace)
         assert got.shape == want.shape and got.dtype == np.float64
@@ -141,9 +145,10 @@ class TestRowStreamedSelection:
         assert subcarrier_variances(trace).tobytes() == want.tobytes()
         assert outcome(select_subcarrier, trace) == outcome(whole_array_select, trace)
 
-    def test_peak_memory_a_few_rows(self, config):
+    def test_peak_memory_a_few_rows(self, config, monkeypatch):
         # the whole (30, T) amplitude array and its variance temporaries are
-        # never built: the peak is the winning row plus one row in flight
+        # never built: the peak is one row per worker, two workers here
+        monkeypatch.setattr(preprocess, "_worker_count", lambda: 2)
         script, _duration = keystroke_burst_script(config, count=2)
         trace = simulate_script(config, script, 60.0, seed=4)
         assert trace.subcarriers == 30
@@ -155,6 +160,68 @@ class TestRowStreamedSelection:
             tracemalloc.stop()
         assert series.values.nbytes == trace.n_samples * 8
         assert peak <= 3 * trace.n_samples * 8
+
+
+@st.composite
+def traces_from_a_row_pool(draw):
+    """Non-empty traces whose rows come from a pool of a zero row, a constant
+    row, a NaN-holding row and two noisy rows, so ties occur."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.normal(1.0, 0.3, (5, n)) + 1j * rng.normal(0.0, 0.3, (5, n))
+    pool[0] = 0.0
+    pool[1] = 2.0 - 1.0j
+    pool[2, draw(st.integers(0, n - 1))] = np.nan
+    picks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    return CsiTrace(fs=FS, samples=pool[picks])
+
+
+WORKER_COUNTS = [1, 2, 3, 8]
+
+
+class TestThreadedVariances:
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @settings(max_examples=40)
+    @given(trace=traces_from_a_row_pool())
+    def test_same_bits_at_any_worker_count(self, workers, trace):
+        with mock.patch.object(preprocess, "_worker_count", lambda: workers):
+            got = subcarrier_variances(trace)
+            selected = outcome(select_subcarrier, trace)
+        want = np.abs(trace.samples).var(axis=1)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert selected == outcome(whole_array_select, trace)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_peak_memory_one_row_per_worker(self, monkeypatch, workers):
+        # one amplitude row per worker, then the winning row, plus slack
+        monkeypatch.setattr(preprocess, "_worker_count", lambda: workers)
+        rng = np.random.default_rng(workers)
+        trace = trace_from_amplitudes(rng.uniform(0.5, 2.0, (12, 50_000)))
+        tracemalloc.start()
+        try:
+            series = select_subcarrier(trace)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.values.nbytes == trace.n_samples * 8
+        assert peak <= (workers + 1) * trace.n_samples * 8
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_row_error_reaches_the_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(preprocess, "_worker_count", lambda: workers)
+        row_variance = preprocess._row_variance
+
+        def failing_on_nan(row):
+            if np.isnan(row).any():
+                raise RuntimeError("bad row")
+            return row_variance(row)
+
+        monkeypatch.setattr(preprocess, "_row_variance", failing_on_nan)
+        rows = np.ones((20, 100), dtype=complex)
+        rows[5, 3] = np.nan
+        with pytest.raises(RuntimeError, match="bad row"):
+            subcarrier_variances(trace_from_amplitudes(rows))
 
 
 class TestButterworth:
