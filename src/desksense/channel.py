@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -409,14 +408,15 @@ def simulate_trace(
 
     The scripted reflector is one dynamic path with the given reflection
     amplitude; any dynamic_paths already on the model contribute as well.
-    Complex Gaussian noise of model.noise_std is added per sample, seeded by
-    model.rng_seed, so identical inputs give bit-identical traces.
+    Complex Gaussian noise of model.noise_std is added per sample:
+    subcarrier s draws its real and imaginary parts from streams 2s and
+    2s + 1 of SeedSequence(model.rng_seed).spawn(2 * subcarriers), so
+    identical inputs give bit-identical traces.
 
-    Worker threads, one per CPU in the process's affinity mask, fill the
-    rows in blocks, and the calling thread adds the noise in one fixed
-    order as they arrive, so the bytes are the same at any CPU count.  A
-    trace of more than MAX_TRACE_SAMPLES samples over all subcarriers is
-    refused.
+    Worker threads, one per CPU in the process's affinity mask, each fill
+    whole rows _BLOCK samples at a time, noise with the kernel, so the
+    bytes are the same at any CPU count and any block.  A trace of more
+    than MAX_TRACE_SAMPLES samples over all subcarriers is refused.
     """
     if not 0 < fs < math.inf:
         raise ValueError("fs must be positive and finite")
@@ -458,25 +458,22 @@ def simulate_trace(
         paths.append((path_length(model.geometry, pos), amp))
 
     samples = np.empty((len(lams), n_samples), dtype=complex)
+    streams = np.random.SeedSequence(model.rng_seed).spawn(2 * len(lams))
 
-    def fill_block(s: int, a: int, b: int) -> None:
-        block = samples[s, a:b]
-        block.fill(model.static_component)
-        _add_paths(block, [(lengths[a:b], amp) for lengths, amp in paths], lams[s])
-        block *= gains[s]
-
-    blocks = [(s, a, min(a + _BLOCK, n_samples))
-              for s in range(len(lams)) for a in range(0, n_samples, _BLOCK)]
-    # all real parts block by block as the blocks are filled, then all
-    # imaginary parts: the numbers of one (2, S, T) normal() call in its order
-    with (ThreadPoolExecutor(max_workers=_worker_count()) as pool,
-          closing(pool.map(fill_block, *zip(*blocks))) as filled):  # closing cancels the rest
-        for (s, a, b), _ in zip(blocks, filled):  # also without noise: a worker's exception
+    def fill_row(s: int) -> None:
+        real, imag = (np.random.default_rng(seq) for seq in streams[2 * s:2 * s + 2])
+        for a in range(0, n_samples, _BLOCK):
+            b = min(a + _BLOCK, n_samples)
+            block = samples[s, a:b]
+            block.fill(model.static_component)
+            _add_paths(block, [(lengths[a:b], amp) for lengths, amp in paths], lams[s])
+            block *= gains[s]
             if model.noise_std > 0:
-                samples.real[s, a:b] += rng.normal(0.0, model.noise_std, b - a)
-    if model.noise_std > 0:
-        for s, a, b in blocks:
-            samples.imag[s, a:b] += rng.normal(0.0, model.noise_std, b - a)
+                block.real += real.normal(0.0, model.noise_std, b - a)
+                block.imag += imag.normal(0.0, model.noise_std, b - a)
+
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        list(pool.map(fill_row, range(len(lams))))
     return CsiTrace(fs=fs, samples=samples, meta=annotations)
 
 

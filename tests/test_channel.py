@@ -450,18 +450,24 @@ class TestPlateSweep:
             simulate_plate_sweep(GEOM, [0.05, 0.03])
 
 
+def row_noise(model, n_sub, n_samples):
+    """Each subcarrier's noise as one whole-row draw, real parts from
+    stream 2s and imaginary parts from stream 2s + 1, shaped (2, S, T)."""
+    streams = np.random.SeedSequence(model.rng_seed).spawn(2 * n_sub)
+    draws = [np.random.default_rng(seq).normal(0.0, model.noise_std, n_samples)
+             for seq in streams]
+    return np.stack([draws[0::2], draws[1::2]])
+
+
 def one_shot_noise_samples(model, script, duration, fs, lams):
-    """The simulator's samples with its noise drawn as one (2, S, T) array
-    and added out of place, after the reflector track's jitter draws."""
+    """The simulator's samples with each row's noise drawn whole and added
+    out of place."""
     noiseless = simulate_trace(
         replace(model, noise_std=0.0), script, duration, fs=fs, subcarrier_wavelengths_m=lams
     ).samples
-    rng = np.random.default_rng(model.rng_seed)
-    if script:
-        _build_reflector_track(script, noiseless.shape[1], fs, rng)
     if model.noise_std == 0:
         return noiseless
-    noise = rng.normal(0.0, model.noise_std, (2,) + noiseless.shape)
+    noise = row_noise(model, *noiseless.shape)
     return noiseless + noise[0] + 1j * noise[1]
 
 
@@ -503,8 +509,7 @@ class TestStreamedNoise:
 
 def serial_simulate_trace(model, script, duration, fs, lams, gains, reflection_amplitude):
     """The simulator as one serial loop: each subcarrier's whole row from
-    the kernel, then the noise added a row at a time (real parts, then
-    imaginary parts)."""
+    the kernel, then each row's whole-row noise draws added in place."""
     n_samples = int(round(fs * duration))
     rng = np.random.default_rng(model.rng_seed)
     t = np.arange(n_samples) / fs
@@ -524,9 +529,9 @@ def serial_simulate_trace(model, script, duration, fs, lams, gains, reflection_a
         _add_paths(h, paths, lam)
         samples[s] = gains[s] * h
     if model.noise_std > 0:
-        for part in (samples.real, samples.imag):
-            for row in part:
-                row += rng.normal(0.0, model.noise_std, n_samples)
+        noise = row_noise(model, len(lams), n_samples)
+        samples.real += noise[0]
+        samples.imag += noise[1]
     return samples, annotations
 
 
@@ -586,7 +591,21 @@ class TestBlockedSimulator:
         with mock.patch.object(channel, "_BLOCK", block):
             assert_matches_serial(self.model(noise_std, seed), script, n_samples, n_sub)
 
-    @pytest.mark.parametrize("workers", [1, 8])
+    def test_noise_free_rows_are_the_kernel_bits(self):
+        # no stream is drawn from without noise: each row is its gain times
+        # cfr_at at its wavelength, bit for bit, on both sides of block edges
+        model = self.model(0.0)
+        n_sub, n_samples = 3, 2 * channel._BLOCK + 1
+        lams = subcarrier_wavelengths(GEOM.wavelength, count=n_sub)
+        gains = default_subcarrier_gains(n_sub)
+        trace = simulate_trace(model, [], n_samples / 1000.0, subcarrier_wavelengths_m=lams,
+                               subcarrier_gains=gains)
+        t = np.arange(n_samples) / 1000.0
+        for s in range(n_sub):
+            want = gains[s] * cfr_at(model, t, wavelength=lams[s])
+            assert np.array_equal(trace.samples[s].view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_same_bytes_at_any_worker_count(self, monkeypatch, workers):
         # one worker, and more workers than CPUs with thread switches
         # forced every microsecond
