@@ -200,14 +200,16 @@ def gesture_jitter(n: int, rng: np.random.Generator, std: float) -> np.ndarray:
     """Smooth 3-D hand micro-motion over n samples, ramped in and out.
 
     Band-limited (a few Hz at 1 kHz sampling) so it survives the low-pass
-    stage; the soft envelope avoids artificial onset steps.
+    stage; the soft envelope avoids artificial onset steps.  Each axis is
+    scaled to zero mean and standard deviation std before the envelope, so
+    a short gesture, whose smoothed noise is nearly constant, gets no offset.
     """
     if n == 0 or std == 0.0:
         return np.zeros((n, 3))
     j = gaussian_filter1d(rng.normal(0.0, 1.0, (n, 3)), 25.0, axis=0, mode="reflect")
     sd = j.std(axis=0)
     sd[sd == 0] = 1.0
-    j = j / sd * std
+    j = (j - j.mean(axis=0)) / sd * std
     ramp = min(120, n // 4)
     if ramp > 0:
         env = np.ones(n)

@@ -24,6 +24,7 @@ from desksense.channel import (
     cfr_at,
     default_subcarrier_gains,
     excess_path,
+    gesture_jitter,
     path_length,
     simulate_plate_sweep,
     simulate_trace,
@@ -409,6 +410,22 @@ class TestSimulateTrace:
                 samples=np.ones((1, 50), dtype=complex),
                 meta=[Annotation(10, 20, "a"), Annotation(15, 30, "b")],
             )
+
+
+class TestGestureJitter:
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1), std=st.floats(1e-5, 1e-2))
+    def test_standardized_whatever_the_length(self, n, seed, std):
+        # each axis's deviations from its mean are scaled to an RMS of std,
+        # so no sample lies beyond sqrt(n) times std from rest
+        j = gesture_jitter(n, np.random.default_rng(seed), std)
+        assert j.shape == (n, 3)
+        assert np.abs(j).max() <= math.sqrt(n) * std * (1 + 1e-12)
+
+    def test_two_samples_no_offset(self):
+        # the smoothed noise of two samples is nearly constant; scaled
+        # without removing its mean it put the hand 1,229 m away
+        j = gesture_jitter(2, np.random.default_rng(0), 5e-4)
+        assert np.abs(j).max() <= math.sqrt(2) * 5e-4
 
 
 class TestPlateSweep:

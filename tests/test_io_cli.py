@@ -1113,6 +1113,14 @@ class TestCli:
         assert self.run("--out", str(out), "simulate", "--keystrokes", "0") == 0
         assert io.read_annotations(out / "trace.ann") == []
 
+    def test_simulate_short_jittered_gesture(self, tmp_path):
+        # a 20-sample keystroke's jitter once carried the hand out of the link
+        script = tmp_path / "script.txt"
+        script.write_text("1.0,keystroke,0.02,0.019\n")
+        out = tmp_path / "s"
+        assert self.run("--out", str(out), "simulate", "--script", str(script)) == 0
+        assert io.read_annotations(out / "trace.ann") == [Annotation(1000, 1019, "keystroke")]
+
     def test_simulate_oversized_trace_exit_code(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"simulation": {"fs": 1e12}}')
