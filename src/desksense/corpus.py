@@ -266,18 +266,20 @@ def generate_gesture_dataset(
     seed: int | None = None,
     jitter_std: float = 5e-4,
 ) -> list[LabeledExample]:
-    """Labeled feature vectors from annotation-sliced synthetic gestures."""
+    """Labeled feature vectors from annotation-sliced synthetic gestures:
+    ceil(n/2) typing and floor(n/2) mouse examples, each trace of the kind
+    with the most examples still to fill, keystrokes on a tie."""
     seed = config.seeds.simulation if seed is None else seed
     rng = np.random.default_rng(seed + 1)
+    todo = {GestureKind.KEYSTROKE: (n_segments + 1) // 2, GestureKind.MOUSE_MOVE: n_segments // 2}
     examples: list[LabeledExample] = []
-    while len(examples) < n_segments:
-        want = GestureKind.KEYSTROKE if len(examples) % 2 == 0 else GestureKind.MOUSE_MOVE
+    while any(todo.values()):
+        want = max(todo, key=todo.get)
         script, duration = _dataset_script(
             config, rng, int(rng.integers(2, 5)), want, jitter_std
         )
         trace = simulate_script(config, script, duration, int(rng.integers(0, 2**31)))
-        for seg, label in segments_from_annotations(config, trace):
-            if len(examples) >= n_segments:
-                break
+        for seg, label in segments_from_annotations(config, trace)[:todo[want]]:
             examples.append(LabeledExample(features=extract_features(seg), label=label))
+            todo[want] -= 1
     return examples

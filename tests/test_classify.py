@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from desksense import PipelineConfig
 from desksense.classify import (
     FeatureVector,
     GestureLabel,
@@ -11,6 +13,7 @@ from desksense.classify import (
     extract_features,
     fit,
 )
+from desksense.corpus import generate_gesture_dataset
 from desksense.segmentation import GestureSegment
 
 FS = 1000.0
@@ -211,3 +214,16 @@ class TestCrossValidate:
                 seed=session_config.seeds.cross_validation,
             )
             assert result.mean_accuracy >= 0.9
+
+
+class TestGestureDataset:
+    @pytest.mark.parametrize("seed", [1, 7, 12])
+    @pytest.mark.parametrize("n", [10, 24, 400])
+    def test_classes_within_one_of_half(self, n, seed):
+        # one subcarrier: the class quotas do not depend on the channel's width
+        config = PipelineConfig()
+        config = replace(config, simulation=replace(config.simulation, subcarriers=1))
+        dataset = generate_gesture_dataset(config, n_segments=n, seed=seed)
+        typing = sum(ex.label is GestureLabel.TYPING for ex in dataset)
+        assert len(dataset) == n
+        assert (typing, n - typing) == ((n + 1) // 2, n // 2)

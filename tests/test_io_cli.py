@@ -1305,6 +1305,16 @@ class TestCli:
         table = doc["metrics"]["behavior"]["table"]
         assert "SURFING" in table and "AVG." in table
 
+    def test_evaluate_fewest_segments_has_both_classes(self, tmp_path):
+        # ten segments, one per fold: the dataset once came out all typing
+        out = tmp_path / "eval"
+        assert self.run(
+            "--out", str(out), "evaluate", "--traces", "1", "--segments", "10",
+            "--behavior-sequences", "1",
+        ) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert np.sum(doc["metrics"]["gesture_cv"]["knn"]["confusion"], axis=1).tolist() == [5, 5]
+
     def test_evaluate_nothing_matched_boundary_null(self, tmp_path, capsys):
         cfg = tmp_path / "no_segments.json"
         cfg.write_text('{"segmenter": {"min_amplitude_span": 1e9}}')
