@@ -201,8 +201,7 @@ def gesture_jitter(n: int, rng: np.random.Generator, std: float) -> np.ndarray:
 
     Band-limited (a few Hz at 1 kHz sampling) so it survives the low-pass
     stage; the soft envelope avoids artificial onset steps.  Each axis is
-    scaled to zero mean and standard deviation std before the envelope, so
-    a short gesture, whose smoothed noise is nearly constant, gets no offset.
+    centred before it is scaled to std, so a short gesture gets no offset.
     """
     if n == 0 or std == 0.0:
         return np.zeros((n, 3))

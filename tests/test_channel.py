@@ -422,8 +422,8 @@ class TestGestureJitter:
         assert np.abs(j).max() <= math.sqrt(n) * std * (1 + 1e-12)
 
     def test_two_samples_no_offset(self):
-        # the smoothed noise of two samples is nearly constant; scaled
-        # without removing its mean it put the hand 1,229 m away
+        # the smoothed noise of two samples is nearly constant, and its
+        # mean must not be scaled up into an offset
         j = gesture_jitter(2, np.random.default_rng(0), 5e-4)
         assert np.abs(j).max() <= math.sqrt(2) * 5e-4
 

@@ -219,7 +219,7 @@ class TestCrossValidate:
 class TestGestureDataset:
     @pytest.mark.parametrize("seed", [1, 7, 12])
     @pytest.mark.parametrize("n", [10, 24, 400])
-    def test_classes_within_one_of_half(self, n, seed):
+    def test_class_quotas(self, n, seed):
         # one subcarrier: the class quotas do not depend on the channel's width
         config = PipelineConfig()
         config = replace(config, simulation=replace(config.simulation, subcarriers=1))

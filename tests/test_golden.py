@@ -139,10 +139,9 @@ def collect(workdir: Path) -> dict:
         "plotdata.max_variance_subcarrier": int(np.argmax(variances)),
         "plotdata.segments": int_table(workdir / "plot/segments.csv"),
     }
-    hashes = {
+    hashes = {  # the outputs: every file in the commands' --out directories
         str(path.relative_to(workdir)): sha256(path.read_bytes())
-        for path in sorted(workdir.rglob("*"))
-        if path.is_file() and path.name != "report.json"
+        for path in sorted(workdir.glob("*/*")) if path.name != "report.json"
     }
     hashes["run/report.json (comparable)"] = sha256(comparable_json(run_report))
     hashes["eval/report.json (comparable)"] = sha256(comparable_json(eval_report))

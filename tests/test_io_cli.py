@@ -1114,7 +1114,7 @@ class TestCli:
         assert io.read_annotations(out / "trace.ann") == []
 
     def test_simulate_short_jittered_gesture(self, tmp_path):
-        # a 20-sample keystroke's jitter once carried the hand out of the link
+        # a 20-sample keystroke's jitter keeps the hand between the antennas
         script = tmp_path / "script.txt"
         script.write_text("1.0,keystroke,0.02,0.019\n")
         out = tmp_path / "s"
@@ -1306,7 +1306,7 @@ class TestCli:
         assert "SURFING" in table and "AVG." in table
 
     def test_evaluate_fewest_segments_has_both_classes(self, tmp_path):
-        # ten segments, one per fold: the dataset once came out all typing
+        # ten segments, one per fold, five of each class
         out = tmp_path / "eval"
         assert self.run(
             "--out", str(out), "evaluate", "--traces", "1", "--segments", "10",
