@@ -10,6 +10,9 @@ interference sense, which is what makes desk-scale micro-gestures visible
 when the antennas are deployed so the hand sits in a zone whose thickness
 matches the gesture size.
 
+Subcarriers are evenly spaced in wavenumber 1/lambda, so a path's phasor
+on subcarrier s is e0 * r**s: two complex exponentials per sample and path.
+
 Everything here is deterministic given a seed; the simulator doubles as
 the ground-truth oracle for the downstream processing stages.
 """
@@ -49,12 +52,17 @@ DEFAULT_REST_DEPTH = 0.61  # metres below the antenna line, inside zone 10
 # duration is a ValueError naming the sample count, not a MemoryError.
 MAX_TRACE_SAMPLES = 2**30
 
-# Samples per simulator kernel task.  Each worker thread keeps its tasks'
-# complex temporaries in its own malloc arena after they are freed, so the
-# block is kept small: with two workers (a 2-vCPU host), blocks of 65,536
-# samples left 3.6 MB more resident after a 36 s, 30-subcarrier trace and
-# blocks of 8,192 about 1 MB.
+# Samples per simulator kernel task, and per noise draw.  Each worker
+# thread keeps its tasks' complex temporaries in its own malloc arena after
+# they are freed, so the block is kept small: with two workers (a 2-vCPU
+# host), blocks of 65,536 samples left 3.6 MB more resident after a 36 s,
+# 30-subcarrier trace and blocks of 8,192 about 1 MB.
 _BLOCK = 8192
+
+# How far 1/lambda_s may lie off 1/lambda_0 + s*dk, relative to itself:
+# subcarrier_wavelengths gives at most 1.94 eps (2-256 subcarriers, 20-160
+# MHz), and 4 eps moves a 3 m path's phase at 0.125 m by 1.3e-13 rad.
+_SPACING_RTOL = 4 * np.finfo(float).eps
 
 
 def _as_point(p) -> np.ndarray:
@@ -102,9 +110,12 @@ class FresnelGeometry:
 def path_length(geometry: FresnelGeometry, positions: np.ndarray) -> np.ndarray:
     """Total Tx -> position -> Rx path length; positions shaped (..., 3)."""
     p = np.asarray(positions, dtype=float)
-    d1 = np.linalg.norm(p - geometry.tx_pos, axis=-1)
-    d2 = np.linalg.norm(p - geometry.rx_pos, axis=-1)
-    return d1 + d2
+    return _norm(p - geometry.tx_pos) + _norm(p - geometry.rx_pos)
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d, axis=-1) of (..., 3) vectors bit for bit, faster."""
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2])
 
 
 def excess_path(geometry: FresnelGeometry, p) -> float:
@@ -292,27 +303,64 @@ class ChannelModel:
             raise ValueError("noise_std must be >= 0")
 
 
-def _add_paths(h: np.ndarray, paths, lam: float) -> None:
-    """h += sum_k a_k * exp(-j*2*pi*d_k/lambda) over (path lengths d_k, a_k) pairs.
+def _wavenumber_step(lams: np.ndarray) -> float:
+    """Step dk of the wavenumbers 1/lambda_s of 1-D wavelengths, which must
+    be positive, finite and on 1/lambda_0 + s*dk to _SPACING_RTOL, else
+    ValueError naming the first index that is not."""
+    if lams.ndim != 1 or len(lams) == 0:
+        raise ValueError("subcarrier wavelengths must be a non-empty 1-D array")
+    bad = np.flatnonzero(~(np.isfinite(lams) & (lams > 0)))
+    if len(bad):
+        raise ValueError(f"wavelength {bad[0]} is {float(lams[bad[0]])!r}; "
+                         "wavelengths must be positive and finite")
+    k = 1.0 / lams
+    dk = (k[-1] - k[0]) / max(len(k) - 1, 1)
+    bad = np.flatnonzero(~(np.abs(k - (k[0] + np.arange(len(k)) * dk)) <= _SPACING_RTOL * k))
+    if len(bad):
+        raise ValueError(f"wavelength {bad[0]} is not evenly spaced in 1/wavelength")
+    return dk
 
-    The caller fills h with H_s.  Paths are added one at a time in the
-    given order, so cfr_at and simulate_trace agree bit for bit.
+
+def _add_band(h: np.ndarray, paths, lam0: float, dk: float) -> None:
+    """h[s] += sum_k a_k * exp(-j*2*pi*d_k*(1/lam0 + s*dk)) over the rows s of h.
+
+    Row 0 gets e0 = a_k*exp(-j*2*pi*d_k/lam0), each next row the phasor
+    times r = exp(-j*2*pi*d_k*dk), in real multiplies and adds: numpy's
+    complex multiply rounds differently with fused multiply-adds and at
+    length 1, which would tie the bits to the CPU and the block width.
+    Paths go in the given order, so cfr_at and simulate_trace agree bit for bit.
     """
     for lengths, amp in paths:
-        h += amp * np.exp(-2j * np.pi * lengths / lam)
+        ph = amp * np.exp(-2j * np.pi * lengths / lam0)
+        h[0] += ph
+        r = np.exp(-2j * np.pi * lengths * dk)
+        re, im = ph.real, ph.imag
+        for row in h[1:]:
+            re[...], im[...] = re * r.real - im * r.imag, re * r.imag + im * r.real
+            row += ph
 
 
-def cfr_at(model: ChannelModel, t, wavelength: float | None = None):
-    """Noise-free channel response H_s + sum_k a_k * exp(-j*2*pi*d_k(t)/lambda)."""
-    lam = model.geometry.wavelength if wavelength is None else wavelength
+def cfr_at(model: ChannelModel, t, wavelength: float | np.ndarray | None = None):
+    """Noise-free channel response H_s + sum_k a_k * exp(-j*2*pi*d_k(t)/lambda).
+
+    An array of S wavelengths evenly spaced in 1/lambda gives the (S, T)
+    band that a noise-free simulate_trace scales by its gains, bit for bit;
+    one wavelength (the geometry's by default) is a direct exponential.
+    """
+    lam = np.asarray(model.geometry.wavelength if wavelength is None else wavelength,
+                     dtype=float)
+    lams = np.atleast_1d(lam)
+    dk = _wavenumber_step(lams)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     paths = [
         (path_length(model.geometry, np.asarray(traj(times), dtype=float)), amp)
         for traj, amp in model.dynamic_paths
     ]
-    h = np.full(times.shape, model.static_component, dtype=complex)
-    _add_paths(h, paths, lam)
-    return h[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else h
+    h = np.full(lams.shape + times.shape, model.static_component, dtype=complex)
+    _add_band(h, paths, lams[0], dk)
+    if np.ndim(t) == 0:
+        h = h[:, 0]
+    return h[0] if lam.ndim == 0 else h
 
 
 def subcarrier_wavelengths(
@@ -409,15 +457,16 @@ def simulate_trace(
 
     The scripted reflector is one dynamic path with the given reflection
     amplitude; any dynamic_paths already on the model contribute as well.
-    Complex Gaussian noise of model.noise_std is added per sample:
-    subcarrier s draws its real and imaginary parts from streams 2s and
-    2s + 1 of SeedSequence(model.rng_seed).spawn(2 * subcarriers), so
-    identical inputs give bit-identical traces.
+    The subcarrier wavelengths must be evenly spaced in 1/lambda.
 
-    Worker threads, one per CPU in the process's affinity mask, each fill
-    whole rows _BLOCK samples at a time, noise with the kernel, so the
-    bytes are the same at any CPU count and any block.  A trace of more
-    than MAX_TRACE_SAMPLES samples over all subcarriers is refused.
+    Worker threads, one per CPU in the process's affinity mask, first fill
+    blocks of at most _BLOCK columns (cut so every worker gets one) with
+    gains[:, None] * cfr_at(model, t, wavelengths), bit for bit, then add
+    the complex Gaussian noise of model.noise_std row by row: subcarrier s
+    draws its real and imaginary parts from streams 2s and 2s + 1 of
+    SeedSequence(model.rng_seed).spawn(2 * subcarriers), _BLOCK at a time,
+    so the bytes are the same at any CPU count and any block.  A trace of
+    more than MAX_TRACE_SAMPLES samples over all subcarriers is refused.
     """
     if not 0 < fs < math.inf:
         raise ValueError("fs must be positive and finite")
@@ -429,6 +478,7 @@ def simulate_trace(
     if subcarrier_wavelengths_m is None:
         subcarrier_wavelengths_m = subcarrier_wavelengths(model.geometry.wavelength)
     lams = np.asarray(subcarrier_wavelengths_m, dtype=float)
+    dk = _wavenumber_step(lams)
     if subcarrier_gains is None:
         subcarrier_gains = default_subcarrier_gains(len(lams))
     gains = np.asarray(subcarrier_gains, dtype=float)
@@ -460,21 +510,28 @@ def simulate_trace(
 
     samples = np.empty((len(lams), n_samples), dtype=complex)
     streams = np.random.SeedSequence(model.rng_seed).spawn(2 * len(lams))
+    workers = _worker_count()
+    width = min(_BLOCK, -(-n_samples // workers))
 
-    def fill_row(s: int) -> None:
-        real, imag = (np.random.default_rng(seq) for seq in streams[2 * s:2 * s + 2])
-        for a in range(0, n_samples, _BLOCK):
-            b = min(a + _BLOCK, n_samples)
-            block = samples[s, a:b]
-            block.fill(model.static_component)
-            _add_paths(block, [(lengths[a:b], amp) for lengths, amp in paths], lams[s])
-            block *= gains[s]
-            if model.noise_std > 0:
-                block.real += real.normal(0.0, model.noise_std, b - a)
-                block.imag += imag.normal(0.0, model.noise_std, b - a)
+    def fill_columns(a: int) -> None:
+        block = samples[:, a:a + width]
+        block.fill(model.static_component)
+        _add_band(block, [(lengths[a:a + width], amp) for lengths, amp in paths], lams[0], dk)
+        block *= gains[:, None]
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        list(pool.map(fill_row, range(len(lams))))
+    def add_noise(s: int) -> None:
+        draw = np.empty(min(_BLOCK, n_samples))
+        for part, seq in zip((samples[s].real, samples[s].imag), streams[2 * s:2 * s + 2]):
+            stream = np.random.default_rng(seq)
+            for a in range(0, n_samples, _BLOCK):
+                z = stream.standard_normal(out=draw[:min(_BLOCK, n_samples - a)])
+                z *= model.noise_std
+                part[a:a + len(z)] += z
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill_columns, range(0, n_samples, width)))
+        if model.noise_std > 0:
+            list(pool.map(add_noise, range(len(lams))))
     return CsiTrace(fs=fs, samples=samples, meta=annotations)
 
 

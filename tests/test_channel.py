@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
 from desksense import channel
 from desksense.channel import (
-    _add_paths,
+    _add_band,
     _build_reflector_track,
     _check_slab,
     Annotation,
@@ -117,6 +118,20 @@ class TestGeometry:
 
     def test_zone_index_below_midpoint(self):
         assert zone_index(GEOM, [0.5, 0.0, -0.62]) == 10
+
+    @given(positions=st.one_of(
+        hnp.arrays(float, st.tuples(st.integers(0, 50), st.just(3)),
+                   elements=st.floats(-1e3, 1e3)),
+        hnp.arrays(float, st.tuples(st.integers(0, 6), st.integers(0, 9), st.just(3)),
+                   elements=st.floats(-1e3, 1e3)),
+    ))
+    def test_path_length_is_linalg_norm_bits(self, positions):
+        # (n, 3) tracks and simulate_plate_sweep's (steps, scatterers, 3) grids
+        want = (np.linalg.norm(positions - GEOM.tx_pos, axis=-1)
+                + np.linalg.norm(positions - GEOM.rx_pos, axis=-1))
+        got = path_length(GEOM, positions)
+        assert got.shape == positions.shape[:-1]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestCfr:
@@ -412,6 +427,84 @@ class TestSimulateTrace:
             )
 
 
+def points_across_the_slab(n):
+    """n reflector positions between the antennas, below or beside the axis."""
+    return hnp.arrays(float, (n, 3), elements=st.floats(0.0, 1.0)).map(
+        lambda u: np.column_stack([0.01 + 0.98 * u[:, 0], 2.0 * u[:, 1] - 1.0, -1.5 * u[:, 2]])
+    )
+
+
+class TestBand:
+    @given(
+        data=st.data(),
+        n_sub=st.integers(1, 256),
+        bandwidth=st.floats(1e6, 160e6),
+        amp=st.floats(0.0, 4.0),
+    )
+    def test_recurrence_within_1e_12_of_direct_exponential(self, data, n_sub, bandwidth, amp):
+        pts = data.draw(points_across_the_slab(data.draw(st.integers(1, 20))))
+        model = make_model(static_component=8.0, dynamic_paths=((lambda t: pts, amp),))
+        lams = subcarrier_wavelengths(GEOM.wavelength, n_sub, bandwidth)
+        trace = simulate_trace(model, [], len(pts) / 1000.0, subcarrier_wavelengths_m=lams,
+                               subcarrier_gains=np.ones(n_sub))
+        lengths = (np.linalg.norm(pts - GEOM.tx_pos, axis=-1)
+                   + np.linalg.norm(pts - GEOM.rx_pos, axis=-1))
+        direct = 8.0 + amp * np.exp(-2j * np.pi * lengths / lams[:, None])
+        assert np.abs(trace.samples - direct).max() <= 1e-12
+        # the first subcarrier is the direct exponential itself
+        assert np.array_equal(trace.samples[0].view(np.uint64), direct[0].view(np.uint64))
+
+    def test_subcarrier_wavelengths_accepted_for_1_to_256(self):
+        model = make_model(dynamic_paths=((lambda t: np.array([[0.5, 0.0, -0.6]]), 1.0),))
+        for n in range(1, 257):
+            lams = subcarrier_wavelengths(count=n)
+            assert cfr_at(model, [0.0], lams).shape == (n, 1)
+            trace = simulate_trace(model, [], 0.001, subcarrier_wavelengths_m=lams)
+            assert trace.samples.shape == (n, 1)
+
+    @pytest.mark.parametrize("index", [0, 3, 4])
+    @pytest.mark.parametrize("value", [0.0, -0.125, math.nan, math.inf, -math.inf])
+    def test_wavelength_not_positive_and_finite_refused(self, index, value):
+        lams = subcarrier_wavelengths(count=5)
+        lams[index] = value
+        pattern = rf"^wavelength {index} is {value!r}; wavelengths must be positive and finite$"
+        with pytest.raises(ValueError, match=pattern):
+            simulate_trace(make_model(), [], 0.01, subcarrier_wavelengths_m=lams)
+        with pytest.raises(ValueError, match=pattern):
+            cfr_at(make_model(), 0.0, lams)
+
+    @pytest.mark.parametrize("index", [1, 2, 4])
+    def test_unevenly_spaced_wavelengths_refused(self, index):
+        # one subcarrier moved by 1e-9 of its wavelength, far beyond rounding
+        lams = subcarrier_wavelengths(count=5)
+        lams[index] *= 1.0 + 1e-9
+        first = 1 if index == 4 else index  # a moved last one tilts the line
+        pattern = rf"^wavelength {first} is not evenly spaced in 1/wavelength"
+        with pytest.raises(ValueError, match=pattern):
+            simulate_trace(make_model(), [], 0.01, subcarrier_wavelengths_m=lams)
+        with pytest.raises(ValueError, match=pattern):
+            cfr_at(make_model(), 0.0, lams)
+
+    def test_wavelength_array_shape_refused(self):
+        for lams in ([], [[0.125, 0.124]]):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                simulate_trace(make_model(), [], 0.01, subcarrier_wavelengths_m=lams)
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            cfr_at(make_model(), 0.0, np.empty(0))
+
+    def test_band_rows_match_scalar_calls(self):
+        # the band form's shapes, and each row within 1e-12 of its own
+        # wavelength's direct exponential
+        model = make_model(dynamic_paths=((TestCfr.static_path([0.5, 0.0, -0.6]), 0.5),))
+        lams = subcarrier_wavelengths(count=4)
+        band = cfr_at(model, np.array([0.0, 0.5]), lams)
+        assert band.shape == (4, 2)
+        assert cfr_at(model, 0.0, lams).shape == (4,)
+        for s, lam in enumerate(lams):
+            np.testing.assert_allclose(band[s], cfr_at(model, np.array([0.0, 0.5]), lam),
+                                       rtol=0, atol=1e-12)
+
+
 class TestGestureJitter:
     @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1), std=st.floats(1e-5, 1e-2))
     def test_standardized_whatever_the_length(self, n, seed, std):
@@ -525,8 +618,8 @@ class TestStreamedNoise:
 
 
 def serial_simulate_trace(model, script, duration, fs, lams, gains, reflection_amplitude):
-    """The simulator as one serial loop: each subcarrier's whole row from
-    the kernel, then each row's whole-row noise draws added in place."""
+    """The simulator as one serial pass: the whole band from the kernel,
+    then each row's whole-row noise draws added in place."""
     n_samples = int(round(fs * duration))
     rng = np.random.default_rng(model.rng_seed)
     t = np.arange(n_samples) / fs
@@ -540,11 +633,9 @@ def serial_simulate_trace(model, script, duration, fs, lams, gains, reflection_a
         pos = np.asarray(traj(t), dtype=float)
         _check_slab(model.geometry, pos)
         paths.append((path_length(model.geometry, pos), amp))
-    samples = np.empty((len(lams), n_samples), dtype=complex)
-    for s, lam in enumerate(lams):
-        h = np.full(n_samples, model.static_component, dtype=complex)
-        _add_paths(h, paths, lam)
-        samples[s] = gains[s] * h
+    h = np.full((len(lams), n_samples), model.static_component, dtype=complex)
+    _add_band(h, paths, lams[0], channel._wavenumber_step(lams))
+    samples = gains[:, None] * h
     if model.noise_std > 0:
         noise = row_noise(model, len(lams), n_samples)
         samples.real += noise[0]
@@ -609,8 +700,8 @@ class TestBlockedSimulator:
             assert_matches_serial(self.model(noise_std, seed), script, n_samples, n_sub)
 
     def test_noise_free_rows_are_the_kernel_bits(self):
-        # no stream is drawn from without noise: each row is its gain times
-        # cfr_at at its wavelength, bit for bit, on both sides of block edges
+        # no stream is drawn from without noise: the trace is the gains
+        # times cfr_at over the band, bit for bit, on both sides of block edges
         model = self.model(0.0)
         n_sub, n_samples = 3, 2 * channel._BLOCK + 1
         lams = subcarrier_wavelengths(GEOM.wavelength, count=n_sub)
@@ -618,9 +709,8 @@ class TestBlockedSimulator:
         trace = simulate_trace(model, [], n_samples / 1000.0, subcarrier_wavelengths_m=lams,
                                subcarrier_gains=gains)
         t = np.arange(n_samples) / 1000.0
-        for s in range(n_sub):
-            want = gains[s] * cfr_at(model, t, wavelength=lams[s])
-            assert np.array_equal(trace.samples[s].view(np.uint64), want.view(np.uint64))
+        want = gains[:, None] * cfr_at(model, t, wavelength=lams)
+        assert np.array_equal(trace.samples.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_same_bytes_at_any_worker_count(self, monkeypatch, workers):
@@ -638,9 +728,9 @@ class TestBlockedSimulator:
         assert got.samples.tobytes() == default.samples.tobytes()
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        def broken(h, paths, lam):
+        def broken(h, paths, lam0, dk):
             raise FloatingPointError("kernel failed")
 
-        monkeypatch.setattr(channel, "_add_paths", broken)
+        monkeypatch.setattr(channel, "_add_band", broken)
         with pytest.raises(FloatingPointError, match="kernel failed"):
             simulate_trace(self.model(0.16), self.KEYSTROKE, duration=20.0)
