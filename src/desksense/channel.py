@@ -19,14 +19,14 @@ the ground-truth oracle for the downstream processing stages.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
+
+from ._workers import thread_map
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -170,10 +170,10 @@ class GestureModel:
 
     def __post_init__(self):
         object.__setattr__(self, "rest_pos", _as_point(self.rest_pos))
-        if self.travel <= 0:
-            raise ValueError("travel must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.travel < math.inf:
+            raise ValueError(f"travel must be positive and finite, got {self.travel!r}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
         if self.speed_profile not in ("sinusoidal", "constant"):
             raise ValueError(f"unknown speed profile {self.speed_profile!r}")
         if self.jitter_std < 0:
@@ -401,8 +401,8 @@ def _build_reflector_track(
     entries = sorted(script, key=lambda item: item[0])
     prev_end = None
     for start, gesture in entries:
-        if start < 0:
-            raise ValueError("gesture start time must be >= 0")
+        if not 0 <= start < math.inf:
+            raise ValueError(f"gesture start time must be >= 0 and finite, got {start!r}")
         if prev_end is not None and start < prev_end - 1e-12:
             raise ValueError(f"gestures overlap at t={start:.3f}s")
         prev_end = start + gesture.duration
@@ -429,14 +429,6 @@ def _build_reflector_track(
     return positions, annotations
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _check_slab(geometry: FresnelGeometry, positions: np.ndarray) -> None:
     axis = geometry.axis
     proj = (positions - geometry.tx_pos) @ axis
@@ -459,9 +451,8 @@ def simulate_trace(
     amplitude; any dynamic_paths already on the model contribute as well.
     The subcarrier wavelengths must be evenly spaced in 1/lambda.
 
-    Worker threads, one per CPU in the process's affinity mask, first fill
-    blocks of at most _BLOCK columns (cut so every worker gets one) with
-    gains[:, None] * cfr_at(model, t, wavelengths), bit for bit, then add
+    Through _workers.thread_map it first fills blocks of _BLOCK columns with
+    gains[:, None] * cfr_at(model, t, wavelengths), bit for bit, then adds
     the complex Gaussian noise of model.noise_std row by row: subcarrier s
     draws its real and imaginary parts from streams 2s and 2s + 1 of
     SeedSequence(model.rng_seed).spawn(2 * subcarriers), _BLOCK at a time,
@@ -510,13 +501,11 @@ def simulate_trace(
 
     samples = np.empty((len(lams), n_samples), dtype=complex)
     streams = np.random.SeedSequence(model.rng_seed).spawn(2 * len(lams))
-    workers = _worker_count()
-    width = min(_BLOCK, -(-n_samples // workers))
 
     def fill_columns(a: int) -> None:
-        block = samples[:, a:a + width]
+        block = samples[:, a:a + _BLOCK]
         block.fill(model.static_component)
-        _add_band(block, [(lengths[a:a + width], amp) for lengths, amp in paths], lams[0], dk)
+        _add_band(block, [(lengths[a:a + _BLOCK], amp) for lengths, amp in paths], lams[0], dk)
         block *= gains[:, None]
 
     def add_noise(s: int) -> None:
@@ -528,10 +517,9 @@ def simulate_trace(
                 z *= model.noise_std
                 part[a:a + len(z)] += z
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill_columns, range(0, n_samples, width)))
-        if model.noise_std > 0:
-            list(pool.map(add_noise, range(len(lams))))
+    thread_map(fill_columns, range(0, n_samples, _BLOCK), samples.size)
+    if model.noise_std > 0:
+        thread_map(add_noise, range(len(lams)), samples.size)
     return CsiTrace(fs=fs, samples=samples, meta=annotations)
 
 

@@ -50,6 +50,9 @@ def parse_script(path, config: PipelineConfig):
                         f"{path}:{lineno}: field {name!r} is not valid: {parts[i]!r}"
                     ) from None
             start = parse_field(0, "start_s")
+            if not 0 <= start < math.inf:
+                raise ScriptError(
+                    f"{path}:{lineno}: start_s must be >= 0 and finite, got {start!r}")
             try:
                 kind = GestureKind(parts[1])
             except ValueError:
@@ -107,7 +110,6 @@ def cmd_simulate(args) -> int:
         if not 0 < args.duration < math.inf:
             return _usage_error(args, f"--duration must be > 0 and finite, got {args.duration}")
     config = _load_config(args)
-    out = _out_dir(args)
     if args.script:
         script = parse_script(args.script, config)
         if args.duration is not None:
@@ -116,6 +118,7 @@ def cmd_simulate(args) -> int:
             duration = max(t + g.duration for t, g in script) + 1.0 if script else 5.0
     else:
         script, duration = keystroke_burst_script(config, count=args.keystrokes)
+    out = _out_dir(args)
     trace = simulate_script(config, script, duration, config.seeds.simulation)
     io.write_trace(out / "trace.csv", trace)
     io.write_annotations(out / "trace.ann", trace.meta)
@@ -214,6 +217,9 @@ def _read_emission(path) -> np.ndarray:
 
 
 def cmd_train_behavior(args) -> int:
+    for flag, value in (("--sequences", args.sequences), ("--length", args.length)):
+        if value < 1:
+            return _usage_error(args, f"{flag} must be >= 1, got {value}")
     config = _load_config(args)
     out = _out_dir(args)
     B = _read_emission(args.confusion)

@@ -11,13 +11,9 @@ up front; each range knows its first line number.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import re
-import signal
 import tempfile
-import threading
-import traceback
 import warnings
 from contextlib import closing, contextmanager
 from io import BytesIO
@@ -25,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ._workers import fork_map
 from .behavior import Behavior, BehaviorHmm
-from .channel import Annotation, CsiTrace, GestureKind, _worker_count
+from .channel import Annotation, CsiTrace, GestureKind
 from .classify import (
     FeatureVector,
     GaussianNbClassifier,
@@ -39,83 +36,7 @@ from .classify import (
 FLOAT_FMT = "%.17g"
 _TASK_VALUES = 1 << 14  # values a writer task formats
 _RANGE_BYTES = 1 << 17  # body bytes a reader task parses, rounded up to a line end
-_MIN_TASKS_PER_WORKER = 8  # below this, starting and stopping a worker costs what it saves
 _ROW_IN_CALL = re.compile(r"at row \d+, ")
-_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-def _serve(conn, fn, tasks) -> None:
-    """A worker process: fn(*task) for each of tasks in order, each answered
-    on conn with (True, result), or (False, (the exception raised, its
-    traceback)) after which the worker stops."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # Ctrl-C stops the parent, which stops this
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # no handler inherited from the parent
-    for task in tasks:
-        try:
-            result = fn(*task)
-        except Exception as exc:
-            conn.send((False, (exc, traceback.format_exc())))
-            return
-        conn.send((True, result))
-
-
-class _Worker:
-    """fn over tasks on a forked process, which inherits both unpickled."""
-
-    def __init__(self, fn, tasks):
-        self.conn, child = multiprocessing.Pipe()
-        self.process = multiprocessing.get_context("fork").Process(
-            target=_serve, args=(child, fn, tasks), daemon=True)
-        self.process.start()
-        child.close()
-
-    def recv(self):
-        try:
-            ok, value = self.conn.recv()
-        except EOFError:
-            self.process.join()
-            raise ChildProcessError(
-                f"worker process {self.process.pid} exited with code {self.process.exitcode}"
-            ) from None
-        if not ok:
-            exc, where = value
-            raise exc from RuntimeError(f"in worker process {self.process.pid}:\n{where}")
-        return value
-
-    def stop(self) -> None:
-        self.process.terminate()
-        self.process.join()
-        self.conn.close()
-
-
-def _in_workers(fn, tasks: list):
-    """fn(*task) for each of tasks, yielded in task order.
-
-    The tasks are split over forked worker processes, at most one per CPU in
-    the affinity mask and at least _MIN_TASKS_PER_WORKER tasks each: worker
-    k of n runs tasks[k::n], so result i comes from worker i % n.  A worker
-    blocks on its pipe until its results are taken, in order, so the
-    calling process holds one result whatever the number of tasks.  Fewer
-    tasks than two workers need, a single CPU, a platform without fork or a
-    process with other threads alive (a fork copies no thread, and could
-    copy a lock one of them holds) runs the tasks here, one at a time.  An
-    error or interrupt, or closing the generator, stops the workers and
-    drops the tasks they hold.
-    """
-    n = min(_worker_count(), len(tasks) // _MIN_TASKS_PER_WORKER)
-    if n <= 1 or not _FORK or threading.active_count() > 1:
-        for task in tasks:
-            yield fn(*task)
-        return
-    workers = []
-    try:
-        for k in range(n):   # in the try: a failed fork stops the workers started
-            workers.append(_Worker(fn, tasks[k::n]))
-        for i in range(len(tasks)):
-            yield workers[i % n].recv()
-    finally:
-        for worker in workers:
-            worker.stop()
 
 
 @contextmanager
@@ -152,7 +73,7 @@ def _write_rows(fh, columns, fmts) -> None:
     """Rows of equal-length numeric columns, each value in its column's format.
 
     Ranges of about _TASK_VALUES values are stacked into float blocks and
-    formatted on the workers of _in_workers and written in order, so the
+    formatted on the workers of fork_map and written in order, so the
     text never exists as a whole.
     """
     row_fmt = ",".join(fmts) + "\n"
@@ -163,7 +84,7 @@ def _write_rows(fh, columns, fmts) -> None:
                                                       for c in columns]))
 
     ranges = [(a, a + step) for a in range(0, len(columns[0]), step)]
-    with closing(_in_workers(rows, ranges)) as texts:
+    with closing(fork_map(rows, ranges)) as texts:
         fh.writelines(texts)   # holds one text at a time
 
 
@@ -274,7 +195,7 @@ def _bad_line(path, fb, start: int, first: int, n_cols: int) -> ValueError:
 
 def read_trace(path) -> CsiTrace:
     """Inverse of write_trace: byte ranges of about _RANGE_BYTES are parsed
-    on the workers of _in_workers and copied in order into one preallocated
+    on the workers of fork_map and copied in order into one preallocated
     (S, T) array, so a read holds the samples once.
 
     A bad or non-finite cell, a row of the wrong width and a truncated last
@@ -291,7 +212,7 @@ def read_trace(path) -> CsiTrace:
         ranges, n_rows = _line_ranges(fb, 2)
         samples = None
         i = 0
-        blocks = _in_workers(_parse_range, [(path, a, b) for a, b, _ in ranges])
+        blocks = fork_map(_parse_range, [(path, a, b) for a, b, _ in ranges])
         with closing(blocks):
             for start, _, line in ranges:
                 try:

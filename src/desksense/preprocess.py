@@ -6,13 +6,13 @@ below ~7.5 Hz; the default filter cuts there.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, sosfilt, sosfilt_zi
 
-from .channel import CsiTrace, _worker_count
+from ._workers import thread_map
+from .channel import CsiTrace
 
 DEFAULT_CUTOFF_HZ = 7.5
 DEFAULT_ORDER = 4
@@ -65,16 +65,14 @@ def _row_variance(row: np.ndarray) -> np.float64:
 def subcarrier_variances(trace: CsiTrace) -> np.ndarray:
     """Variance of |H| over the trace, per subcarrier.
 
-    Rows are taken one per worker thread (numpy releases the GIL in abs and
-    the sums), so each worker holds one amplitude row; each row's variance
-    equals the row of np.abs(trace.samples).var(axis=1) bit for bit.  The
-    pool is gone when this returns, so a later fork in io sees one thread.
+    Rows are taken one per thread of _workers.thread_map (numpy releases
+    the GIL in abs and the sums), so each thread holds one amplitude row;
+    each row's variance equals the row of np.abs(trace.samples).var(axis=1)
+    bit for bit.
     """
     if trace.samples.size == 0:
         raise ValueError("trace is empty")
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return np.fromiter(pool.map(_row_variance, trace.samples), dtype=float,
-                           count=trace.subcarriers)
+    return np.array(thread_map(_row_variance, trace.samples, trace.samples.size), dtype=float)
 
 
 def select_subcarrier(trace: CsiTrace) -> AmplitudeSeries:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 
-from desksense import channel
+from desksense import _workers, channel
 from desksense.channel import (
     _add_band,
     _build_reflector_track,
@@ -346,6 +346,14 @@ class TestSimulateTrace:
             GestureModel(kind=GestureKind.KEYSTROKE, duration=-1.0)
         with pytest.raises(ValueError):
             GestureModel(kind=GestureKind.KEYSTROKE, speed_profile="jerky")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="travel must be positive and finite"):
+                GestureModel(kind=GestureKind.KEYSTROKE, travel=bad)
+            with pytest.raises(ValueError, match="duration must be positive and finite"):
+                GestureModel(kind=GestureKind.KEYSTROKE, duration=bad)
+            with pytest.raises(ValueError, match="start time must be >= 0 and finite"):
+                simulate_trace(make_model(), [(bad, GestureModel(kind=GestureKind.KEYSTROKE))],
+                               duration=2.0)
 
     def test_subcarrier_defaults(self):
         lams = subcarrier_wavelengths()
@@ -715,10 +723,12 @@ class TestBlockedSimulator:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_same_bytes_at_any_worker_count(self, monkeypatch, workers):
         # one worker, and more workers than CPUs with thread switches
-        # forced every microsecond
+        # forced every microsecond; a thread floor of one sample puts a
+        # trace this short on threads
         n_samples = 2 * channel._BLOCK + 1
         default = assert_matches_serial(self.model(0.16), self.KEYSTROKE, n_samples, 4)
-        monkeypatch.setattr(channel, "_worker_count", lambda: workers)
+        monkeypatch.setattr(_workers, "cpus", lambda: workers)
+        monkeypatch.setattr(_workers, "_MIN_SAMPLES_PER_THREAD", 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksense import cli, io, preprocess, segmentation
+from desksense import _workers, cli, io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import Annotation, CsiTrace
 from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
@@ -61,13 +61,13 @@ BEHAVIOR_MODELS = {
 
 @contextlib.contextmanager
 def codec_split(workers=None, task_values=None, range_bytes=None):
-    """io's worker count and task sizes patched where given."""
+    """The CPU count and io's task sizes patched where given."""
     with contextlib.ExitStack() as stack:
         for name, value in (("_TASK_VALUES", task_values), ("_RANGE_BYTES", range_bytes)):
             if value is not None:
                 stack.enter_context(mock.patch.object(io, name, value))
         if workers is not None:
-            stack.enter_context(mock.patch.object(io, "_worker_count", lambda: workers))
+            stack.enter_context(mock.patch.object(_workers, "cpus", lambda: workers))
         yield
 
 
@@ -557,7 +557,7 @@ class TestWorkerProcesses:
 
     def test_pool_only_for_tables_of_several_tasks(self, tmp_path):
         path = tmp_path / "trace.csv"
-        least = io._MIN_TASKS_PER_WORKER
+        least = _workers._MIN_TASKS_PER_FORK
         for workers, tasks, forked in [(2, 1, 0), (2, 5, 0), (2, 2 * least - 1, 0),
                                        (2, 2 * least, 2), (3, 3 * least - 1, 2),
                                        (3, 3 * least, 3)]:
@@ -595,16 +595,16 @@ class TestWorkerProcesses:
         # write that follows in this process still forks its workers
         trace = random_trace(n=200)
         children = []
-        in_workers = io._in_workers
+        fork_map = _workers.fork_map
 
         def watched(fn, tasks):
-            for result in in_workers(fn, tasks):
+            for result in fork_map(fn, tasks):
                 children.append(len(multiprocessing.active_children()))
                 yield result
 
         with codec_split(workers=2, task_values=9), \
-                mock.patch.object(preprocess, "_worker_count", lambda: 2), \
-                mock.patch.object(io, "_in_workers", watched):
+                mock.patch.object(_workers, "_MIN_SAMPLES_PER_THREAD", 1), \
+                mock.patch.object(io, "fork_map", watched):
             select_subcarrier(trace)
             io.write_trace(tmp_path / "trace.csv", trace)
         assert children[0] == 2
@@ -612,8 +612,8 @@ class TestWorkerProcesses:
     def test_tasks_reach_the_workers_unpickled(self):
         lock = threading.Lock()   # a lock cannot be pickled
         with codec_split(workers=2), watch_forks() as threads:
-            got = list(io._in_workers(lambda i, held: (i, held.locked(), worker_pid()),
-                                      [(i, lock) for i in range(40)]))
+            got = list(_workers.fork_map(lambda i, held: (i, held.locked(), worker_pid()),
+                                         [(i, lock) for i in range(40)]))
         assert threads == [1, 1]
         assert [(i, locked) for i, locked, _ in got] == [(i, False) for i in range(40)]
         assert len({pid for *_, pid in got}) == 2
@@ -626,7 +626,7 @@ class TestWorkerProcesses:
             stack.enter_context(codec_split(workers=1 if case == "one-cpu" else 2,
                                             task_values=9, range_bytes=1))
             if case == "no-fork":
-                stack.enter_context(mock.patch.object(io, "_FORK", False))
+                stack.enter_context(mock.patch.object(_workers, "_FORK", False))
             if case == "another-thread":
                 other = threading.Thread(target=release.wait, args=(10,))
                 other.start()
@@ -661,7 +661,7 @@ class TestWorkerProcesses:
         seen = []
         tasks = [(i, 5, os.getpid()) for i in range(1000)]
         with codec_split(workers), pytest.raises(KeyboardInterrupt):
-            for i in io._in_workers(signal_at, tasks):
+            for i in _workers.fork_map(signal_at, tasks):
                 seen.append(i)
         assert seen == list(range(len(seen)))
         assert len(seen) < len(tasks)
@@ -674,18 +674,18 @@ class TestWorkerProcesses:
         # Ctrl-C reaches every process of the terminal's group; the calling
         # process alone handles it
         with codec_split(workers):
-            got = list(io._in_workers(signal_at, [(i, i, None) for i in range(40)]))
+            got = list(_workers.fork_map(signal_at, [(i, i, None) for i in range(40)]))
         assert got == list(range(40))
 
     def test_dead_worker_named(self):
         with codec_split(workers=2), pytest.raises(
                 ChildProcessError, match=r"worker process \d+ exited with code 3"):
-            list(io._in_workers(exit_at, [(i, 3) for i in range(40)]))
+            list(_workers.fork_map(exit_at, [(i, 3) for i in range(40)]))
         assert multiprocessing.active_children() == []
 
     def test_caller_leaving_early_stops_the_workers(self):
         with codec_split(workers=2):
-            results = io._in_workers(exit_at, [(i, -1) for i in range(1000)])
+            results = _workers.fork_map(exit_at, [(i, -1) for i in range(1000)])
             with contextlib.closing(results):
                 assert next(results) == 0
         assert multiprocessing.active_children() == []
@@ -827,6 +827,21 @@ class TestScriptParsing:
         path = tmp_path / "script.txt"
         path.write_text("1.0,keystroke,0.02\n")
         with pytest.raises(ValueError, match="expected 4 or 7 fields"):
+            parse_script(path, config)
+
+    @pytest.mark.parametrize("line, message", [
+        ("-1,keystroke,0.02,0.7", "start_s must be >= 0 and finite, got -1.0"),
+        ("nan,keystroke,0.02,0.7", "start_s must be >= 0 and finite, got nan"),
+        ("inf,keystroke,0.02,0.7", "start_s must be >= 0 and finite, got inf"),
+        ("1.0,keystroke,nan,0.7", "travel must be positive and finite, got nan"),
+        ("1.0,keystroke,inf,0.7", "travel must be positive and finite, got inf"),
+        ("1.0,keystroke,0.02,nan", "duration must be positive and finite, got nan"),
+        ("1.0,keystroke,0.02,inf", "duration must be positive and finite, got inf"),
+    ])
+    def test_out_of_range_field_named(self, tmp_path, config, line, message):
+        path = tmp_path / "script.txt"
+        path.write_text("0.5,keystroke,0.02,0.1\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             parse_script(path, config)
 
 
@@ -1092,14 +1107,28 @@ class TestCli:
         (["--script", "{script}", "--duration", "-5"], "--duration must be > 0 and finite, got -5.0"),
         (["--script", "{script}", "--duration", "nan"], "--duration must be > 0 and finite, got nan"),
         (["--script", "{script}", "--duration", "inf"], "--duration must be > 0 and finite, got inf"),
+        (["--script", "{nan_start}"],
+         "error: {nan_start}:1: start_s must be >= 0 and finite, got nan"),
+        (["--script", "{inf_start}"],
+         "error: {inf_start}:1: start_s must be >= 0 and finite, got inf"),
+        (["--script", "{nan_travel}"],
+         "error: {nan_travel}:1: travel must be positive and finite, got nan"),
+        (["--script", "{nan_duration}"],
+         "error: {nan_duration}:1: duration must be positive and finite, got nan"),
     ])
     def test_simulate_bad_arguments_exit_code(self, tmp_path, capsys, argv, message):
-        script = tmp_path / "script.txt"
-        script.write_text("1.0,keystroke,0.02,0.7\n")
+        scripts = {"script": "1.0,keystroke,0.02,0.7", "nan_start": "nan,keystroke,0.02,0.7",
+                   "inf_start": "inf,keystroke,0.02,0.7", "nan_travel": "1.0,keystroke,nan,0.7",
+                   "nan_duration": "1.0,keystroke,0.02,nan"}
+        paths = {name: tmp_path / f"{name}.txt" for name in scripts}
+        for name, line in scripts.items():
+            paths[name].write_text(line + "\n")
         out = tmp_path / "o"
-        argv = [arg.format(script=script) for arg in argv]
+        argv = [arg.format(**paths) for arg in argv]
         assert self.run("--out", str(out), "simulate", *argv) == 2
-        assert capsys.readouterr().err == f"simulate: {message}\n"
+        if not message.startswith("error: "):   # a flag is at fault, not a script line
+            message = f"simulate: {message}"
+        assert capsys.readouterr().err == message.format(**paths) + "\n"
         assert not out.exists()
 
     def test_simulate_duration_and_zero_keystrokes(self, tmp_path):
@@ -1412,6 +1441,16 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {path}: " in err and message in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--sequences", "0"), ("--length", "0"), ("--length", "-3"),
+    ])
+    def test_train_behavior_sizes_below_one_exit_code(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), "train-behavior", "--confusion",
+                        str(tmp_path / "cv_confusion.csv"), flag, value) == 2
+        assert capsys.readouterr().err == f"train-behavior: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("body", ["", "\n", "\n# no rows yet\n  \n"])
     def test_train_behavior_header_only_confusion(self, tmp_path, capsys, body):

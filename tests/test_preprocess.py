@@ -1,4 +1,6 @@
+import contextlib
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksense import preprocess
+from desksense import _workers, preprocess
 from desksense.channel import CsiTrace
 from desksense.corpus import keystroke_burst_script, simulate_script
 from desksense.preprocess import (
@@ -25,6 +27,15 @@ FS = 1000.0
 
 def trace_from_amplitudes(rows, fs=FS):
     return CsiTrace(fs=fs, samples=np.asarray(rows, dtype=complex))
+
+
+@contextlib.contextmanager
+def threads(workers):
+    """workers CPUs, and a thread floor of one sample, so that a map of any
+    trace runs on min(workers, tasks) threads."""
+    with mock.patch.object(_workers, "cpus", lambda: workers), \
+            mock.patch.object(_workers, "_MIN_SAMPLES_PER_THREAD", 1):
+        yield
 
 
 class TestSelectSubcarrier:
@@ -148,7 +159,7 @@ class TestRowStreamedSelection:
     def test_peak_memory_a_few_rows(self, config, monkeypatch):
         # the whole (30, T) amplitude array and its variance temporaries are
         # never built: the peak is one row per worker, two workers here
-        monkeypatch.setattr(preprocess, "_worker_count", lambda: 2)
+        monkeypatch.setattr(_workers, "cpus", lambda: 2)
         script, _duration = keystroke_burst_script(config, count=2)
         trace = simulate_script(config, script, 60.0, seed=4)
         assert trace.subcarriers == 30
@@ -184,7 +195,7 @@ class TestThreadedVariances:
     @settings(max_examples=40)
     @given(trace=traces_from_a_row_pool())
     def test_same_bits_at_any_worker_count(self, workers, trace):
-        with mock.patch.object(preprocess, "_worker_count", lambda: workers):
+        with threads(workers):
             got = subcarrier_variances(trace)
             selected = outcome(select_subcarrier, trace)
         want = np.abs(trace.samples).var(axis=1)
@@ -193,14 +204,14 @@ class TestThreadedVariances:
         assert selected == outcome(whole_array_select, trace)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_peak_memory_one_row_per_worker(self, monkeypatch, workers):
+    def test_peak_memory_one_row_per_worker(self, workers):
         # one amplitude row per worker, then the winning row, plus slack
-        monkeypatch.setattr(preprocess, "_worker_count", lambda: workers)
         rng = np.random.default_rng(workers)
         trace = trace_from_amplitudes(rng.uniform(0.5, 2.0, (12, 50_000)))
         tracemalloc.start()
         try:
-            series = select_subcarrier(trace)
+            with threads(workers):
+                series = select_subcarrier(trace)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -209,7 +220,6 @@ class TestThreadedVariances:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_row_error_reaches_the_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(preprocess, "_worker_count", lambda: workers)
         row_variance = preprocess._row_variance
 
         def failing_on_nan(row):
@@ -220,8 +230,29 @@ class TestThreadedVariances:
         monkeypatch.setattr(preprocess, "_row_variance", failing_on_nan)
         rows = np.ones((20, 100), dtype=complex)
         rows[5, 3] = np.nan
-        with pytest.raises(RuntimeError, match="bad row"):
+        with threads(workers), pytest.raises(RuntimeError, match="bad row"):
             subcarrier_variances(trace_from_amplitudes(rows))
+
+    @pytest.mark.parametrize("n_samples, cpus, want", [(9_600, 3, []), (36_000, 2, [2] * 3),
+                                                       (36_000, 3, [3] * 3)])
+    def test_threads_only_over_the_floor(self, config, monkeypatch, n_samples, cpus, want):
+        # evaluate's median trace of 9,600 x 30 samples stays in the calling
+        # thread; the 36 s trace of the trace_files benchmark takes every
+        # CPU, for the simulator's fill and noise and then for the selection
+        pools = []
+
+        class CountedPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(_workers, "cpus", lambda: cpus)
+        monkeypatch.setattr(_workers, "ThreadPoolExecutor", CountedPool)
+        script, _duration = keystroke_burst_script(config, count=2)
+        trace = simulate_script(config, script, n_samples / config.simulation.fs, seed=1)
+        assert trace.samples.shape == (30, n_samples)
+        select_subcarrier(trace)
+        assert pools == want
 
 
 class TestButterworth:
