@@ -34,16 +34,23 @@ def thread_map(fn, tasks, samples: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _serve(conn, fn, tasks) -> None:
+def _serve(conn, inherited, fn, tasks) -> None:
     """A worker process: answers each of tasks in order on conn with (True,
-    fn(*task)), or with (False, (the exception, its traceback)) and stops."""
-    for task in tasks:
-        try:
-            result = fn(*task)
-        except Exception as exc:
-            conn.send((False, (exc, traceback.format_exc())))
-            return
-        conn.send((True, result))
+    fn(*task)), or with (False, (the exception, its traceback)) and stops.
+    It first closes the caller's pipe ends it inherited, so that once the
+    caller is gone a send fails and the worker exits."""
+    for end in inherited:
+        end.close()
+    try:
+        for task in tasks:
+            try:
+                result = fn(*task)
+            except Exception as exc:
+                conn.send((False, (exc, traceback.format_exc())))
+                return
+            conn.send((True, result))
+    except ConnectionError:   # the caller is gone
+        pass
 
 
 def fork_map(fn, tasks: list):
@@ -65,8 +72,9 @@ def fork_map(fn, tasks: list):
         try:
             for k in range(n):   # in the try: a failed fork stops the workers started
                 conn, child = multiprocessing.Pipe()
+                inherited = [end for _, end in workers] + [conn]
                 process = multiprocessing.get_context("fork").Process(
-                    target=_serve, args=(child, fn, tasks[k::n]), daemon=True)
+                    target=_serve, args=(child, inherited, fn, tasks[k::n]), daemon=True)
                 process.start()
                 workers.append((process, conn))
                 child.close()

@@ -17,69 +17,48 @@ import numpy as np
 from . import io
 from .behavior import build_emission
 from .channel import CsiTrace, GestureKind, GestureModel, simulate_plate_sweep
-from .classify import cross_validate, fit
+from .classify import GestureLabel, LabeledExample, cross_validate, extract_features, fit
 from .config import PipelineConfig, load_config
-from .corpus import keystroke_burst_script, simulate_script
+from .corpus import (keystroke_burst_script, match_segments, segment_trace,
+                     segments_from_annotations, simulate_script)
 from .preprocess import analytic_gain, filtered_series, measured_gain, subcarrier_variances
 from .pipeline import StageError, evaluate_system, run_pipeline, train_behavior_models
 from .segmentation import segment
 
 
-class ScriptError(ValueError):
-    pass
+def _script_number(text: str, name: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"field {name!r} is not valid: {text!r}") from None
+
+
+def _scripted_gesture(config: PipelineConfig, fields) -> tuple[float, GestureModel]:
+    """(start_s, gesture) of one script line; a 4-field line rests at the
+    config's default position."""
+    start = _script_number(fields[0], "start_s")
+    if not 0 <= start < math.inf:
+        raise ValueError(f"start_s must be >= 0 and finite, got {start!r}")
+    try:
+        kind = GestureKind(fields[1])
+    except ValueError:
+        raise ValueError(f"field 'kind' must be one of {[k.value for k in GestureKind]}, "
+                         f"got {fields[1]!r}") from None
+    travel = _script_number(fields[2], "travel_m")
+    duration = _script_number(fields[3], "duration_s")
+    if len(fields) == 7:
+        rest = np.array([_script_number(v, name) for v, name in zip(fields[4:], "xyz")])
+    else:
+        rest = np.array(
+            [config.geometry.antenna_distance / 2, 0.0, -config.geometry.rest_depth]
+        )
+    return start, GestureModel(kind, rest, travel, duration,
+                               jitter_std=config.simulation.gesture_jitter_std)
 
 
 def parse_script(path, config: PipelineConfig):
     """Gesture script: lines of `start_s,kind,travel_m,duration_s[,x,y,z]`."""
-    script = []
-    with open(path, errors="replace") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) not in (4, 7):
-                raise ScriptError(
-                    f"{path}:{lineno}: expected 4 or 7 fields, got {len(parts)}"
-                )
-            def parse_field(i, name, cast=float):
-                try:
-                    return cast(parts[i])
-                except ValueError:
-                    raise ScriptError(
-                        f"{path}:{lineno}: field {name!r} is not valid: {parts[i]!r}"
-                    ) from None
-            start = parse_field(0, "start_s")
-            if not 0 <= start < math.inf:
-                raise ScriptError(
-                    f"{path}:{lineno}: start_s must be >= 0 and finite, got {start!r}")
-            try:
-                kind = GestureKind(parts[1])
-            except ValueError:
-                raise ScriptError(
-                    f"{path}:{lineno}: field 'kind' must be one of "
-                    f"{[k.value for k in GestureKind]}, got {parts[1]!r}"
-                ) from None
-            travel = parse_field(2, "travel_m")
-            duration = parse_field(3, "duration_s")
-            if len(parts) == 7:
-                rest = np.array([parse_field(4 + i, "xyz"[i]) for i in range(3)])
-            else:
-                rest = np.array(
-                    [config.geometry.antenna_distance / 2, 0.0, -config.geometry.rest_depth]
-                )
-            try:
-                model = GestureModel(
-                    kind=kind,
-                    rest_pos=rest,
-                    travel=travel,
-                    duration=duration,
-                    jitter_std=config.simulation.gesture_jitter_std,
-                )
-            except ValueError as exc:
-                raise ScriptError(f"{path}:{lineno}: {exc}") from None
-            script.append((start, model))
-    return script
+    return io.read_records(path, (4, 7), lambda fields: _scripted_gesture(config, fields))
 
 
 def _load_config(args) -> PipelineConfig:
@@ -157,9 +136,6 @@ def cmd_segment(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    from .classify import GestureLabel, LabeledExample, extract_features
-    from .corpus import match_segments, segment_trace, segments_from_annotations
-
     config = _load_config(args)
     out = _out_dir(args)
     trace = io.read_trace(args.trace)
@@ -191,29 +167,10 @@ def cmd_train_gesture(args) -> int:
     )
     model = fit(config.classifier.kind, dataset, k=config.classifier.k)
     io.write_classifier(out / "gesture_model.json", model)
-    io.write_table(
-        out / "cv_confusion.csv",
-        ["true", "predicted_typing", "predicted_mouse"],
-        [("typing", int(result.confusion[0, 0]), int(result.confusion[0, 1])),
-         ("mouse", int(result.confusion[1, 0]), int(result.confusion[1, 1]))],
-    )
+    io.write_confusion(out / "cv_confusion.csv", result.confusion)
     print(result.summary())
     print(f"model saved to {out / 'gesture_model.json'}")
     return 0
-
-
-def _read_emission(path) -> np.ndarray:
-    """Emission matrix from the counts of a cv_confusion.csv (train-gesture)."""
-    with open(path, errors="replace") as fh:
-        rows = fh.read().splitlines()[1:]
-    # loadtxt warns on input without data; rows that are blank once
-    # comments are cut are what it skips
-    if not any(row.partition("#")[0].strip() for row in rows):
-        raise ValueError(f"{path}: no confusion rows")
-    try:
-        return build_emission(np.loadtxt(rows, delimiter=",", usecols=(1, 2), ndmin=2))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_train_behavior(args) -> int:
@@ -222,7 +179,11 @@ def cmd_train_behavior(args) -> int:
             return _usage_error(args, f"{flag} must be >= 1, got {value}")
     config = _load_config(args)
     out = _out_dir(args)
-    B = _read_emission(args.confusion)
+    counts = io.read_confusion(args.confusion)
+    try:
+        B = build_emission(counts)
+    except ValueError as exc:
+        raise ValueError(f"{args.confusion}: {exc}") from None
     models = train_behavior_models(config, B, args.sequences, args.length)
     io.write_behavior_models(out / "behavior_models.json", models)
     print(f"trained {len(models)} behavior models -> {out / 'behavior_models.json'}")
@@ -321,11 +282,9 @@ def cmd_plotdata(args) -> int:
         )
         print(f"wrote {out / 'subcarrier_variance.csv'}")
         return 0
-    if args.kind == "segments":
-        _segment_tables(config, io.read_trace(args.artifact), out)
-        print(f"wrote {out / 'nor.csv'} and {out / 'segments.csv'}")
-        return 0
-    return _usage_error(args, f"unknown artifact kind {args.kind!r}")
+    _segment_tables(config, io.read_trace(args.artifact), out)   # --kind segments
+    print(f"wrote {out / 'nor.csv'} and {out / 'segments.csv'}")
+    return 0
 
 
 def _persist_pipeline_artifacts(out, report, artifacts) -> None:
@@ -432,7 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScriptError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -6,7 +6,9 @@ numeric tables (traces, series, nor/segment tables) are formatted one `%`
 per task of rows and streamed into it in order, on forked worker processes
 when the table has enough tasks to pay for them.  Traces are read back as
 byte ranges of whole lines, parsed the same way, into one array allocated
-up front; each range knows its first line number.
+up front; each range knows its first line number.  The files people write
+or edit (annotations, datasets, gesture scripts, confusion tables) are read
+by read_records, one rule for comments, blank lines, headers and errors.
 """
 from __future__ import annotations
 
@@ -240,23 +242,43 @@ def write_annotations(path, annotations: list[Annotation]) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_annotations(path) -> list[Annotation]:
+def read_records(path, widths, parse, header=None) -> list:
+    """[parse(fields) for each record line of path]: blank and '#' lines are
+    skipped, the others split on ',' into stripped fields.  The first must be
+    header when one is given, the rest have a field count in widths; a line
+    breaking this or refused by parse raises ValueError("<path>:<line>: ...")."""
     out = []
     with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected start,end,label")
-            if parts[2] not in {kind.value for kind in GestureKind}:
-                raise ValueError(f"{path}:{lineno}: unknown label {parts[2]!r}")
+            fields = [f.strip() for f in line.split(",")]
             try:
-                out.append(Annotation(int(parts[0]), int(parts[1]), parts[2]))
+                if header is not None:
+                    if fields != header:
+                        raise ValueError(f"expected header {','.join(header)!r}, got {line!r}")
+                    header = None
+                elif len(fields) not in widths:
+                    raise ValueError(f"expected {' or '.join(map(str, widths))} fields, "
+                                     f"got {len(fields)}")
+                else:
+                    out.append(parse(fields))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if header is not None:
+        raise ValueError(f"{path}: missing header {','.join(header)!r}")
     return out
+
+
+def _annotation(fields) -> Annotation:
+    if fields[2] not in {kind.value for kind in GestureKind}:
+        raise ValueError(f"unknown label {fields[2]!r}")
+    return Annotation(int(fields[0]), int(fields[1]), fields[2])
+
+
+def read_annotations(path) -> list[Annotation]:
+    return read_records(path, (3,), _annotation)
 
 
 def write_series(path, series) -> None:
@@ -266,42 +288,52 @@ def write_series(path, series) -> None:
         _write_rows(fh, [_Times(len(series.values), series.fs), series.values], [FLOAT_FMT] * 2)
 
 
+_DATASET_HEADER = ["variance", "slope_ratio", "duration", "label"]
+
+
 def write_dataset(path, examples: list[LabeledExample]) -> None:
     write_table(
         path,
-        ["variance", "slope_ratio", "duration", "label"],
+        _DATASET_HEADER,
         [(float(ex.features.variance), float(ex.features.slope_ratio),
           float(ex.features.duration), ex.label.name.lower()) for ex in examples],
     )
 
 
+def _example(fields) -> LabeledExample:
+    variance, slope_ratio, duration = map(float, fields[:3])
+    return LabeledExample(FeatureVector(variance, slope_ratio, duration),
+                          GestureLabel.from_name(fields[3]))
+
+
 def read_dataset(path) -> list[LabeledExample]:
-    out = []
-    with open(path, errors="replace") as fh:
-        header = fh.readline()
-        if not header.startswith("variance"):
-            raise ValueError(f"{path}:1: missing dataset header")
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns")
-            try:
-                out.append(
-                    LabeledExample(
-                        features=FeatureVector(
-                            variance=float(parts[0]),
-                            slope_ratio=float(parts[1]),
-                            duration=float(parts[2]),
-                        ),
-                        label=GestureLabel.from_name(parts[3]),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return read_records(path, (4,), _example, header=_DATASET_HEADER)
+
+
+_CONFUSION_HEADER = ["true", "predicted_typing", "predicted_mouse"]
+_CONFUSION_ROWS = ["typing", "mouse"]   # GestureLabel order, the rows of build_emission
+
+
+def write_confusion(path, confusion) -> None:
+    """Cross-validation counts of the true labels typing, then mouse."""
+    write_table(path, _CONFUSION_HEADER,
+                [(name, *map(int, row)) for name, row in zip(_CONFUSION_ROWS, confusion)])
+
+
+def read_confusion(path) -> np.ndarray:
+    """The (2, 2) counts of write_confusion's table."""
+    expected = iter(_CONFUSION_ROWS)
+
+    def row(fields):
+        if fields[0] != next(expected, None):
+            raise ValueError(f"expected a 'typing' row, then a 'mouse' row, got {fields[0]!r}")
+        return [float(fields[1]), float(fields[2])]
+
+    counts = read_records(path, (3,), row, header=_CONFUSION_HEADER)
+    if len(counts) != len(_CONFUSION_ROWS):
+        raise ValueError(f"{path}: expected a 'typing' row, then a 'mouse' row, "
+                         f"got {len(counts)} rows")
+    return np.array(counts)
 
 
 def classifier_to_dict(model) -> dict:

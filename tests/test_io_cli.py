@@ -6,9 +6,13 @@ import math
 import multiprocessing
 import os
 import re
+import select
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -19,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksense import _workers, cli, io, segmentation
+from desksense import _workers, io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
-from desksense.channel import Annotation, CsiTrace
+from desksense.channel import Annotation, CsiTrace, GestureKind
 from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
 from desksense.cli import main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
@@ -511,6 +515,27 @@ def exit_at(i, stop):
 
 WORKER_COUNTS = [1, 2, 3]   # 3 is more workers than a 2-CPU host has CPUs
 
+# A caller that takes one result of a 2-worker fork_map and waits: each
+# worker has more results than its pipe holds, so it waits in a send.
+STALLED_CALLER = """
+import multiprocessing, time
+from desksense import _workers
+_workers.cpus = lambda: 2
+results = _workers.fork_map(lambda i: bytes(1 << 20), [(i,) for i in range(64)])
+next(results)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(60)
+"""
+
+
+def running(pid) -> bool:
+    """pid is a process that has not exited (an unreaped zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
 
 class TestWorkerProcesses:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -594,20 +619,12 @@ class TestWorkerProcesses:
         # the selection's thread pool is shut down when it returns, so the
         # write that follows in this process still forks its workers
         trace = random_trace(n=200)
-        children = []
-        fork_map = _workers.fork_map
-
-        def watched(fn, tasks):
-            for result in fork_map(fn, tasks):
-                children.append(len(multiprocessing.active_children()))
-                yield result
-
         with codec_split(workers=2, task_values=9), \
-                mock.patch.object(_workers, "_MIN_SAMPLES_PER_THREAD", 1), \
-                mock.patch.object(io, "fork_map", watched):
+                mock.patch.object(_workers, "_MIN_SAMPLES_PER_THREAD", 1):
             select_subcarrier(trace)
-            io.write_trace(tmp_path / "trace.csv", trace)
-        assert children[0] == 2
+            with watch_forks() as threads:
+                io.write_trace(tmp_path / "trace.csv", trace)
+        assert threads == [1, 1]
 
     def test_tasks_reach_the_workers_unpickled(self):
         lock = threading.Lock()   # a lock cannot be pickled
@@ -689,6 +706,28 @@ class TestWorkerProcesses:
             with contextlib.closing(results):
                 assert next(results) == 0
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_workers_exit_when_their_caller_is_killed(self):
+        src = str(Path(_workers.__file__).parents[1])
+        caller = subprocess.Popen(
+            [sys.executable, "-c", STALLED_CALLER], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
+        with caller:
+            try:
+                assert select.select([caller.stdout], [], [], 60)[0], "the caller printed no pids"
+                pids = [int(pid) for pid in caller.stdout.readline().split()]
+            finally:
+                caller.kill()
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            left = list(filter(running, pids))
+            for pid in left:   # a failed run leaves no orphan behind
+                os.kill(pid, signal.SIGKILL)
+            assert left == []
+            assert caller.stderr.read() == ""   # no BrokenPipeError traceback
 
     def test_writer_peak_memory_independent_of_length(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -979,7 +1018,7 @@ class TestDatasetFiles:
         (GOOD + "0.5,1.2,0,mouse\n", 3, "duration must be positive"),
         (GOOD + "\n-1,1.2,0.7,mouse\n", 4, "variance must be >= 0"),
         (GOOD + "0.5,1.2,0.7,wave\n", 3, "unknown gesture label 'wave'"),
-        (GOOD + "0.5,1.2,0.7\n", 3, "expected 4 columns"),
+        (GOOD + "0.5,1.2,0.7\n", 3, "expected 4 fields, got 3"),
         ("nan,1.2,0.7,typing\n", 2, "variance must be finite"),
         (GOOD + "inf,1.2,0.7,mouse\n", 3, "variance must be finite"),
         (GOOD + "0.5,nan,0.7,mouse\n", 3, "slope_ratio must not be NaN"),
@@ -1004,7 +1043,8 @@ class TestDatasetFiles:
     def test_missing_header_names_line_one(self, tmp_path):
         path = tmp_path / "dataset.csv"
         path.write_text(self.GOOD)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: missing dataset header$"):
+        message = f"{path}:1: expected header {self.HEADER.strip()!r}, got {self.GOOD.strip()!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             io.read_dataset(path)
 
 
@@ -1429,18 +1469,27 @@ class TestCli:
         assert caught == []
         assert not (out / "subcarrier_variance.csv").exists()
 
-    @pytest.mark.parametrize("rows, message", [
-        (["typing,4,x", "mouse,1,5"], "could not convert string 'x'"),
-        (["typing,4,1", "mouse,1,5", "other,2,2"], "cannot reshape array of size 6"),
-        (["typing,4,nan", "mouse,1,5"], "confusion counts must be finite"),
+    CONFUSION_HEADER = "true,predicted_typing,predicted_mouse"
+
+    @pytest.mark.parametrize("rows, message, line", [   # line None: the table as a whole
+        ([CONFUSION_HEADER, "typing,4,x", "mouse,1,5"], "could not convert string to float: 'x'", 2),
+        ([CONFUSION_HEADER, "typing,4,1", "mouse,1,5", "other,2,2"],
+         "expected a 'typing' row, then a 'mouse' row, got 'other'", 4),
+        ([CONFUSION_HEADER, "typing,4,nan", "mouse,1,5"], "confusion counts must be finite", None),
+        ([CONFUSION_HEADER, "mouse,4,96", "typing,99,1"],
+         "expected a 'typing' row, then a 'mouse' row, got 'mouse'", 2),
+        ([CONFUSION_HEADER, "typing,99,1,7", "mouse,4,96"], "expected 3 fields, got 4", 2),
+        (["oops", "typing,99,1", "mouse,4,96"],
+         f"expected header {CONFUSION_HEADER!r}, got 'oops'", 1),
     ])
-    def test_train_behavior_bad_confusion_exit_code(self, tmp_path, capsys, rows, message):
+    def test_train_behavior_bad_confusion_exit_code(self, tmp_path, capsys, rows, message, line):
         path = tmp_path / "cv_confusion.csv"
-        path.write_text("true,predicted_typing,predicted_mouse\n" + "\n".join(rows) + "\n")
-        code = self.run("--out", str(tmp_path / "o"), "train-behavior", "--confusion", str(path))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"error: {path}: " in err and message in err
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), "train-behavior", "--confusion", str(path)) == 2
+        where = str(path) if line is None else f"{path}:{line}"
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert not (out / "behavior_models.json").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--sequences", "0"), ("--length", "0"), ("--length", "-3"),
@@ -1461,7 +1510,8 @@ class TestCli:
             code = self.run("--out", str(tmp_path / "o"), "train-behavior",
                             "--confusion", str(path))
         assert code == 2
-        assert capsys.readouterr().err == f"error: {path}: no confusion rows\n"
+        assert (capsys.readouterr().err
+                == f"error: {path}: expected a 'typing' row, then a 'mouse' row, got 0 rows\n")
 
     def test_train_behavior_matches_behavior_study(self, tmp_path):
         # the CLI and the evaluation study train through one function
@@ -1542,9 +1592,8 @@ READERS = {   # kind: (write a valid file, read a file)
                       io.read_classifier),
     "behavior-models": (lambda p: io.write_behavior_models(p, BEHAVIOR_MODELS),
                         io.read_behavior_models),
-    "confusion": (lambda p: io.write_table(p, ["true", "predicted_typing", "predicted_mouse"],
-                                           [("typing", 9, 1), ("mouse", 2, 8)]),
-                  cli._read_emission),
+    "confusion": (lambda p: io.write_confusion(p, np.array([[9, 1], [2, 8]])),
+                  io.read_confusion),
 }
 
 JUNK = st.one_of(
@@ -1579,7 +1628,78 @@ def valid_file(kind) -> bytes:
         return path.read_bytes()
 
 
+# Valid files of the hand-written formats, as lines: annotations, datasets,
+# gesture scripts and confusion tables.
+
+def joined(*parts):
+    return st.tuples(*parts).map(lambda fields: ",".join(map(str, fields)))
+
+
+COUNTS = st.integers(0, 10_000)
+RECORD_LINES = {   # kind: the lines of a valid file
+    "annotations": st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**3),
+                  st.sampled_from([kind.value for kind in GestureKind]))
+        .map(lambda a: f"{a[0]},{a[0] + a[1]},{a[2]}"), min_size=1, max_size=5),
+    "dataset": st.lists(
+        joined(st.floats(0, 1e6), st.floats(1, math.inf), st.floats(1e-3, 10),
+               st.sampled_from(["typing", "mouse", "keystroke", "mouse_move"])), max_size=5)
+    .map(lambda rows: ["variance,slope_ratio,duration,label", *rows]),
+    "script": st.lists(
+        st.one_of(
+            joined(st.floats(0, 100), st.sampled_from(["keystroke", "mouse_move"]),
+                   st.floats(1e-3, 0.1), st.floats(0.05, 2)),
+            joined(st.floats(0, 100), st.sampled_from(["keystroke", "mouse_move"]),
+                   st.floats(1e-3, 0.1), st.floats(0.05, 2),
+                   *[st.floats(-1, 1)] * 3)), min_size=1, max_size=5),
+    "confusion": st.tuples(joined(st.just("typing"), COUNTS, COUNTS),
+                           joined(st.just("mouse"), COUNTS, COUNTS))
+    .map(lambda rows: ["true,predicted_typing,predicted_mouse", *rows]),
+}
+RECORD_READERS = {   # kind: (read a file into comparable records, a bad line of its width)
+    "annotations": (io.read_annotations, "x,1,keystroke"),
+    "dataset": (io.read_dataset, "x,1,1,typing"),
+    "script": (lambda p: [(t, g.kind, g.rest_pos.tolist(), g.travel, g.duration)
+                          for t, g in parse_script(p, PipelineConfig())],
+               "x,keystroke,0.02,0.7"),
+    "confusion": (lambda p: io.read_confusion(p).tolist(), "x,1,1"),
+}
+FILLERS = st.lists(st.sampled_from(["", "  ", "\t", "#", "# a comment", "  # one, two, three"]),
+                   max_size=2)
+
+
+@st.composite
+def laid_out(draw, lines):
+    """lines with blank and comment lines between them and spaces around
+    their fields."""
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    out = draw(FILLERS)
+    for line in lines:
+        out.append(",".join(draw(pad) + field + draw(pad) for field in line.split(",")))
+        out += draw(FILLERS)
+    return out
+
+
 class TestReaderFuzz:
+    @pytest.mark.parametrize("kind", list(RECORD_LINES))
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_layout_keeps_the_records_and_a_bad_line_is_named(self, kind, data):
+        read, bad_width = RECORD_READERS[kind]
+        lines = data.draw(RECORD_LINES[kind], label="lines")
+        messy = data.draw(laid_out(lines), label="laid out")
+        with tempfile.TemporaryDirectory() as d:
+            clean, path = Path(d) / "clean", Path(d) / "file"
+            clean.write_text("".join(line + "\n" for line in lines))
+            path.write_text("".join(line + "\n" for line in messy))
+            assert read(path) == read(clean)
+            k = data.draw(st.integers(1, len(messy)), label="bad line")
+            messy[k - 1] = data.draw(st.sampled_from(["?", "1,2,3,4,5", bad_width]))
+            path.write_text("".join(line + "\n" for line in messy))
+            with pytest.raises(ValueError) as raised:
+                read(path)
+            assert str(raised.value).startswith(f"{path}:{k}: ")
+
     @pytest.mark.parametrize("kind", list(READERS))
     @settings(max_examples=200)
     @given(data=st.data())
