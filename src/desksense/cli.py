@@ -247,11 +247,8 @@ def cmd_sweep_plate(args) -> int:
         )
         acc += np.array([pp for _s, pp in rows])
     acc /= args.repeats
-    io.write_table(
-        out / "plate_sweep.csv",
-        ["side_m", "peak_to_peak"],
-        [(float(s), float(v)) for s, v in zip(sides, acc)],
-    )
+    io.write_table(out / "plate_sweep.csv", ["side_m", "peak_to_peak"], [sides, acc],
+                   [io.FLOAT_FMT] * 2)
     print(f"wrote {out / 'plate_sweep.csv'} ({len(sides)} sizes, {args.repeats} repeats)")
     return 0
 
@@ -264,22 +261,15 @@ def cmd_plotdata(args) -> int:
     if args.kind == "filter-response":
         freqs = np.logspace(np.log10(0.1), np.log10(100.0), 200)
         spec = config.filter
-        rows = [
-            (float(f), measured_gain(f, config.simulation.fs, spec),
-             float(analytic_gain(f, spec)))
-            for f in freqs
-        ]
-        io.write_table(out / "filter_response.csv", ["freq_hz", "gain_measured", "gain_analytic"], rows)
+        io.write_table(out / "filter_response.csv", ["freq_hz", "gain_measured", "gain_analytic"],
+                       [freqs, [measured_gain(f, config.simulation.fs, spec) for f in freqs],
+                        [analytic_gain(f, spec) for f in freqs]], [io.FLOAT_FMT] * 3)
         print(f"wrote {out / 'filter_response.csv'}")
         return 0
     if args.kind == "subcarrier-variance":
-        trace = io.read_trace(args.artifact)
-        variances = subcarrier_variances(trace)
-        io.write_table(
-            out / "subcarrier_variance.csv",
-            ["subcarrier", "variance"],
-            [(i, float(v)) for i, v in enumerate(variances)],
-        )
+        variances = subcarrier_variances(io.read_trace(args.artifact))
+        io.write_table(out / "subcarrier_variance.csv", ["subcarrier", "variance"],
+                       [np.arange(len(variances)), variances], ["%d", io.FLOAT_FMT])
         print(f"wrote {out / 'subcarrier_variance.csv'}")
         return 0
     _segment_tables(config, io.read_trace(args.artifact), out)   # --kind segments

@@ -125,6 +125,10 @@ class PipelineConfig:
         self.seeds.validate()
         if self.filter.cutoff_hz >= self.simulation.fs / 2:
             raise ValueError("filter.cutoff_hz must be below fs/2")
+        try:
+            self.segmenter.window_samples(self.simulation.fs)
+        except ValueError:
+            raise ValueError("segmenter.window must span >= 2 samples at simulation.fs") from None
 
     def to_dict(self) -> dict:
         return asdict(self)

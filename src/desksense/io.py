@@ -1,14 +1,14 @@
 """Text file formats shared across the pipeline.
 
 Everything is plain text at full double precision so artifacts diff cleanly
-and round-trip losslessly.  Writes go through a temp file and rename;
-numeric tables (traces, series, nor/segment tables) are formatted one `%`
-per task of rows and streamed into it in order, on forked worker processes
-when the table has enough tasks to pay for them.  Traces are read back as
-byte ranges of whole lines, parsed the same way, into one array allocated
-up front; each range knows its first line number.  The files people write
-or edit (annotations, datasets, gesture scripts, confusion tables) are read
-by read_records, one rule for comments, blank lines, headers and errors.
+and round-trip losslessly.  One writer formats every table in tasks of rows,
+one `%` per task, on forked worker processes when the table has enough tasks
+to pay for them, and streams them in order into a temp file renamed over the
+target.  Traces are read back in tasks of as many lines, parsed into one
+array allocated up front; each task knows its first line number.  The files
+people write or edit (annotations, datasets, gesture scripts, confusion
+tables) are read by read_records, one rule for comments, blank lines,
+headers and errors.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import tempfile
 import warnings
 from contextlib import closing, contextmanager
 from io import BytesIO
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,7 @@ from .classify import (
 )
 
 FLOAT_FMT = "%.17g"
-_TASK_VALUES = 1 << 14  # values a writer task formats
-_RANGE_BYTES = 1 << 17  # body bytes a reader task parses, rounded up to a line end
+_TASK_VALUES = 1 << 14  # values a task formats or parses
 _ROW_IN_CALL = re.compile(r"at row \d+, ")
 
 
@@ -62,31 +62,32 @@ def atomic_write_text(path, content: str) -> None:
         fh.write(content)
 
 
-def _format_rows(row_fmt: str, block: np.ndarray) -> str:
-    """The text of a (rows, columns) float block, in one `%`.
-
-    float64 -> float is exact, so the bytes are those of formatting each
-    value on its own; integer columns ("%d") are exact up to 2**53.
-    """
-    return (row_fmt * len(block)) % tuple(block.ravel().tolist())
+def _rows_per_task(n_cols: int) -> int:
+    """Rows of an n_cols-column table that one task writes or reads."""
+    return max(1, _TASK_VALUES // n_cols)
 
 
-def _write_rows(fh, columns, fmts) -> None:
-    """Rows of equal-length numeric columns, each value in its column's format.
+def _format_rows(row_fmt: str, columns, a: int, b: int) -> str:
+    """The text of rows a to b of columns, in one `%` of the cells tolist()
+    makes: float64 -> float is exact, so the bytes are those of formatting
+    each value on its own."""
+    cells = [np.asarray(c[a:b]).tolist() for c in columns]
+    return (row_fmt * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 
-    Ranges of about _TASK_VALUES values are stacked into float blocks and
-    formatted on the workers of fork_map and written in order, so the
-    text never exists as a whole.
+
+def _write_table(path, first_line, columns, fmts) -> None:
+    """first_line, unless it is None, then one row per index of the
+    equal-length columns, column j in fmts[j], written atomically.
+
+    Tasks of _rows_per_task rows are formatted on the workers of fork_map
+    and written in order, so the text never exists as a whole.
     """
     row_fmt = ",".join(fmts) + "\n"
-    step = max(1, _TASK_VALUES // len(columns))
-
-    def rows(a, b):
-        return _format_rows(row_fmt, np.column_stack([np.asarray(c[a:b], dtype=float)
-                                                      for c in columns]))
-
-    ranges = [(a, a + step) for a in range(0, len(columns[0]), step)]
-    with closing(fork_map(rows, ranges)) as texts:
+    step = _rows_per_task(len(columns))
+    tasks = [(row_fmt, columns, a, a + step) for a in range(0, len(columns[0]), step)]
+    with _atomic_open(path) as fh, closing(fork_map(_format_rows, tasks)) as texts:
+        if first_line is not None:
+            fh.write(first_line + "\n")
         fh.writelines(texts)   # holds one text at a time
 
 
@@ -101,10 +102,6 @@ class _Times:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         return np.arange(*rows.indices(self.n)) / self.fs
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
 
 
 def _read_header(path, line: str, casts: dict) -> dict:
@@ -136,26 +133,21 @@ def write_trace(path, trace: CsiTrace) -> None:
     columns = [_Times(trace.n_samples, trace.fs)]
     for row in trace.samples:
         columns += [row.real, row.imag]
-    with _atomic_open(path) as fh:
-        fh.write(f"# fs={_fmt(trace.fs)} subcarriers={trace.subcarriers}\n")
-        _write_rows(fh, columns, [FLOAT_FMT] * len(columns))
+    _write_table(path, f"# fs={FLOAT_FMT % trace.fs} subcarriers={trace.subcarriers}",
+                 columns, [FLOAT_FMT] * len(columns))
 
 
-def _line_ranges(fb, line: int) -> tuple[list[tuple[int, int, int]], int]:
-    """Byte ranges of whole lines from fb's position, the start of line
-    number line, to the end of the file, each of _RANGE_BYTES rounded up to
-    a line end and given with the number of its first line, and the number
-    of lines, a last one without a newline included."""
-    ranges, n, last = [], 0, b"\n"
-    start = fb.tell()
-    while chunk := fb.read(_RANGE_BYTES):
-        tail = b"" if chunk.endswith(b"\n") else fb.readline()
-        end = start + len(chunk) + len(tail)
+def _line_ranges(fb, line: int, rows: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Byte ranges of `rows` whole lines each, from fb's position (the start
+    of line number `line`) to the end of the file, each with the number of
+    its first line; and the number of lines, a last one without a newline
+    included."""
+    ranges, start, n = [], fb.tell(), 0
+    while sizes := list(map(len, islice(fb, rows))):
+        end = start + sum(sizes)
         ranges.append((start, end, line + n))
-        n += chunk.count(b"\n") + tail.count(b"\n")
-        last = (tail or chunk)[-1:]
-        start = end
-    return ranges, n + (last != b"\n")
+        start, n = end, n + len(sizes)
+    return ranges, n
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -196,12 +188,13 @@ def _bad_line(path, fb, start: int, first: int, n_cols: int) -> ValueError:
 
 
 def read_trace(path) -> CsiTrace:
-    """Inverse of write_trace: byte ranges of about _RANGE_BYTES are parsed
-    on the workers of fork_map and copied in order into one preallocated
-    (S, T) array, so a read holds the samples once.
+    """Inverse of write_trace: tasks of as many lines as a writer task has
+    rows are parsed on the workers of fork_map and copied in order into one
+    preallocated (S, T) array, so a read holds the samples once.
 
-    A bad or non-finite cell, a row of the wrong width and a truncated last
-    row raise ValueError("<path>:<line>: ...").
+    A header without a positive finite fs or at least one subcarrier, a bad
+    or non-finite cell, a row of the wrong width and a truncated last row
+    raise ValueError("<path>:<line>: ...").
     """
     with open(path, "rb") as fb:
         header = _read_header(path, fb.readline().decode(errors="replace"),
@@ -209,9 +202,11 @@ def read_trace(path) -> CsiTrace:
         if not 0 < header["fs"] < np.inf:
             raise ValueError(f"{path}:1: fs must be positive and finite, got {header['fs']!r}")
         n_sub = header["subcarriers"]
+        if n_sub < 1:
+            raise ValueError(f"{path}:1: subcarriers must be >= 1, got {n_sub}")
         n_cols = 1 + 2 * n_sub
         # n_rows is an upper bound: blank and '#' lines, which loadtxt skips, count too
-        ranges, n_rows = _line_ranges(fb, 2)
+        ranges, n_rows = _line_ranges(fb, 2, _rows_per_task(n_cols))
         samples = None
         i = 0
         blocks = fork_map(_parse_range, [(path, a, b) for a, b, _ in ranges])
@@ -238,8 +233,8 @@ def read_trace(path) -> CsiTrace:
 
 
 def write_annotations(path, annotations: list[Annotation]) -> None:
-    lines = [f"{a.start_idx},{a.end_idx},{a.label}" for a in annotations]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_table(path, None, [[a.start_idx for a in annotations], [a.end_idx for a in annotations],
+                              [a.label for a in annotations]], ["%d", "%d", "%s"])
 
 
 def read_records(path, widths, parse, header=None) -> list:
@@ -283,21 +278,17 @@ def read_annotations(path) -> list[Annotation]:
 
 def write_series(path, series) -> None:
     """Two columns `t, amplitude` under a `# fs=... subcarrier=...` header."""
-    with _atomic_open(path) as fh:
-        fh.write(f"# fs={_fmt(series.fs)} subcarrier={series.source_subcarrier}\n")
-        _write_rows(fh, [_Times(len(series.values), series.fs), series.values], [FLOAT_FMT] * 2)
+    _write_table(path, f"# fs={FLOAT_FMT % series.fs} subcarrier={series.source_subcarrier}",
+                 [_Times(len(series.values), series.fs), series.values], [FLOAT_FMT] * 2)
 
 
 _DATASET_HEADER = ["variance", "slope_ratio", "duration", "label"]
 
 
 def write_dataset(path, examples: list[LabeledExample]) -> None:
-    write_table(
-        path,
-        _DATASET_HEADER,
-        [(float(ex.features.variance), float(ex.features.slope_ratio),
-          float(ex.features.duration), ex.label.name.lower()) for ex in examples],
-    )
+    features = [[getattr(ex.features, name) for ex in examples] for name in _DATASET_HEADER[:3]]
+    _write_table(path, ",".join(_DATASET_HEADER),
+                 features + [[ex.label.name.lower() for ex in examples]], [FLOAT_FMT] * 3 + ["%s"])
 
 
 def _example(fields) -> LabeledExample:
@@ -316,18 +307,23 @@ _CONFUSION_ROWS = ["typing", "mouse"]   # GestureLabel order, the rows of build_
 
 def write_confusion(path, confusion) -> None:
     """Cross-validation counts of the true labels typing, then mouse."""
-    write_table(path, _CONFUSION_HEADER,
-                [(name, *map(int, row)) for name, row in zip(_CONFUSION_ROWS, confusion)])
+    _write_table(path, ",".join(_CONFUSION_HEADER),
+                 [_CONFUSION_ROWS, *np.asarray(confusion).T], ["%s", "%d", "%d"])
 
 
 def read_confusion(path) -> np.ndarray:
-    """The (2, 2) counts of write_confusion's table."""
+    """The (2, 2) counts of write_confusion's table; a count may be written
+    as a float, but a finite one must be a whole number."""
     expected = iter(_CONFUSION_ROWS)
 
     def row(fields):
         if fields[0] != next(expected, None):
             raise ValueError(f"expected a 'typing' row, then a 'mouse' row, got {fields[0]!r}")
-        return [float(fields[1]), float(fields[2])]
+        counts = [float(fields[1]), float(fields[2])]
+        for text, count in zip(fields[1:], counts):
+            if np.isfinite(count) and not count.is_integer():
+                raise ValueError(f"count {text!r} is not a whole number")
+        return counts
 
     counts = read_records(path, (3,), row, header=_CONFUSION_HEADER)
     if len(counts) != len(_CONFUSION_ROWS):
@@ -426,23 +422,18 @@ def read_behavior_models(path) -> dict[Behavior, BehaviorHmm]:
 
 def write_nor(path, nor1, nor2) -> None:
     """Plot table `index,nor1,nor2` of the segmenter's variance traces."""
-    with _atomic_open(path) as fh:
-        fh.write("index,nor1,nor2\n")
-        _write_rows(fh, [np.arange(len(nor2)), nor1, nor2], ["%d", FLOAT_FMT, FLOAT_FMT])
+    _write_table(path, "index,nor1,nor2", [np.arange(len(nor2)), nor1, nor2],
+                 ["%d", FLOAT_FMT, FLOAT_FMT])
 
 
 def write_segments(path, segments) -> None:
     """Plot table `start_idx,end_idx,truncated`, one row per segment."""
-    columns = [[s.start_idx for s in segments], [s.end_idx for s in segments],
-               [int(s.truncated) for s in segments]]
-    with _atomic_open(path) as fh:
-        fh.write("start_idx,end_idx,truncated\n")
-        _write_rows(fh, columns, ["%d"] * 3)
+    _write_table(path, "start_idx,end_idx,truncated",
+                 [[s.start_idx for s in segments], [s.end_idx for s in segments],
+                  [s.truncated for s in segments]], ["%d"] * 3)
 
 
-def write_table(path, header: list[str], rows) -> None:
-    """Generic plot-data table: comma-separated columns under a header line."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_table(path, header: list[str], columns, fmts) -> None:
+    """Plot-data table: a header line, then one row per index of the
+    equal-length columns, column j in fmts[j]."""
+    _write_table(path, ",".join(header), columns, fmts)

@@ -64,15 +64,28 @@ BEHAVIOR_MODELS = {
 
 
 @contextlib.contextmanager
-def codec_split(workers=None, task_values=None, range_bytes=None):
-    """The CPU count and io's task sizes patched where given."""
+def codec_split(workers=None, task_values=None):
+    """The CPU count and io's task size patched where given."""
     with contextlib.ExitStack() as stack:
-        for name, value in (("_TASK_VALUES", task_values), ("_RANGE_BYTES", range_bytes)):
-            if value is not None:
-                stack.enter_context(mock.patch.object(io, name, value))
+        if task_values is not None:
+            stack.enter_context(mock.patch.object(io, "_TASK_VALUES", task_values))
         if workers is not None:
             stack.enter_context(mock.patch.object(_workers, "cpus", lambda: workers))
         yield
+
+
+@contextlib.contextmanager
+def count_tasks():
+    """The number of tasks of each of io's fork_map calls, in order."""
+    counts = []
+    fork_map = io.fork_map
+
+    def counted(fn, tasks):
+        counts.append(len(tasks))
+        return fork_map(fn, tasks)
+
+    with mock.patch.object(io, "fork_map", counted):
+        yield counts
 
 
 @contextlib.contextmanager
@@ -151,7 +164,7 @@ class TestRoundTrips:
 
 
 # Reference writers: one `%` per value, joined into one string.  The
-# block-streamed writers must produce exactly these bytes.
+# task-streamed writer must produce exactly these bytes.
 
 def oracle_write_trace(path, trace):
     fmt = io.FLOAT_FMT
@@ -175,6 +188,15 @@ def oracle_write_series(path, series):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def oracle_write_table(path, first_line, rows):
+    """first_line unless None, then each row's floats in FLOAT_FMT and its
+    other values as str(), comma-joined."""
+    lines = [] if first_line is None else [first_line]
+    lines += [",".join(io.FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    Path(path).write_text("".join(line + "\n" for line in lines))
+
+
 # ±0, the smallest subnormal, a subnormal, the smallest normal, the largest
 # finite value and other extremes, scattered into ordinary values.
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
@@ -186,10 +208,9 @@ SAMPLE_RATES = st.one_of(
     st.integers(1, 100_000).map(float),
     st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
 )
-# Tiny tasks and ranges put a worker task or byte range boundary inside
-# every table the tests draw.
+# Tiny tasks put a task boundary inside every table the tests draw, written
+# or read.
 TASK_VALUES = st.sampled_from([1, 40, io._TASK_VALUES])
-RANGE_BYTES = st.sampled_from([1, 4096, io._RANGE_BYTES])
 
 
 def special_floats(draw, shape):
@@ -268,12 +289,52 @@ class TestBlockWriter:
             with codec_split(task_values=task_values):
                 io.write_nor(d / "nor.csv", nor1, nor2)
                 io.write_segments(d / "segments.csv", segments)
-            io.write_table(d / "nor_old.csv", ["index", "nor1", "nor2"],
-                           [(i, float(nor1[i]), float(nor2[i])) for i in range(n)])
-            io.write_table(d / "segments_old.csv", ["start_idx", "end_idx", "truncated"],
-                           [(s.start_idx, s.end_idx, int(s.truncated)) for s in segments])
+            oracle_write_table(d / "nor_old.csv", "index,nor1,nor2",
+                               [(i, float(nor1[i]), float(nor2[i])) for i in range(n)])
+            oracle_write_table(d / "segments_old.csv", "start_idx,end_idx,truncated",
+                               [(s.start_idx, s.end_idx, int(s.truncated)) for s in segments])
             assert (d / "nor.csv").read_bytes() == (d / "nor_old.csv").read_bytes()
             assert (d / "segments.csv").read_bytes() == (d / "segments_old.csv").read_bytes()
+
+    @settings(max_examples=30)
+    @given(data=st.data(), task_values=TASK_VALUES)
+    def test_record_and_plot_tables_bytes(self, data, task_values):
+        # annotations (no header), datasets, confusion tables and the CLI's
+        # plot tables, with string, int and float columns
+        bounds = sorted(data.draw(st.lists(st.integers(0, 10**6), max_size=40, unique=True)))
+        annotations = [Annotation(a, b, data.draw(st.sampled_from(["keystroke", "mouse_move"])))
+                       for a, b in zip(bounds[::2], bounds[1::2])]
+        n = data.draw(st.integers(0, 60))
+        values = np.abs(special_floats(data.draw, (3, n)))
+        labels = st.sampled_from(list(GestureLabel))
+        examples = [LabeledExample(FeatureVector(*f), data.draw(labels))
+                    for f in zip(values[0], 1 + values[1], 1e-3 + values[2])]
+        confusion = np.array(data.draw(st.lists(st.integers(0, 2**53), min_size=4, max_size=4)))
+        confusion = confusion.reshape(2, 2)
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            with codec_split(task_values=task_values):
+                io.write_annotations(d / "trace.ann", annotations)
+                io.write_dataset(d / "dataset.csv", examples)
+                io.write_confusion(d / "confusion.csv", confusion)
+                io.write_table(d / "plot.csv", ["i", "x", "name"],
+                               [np.arange(n), values[0], [ex.label.name for ex in examples]],
+                               ["%d", io.FLOAT_FMT, "%s"])
+            oracle_write_table(d / "trace_old.ann", None,
+                               [(a.start_idx, a.end_idx, a.label) for a in annotations])
+            oracle_write_table(d / "dataset_old.csv", "variance,slope_ratio,duration,label",
+                               [(float(ex.features.variance), float(ex.features.slope_ratio),
+                                 float(ex.features.duration), ex.label.name.lower())
+                                for ex in examples])
+            oracle_write_table(d / "confusion_old.csv", "true,predicted_typing,predicted_mouse",
+                               [("typing", *map(int, confusion[0])),
+                                ("mouse", *map(int, confusion[1]))])
+            oracle_write_table(d / "plot_old.csv", "i,x,name",
+                               [(i, float(values[0, i]), ex.label.name)
+                                for i, ex in enumerate(examples)])
+            for name in ("trace.ann", "dataset.csv", "confusion.csv", "plot.csv"):
+                old = name.replace(".", "_old.")
+                assert (d / name).read_bytes() == (d / old).read_bytes(), name
 
     @settings(max_examples=40)
     @given(trace=traces())
@@ -289,7 +350,7 @@ class TestBlockWriter:
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("old\n")
-        with mock.patch.object(io, "_write_rows", side_effect=RuntimeError("disk full")):
+        with mock.patch.object(io, "_format_rows", side_effect=RuntimeError("disk full")):
             with pytest.raises(RuntimeError, match="disk full"):
                 io.write_trace(path, random_trace())
         assert path.read_text() == "old\n"
@@ -303,7 +364,7 @@ class TestBlockWriter:
         np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
 
 
-# Reference reader: the whole-file parse the block-streamed reader replaced.
+# Reference reader: the whole-file parse the task-streamed reader replaced.
 
 def oracle_read_trace(path):
     with open(path) as fh:
@@ -353,15 +414,15 @@ def write_dirty_trace(path, trace, extra, trailing_newline):
 
 class TestBlockReader:
     @settings(max_examples=50)
-    @given(body=dirty_bodies(), range_bytes=RANGE_BYTES)
-    def test_matches_whole_file_reader(self, body, range_bytes):
+    @given(body=dirty_bodies(), task_values=TASK_VALUES)
+    def test_matches_whole_file_reader(self, body, task_values):
         trace, extra, trailing_newline = body
         with tempfile.TemporaryDirectory() as d:
             dirty = Path(d) / "dirty.csv"
             clean = write_dirty_trace(dirty, trace, extra, trailing_newline)
             # the whole-file reader fails on a body of skipped lines alone
             fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
-            with codec_split(range_bytes=range_bytes):
+            with codec_split(task_values=task_values):
                 got = io.read_trace(dirty)
         assert got.fs == fs == trace.fs
         assert got.samples.shape == want.shape == trace.samples.shape
@@ -445,8 +506,8 @@ class TestBlockReader:
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, body, line, message):
         path = tmp_path / "trace.csv"
         path.write_text("# fs=1000 subcarriers=1\n" + body)
-        # byte ranges of 1,024 good lines, parsed on two workers
-        with codec_split(workers=2, range_bytes=len(self.GOOD) * 1024):
+        # tasks of 1,024 lines of three columns, parsed on two workers
+        with codec_split(workers=2, task_values=3 * 1024):
             with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {message}')}"):
                 io.read_trace(path)
             assert multiprocessing.active_children() == []
@@ -460,8 +521,8 @@ class TestBlockReader:
     @pytest.mark.parametrize("workers", [1, 2])
     @settings(max_examples=15)
     @given(body=dirty_bodies(), data=st.data(),
-           range_bytes=st.sampled_from([1, 5, 120, 4096]))
-    def test_bad_line_anywhere_named(self, workers, body, data, range_bytes):
+           task_values=st.sampled_from([1, 5, 120, 4096]))
+    def test_bad_line_anywhere_named(self, workers, body, data, task_values):
         trace, extra, trailing_newline = body
         n_cols = 1 + 2 * trace.subcarriers
         with tempfile.TemporaryDirectory() as d:
@@ -476,7 +537,7 @@ class TestBlockReader:
             ])))
             path = Path(d) / "bad.csv"
             path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""))
-            with codec_split(workers, range_bytes=range_bytes), \
+            with codec_split(workers, task_values), \
                     pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{at + 1}: ')}"):
                 io.read_trace(path)
 
@@ -486,8 +547,8 @@ class TestBlockReader:
 TEST_PID = os.getpid()
 
 
-def failing_format(row_fmt, block):
-    raise RuntimeError(f"disk full at t={float(block[0, 0])!r}")
+def failing_format(row_fmt, columns, a, b):
+    raise RuntimeError(f"disk full at t={float(columns[0][a:b][0])!r}")
 
 
 def worker_pid():
@@ -540,14 +601,12 @@ def running(pid) -> bool:
 class TestWorkerProcesses:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @settings(max_examples=10)
-    @given(trace=traces(), task_values=st.sampled_from([1, 4, 30]),
-           range_bytes=st.sampled_from([1, 5, 120]))
-    def test_same_bytes_and_bits_at_any_worker_count(self, workers, trace, task_values,
-                                                     range_bytes):
+    @given(trace=traces(), task_values=st.sampled_from([1, 4, 30]))
+    def test_same_bytes_and_bits_at_any_worker_count(self, workers, trace, task_values):
         series = AmplitudeSeries(fs=trace.fs, values=trace.samples[0].imag, source_subcarrier=5)
         with tempfile.TemporaryDirectory() as d:
             d = Path(d)
-            with codec_split(workers, task_values, range_bytes), watch_forks() as threads:
+            with codec_split(workers, task_values), watch_forks() as threads:
                 io.write_trace(d / "trace.csv", trace)
                 io.write_series(d / "series.csv", series)
                 got = io.read_trace(d / "trace.csv")
@@ -565,14 +624,14 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @settings(max_examples=10)
-    @given(body=dirty_bodies(), range_bytes=st.sampled_from([1, 5, 120]))
-    def test_dirty_bodies_same_bits_at_any_worker_count(self, workers, body, range_bytes):
+    @given(body=dirty_bodies(), task_values=st.sampled_from([1, 5, 120]))
+    def test_dirty_bodies_same_bits_at_any_worker_count(self, workers, body, task_values):
         trace, extra, trailing_newline = body
         with tempfile.TemporaryDirectory() as d:
             dirty = Path(d) / "dirty.csv"
             clean = write_dirty_trace(dirty, trace, extra, trailing_newline)
             fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
-            with codec_split(workers, range_bytes=range_bytes), watch_forks() as threads:
+            with codec_split(workers, task_values), watch_forks() as threads:
                 got = io.read_trace(dirty)
         assert got.fs == fs
         assert got.samples.shape == want.shape
@@ -586,10 +645,9 @@ class TestWorkerProcesses:
         for workers, tasks, forked in [(2, 1, 0), (2, 5, 0), (2, 2 * least - 1, 0),
                                        (2, 2 * least, 2), (3, 3 * least - 1, 2),
                                        (3, 3 * least, 3)]:
-            # one-row writer tasks and one-line byte ranges: n rows, n tasks
+            # one-row tasks of nine columns: n rows, n tasks each way
             trace = random_trace(n=tasks)
-            with codec_split(workers, task_values=9, range_bytes=1), \
-                    watch_forks() as threads:
+            with codec_split(workers, task_values=9), watch_forks() as threads:
                 io.write_trace(path, trace)
                 got = io.read_trace(path)
             # the workers of the write, then those of the read, each forked
@@ -597,22 +655,35 @@ class TestWorkerProcesses:
             assert threads == [1] * 2 * forked, (workers, tasks)
             np.testing.assert_array_equal(got.samples, trace.samples)
 
+    @pytest.mark.parametrize("n_sub, n, task_values, want", [
+        (1, 0, None, 0), (1, 1, None, 1), (4, 5, 9, 5), (4, 1000, 90, 100),
+        (2, 5000, None, 2), (30, 3000, None, 12),
+    ])
+    def test_read_has_the_write_task_count(self, tmp_path, n_sub, n, task_values, want):
+        # rows per task: _TASK_VALUES // (1 + 2 * n_sub), at least one
+        with codec_split(task_values=task_values), count_tasks() as tasks:
+            io.write_trace(tmp_path / "trace.csv", random_trace(n_sub=n_sub, n=n))
+            io.read_trace(tmp_path / "trace.csv")
+        assert tasks == [want, want]
+
     def test_small_tables_in_process_trace_files_forked(self, tmp_path):
         # the sizes of a 36 s, 30-subcarrier trace and of its filtered series
-        # and nor table: 134 writer tasks and 300 or more byte ranges for the
-        # trace, 5 tasks for the series and 7 for nor.csv
+        # and nor table: 135 tasks of 268 rows each way for the trace, 5
+        # tasks for the series and 7 for nor.csv
         n = 36_000
         values = np.random.default_rng(0).normal(size=n)
         series = AmplitudeSeries(fs=1000.0, values=values, source_subcarrier=3)
-        with codec_split(workers=2), watch_forks() as threads:
+        with codec_split(workers=2), watch_forks() as threads, count_tasks() as tasks:
             io.write_series(tmp_path / "filtered.csv", series)
             io.write_nor(tmp_path / "nor.csv", values, values)
         assert threads == []
+        assert tasks == [5, 7]
         trace = random_trace(n_sub=30, n=n)
-        with codec_split(workers=2), watch_forks() as threads:
+        with codec_split(workers=2), watch_forks() as threads, count_tasks() as tasks:
             io.write_trace(tmp_path / "trace.csv", trace)
             got = io.read_trace(tmp_path / "trace.csv")
         assert threads == [1] * 4
+        assert tasks == [135, 135]
         np.testing.assert_array_equal(got.samples, trace.samples)
 
     def test_trace_write_forks_right_after_selection(self, tmp_path):
@@ -641,7 +712,7 @@ class TestWorkerProcesses:
         release = threading.Event()
         with contextlib.ExitStack() as stack:
             stack.enter_context(codec_split(workers=1 if case == "one-cpu" else 2,
-                                            task_values=9, range_bytes=1))
+                                            task_values=9))
             if case == "no-fork":
                 stack.enter_context(mock.patch.object(_workers, "_FORK", False))
             if case == "another-thread":
@@ -767,6 +838,8 @@ class TestConfig:
             config_from_dict({"simulation": {"noise_std": -1.0}})
         with pytest.raises(ValueError, match="cutoff"):
             config_from_dict({"simulation": {"fs": 10.0}})
+        with pytest.raises(ValueError, match="segmenter.window"):
+            config_from_dict({"segmenter": {"window": 0.001}})
 
     def test_load_round_trip(self, tmp_path):
         cfg = PipelineConfig()
@@ -907,6 +980,17 @@ class TestTraceHeader:
         path = self.write(tmp_path, header)
         with pytest.raises(ValueError, match=re.escape(f"{path}:1: ") + ".*" + re.escape(message)):
             io.read_trace(path)
+
+    @pytest.mark.parametrize("subcarriers", [0, -1])
+    @pytest.mark.parametrize("body", ["", ROW, "0,1\n"])
+    def test_subcarriers_below_one_named(self, tmp_path, capsys, subcarriers, body):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"# fs=1000 subcarriers={subcarriers}\n" + body)
+        message = f"{path}:1: subcarriers must be >= 1, got {subcarriers}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io.read_trace(path)
+        assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_header_pipeline_exit_code(self, tmp_path, capsys):
         path = self.write(tmp_path, "# subcarriers=1")
@@ -1481,6 +1565,9 @@ class TestCli:
         ([CONFUSION_HEADER, "typing,99,1,7", "mouse,4,96"], "expected 3 fields, got 4", 2),
         (["oops", "typing,99,1", "mouse,4,96"],
          f"expected header {CONFUSION_HEADER!r}, got 'oops'", 1),
+        ([CONFUSION_HEADER, "typing,2.5,1e-3", "mouse,1,5"], "count '2.5' is not a whole number", 2),
+        ([CONFUSION_HEADER, "typing,4,1", "mouse,1e-3,5"],
+         "count '1e-3' is not a whole number", 3),
     ])
     def test_train_behavior_bad_confusion_exit_code(self, tmp_path, capsys, rows, message, line):
         path = tmp_path / "cv_confusion.csv"
@@ -1490,6 +1577,13 @@ class TestCli:
         where = str(path) if line is None else f"{path}:{line}"
         assert capsys.readouterr().err == f"error: {where}: {message}\n"
         assert not (out / "behavior_models.json").exists()
+
+    def test_train_behavior_whole_float_counts_accepted(self, tmp_path):
+        path = tmp_path / "cv_confusion.csv"
+        path.write_text(f"{self.CONFUSION_HEADER}\ntyping,4.0,1\nmouse,2e0,5.\n")
+        assert io.read_confusion(path).tolist() == [[4, 1], [2, 5]]
+        assert self.run("--out", str(tmp_path / "o"), "train-behavior", "--confusion", str(path),
+                        "--sequences", "2", "--length", "10") == 0
 
     @pytest.mark.parametrize("flag, value", [
         ("--sequences", "0"), ("--length", "0"), ("--length", "-3"),
@@ -1517,8 +1611,7 @@ class TestCli:
         # the CLI and the evaluation study train through one function
         confusion = [[18, 2], [3, 17]]
         path = tmp_path / "cv_confusion.csv"
-        io.write_table(path, ["true", "predicted_typing", "predicted_mouse"],
-                       [("typing", *confusion[0]), ("mouse", *confusion[1])])
+        io.write_confusion(path, np.array(confusion))
         assert self.run("--out", str(tmp_path), "train-behavior", "--confusion", str(path),
                         "--sequences", "4", "--length", "30") == 0
         got = io.read_behavior_models(tmp_path / "behavior_models.json")
