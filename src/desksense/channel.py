@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from ._workers import thread_map
 
@@ -63,6 +62,14 @@ _BLOCK = 8192
 # subcarrier_wavelengths gives at most 1.94 eps (2-256 subcarriers, 20-160
 # MHz), and 4 eps moves a 3 m path's phase at 0.125 m by 1.3e-13 rad.
 _SPACING_RTOL = 4 * np.finfo(float).eps
+
+# Hand jitter is white noise smoothed by a normalised Gaussian kernel of 25
+# samples' std (a few Hz at 1 kHz), cut at a radius of four std.
+_JITTER_SIGMA = 25.0
+_JITTER_RADIUS = int(4 * _JITTER_SIGMA + 0.5)
+_JITTER_KERNEL = np.exp(-0.5 / _JITTER_SIGMA**2
+                        * np.arange(-_JITTER_RADIUS, _JITTER_RADIUS + 1) ** 2)
+_JITTER_KERNEL /= _JITTER_KERNEL.sum()
 
 
 def _as_point(p) -> np.ndarray:
@@ -207,6 +214,13 @@ class GestureModel:
         return self.positions(np.array([self.duration]))[0]
 
 
+def _smooth_jitter(noise: np.ndarray) -> np.ndarray:
+    """Each column of an (n, 3) array convolved with the jitter kernel, the
+    column mirrored past each end (c b a | a b c | c b a) as far as needed."""
+    padded = np.pad(noise, ((_JITTER_RADIUS, _JITTER_RADIUS), (0, 0)), mode="symmetric")
+    return np.column_stack([np.convolve(axis, _JITTER_KERNEL, "valid") for axis in padded.T])
+
+
 def gesture_jitter(n: int, rng: np.random.Generator, std: float) -> np.ndarray:
     """Smooth 3-D hand micro-motion over n samples, ramped in and out.
 
@@ -216,7 +230,7 @@ def gesture_jitter(n: int, rng: np.random.Generator, std: float) -> np.ndarray:
     """
     if n == 0 or std == 0.0:
         return np.zeros((n, 3))
-    j = gaussian_filter1d(rng.normal(0.0, 1.0, (n, 3)), 25.0, axis=0, mode="reflect")
+    j = _smooth_jitter(rng.normal(0.0, 1.0, (n, 3)))
     sd = j.std(axis=0)
     sd[sd == 0] = 1.0
     j = (j - j.mean(axis=0)) / sd * std
@@ -254,8 +268,10 @@ class CsiTrace:
         self.samples = np.asarray(self.samples, dtype=complex)
         if self.samples.ndim != 2:
             raise ValueError("samples must be a (subcarriers, T) array")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        if self.samples.shape[0] < 1:
+            raise ValueError("subcarriers must be >= 1")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ValueError("fs must be positive and finite")
         last = -1
         for ann in self.meta:
             if ann.start_idx <= last:

@@ -116,10 +116,16 @@ def sliding_variance(values: np.ndarray, window_samples: int) -> np.ndarray:
     if len(x) < w:
         raise ValueError("series shorter than one window")
     x = x - x.mean()  # improves conditioning; variance is shift-invariant
-    s1 = moving_sum(x, w)
-    s2 = moving_sum(x * x, w)
-    var = s2 / w - (s1 / w) ** 2
-    return np.maximum(var, 0.0)
+    # s2 / w - (s1 / w) ** 2, with the squares and the quotients taken in place
+    running = np.empty(len(x) + 1)
+    s1 = _moving_sum(x, w, running)
+    np.multiply(x, x, out=x)
+    var = _moving_sum(x, w, running)
+    var /= w
+    s1 /= w
+    np.multiply(s1, s1, out=s1)
+    var -= s1
+    return np.maximum(var, 0.0, out=var)
 
 
 def moving_sum(values: np.ndarray, window_samples: int) -> np.ndarray:
@@ -127,8 +133,15 @@ def moving_sum(values: np.ndarray, window_samples: int) -> np.ndarray:
     w = int(window_samples)
     if len(x) < w:
         raise ValueError("series shorter than one window")
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    return c[w:] - c[:-w]
+    return _moving_sum(x, w, np.empty(len(x) + 1))
+
+
+def _moving_sum(x: np.ndarray, w: int, running: np.ndarray) -> np.ndarray:
+    """Sums of each w consecutive values of x, by differences of the running
+    sum, which is written into `running` (len(x) + 1 floats)."""
+    running[0] = 0.0
+    np.cumsum(x, out=running[1:])
+    return np.subtract(running[w:], running[:-w])
 
 
 def smooth_variance(nor1: np.ndarray, window_samples: int, gain: float = 100.0) -> np.ndarray:
@@ -137,8 +150,9 @@ def smooth_variance(nor1: np.ndarray, window_samples: int, gain: float = 100.0) 
     Suppresses the micro-fluctuations nor1 shows in stationary spans while
     reacting strongly where the variance level itself changes.
     """
-    summed = moving_sum(nor1, window_samples)
-    return gain * sliding_variance(summed, window_samples)
+    nor2 = sliding_variance(moving_sum(nor1, window_samples), window_samples)
+    nor2 *= gain
+    return nor2
 
 
 def _first_stable_start(candidates: np.ndarray, params: SegmenterParams) -> int | None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.ndimage import gaussian_filter1d
 from scipy.optimize import brentq
 
 from desksense import _workers, channel
@@ -426,6 +427,17 @@ class TestSimulateTrace:
             radii = [zone_boundary_radius(geom, n) for n in range(1, 12)]
             assert all(a < b for a, b in zip(radii, radii[1:]))
 
+    @pytest.mark.parametrize("fs, rows, message", [
+        (float("nan"), 1, "fs must be positive and finite"),
+        (float("inf"), 1, "fs must be positive and finite"),
+        (0.0, 1, "fs must be positive and finite"),
+        (1000.0, 0, "subcarriers must be >= 1"),
+    ])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_refuses_what_the_trace_reader_refuses(self, fs, rows, message, n):
+        with pytest.raises(ValueError, match=message):
+            CsiTrace(fs=fs, samples=np.ones((rows, n), dtype=complex))
+
     def test_annotations_validated(self):
         with pytest.raises(ValueError, match="sorted"):
             CsiTrace(
@@ -521,6 +533,17 @@ class TestGestureJitter:
         j = gesture_jitter(n, np.random.default_rng(seed), std)
         assert j.shape == (n, 3)
         assert np.abs(j).max() <= math.sqrt(n) * std * (1 + 1e-12)
+
+    @given(n=st.sampled_from([1, 2, 100, 101, 200, 201]) | st.integers(1, 1500),
+           seed=st.integers(0, 2**32 - 1))
+    def test_smoothing_matches_gaussian_filter1d(self, n, seed):
+        # including n below the kernel's 100-sample radius, where the
+        # mirrored noise repeats
+        noise = np.random.default_rng(seed).normal(0.0, 1.0, (n, 3))
+        want = gaussian_filter1d(noise, 25.0, axis=0, mode="reflect")
+        got = channel._smooth_jitter(noise)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_two_samples_no_offset(self):
         # the smoothed noise of two samples is nearly constant, and its

@@ -8,8 +8,8 @@ a 60 s in-memory trace at the default configuration.  Its discrete outputs
 (selected subcarrier, segment indices, kept and dropped counts, labels,
 confusion matrices) are compared with tests/golden.json as they are, and
 every output file and comparable report by its sha256.  Float bits may
-move with the Python, numpy or scipy version, so the file records the
-versions it was made with, and a hash mismatch names those that differ.
+move with the Python or numpy version, so the file records the versions
+it was made with, and a hash mismatch names those that differ.
 
 A change that alters outputs regenerates the file and commits its diff:
 
@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from desksense import io
 from desksense.cli import main
@@ -61,8 +60,7 @@ SCRIPT = """\
 
 
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def sha256(data: bytes) -> str:

@@ -1187,9 +1187,22 @@ def keystroke_trace(tmp_path_factory):
     return str(out / "trace.csv")
 
 
+IMPORTED_SCIPY = ("import sys, desksense.cli; "
+                  "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
+
+    def test_import_loads_no_scipy(self):
+        # the program runs on numpy alone; scipy serves only the tests, and
+        # scipy.signal alone would cost over a second and ~76 MB per start
+        src = str(Path(io.__file__).parents[1])
+        imported = subprocess.run(
+            [sys.executable, "-c", IMPORTED_SCIPY], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert imported.stdout == "[]\n"
 
     def test_simulate_segment_featurize_train(self, tmp_path):
         out = tmp_path / "run"

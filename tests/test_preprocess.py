@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from desksense import _workers, preprocess
 from desksense.channel import CsiTrace
@@ -95,16 +96,16 @@ def outcome(select, trace):
 @st.composite
 def traces_with_repeated_rows(draw):
     """Complex traces whose rows are drawn from a small pool, so equal rows
-    (ties), zero rows and all-zero traces all occur."""
-    n_sub = draw(st.integers(0, 6))
+    (ties), zero rows and all-zero traces all occur.  A trace needs one
+    subcarrier at least (test_errors_unchanged checks the refusal)."""
+    n_sub = draw(st.integers(1, 6))
     n = draw(st.sampled_from([0, 1, 2, 127, 128, 129, 1100]) | st.integers(1, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([0.0, 1e-3, 1.0, 8.0, 1e6]))
     pool = rng.normal(0.0, scale, (3, 2, n)) + draw(st.sampled_from([0.0, 8.0]))
     pool[0] = 0.0
     picks = draw(st.lists(st.integers(0, 2), min_size=n_sub, max_size=n_sub))
-    samples = pool[picks, 0] + 1j * pool[picks, 1] if picks else np.zeros((0, n))
-    return CsiTrace(fs=FS, samples=np.asarray(samples, dtype=complex).reshape(n_sub, n))
+    return CsiTrace(fs=FS, samples=pool[picks, 0] + 1j * pool[picks, 1])
 
 
 class TestRowStreamedSelection:
@@ -125,12 +126,16 @@ class TestRowStreamedSelection:
 
     @pytest.mark.parametrize("rows, message", [
         (np.zeros((3, 0)), "trace is empty"),
-        (np.zeros((0, 5)), "trace is empty"),
+        (np.zeros((0, 5)), "subcarriers must be >= 1"),
         (np.zeros((4, 100)), "all-zero trace: no informative subcarrier"),
     ])
     def test_errors_unchanged(self, rows, message):
-        trace = trace_from_amplitudes(rows)
-        assert outcome(select_subcarrier, trace) == outcome(whole_array_select, trace) == message
+        # a trace without subcarriers is refused where it is built
+        def select_from(select):
+            return lambda amplitudes: select(trace_from_amplitudes(amplitudes))
+
+        got = outcome(select_from(select_subcarrier), rows)
+        assert got == outcome(select_from(whole_array_select), rows) == message
 
     def test_constant_rows_are_not_all_zero(self):
         # every variance is zero, yet the trace is not: the lowest index wins
@@ -255,7 +260,25 @@ class TestThreadedVariances:
         assert pools == want
 
 
+def sos_response(sos, w):
+    """Complex response of a cascade of second-order sections at the angular
+    frequencies w (radians per sample)."""
+    z = np.exp(-1j * np.asarray(w))[:, None] ** np.arange(3)
+    return np.prod((z @ sos[:, :3].T) / (z @ sos[:, 3:].T), axis=1)
+
+
+# test_dc_gain_is_one's filters
+ORDERS = st.sampled_from([2, 4, 6, 8])
+RATES = st.floats(20.0, 5000.0)
+CUTOFF_FRACTIONS = st.floats(0.01, 0.9)
+
+
 class TestButterworth:
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_series_rate_positive_and_finite(self, fs):
+        with pytest.raises(ValueError, match="fs must be positive and finite"):
+            AmplitudeSeries(fs=fs, values=np.ones(10))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FilterSpec(order=3)
@@ -300,9 +323,8 @@ class TestButterworth:
                 assert measured == pytest.approx(ideal, rel=0.01)
 
     @settings(max_examples=60)
-    @given(order=st.sampled_from([2, 4, 6, 8]), fs=st.floats(20.0, 5000.0),
-           cutoff_fraction=st.floats(0.01, 0.9), start=st.floats(-100.0, 100.0),
-           level=st.floats(-100.0, 100.0))
+    @given(order=ORDERS, fs=RATES, cutoff_fraction=CUTOFF_FRACTIONS,
+           start=st.floats(-100.0, 100.0), level=st.floats(-100.0, 100.0))
     def test_dc_gain_is_one(self, order, fs, cutoff_fraction, start, level):
         spec = FilterSpec(cutoff_hz=cutoff_fraction * fs / 2, order=order)
         sos = design_sos(spec, fs)
@@ -315,3 +337,33 @@ class TestButterworth:
         values = np.concatenate([np.full(50, start), np.full(settle + 50, level)])
         out = butterworth_lowpass(AmplitudeSeries(fs=fs, values=values), spec).values
         np.testing.assert_allclose(out[-50:], level, rtol=1e-9, atol=1e-9 * (abs(start) + 1))
+
+
+class TestAgainstScipy:
+    """The numpy design and filter against scipy.signal, which the program
+    no longer imports, over test_dc_gain_is_one's filters."""
+
+    @settings(max_examples=200)
+    @given(order=ORDERS, fs=RATES, cutoff_fraction=CUTOFF_FRACTIONS)
+    def test_design_matches_butter(self, order, fs, cutoff_fraction):
+        spec = FilterSpec(cutoff_hz=cutoff_fraction * fs / 2, order=order)
+        w = np.linspace(0.0, np.pi, 513)
+        want = sos_response(butter(order, spec.cutoff_hz, fs=fs, output="sos"), w)
+        np.testing.assert_allclose(sos_response(design_sos(spec, fs), w), want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200)
+    @given(order=ORDERS, fs=RATES, cutoff_fraction=CUTOFF_FRACTIONS,
+           n=st.sampled_from([1, 2, 49, 50, 51, 20_000]) | st.integers(1, 20_000),
+           offset=st.floats(-100.0, 100.0), seed=st.integers(0, 2**32 - 1))
+    def test_lowpass_matches_sosfilt(self, order, fs, cutoff_fraction, n, offset, seed):
+        # a random walk with white noise on it: slow drift and broadband
+        # content, started at the state of a constant first-50-sample mean
+        spec = FilterSpec(cutoff_hz=cutoff_fraction * fs / 2, order=order)
+        rng = np.random.default_rng(seed)
+        x = offset + rng.normal(0.0, 1.0, n).cumsum() + rng.normal(0.0, 1.0, n)
+        sos = butter(order, spec.cutoff_hz, fs=fs, output="sos")
+        want, _ = sosfilt(sos, x, zi=sosfilt_zi(sos) * np.mean(x[:50]))
+        got = butterworth_lowpass(AmplitudeSeries(fs=fs, values=x), spec).values
+        assert got.shape == want.shape
+        # sosfilt rounds the level itself, hence the term in max|x|
+        assert np.abs(got - want).max() <= 1e-9 * np.ptp(x) + 1e-12 * np.abs(x).max()

@@ -22,6 +22,7 @@ from desksense.segmentation import (
     GestureSegment,
     SegmenterParams,
     mark_end_point,
+    moving_sum,
     segment,
     sliding_variance,
     smooth_variance,
@@ -37,7 +38,37 @@ def filtered_burst(config, count=17, seed=1, gap=1.3):
     return series, trace.meta
 
 
+def whole_array_moving_sum(x, w):
+    c = np.concatenate([[0.0], np.cumsum(x)])
+    return c[w:] - c[:-w]
+
+
+def whole_array_sliding_variance(x, w):
+    x = x - x.mean()
+    s1 = whole_array_moving_sum(x, w)
+    s2 = whole_array_moving_sum(x * x, w)
+    return np.maximum(s2 / w - (s1 / w) ** 2, 0.0)
+
+
 class TestVarianceTraces:
+    @given(n=st.integers(2, 3000), w=st.integers(2, 120), offset=st.sampled_from([0.0, 8.0, 1e6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_whole_array_expressions(self, n, w, offset, seed):
+        # the nor cascade works in buffers it allocates once, with the same
+        # ufuncs in the same order as the expressions, and leaves its input be
+        x = offset + np.random.default_rng(seed).normal(0.0, 1.0, n)
+        kept = x.copy()
+        if n < 3 * w - 2:
+            with pytest.raises(ValueError, match="shorter"):
+                smooth_variance(sliding_variance(x, w), w)
+            return
+        nor1 = sliding_variance(x, w)
+        assert nor1.tobytes() == whole_array_sliding_variance(x, w).tobytes()
+        assert moving_sum(x, w).tobytes() == whole_array_moving_sum(x, w).tobytes()
+        want = 100.0 * whole_array_sliding_variance(whole_array_moving_sum(nor1, w), w)
+        assert smooth_variance(nor1, w, 100.0).tobytes() == want.tobytes()
+        assert x.tobytes() == kept.tobytes()
+
     def test_constant_series_zero_variance(self):
         out = sliding_variance(np.full(200, 4.2), 50)
         assert out.shape == (151,)
