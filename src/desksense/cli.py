@@ -309,6 +309,9 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+_TRACE_HELP = "trace file: the .npz archive that simulate writes, whatever its name"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="desksense",
@@ -319,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="synthesize a CSI trace from a gesture script")
+    p = sub.add_parser("simulate", help="synthesize a CSI trace from a gesture script: "
+                       "trace.csv, an .npz archive, and trace.ann")
     p.add_argument("--script", help="gesture script file")
     p.add_argument("--keystrokes", type=int, default=17,
                    help="keystroke count for the built-in script (ignored with --script)")
@@ -327,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("segment", help="segment a trace file")
-    p.add_argument("--trace", required=True)
+    p.add_argument("--trace", required=True, help=_TRACE_HELP)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("featurize", help="extract per-segment features")
-    p.add_argument("--trace", required=True)
+    p.add_argument("--trace", required=True, help=_TRACE_HELP)
     p.add_argument("--annotations")
     p.add_argument("--use-annotations", action="store_true",
                    help="slice segments from the annotations instead of detecting")
@@ -364,11 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plotdata", help="emit plot-ready tables")
     p.add_argument("--kind", required=True,
                    choices=["filter-response", "subcarrier-variance", "segments"])
-    p.add_argument("--artifact", help="input artifact (trace file where applicable)")
+    p.add_argument("--artifact", help=f"input artifact, a {_TRACE_HELP}")
     p.set_defaults(func=cmd_plotdata)
 
     p = sub.add_parser("pipeline", help="full pipeline over one trace")
-    p.add_argument("--trace", required=True)
+    p.add_argument("--trace", required=True, help=_TRACE_HELP)
     p.add_argument("--annotations")
     p.add_argument("--gesture-model")
     p.add_argument("--behavior-models")

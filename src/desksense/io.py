@@ -1,32 +1,34 @@
-"""Text file formats shared across the pipeline.
+"""File formats shared across the pipeline.
 
-Everything is plain text at full double precision so artifacts diff cleanly
-and round-trip losslessly.  One writer formats every table in tasks of rows,
-one `%` per task, on forked worker processes when the table has enough tasks
-to pay for them, and streams them in order into a temp file renamed over the
-target.  Traces are read back in tasks of as many lines, parsed into one
-array allocated up front; each task knows its first line number.  The files
-people write or edit (annotations, datasets, gesture scripts, confusion
-tables) are read by read_records, one rule for comments, blank lines,
-headers and errors.
+A trace is one uncompressed `.npz` archive, whatever its file name, of two
+`.npy` members: `fs.npy` (0-d float64) and `samples.npy` ((S, T) C-order
+complex128).  Both are streamed through the archive, so the file keeps every
+bit, a write holds one row at a time and a read holds the samples once; a
+member's header is checked against the bytes it stores before anything is
+allocated.  Every other artifact is plain text at full double precision, so
+it diffs cleanly and round-trips losslessly: one writer formats every table
+in tasks of rows, one `%` per task, and streams them in order into a temp
+file renamed over the target.  The files people write or edit (annotations,
+datasets, gesture scripts, confusion tables) are read by read_records, one
+rule for comments, blank lines, headers and errors.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
-import re
+import struct
 import tempfile
-import warnings
-from contextlib import closing, contextmanager
-from io import BytesIO
-from itertools import chain, islice
+import zipfile
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
-from ._workers import fork_map
 from .behavior import Behavior, BehaviorHmm
-from .channel import Annotation, CsiTrace, GestureKind
+from .channel import Annotation, CsiTrace, GestureKind, _mapped_empty
 from .classify import (
     FeatureVector,
     GaussianNbClassifier,
@@ -37,18 +39,22 @@ from .classify import (
 )
 
 FLOAT_FMT = "%.17g"
-_TASK_VALUES = 1 << 14  # values a task formats or parses
-_ROW_IN_CALL = re.compile(r"at row \d+, ")
+_TASK_VALUES = 1 << 14  # values a task of a text table formats
+# a trace archive's members: (name, dtype, ndim), written in this order
+_TRACE_MEMBERS = (("fs.npy", "<f8", 0), ("samples.npy", "<c16", 2))
+# zip's earliest date stamps every member, so a write's bytes never depend on the clock
+_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+_READ_CHUNK = 1 << 16  # bytes a read takes from a member at a time
 
 
 @contextmanager
-def _atomic_open(path):
-    """Text handle on a temp file beside path, renamed over path on success."""
+def _atomic_open(path, mode="w"):
+    """Handle in mode on a temp file beside path, renamed over path on success."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -60,11 +66,6 @@ def _atomic_open(path):
 def atomic_write_text(path, content: str) -> None:
     with _atomic_open(path) as fh:
         fh.write(content)
-
-
-def _rows_per_task(n_cols: int) -> int:
-    """Rows of an n_cols-column table that one task writes or reads."""
-    return max(1, _TASK_VALUES // n_cols)
 
 
 def _format_rows(row_fmt: str, columns, a: int, b: int) -> str:
@@ -79,16 +80,16 @@ def _write_table(path, first_line, columns, fmts) -> None:
     """first_line, unless it is None, then one row per index of the
     equal-length columns, column j in fmts[j], written atomically.
 
-    Tasks of _rows_per_task rows are formatted on the workers of fork_map
-    and written in order, so the text never exists as a whole.
+    Tasks of _TASK_VALUES // columns rows (at least one) are formatted and
+    written in order, so the text never exists as a whole.
     """
     row_fmt = ",".join(fmts) + "\n"
-    step = _rows_per_task(len(columns))
-    tasks = [(row_fmt, columns, a, a + step) for a in range(0, len(columns[0]), step)]
-    with _atomic_open(path) as fh, closing(fork_map(_format_rows, tasks)) as texts:
+    step = max(1, _TASK_VALUES // len(columns))
+    with _atomic_open(path) as fh:
         if first_line is not None:
             fh.write(first_line + "\n")
-        fh.writelines(texts)   # holds one text at a time
+        for a in range(0, len(columns[0]), step):
+            fh.write(_format_rows(row_fmt, columns, a, a + step))
 
 
 class _Times:
@@ -104,132 +105,75 @@ class _Times:
         return np.arange(*rows.indices(self.n)) / self.fs
 
 
-def _read_header(path, line: str, casts: dict) -> dict:
-    """The `# key=value ...` first line of a file, each key in casts cast by its type."""
-    header = line.strip()
-    if not header.startswith("#"):
-        raise ValueError(f"{path}:1: missing header line")
-    fields = {}
-    for token in header.lstrip("# ").split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:1: header token {token!r} is not key=value")
-        fields[key] = value
-    out = {}
-    for key, cast in casts.items():
-        if key not in fields:
-            raise ValueError(f"{path}:1: header lacks {key}=")
-        try:
-            out[key] = cast(fields[key])
-        except ValueError:
-            raise ValueError(
-                f"{path}:1: header field {key}={fields[key]!r} is not a valid {cast.__name__}"
-            ) from None
-    return out
+def _write_member(archive, name: str, dtype: str, array) -> None:
+    """array as the C-order .npy member name of archive, a row at a time."""
+    array = np.asarray(array)
+    info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
+    with archive.open(info, "w", force_zip64=True) as member:   # a member may pass 2 GiB
+        npy.write_array_header_1_0(member, {"descr": dtype, "fortran_order": False,
+                                            "shape": array.shape})
+        for row in array if array.ndim else array.reshape(1):
+            member.write(memoryview(np.ascontiguousarray(row, dtype=dtype)).cast("B"))
 
 
 def write_trace(path, trace: CsiTrace) -> None:
-    """Header `# fs=<float> subcarriers=<int>`, then rows t, re_1, im_1, ..."""
-    columns = [_Times(trace.n_samples, trace.fs)]
-    for row in trace.samples:
-        columns += [row.real, row.imag]
-    _write_table(path, f"# fs={FLOAT_FMT % trace.fs} subcarriers={trace.subcarriers}",
-                 columns, [FLOAT_FMT] * len(columns))
+    """fs and samples as the members of one uncompressed .npz archive."""
+    with _atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        for (name, dtype, _), array in zip(_TRACE_MEMBERS, (trace.fs, trace.samples)):
+            _write_member(archive, name, dtype, array)
 
 
-def _line_ranges(fb, line: int, rows: int) -> tuple[list[tuple[int, int, int]], int]:
-    """Byte ranges of `rows` whole lines each, from fb's position (the start
-    of line number `line`) to the end of the file, each with the number of
-    its first line; and the number of lines, a last one without a newline
-    included."""
-    ranges, start, n = [], fb.tell(), 0
-    while sizes := list(map(len, islice(fb, rows))):
-        end = start + sum(sizes)
-        ranges.append((start, end, line + n))
-        start, n = end, n + len(sizes)
-    return ranges, n
-
-
-def _loadtxt(lines) -> np.ndarray:
-    with warnings.catch_warnings():
-        # skipped lines are not data rows, and a range may hold only them
-        warnings.filterwarnings(
-            "ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning
-        )
-        return np.loadtxt(lines, delimiter=",", ndmin=2, encoding="utf-8")
-
-
-def _parse_range(path, start: int, stop: int) -> np.ndarray:
-    """The rows of bytes [start, stop) of path, whole lines."""
-    with open(path, "rb") as fb:
-        fb.seek(start)
-        data = fb.read(stop - start)
-    return _loadtxt(BytesIO(data))
-
-
-def _bad_line(path, fb, start: int, first: int, n_cols: int) -> ValueError:
-    """The error naming the first line from byte offset start, the start of
-    line first, that does not parse, does not have n_cols columns or has a
-    non-finite sample."""
-    fb.seek(start)
-    for lineno, line in enumerate(fb, first):
-        try:
-            row = _loadtxt([line])
-        except ValueError as exc:
-            # the line number replaces numpy's row within the one-line call
-            return ValueError(f"{path}:{lineno}: {_ROW_IN_CALL.sub('at ', str(exc))}")
-        if len(row) and row.shape[1] != n_cols:
-            return ValueError(f"{path}:{lineno}: expected {n_cols} columns, got {row.shape[1]}")
-        finite = np.isfinite(row[:, 1:]).all(axis=0)
-        if not finite.all():
-            col = 1 + int(np.argmin(finite))
-            return ValueError(f"{path}:{lineno}: non-finite value {row[0, col]} in column {col + 1}")
-    return ValueError(f"{path}:{first}: rows from here do not parse")
+def _read_member(archive, name: str, dtype: str, ndim: int) -> np.ndarray:
+    """The .npy member name of archive, which must be stored, have dtype,
+    ndim dimensions and C order, and hold exactly the bytes of its shape,
+    all checked before the array is allocated."""
+    info = archive.getinfo(name)
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+        raise ValueError(f"{name} is compressed or encrypted; trace members are stored")
+    if info.header_offset < 0:
+        raise ValueError(f"{name} starts before the start of the file")
+    with archive.open(info) as member:
+        version = npy.read_magic(member)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"{name} has .npy version {version}, expected (1, 0) or (2, 0)")
+        read_header = npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0
+        shape, fortran_order, got = read_header(member)
+        if got != np.dtype(dtype):
+            raise ValueError(f"{name} has dtype {got}, expected {np.dtype(dtype)}")
+        if len(shape) != ndim or fortran_order:
+            raise ValueError(f"{name} has shape {shape}{' in Fortran order' * fortran_order}, "
+                             f"expected {ndim} dimensions in C order")
+        stored = info.file_size - member.tell()
+        if min(shape, default=0) < 0 or math.prod(shape) * got.itemsize != stored:
+            raise ValueError(f"{name} has shape {shape}, which does not fit its {stored} bytes")
+        array = _mapped_empty(shape, dtype)
+        view = memoryview(array.reshape(-1)).cast("B")
+        for at in range(0, len(view), _READ_CHUNK):   # zipfile checks the CRC at the end
+            chunk = view[at:at + _READ_CHUNK]
+            if member.readinto(chunk) != len(chunk):
+                raise ValueError(f"{name} ends before its {stored} bytes")
+    return array
 
 
 def read_trace(path) -> CsiTrace:
-    """Inverse of write_trace: tasks of as many lines as a writer task has
-    rows are parsed on the workers of fork_map and copied in order into one
-    preallocated (S, T) array, so a read holds the samples once.
-
-    A header without a positive finite fs or at least one subcarrier, a bad
-    or non-finite cell, a row of the wrong width and a truncated last row
-    raise ValueError("<path>:<line>: ...").
-    """
-    with open(path, "rb") as fb:
-        header = _read_header(path, fb.readline().decode(errors="replace"),
-                              {"fs": float, "subcarriers": int})
-        if not 0 < header["fs"] < np.inf:
-            raise ValueError(f"{path}:1: fs must be positive and finite, got {header['fs']!r}")
-        n_sub = header["subcarriers"]
-        if n_sub < 1:
-            raise ValueError(f"{path}:1: subcarriers must be >= 1, got {n_sub}")
-        n_cols = 1 + 2 * n_sub
-        # n_rows is an upper bound: blank and '#' lines, which loadtxt skips, count too
-        ranges, n_rows = _line_ranges(fb, 2, _rows_per_task(n_cols))
-        samples = None
-        i = 0
-        blocks = fork_map(_parse_range, [(path, a, b) for a, b, _ in ranges])
-        with closing(blocks):
-            for start, _, line in ranges:
-                try:
-                    block = next(blocks)
-                except ValueError:
-                    raise _bad_line(path, fb, start, line, n_cols) from None
-                if not len(block):
-                    continue
-                if block.shape[1] != n_cols or not np.isfinite(block[:, 1:]).all():
-                    raise _bad_line(path, fb, start, line, n_cols)
-                if samples is None:  # allocated once a row has the header's width
-                    samples = np.empty((n_sub, n_rows), dtype=complex)
-                # (re, im) column pairs viewed as complex keep every bit, signed zeros too
-                samples[:, i:i + len(block)] = block[:, 1:].view(complex).T
-                i += len(block)
-    if samples is None:
-        samples = np.empty((n_sub, 0), dtype=complex)
-    elif i < n_rows:
-        samples = np.ascontiguousarray(samples[:, :i])
-    return CsiTrace(fs=header["fs"], samples=samples)
+    """Inverse of write_trace.  Whatever is wrong with the file, as a zip, as
+    .npy members or as a trace (an fs that is not positive and finite, no
+    subcarriers, a non-finite sample), raises ValueError("<path>: ...")."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            names = sorted(archive.namelist())
+            if names != [name for name, *_ in _TRACE_MEMBERS]:
+                raise ValueError(f"expected members fs.npy and samples.npy, got {names}")
+            fs, samples = (_read_member(archive, *member) for member in _TRACE_MEMBERS)
+        finite = np.isfinite(samples)
+        if not finite.all():
+            s, t = np.unravel_index(np.argmin(finite), finite.shape)
+            raise ValueError(f"non-finite sample {samples[s, t]} at subcarrier {s}, index {t}")
+        return CsiTrace(fs=float(fs), samples=samples)
+    except EOFError:
+        raise ValueError(f"{path}: the archive ends inside a member") from None
+    except (zipfile.BadZipFile, struct.error, NotImplementedError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_annotations(path, annotations: list[Annotation]) -> None:

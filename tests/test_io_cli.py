@@ -1,29 +1,27 @@
-import contextlib
 import functools
 import json
 import logging
 import math
-import multiprocessing
+import mmap
 import os
 import re
-import select
-import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import tracemalloc
 import warnings
+import zipfile
+from io import BytesIO
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from desksense import _workers, io, segmentation
+from desksense import io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import Annotation, CsiTrace, GestureKind
 from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
@@ -31,7 +29,7 @@ from desksense.cli import main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
 from desksense.corpus import keystroke_burst_script, simulate_script
 from desksense.pipeline import behavior_study, run_pipeline
-from desksense.preprocess import AmplitudeSeries, select_subcarrier
+from desksense.preprocess import AmplitudeSeries
 from desksense.segmentation import GestureSegment
 
 
@@ -63,43 +61,9 @@ BEHAVIOR_MODELS = {
 }
 
 
-@contextlib.contextmanager
-def codec_split(workers=None, task_values=None):
-    """The CPU count and io's task size patched where given."""
-    with contextlib.ExitStack() as stack:
-        if task_values is not None:
-            stack.enter_context(mock.patch.object(io, "_TASK_VALUES", task_values))
-        if workers is not None:
-            stack.enter_context(mock.patch.object(_workers, "cpus", lambda: workers))
-        yield
-
-
-@contextlib.contextmanager
-def count_tasks():
-    """The number of tasks of each of io's fork_map calls, in order."""
-    counts = []
-    fork_map = io.fork_map
-
-    def counted(fn, tasks):
-        counts.append(len(tasks))
-        return fork_map(fn, tasks)
-
-    with mock.patch.object(io, "fork_map", counted):
-        yield counts
-
-
-@contextlib.contextmanager
-def watch_forks():
-    """The number of live threads of this process at each fork, in order."""
-    threads = []
-    fork = os.fork
-
-    def counted_fork():
-        threads.append(threading.active_count())
-        return fork()
-
-    with mock.patch.object(os, "fork", counted_fork):
-        yield threads
+def codec_split(task_values):
+    """io's text-table task size patched to task_values."""
+    return mock.patch.object(io, "_TASK_VALUES", task_values)
 
 
 class TestRoundTrips:
@@ -122,9 +86,11 @@ class TestRoundTrips:
         assert header == b"# fs=999.5 subcarrier=2"
 
     def test_integer_fs_header_unchanged(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        io.write_trace(path, random_trace())
-        assert path.read_text().splitlines()[0] == "# fs=1000 subcarriers=4"
+        io.write_trace(tmp_path / "trace.csv", random_trace())
+        assert io.read_trace(tmp_path / "trace.csv").fs == 1000.0
+        series = AmplitudeSeries(fs=1000.0, values=np.arange(3.0), source_subcarrier=4)
+        io.write_series(tmp_path / "series.csv", series)
+        assert (tmp_path / "series.csv").read_text().splitlines()[0] == "# fs=1000 subcarrier=4"
 
     def test_annotations(self, tmp_path):
         anns = [Annotation(5, 20, "keystroke"), Annotation(40, 45, "mouse_move")]
@@ -163,21 +129,26 @@ class TestRoundTrips:
             np.testing.assert_array_equal(back[b].pi, models[b].pi)
 
 
-# Reference writers: one `%` per value, joined into one string.  The
-# task-streamed writer must produce exactly these bytes.
+# Reference writers.  A trace archive is written whole, each member by
+# numpy's own write_array and stamped as write_trace stamps it; a text table
+# is one `%` per value, joined into one string.  The streamed writers must
+# produce exactly these bytes.
+
+def write_archive(path, members, compression=zipfile.ZIP_STORED):
+    """An archive of members {name: an array, or the bytes of a member}."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, value in members.items():
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            info.compress_type = compression
+            with archive.open(info, "w", force_zip64=True) as member:
+                if isinstance(value, bytes):
+                    member.write(value)
+                else:
+                    np.lib.format.write_array(member, np.asarray(value), allow_pickle=True)
+
 
 def oracle_write_trace(path, trace):
-    fmt = io.FLOAT_FMT
-    lines = [f"# fs={fmt % trace.fs} subcarriers={trace.subcarriers}"]
-    t = np.arange(trace.n_samples) / trace.fs
-    for i in range(trace.n_samples):
-        row = [fmt % t[i]]
-        for s in range(trace.subcarriers):
-            v = trace.samples[s, i]
-            row.append(fmt % v.real)
-            row.append(fmt % v.imag)
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_archive(path, {"fs.npy": np.float64(trace.fs), "samples.npy": trace.samples})
 
 
 def oracle_write_series(path, series):
@@ -208,8 +179,7 @@ SAMPLE_RATES = st.one_of(
     st.integers(1, 100_000).map(float),
     st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
 )
-# Tiny tasks put a task boundary inside every table the tests draw, written
-# or read.
+# Tiny tasks put a task boundary inside every text table the tests draw.
 TASK_VALUES = st.sampled_from([1, 40, io._TASK_VALUES])
 
 
@@ -244,11 +214,10 @@ def traces(draw):
 
 class TestBlockWriter:
     @settings(max_examples=60)
-    @given(trace=traces(), task_values=TASK_VALUES)
-    def test_trace_bytes(self, trace, task_values):
+    @given(trace=traces())
+    def test_trace_bytes(self, trace):
         with tempfile.TemporaryDirectory() as d:
-            with codec_split(task_values=task_values):
-                io.write_trace(Path(d) / "new.csv", trace)
+            io.write_trace(Path(d) / "new.csv", trace)
             oracle_write_trace(Path(d) / "old.csv", trace)
             assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
 
@@ -338,6 +307,7 @@ class TestBlockWriter:
 
     @settings(max_examples=40)
     @given(trace=traces())
+    @example(trace=CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
     def test_trace_round_trip_bit_exact(self, trace):
         with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -350,7 +320,14 @@ class TestBlockWriter:
     def test_failed_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("old\n")
-        with mock.patch.object(io, "_format_rows", side_effect=RuntimeError("disk full")):
+        write_member = io._write_member
+
+        def fail_second(archive, name, *args):   # fs.npy is written, then the disk fills
+            if name == "samples.npy":
+                raise RuntimeError("disk full")
+            write_member(archive, name, *args)
+
+        with mock.patch.object(io, "_write_member", fail_second):
             with pytest.raises(RuntimeError, match="disk full"):
                 io.write_trace(path, random_trace())
         assert path.read_text() == "old\n"
@@ -362,443 +339,6 @@ class TestBlockWriter:
         io.write_trace(tmp_path / "trace.csv", CsiTrace(fs=1000.0, samples=samples))
         back = io.read_trace(tmp_path / "trace.csv")
         np.testing.assert_array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
-
-
-# Reference reader: the whole-file parse the task-streamed reader replaced.
-
-def oracle_read_trace(path):
-    with open(path) as fh:
-        fields = dict(token.split("=") for token in fh.readline().lstrip("# ").split())
-        n_cols = 1 + 2 * int(fields["subcarriers"])
-        body = fh.tell()
-        if fh.readline():
-            fh.seek(body)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        else:
-            data = np.empty((0, n_cols))
-    assert data.shape[1] == n_cols
-    return float(fields["fs"]), np.ascontiguousarray(
-        np.ascontiguousarray(data[:, 1:]).view(complex).T)
-
-
-SKIPPED_LINES = st.sampled_from(["", "#", "# a comment", "#1,2,3"])
-
-
-@st.composite
-def dirty_bodies(draw):
-    """(trace, extra lines keyed by the body line they precede, trailing newline)."""
-    n_sub = draw(st.integers(1, 4))
-    n = draw(st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]), st.integers(0, 2100)))
-    trace = CsiTrace(fs=draw(SAMPLE_RATES), samples=complex_from_parts(
-        special_floats(draw, (n_sub, n)), special_floats(draw, (n_sub, n))))
-    edges = [k for k in (0, 1, 1023, 1024, 1025, 2048, n) if k <= n]
-    where = st.one_of(st.sampled_from(edges), st.integers(0, n))
-    extra = draw(st.lists(st.tuples(where, SKIPPED_LINES), max_size=6))
-    return trace, extra, draw(st.booleans())
-
-
-def write_dirty_trace(path, trace, extra, trailing_newline):
-    """Write trace to path with extra lines inserted; return the clean file.
-
-    The clean trace goes to a sibling file, so that path is written once: on
-    ext4, truncating a file that was just written forces a flush to disk.
-    """
-    clean = path.with_name(path.name + ".clean")
-    io.write_trace(clean, trace)
-    lines = clean.read_text().splitlines()
-    for at, line in sorted(extra, key=lambda e: -e[0]):
-        lines.insert(1 + at, line)
-    path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""))
-    return clean
-
-
-class TestBlockReader:
-    @settings(max_examples=50)
-    @given(body=dirty_bodies(), task_values=TASK_VALUES)
-    def test_matches_whole_file_reader(self, body, task_values):
-        trace, extra, trailing_newline = body
-        with tempfile.TemporaryDirectory() as d:
-            dirty = Path(d) / "dirty.csv"
-            clean = write_dirty_trace(dirty, trace, extra, trailing_newline)
-            # the whole-file reader fails on a body of skipped lines alone
-            fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
-            with codec_split(task_values=task_values):
-                got = io.read_trace(dirty)
-        assert got.fs == fs == trace.fs
-        assert got.samples.shape == want.shape == trace.samples.shape
-        assert got.samples.flags.c_contiguous
-        np.testing.assert_array_equal(got.samples.view(np.uint64), want.view(np.uint64))
-
-    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
-    def test_block_edges(self, tmp_path, n):
-        rng = np.random.default_rng(n)
-        trace = CsiTrace(fs=999.5, samples=complex_from_parts(rng.normal(size=(3, n)),
-                                                              rng.normal(size=(3, n))))
-        io.write_trace(tmp_path / "trace.csv", trace)
-        got = io.read_trace(tmp_path / "trace.csv")
-        assert got.samples.flags.c_contiguous
-        np.testing.assert_array_equal(got.samples.view(np.uint64),
-                                      trace.samples.view(np.uint64))
-
-    @pytest.mark.parametrize("body", ["\n", "\n# no rows yet\n\n", "#"])
-    def test_only_skipped_lines_read_as_no_samples(self, tmp_path, body):
-        path = tmp_path / "trace.csv"
-        path.write_text("# fs=1000 subcarriers=2\n" + body)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = io.read_trace(path)
-        assert got.samples.shape == (2, 0)
-        assert got.samples.flags.c_contiguous
-
-    def test_header_wider_than_rows_allocates_nothing(self, tmp_path):
-        # a (10**12, T) array cannot be allocated; the first row's width is checked first
-        path = tmp_path / "trace.csv"
-        path.write_text("# fs=1000 subcarriers=1000000000000\n0,1,2\n")
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}:2: expected 2000000000001 columns, got 3")):
-            io.read_trace(path)
-
-    def test_peak_memory_near_the_samples(self, tmp_path):
-        rng = np.random.default_rng(0)
-        n = 30_000
-        trace = CsiTrace(fs=1000.0, samples=complex_from_parts(rng.normal(size=(4, n)),
-                                                               rng.normal(size=(4, n))))
-        io.write_trace(tmp_path / "trace.csv", trace)
-        tracemalloc.start()
-        try:
-            got = io.read_trace(tmp_path / "trace.csv")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert got.samples.shape == (4, n)
-        assert peak <= 1.25 * got.samples.nbytes
-
-    GOOD = "0,1,2\n"
-
-    @pytest.mark.parametrize("body, line, message", [
-        pytest.param(GOOD + "0.001,1,x\n", 3,
-                     "could not convert string 'x' to float64 at column 3", id="bad-cell"),
-        pytest.param(GOOD + "0.001,1\n" + GOOD, 3, "expected 3 columns, got 2", id="short-row"),
-        pytest.param(GOOD + "0.001,1,2,3\n", 3, "expected 3 columns, got 4", id="long-row"),
-        pytest.param(GOOD + "0.001,1", 3, "expected 3 columns, got 2", id="truncated-last"),
-        pytest.param(GOOD + "0.001,1,", 3, "could not convert string '' to float64 at column 3",
-                     id="truncated-last-cell"),
-        pytest.param("0,1\n" + GOOD, 2, "expected 3 columns, got 2", id="first-row"),
-        # later blocks, their lines counted past skipped lines
-        pytest.param(GOOD * 1500 + "0,x,2\n", 1502, "could not convert string 'x'",
-                     id="second-block"),
-        pytest.param(GOOD * 700 + "\n# note\n" + GOOD * 324 + "0,1\n", 1028,
-                     "expected 3 columns, got 2", id="after-skipped-lines"),
-        pytest.param(GOOD * 1024 + "0,1\n", 1026, "expected 3 columns, got 2",
-                     id="block-edge"),
-        pytest.param(GOOD * 1024 + "0,x,2\n" + GOOD, 1026, "could not convert string 'x'",
-                     id="range-start-bad-cell"),
-        pytest.param(GOOD * 1023 + "0,x,2\n" + GOOD, 1025, "could not convert string 'x'",
-                     id="range-end-bad-cell"),
-        pytest.param(GOOD * 5000 + "0,1,x\n" + GOOD, 5002,
-                     "could not convert string 'x' to float64 at column 3", id="later-range"),
-        # a sample read as a number the segmenter cannot use
-        pytest.param(GOOD + "0.001,nan,2\n", 3, "non-finite value nan in column 2", id="nan"),
-        pytest.param(GOOD + "0.001,1,inf\n", 3, "non-finite value inf in column 3", id="inf"),
-        pytest.param(GOOD * 1500 + "0,-inf,2\n" + GOOD, 1502,
-                     "non-finite value -inf in column 2", id="later-range-inf"),
-    ])
-    def test_bad_line_names_file_and_line(self, tmp_path, capsys, body, line, message):
-        path = tmp_path / "trace.csv"
-        path.write_text("# fs=1000 subcarriers=1\n" + body)
-        # tasks of 1,024 lines of three columns, parsed on two workers
-        with codec_split(workers=2, task_values=3 * 1024):
-            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: {message}')}"):
-                io.read_trace(path)
-            assert multiprocessing.active_children() == []
-            for command in ("pipeline", "segment", "featurize"):
-                code = main(["--out", str(tmp_path / "o"), command, "--trace", str(path)])
-                assert code == 2
-                err = capsys.readouterr().err
-                assert err.startswith(f"error: {path}:{line}: {message}")
-                assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @settings(max_examples=15)
-    @given(body=dirty_bodies(), data=st.data(),
-           task_values=st.sampled_from([1, 5, 120, 4096]))
-    def test_bad_line_anywhere_named(self, workers, body, data, task_values):
-        trace, extra, trailing_newline = body
-        n_cols = 1 + 2 * trace.subcarriers
-        with tempfile.TemporaryDirectory() as d:
-            write_dirty_trace(Path(d) / "dirty.csv", trace, extra, trailing_newline)
-            lines = (Path(d) / "dirty.csv").read_text().splitlines()
-            at = data.draw(st.integers(1, len(lines)), label="index of the bad line")
-            lines.insert(at, data.draw(st.sampled_from([
-                "0,x" + ",1" * (n_cols - 2),   # a bad cell
-                "0,nan" + ",1" * (n_cols - 2),  # a non-finite sample
-                "0,1",                         # a short row
-                ",".join(["0"] * (n_cols + 1)),  # a long row
-            ])))
-            path = Path(d) / "bad.csv"
-            path.write_text("\n".join(lines) + ("\n" if trailing_newline else ""))
-            with codec_split(workers, task_values), \
-                    pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{at + 1}: ')}"):
-                io.read_trace(path)
-
-
-# Worker tasks for the tests below.
-
-TEST_PID = os.getpid()
-
-
-def failing_format(row_fmt, columns, a, b):
-    raise RuntimeError(f"disk full at t={float(columns[0][a:b][0])!r}")
-
-
-def worker_pid():
-    """The pid of the worker process running a task; raises in the test's
-    own process, which the task would otherwise signal or end."""
-    if os.getpid() == TEST_PID:
-        raise RuntimeError("task ran in the test process, not on a worker")
-    return os.getpid()
-
-
-def signal_at(i, stop, pid=None):
-    """Task i; task stop first sends Ctrl-C's SIGINT to process pid, or to
-    the worker running it."""
-    if i == stop:
-        os.kill(pid or worker_pid(), signal.SIGINT)
-    return i
-
-
-def exit_at(i, stop):
-    if i == stop:
-        worker_pid()
-        os._exit(3)
-    return i
-
-
-WORKER_COUNTS = [1, 2, 3]   # 3 is more workers than a 2-CPU host has CPUs
-
-# A caller that takes one result of a 2-worker fork_map and waits: each
-# worker has more results than its pipe holds, so it waits in a send.
-STALLED_CALLER = """
-import multiprocessing, time
-from desksense import _workers
-_workers.cpus = lambda: 2
-results = _workers.fork_map(lambda i: bytes(1 << 20), [(i,) for i in range(64)])
-next(results)
-print(*(p.pid for p in multiprocessing.active_children()), flush=True)
-time.sleep(60)
-"""
-
-
-def running(pid) -> bool:
-    """pid is a process that has not exited (an unreaped zombie has)."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rpartition(")")[2].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-
-
-class TestWorkerProcesses:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @settings(max_examples=10)
-    @given(trace=traces(), task_values=st.sampled_from([1, 4, 30]))
-    def test_same_bytes_and_bits_at_any_worker_count(self, workers, trace, task_values):
-        series = AmplitudeSeries(fs=trace.fs, values=trace.samples[0].imag, source_subcarrier=5)
-        with tempfile.TemporaryDirectory() as d:
-            d = Path(d)
-            with codec_split(workers, task_values), watch_forks() as threads:
-                io.write_trace(d / "trace.csv", trace)
-                io.write_series(d / "series.csv", series)
-                got = io.read_trace(d / "trace.csv")
-            oracle_write_trace(d / "trace_old.csv", trace)
-            oracle_write_series(d / "series_old.csv", series)
-            assert (d / "trace.csv").read_bytes() == (d / "trace_old.csv").read_bytes()
-            assert (d / "series.csv").read_bytes() == (d / "series_old.csv").read_bytes()
-            fs, want = oracle_read_trace(d / "trace_old.csv")
-        assert got.fs == fs
-        assert got.samples.shape == want.shape
-        np.testing.assert_array_equal(got.samples.view(np.uint64), want.view(np.uint64))
-        # no fork while another thread of the process is alive
-        assert threads == [1] * len(threads)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @settings(max_examples=10)
-    @given(body=dirty_bodies(), task_values=st.sampled_from([1, 5, 120]))
-    def test_dirty_bodies_same_bits_at_any_worker_count(self, workers, body, task_values):
-        trace, extra, trailing_newline = body
-        with tempfile.TemporaryDirectory() as d:
-            dirty = Path(d) / "dirty.csv"
-            clean = write_dirty_trace(dirty, trace, extra, trailing_newline)
-            fs, want = oracle_read_trace(dirty if trace.n_samples else clean)
-            with codec_split(workers, task_values), watch_forks() as threads:
-                got = io.read_trace(dirty)
-        assert got.fs == fs
-        assert got.samples.shape == want.shape
-        assert got.samples.flags.c_contiguous
-        np.testing.assert_array_equal(got.samples.view(np.uint64), want.view(np.uint64))
-        assert threads == [1] * len(threads)
-
-    def test_pool_only_for_tables_of_several_tasks(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        least = _workers._MIN_TASKS_PER_FORK
-        for workers, tasks, forked in [(2, 1, 0), (2, 5, 0), (2, 2 * least - 1, 0),
-                                       (2, 2 * least, 2), (3, 3 * least - 1, 2),
-                                       (3, 3 * least, 3)]:
-            # one-row tasks of nine columns: n rows, n tasks each way
-            trace = random_trace(n=tasks)
-            with codec_split(workers, task_values=9), watch_forks() as threads:
-                io.write_trace(path, trace)
-                got = io.read_trace(path)
-            # the workers of the write, then those of the read, each forked
-            # while this thread was the only one
-            assert threads == [1] * 2 * forked, (workers, tasks)
-            np.testing.assert_array_equal(got.samples, trace.samples)
-
-    @pytest.mark.parametrize("n_sub, n, task_values, want", [
-        (1, 0, None, 0), (1, 1, None, 1), (4, 5, 9, 5), (4, 1000, 90, 100),
-        (2, 5000, None, 2), (30, 3000, None, 12),
-    ])
-    def test_read_has_the_write_task_count(self, tmp_path, n_sub, n, task_values, want):
-        # rows per task: _TASK_VALUES // (1 + 2 * n_sub), at least one
-        with codec_split(task_values=task_values), count_tasks() as tasks:
-            io.write_trace(tmp_path / "trace.csv", random_trace(n_sub=n_sub, n=n))
-            io.read_trace(tmp_path / "trace.csv")
-        assert tasks == [want, want]
-
-    def test_small_tables_in_process_trace_files_forked(self, tmp_path):
-        # the sizes of a 36 s, 30-subcarrier trace and of its filtered series
-        # and nor table: 135 tasks of 268 rows each way for the trace, 5
-        # tasks for the series and 7 for nor.csv
-        n = 36_000
-        values = np.random.default_rng(0).normal(size=n)
-        series = AmplitudeSeries(fs=1000.0, values=values, source_subcarrier=3)
-        with codec_split(workers=2), watch_forks() as threads, count_tasks() as tasks:
-            io.write_series(tmp_path / "filtered.csv", series)
-            io.write_nor(tmp_path / "nor.csv", values, values)
-        assert threads == []
-        assert tasks == [5, 7]
-        trace = random_trace(n_sub=30, n=n)
-        with codec_split(workers=2), watch_forks() as threads, count_tasks() as tasks:
-            io.write_trace(tmp_path / "trace.csv", trace)
-            got = io.read_trace(tmp_path / "trace.csv")
-        assert threads == [1] * 4
-        assert tasks == [135, 135]
-        np.testing.assert_array_equal(got.samples, trace.samples)
-
-    def test_trace_write_forks_right_after_selection(self, tmp_path):
-        # the selection's thread pool is shut down when it returns, so the
-        # write that follows in this process still forks its workers
-        trace = random_trace(n=200)
-        with codec_split(workers=2, task_values=9), \
-                mock.patch.object(_workers, "_MIN_SAMPLES_PER_THREAD", 1):
-            select_subcarrier(trace)
-            with watch_forks() as threads:
-                io.write_trace(tmp_path / "trace.csv", trace)
-        assert threads == [1, 1]
-
-    def test_tasks_reach_the_workers_unpickled(self):
-        lock = threading.Lock()   # a lock cannot be pickled
-        with codec_split(workers=2), watch_forks() as threads:
-            got = list(_workers.fork_map(lambda i, held: (i, held.locked(), worker_pid()),
-                                         [(i, lock) for i in range(40)]))
-        assert threads == [1, 1]
-        assert [(i, locked) for i, locked, _ in got] == [(i, False) for i in range(40)]
-        assert len({pid for *_, pid in got}) == 2
-
-    @pytest.mark.parametrize("case", ["one-cpu", "no-fork", "another-thread"])
-    def test_in_process_without_a_pool(self, tmp_path, case):
-        trace = random_trace(n=50)
-        release = threading.Event()
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(codec_split(workers=1 if case == "one-cpu" else 2,
-                                            task_values=9))
-            if case == "no-fork":
-                stack.enter_context(mock.patch.object(_workers, "_FORK", False))
-            if case == "another-thread":
-                other = threading.Thread(target=release.wait, args=(10,))
-                other.start()
-                stack.callback(other.join, 10)
-                stack.callback(release.set)
-            threads = stack.enter_context(watch_forks())
-            io.write_trace(tmp_path / "trace.csv", trace)
-            got = io.read_trace(tmp_path / "trace.csv")
-        assert threads == []
-        if case == "another-thread":
-            assert not other.is_alive()
-        oracle_write_trace(tmp_path / "old.csv", trace)
-        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        np.testing.assert_array_equal(got.samples, trace.samples)
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_worker_error_reaches_the_caller(self, tmp_path, workers):
-        path = tmp_path / "trace.csv"
-        path.write_text("old\n")
-        with codec_split(workers, task_values=90), \
-                mock.patch.object(io, "_format_rows", failing_format):
-            with pytest.raises(RuntimeError, match=re.escape("disk full at t=0.0")) as raised:
-                io.write_trace(path, random_trace(n=500))
-        if workers > 1:   # the worker's traceback comes along
-            assert "in failing_format" in str(raised.value.__cause__)
-        assert multiprocessing.active_children() == []
-        assert path.read_text() == "old\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_interrupt_stops_the_workers(self, workers):
-        seen = []
-        tasks = [(i, 5, os.getpid()) for i in range(1000)]
-        with codec_split(workers), pytest.raises(KeyboardInterrupt):
-            for i in _workers.fork_map(signal_at, tasks):
-                seen.append(i)
-        assert seen == list(range(len(seen)))
-        assert len(seen) < len(tasks)
-        if workers == 1:
-            assert len(seen) == 5
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_workers_ignore_ctrl_c(self, workers):
-        # Ctrl-C reaches every process of the terminal's group; the calling
-        # process alone handles it
-        with codec_split(workers):
-            got = list(_workers.fork_map(signal_at, [(i, i, None) for i in range(40)]))
-        assert got == list(range(40))
-
-    def test_dead_worker_named(self):
-        with codec_split(workers=2), pytest.raises(
-                ChildProcessError, match=r"worker process \d+ exited with code 3"):
-            list(_workers.fork_map(exit_at, [(i, 3) for i in range(40)]))
-        assert multiprocessing.active_children() == []
-
-    def test_caller_leaving_early_stops_the_workers(self):
-        with codec_split(workers=2):
-            results = _workers.fork_map(exit_at, [(i, -1) for i in range(1000)])
-            with contextlib.closing(results):
-                assert next(results) == 0
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
-    def test_workers_exit_when_their_caller_is_killed(self):
-        src = str(Path(_workers.__file__).parents[1])
-        caller = subprocess.Popen(
-            [sys.executable, "-c", STALLED_CALLER], stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
-        with caller:
-            try:
-                assert select.select([caller.stdout], [], [], 60)[0], "the caller printed no pids"
-                pids = [int(pid) for pid in caller.stdout.readline().split()]
-            finally:
-                caller.kill()
-            assert len(pids) == 2
-            deadline = time.monotonic() + 10
-            while any(map(running, pids)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            left = list(filter(running, pids))
-            for pid in left:   # a failed run leaves no orphan behind
-                os.kill(pid, signal.SIGKILL)
-            assert left == []
-            assert caller.stderr.read() == ""   # no BrokenPipeError traceback
 
     def test_writer_peak_memory_independent_of_length(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -815,6 +355,221 @@ class TestWorkerProcesses:
 
         write_peak(30_000)   # first-use allocations are not the writer's
         assert write_peak(120_000) <= 1.1 * write_peak(30_000)
+
+
+def on_its_own_map(array) -> bool:
+    """array's memory is an anonymous map (see channel._mapped_empty)."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
+
+
+def npy_bytes(dtype, shape, payload: bytes) -> bytes:
+    """A .npy member whose header claims dtype and shape over payload."""
+    out = BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": dtype, "fortran_order": False, "shape": shape})
+    return out.getvalue() + payload
+
+
+class TestBlockReader:
+    @settings(max_examples=40)
+    @given(trace=traces())
+    def test_matches_whole_file_reader(self, trace):
+        # numpy's own reader, which loads each member whole
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "trace.csv"
+            io.write_trace(path, trace)
+            got = io.read_trace(path)
+            with np.load(path, allow_pickle=False) as archive:
+                fs, want = archive["fs"], archive["samples"]
+        assert fs.shape == () and got.fs == fs == trace.fs
+        assert got.samples.shape == want.shape == trace.samples.shape
+        assert got.samples.flags.c_contiguous
+        np.testing.assert_array_equal(got.samples.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_block_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        trace = CsiTrace(fs=999.5, samples=complex_from_parts(rng.normal(size=(3, n)),
+                                                              rng.normal(size=(3, n))))
+        io.write_trace(tmp_path / "trace.csv", trace)
+        got = io.read_trace(tmp_path / "trace.csv")
+        assert got.samples.flags.c_contiguous
+        np.testing.assert_array_equal(got.samples.view(np.uint64),
+                                      trace.samples.view(np.uint64))
+
+    def test_header_wider_than_rows_allocates_nothing(self, tmp_path):
+        # a (1, 10**12) complex array cannot be allocated; the header's shape
+        # is checked against the member's 32 stored bytes first
+        path = tmp_path / "trace.csv"
+        write_archive(path, {"fs.npy": np.float64(1000.0),
+                             "samples.npy": npy_bytes("<c16", (1, 10**12), bytes(32))})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: samples.npy has shape (1, 1000000000000), "
+                    "which does not fit its 32 bytes")):
+                io.read_trace(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_peak_memory_near_the_samples(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 30_000
+        trace = CsiTrace(fs=1000.0, samples=complex_from_parts(rng.normal(size=(4, n)),
+                                                               rng.normal(size=(4, n))))
+        io.write_trace(tmp_path / "trace.csv", trace)
+        tracemalloc.start()
+        try:
+            got = io.read_trace(tmp_path / "trace.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.samples.shape == (4, n)
+        # the samples are on a map of their own, which tracemalloc does not see
+        assert on_its_own_map(got.samples)
+        assert peak + got.samples.nbytes <= 1.25 * got.samples.nbytes
+
+
+# Bad trace files: a writer of each, and the message after "<path>: ".
+
+GOOD_SAMPLES = random_trace(n_sub=2, n=12).samples
+FS = np.float64(1000.0)
+
+
+def written(data):
+    def write(path):
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return write
+
+
+def members(compression=zipfile.ZIP_STORED, **arrays):
+    """An archive of the good trace's members, with arrays replacing or adding some."""
+    def write(path):
+        write_archive(path, {f"{name}.npy": value for name, value in
+                             {"fs": FS, "samples": GOOD_SAMPLES, **arrays}.items()
+                             if value is not None}, compression)
+    return write
+
+
+def with_sample(value):
+    samples = GOOD_SAMPLES.copy()
+    samples[1, 7] = value
+    return members(samples=samples)
+
+
+def edited(edit):
+    """The good trace's file, written by write_trace, with edit applied to its bytes."""
+    def write(path):
+        io.write_trace(path, CsiTrace(fs=FS, samples=GOOD_SAMPLES))
+        path.write_bytes(edit(path.read_bytes()))
+    return write
+
+
+def flip_last_sample_byte(data: bytes) -> bytes:
+    at = data.rindex(GOOD_SAMPLES[-1, -1].tobytes())
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def flag_first_member_encrypted(data: bytes) -> bytes:
+    at = data.index(b"PK\x01\x02") + 8   # general purpose flags in the central directory
+    return data[:at] + bytes([data[at] | 1]) + data[at + 1:]
+
+
+BAD_TRACE_FILES = {   # id: (write the file, the message after "<path>: ")
+    "truncated": (edited(lambda data: data[:len(data) // 2]), "File is not a zip file"),
+    "last-byte-cut": (edited(lambda data: data[:-1]), "File is not a zip file"),
+    "empty": (written(b""), "File is not a zip file"),
+    "text": (written("not a trace\n"), "File is not a zip file"),
+    "text-trace": (written("# fs=1000 subcarriers=1\n0,1,2\n"), "File is not a zip file"),
+    "corrupt-sample": (edited(flip_last_sample_byte), "Bad CRC-32 for file 'samples.npy'"),
+    # the central directory, not moved, then points before the members
+    "byte-deleted": (edited(lambda data: data[:40] + data[41:]),
+                     "fs.npy starts before the start of the file"),
+    "encrypted": (edited(flag_first_member_encrypted),
+                  "fs.npy is compressed or encrypted; trace members are stored"),
+    "missing-member": (members(samples=None),
+                       "expected members fs.npy and samples.npy, got ['fs.npy']"),
+    "extra-member": (members(labels=np.zeros(3)), "expected members fs.npy and samples.npy, "
+                     "got ['fs.npy', 'labels.npy', 'samples.npy']"),
+    "compressed": (members(zipfile.ZIP_DEFLATED),
+                   "fs.npy is compressed or encrypted; trace members are stored"),
+    "not-npy": (members(samples=b"not a .npy member"),
+                "the magic string is not correct"),
+    "wrong-dtype": (members(samples=GOOD_SAMPLES.real),
+                    "samples.npy has dtype float64, expected complex128"),
+    "big-endian": (members(samples=GOOD_SAMPLES.astype(">c16")),
+                   "samples.npy has dtype >c16, expected complex128"),
+    "fs-wrong-dtype": (members(fs=np.float32(1000.0)),
+                       "fs.npy has dtype float32, expected float64"),
+    "wrong-ndim": (members(samples=GOOD_SAMPLES[0]),
+                   "samples.npy has shape (12,), expected 2 dimensions in C order"),
+    "fs-not-scalar": (members(fs=np.array([1000.0])),
+                      "fs.npy has shape (1,), expected 0 dimensions in C order"),
+    "fortran-order": (members(samples=np.asfortranarray(GOOD_SAMPLES)),
+                      "samples.npy has shape (2, 12) in Fortran order, "
+                      "expected 2 dimensions in C order"),
+    "pickled-object": (members(samples=GOOD_SAMPLES.astype(object)),
+                       "samples.npy has dtype object, expected complex128"),
+    "shape-wider-than-payload": (members(samples=npy_bytes("<c16", (1, 10**12), bytes(32))),
+                                 "samples.npy has shape (1, 1000000000000), "
+                                 "which does not fit its 32 bytes"),
+    "payload-past-shape": (members(samples=npy_bytes("<c16", (2, 3), bytes(16 * 7))),
+                           "samples.npy has shape (2, 3), which does not fit its 112 bytes"),
+    "negative-shape": (members(samples=npy_bytes("<c16", (-2, -3), bytes(16 * 6))),
+                       "samples.npy has shape (-2, -3), which does not fit its 96 bytes"),
+    "nan-sample": (with_sample(complex(1.0, math.nan)),
+                   "non-finite sample (1+nanj) at subcarrier 1, index 7"),
+    "inf-sample": (with_sample(complex(math.inf, 0.0)),
+                   "non-finite sample (inf+0j) at subcarrier 1, index 7"),
+    "zero-subcarriers": (members(samples=np.zeros((0, 12), dtype=complex)),
+                         "subcarriers must be >= 1"),
+    "fs-zero": (members(fs=np.float64(0.0)), "fs must be positive and finite"),
+    "fs-negative": (members(fs=np.float64(-1000.0)), "fs must be positive and finite"),
+    "fs-nan": (members(fs=np.float64(math.nan)), "fs must be positive and finite"),
+    "fs-inf": (members(fs=np.float64(math.inf)), "fs must be positive and finite"),
+}
+
+
+class TestTraceArchive:
+    @pytest.mark.parametrize("write, message", BAD_TRACE_FILES.values(),
+                             ids=list(BAD_TRACE_FILES))
+    def test_bad_file_names_the_file(self, tmp_path, capsys, write, message):
+        path = tmp_path / "trace.csv"
+        write(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            io.read_trace(path)
+        assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
+
+    def test_missing_file_stays_an_os_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(FileNotFoundError):
+            io.read_trace(path)
+        assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_numpy_savez_file_reads_back(self, tmp_path):
+        trace = random_trace(n_sub=3, n=40)
+        path = tmp_path / "trace.npz"
+        np.savez(path, fs=trace.fs, samples=trace.samples)
+        got = io.read_trace(path)
+        assert got.fs == trace.fs
+        np.testing.assert_array_equal(got.samples.view(np.uint64),
+                                      trace.samples.view(np.uint64))
+
+    def test_writes_apart_are_byte_identical(self, tmp_path):
+        # zip dates have a resolution of 2 s; the members carry a fixed one
+        trace = random_trace()
+        io.write_trace(tmp_path / "a.csv", trace)
+        time.sleep(2.1)
+        io.write_trace(tmp_path / "b.csv", trace)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestConfig:
@@ -955,47 +710,6 @@ class TestScriptParsing:
         path.write_text("0.5,keystroke,0.02,0.1\n" + line + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             parse_script(path, config)
-
-
-class TestTraceHeader:
-    ROW = "0,1,0\n"
-
-    def write(self, tmp_path, header):
-        path = tmp_path / "trace.csv"
-        path.write_text(header + "\n" + self.ROW)
-        return path
-
-    @pytest.mark.parametrize("header, message", [
-        ("# subcarriers=1", "lacks fs="),
-        ("# fs=1000", "lacks subcarriers="),
-        ("# fs=1000 subcarriers", "'subcarriers' is not key=value"),
-        ("# fs=fast subcarriers=1", "fs='fast' is not a valid float"),
-        ("# fs=nan subcarriers=1", "fs must be positive and finite, got nan"),
-        ("# fs=inf subcarriers=1", "fs must be positive and finite, got inf"),
-        ("# fs=1e400 subcarriers=1", "fs must be positive and finite, got inf"),
-        ("# fs=0 subcarriers=1", "fs must be positive and finite, got 0.0"),
-        ("# fs=-1000 subcarriers=1", "fs must be positive and finite, got -1000.0"),
-    ])
-    def test_bad_header_names_file_and_line(self, tmp_path, header, message):
-        path = self.write(tmp_path, header)
-        with pytest.raises(ValueError, match=re.escape(f"{path}:1: ") + ".*" + re.escape(message)):
-            io.read_trace(path)
-
-    @pytest.mark.parametrize("subcarriers", [0, -1])
-    @pytest.mark.parametrize("body", ["", ROW, "0,1\n"])
-    def test_subcarriers_below_one_named(self, tmp_path, capsys, subcarriers, body):
-        path = tmp_path / "trace.csv"
-        path.write_text(f"# fs=1000 subcarriers={subcarriers}\n" + body)
-        message = f"{path}:1: subcarriers must be >= 1, got {subcarriers}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            io.read_trace(path)
-        assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-
-    def test_bad_header_pipeline_exit_code(self, tmp_path, capsys):
-        path = self.write(tmp_path, "# subcarriers=1")
-        assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 2
-        assert f"{path}:1:" in capsys.readouterr().err
 
 
 # Valid model documents, each with two training points.
@@ -1546,7 +1260,7 @@ class TestCli:
     def test_pipeline_empty_trace_fails_at_select_subcarrier(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         io.write_trace(path, CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
-        assert path.read_text() == "# fs=1000 subcarriers=2\n"
+        assert io.read_trace(path).samples.shape == (2, 0)
         rdir = tmp_path / "er"
         assert self.run("--out", str(rdir), "pipeline", "--trace", str(path)) == 1
         assert "select_subcarrier" in capsys.readouterr().err
@@ -1555,7 +1269,7 @@ class TestCli:
 
     def test_plotdata_subcarrier_variance_empty_trace_exit_code(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
-        path.write_text("# fs=1000 subcarriers=2\n")
+        io.write_trace(path, CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
         out = tmp_path / "pv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
