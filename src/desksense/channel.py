@@ -292,7 +292,7 @@ class CsiTrace:
         if self.samples.shape[0] < 1:
             raise ValueError("subcarriers must be >= 1")
         if not (math.isfinite(self.fs) and self.fs > 0):
-            raise ValueError("fs must be positive and finite")
+            raise ValueError(f"fs must be positive and finite, got {self.fs}")
         last = -1
         for ann in self.meta:
             if ann.start_idx <= last:

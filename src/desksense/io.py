@@ -125,8 +125,9 @@ def write_trace(path, trace: CsiTrace) -> None:
 
 def _read_member(archive, name: str, dtype: str, ndim: int) -> np.ndarray:
     """The .npy member name of archive, which must be stored, have dtype,
-    ndim dimensions and C order, and hold exactly the bytes of its shape,
-    all checked before the array is allocated."""
+    ndim dimensions and C order (samples: at least one subcarrier), and
+    hold exactly the bytes of its shape, all checked before the array is
+    allocated."""
     info = archive.getinfo(name)
     if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
         raise ValueError(f"{name} is compressed or encrypted; trace members are stored")
@@ -143,6 +144,8 @@ def _read_member(archive, name: str, dtype: str, ndim: int) -> np.ndarray:
         if len(shape) != ndim or fortran_order:
             raise ValueError(f"{name} has shape {shape}{' in Fortran order' * fortran_order}, "
                              f"expected {ndim} dimensions in C order")
+        if name == "samples.npy" and shape[0] < 1:   # whatever bytes follow the header
+            raise ValueError(f"subcarriers must be >= 1, got {shape[0]}")
         stored = info.file_size - member.tell()
         if min(shape, default=0) < 0 or math.prod(shape) * got.itemsize != stored:
             raise ValueError(f"{name} has shape {shape}, which does not fit its {stored} bytes")

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import logging
@@ -5,9 +6,11 @@ import math
 import mmap
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -18,10 +21,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from desksense import io, segmentation
+from desksense import _workers, io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import Annotation, CsiTrace, GestureKind
 from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
@@ -29,7 +32,12 @@ from desksense.cli import main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
 from desksense.corpus import keystroke_burst_script, simulate_script
 from desksense.pipeline import behavior_study, run_pipeline
-from desksense.preprocess import AmplitudeSeries
+from desksense.preprocess import (
+    AmplitudeSeries,
+    _row_variance,
+    select_subcarrier,
+    subcarrier_variances,
+)
 from desksense.segmentation import GestureSegment
 
 
@@ -372,6 +380,72 @@ def npy_bytes(dtype, shape, payload: bytes) -> bytes:
     return out.getvalue() + payload
 
 
+def raw_npy(header: str) -> bytes:
+    """A .npy 1.0 member of no payload whose header is the dict literal header."""
+    text = header + " " * (-(len(header) + 11) % 64) + "\n"   # 10 bytes before it
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text.encode("latin1")
+
+
+# Bad trace files: a writer of each, and the message after "<path>: ".
+
+GOOD_SAMPLES = random_trace(n_sub=2, n=12).samples
+FS = np.float64(1000.0)
+PIECE = io._READ_CHUNK // 16   # samples the reader takes from the file at a time
+LONG_SAMPLES = random_trace(seed=1, n_sub=2, n=5000).samples   # 2.4 pieces
+
+
+def written(data):
+    def write(path):
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return write
+
+
+def members(compression=zipfile.ZIP_STORED, **arrays):
+    """An archive of the good trace's members, with arrays replacing or adding some."""
+    def write(path):
+        write_archive(path, {f"{name}.npy": value for name, value in
+                             {"fs": FS, "samples": GOOD_SAMPLES, **arrays}.items()
+                             if value is not None}, compression)
+    return write
+
+
+def with_sample(value, at=(1, 7), samples=GOOD_SAMPLES):
+    samples = samples.copy()
+    samples[at] = value
+    return members(samples=samples)
+
+
+def edited(edit, samples=GOOD_SAMPLES):
+    """The file write_trace makes of samples, with edit applied to its bytes."""
+    def write(path):
+        io.write_trace(path, CsiTrace(fs=FS, samples=samples))
+        path.write_bytes(edit(path.read_bytes()))
+    return write
+
+
+def flipped(at, samples=GOOD_SAMPLES):
+    """The file of samples with one bit of sample at flipped, a finite
+    value still, which only zip's CRC check sees."""
+    def flip(data):
+        i = data.index(samples.tobytes()) + 16 * int(np.ravel_multi_index(at, samples.shape))
+        return data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+    return edited(flip, samples)
+
+
+def commented(comment: bytes, write):
+    """The archive write makes, with comment as its zip comment, which readers skip."""
+    def write_commented(path):
+        write(path)
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.comment = comment
+    return write_commented
+
+
+def flag_first_member_encrypted(data: bytes) -> bytes:
+    at = data.index(b"PK\x01\x02") + 8   # general purpose flags in the central directory
+    return data[:at] + bytes([data[at] | 1]) + data[at + 1:]
+
+
 class TestBlockReader:
     @settings(max_examples=40)
     @given(trace=traces())
@@ -398,6 +472,19 @@ class TestBlockReader:
         assert got.samples.flags.c_contiguous
         np.testing.assert_array_equal(got.samples.view(np.uint64),
                                       trace.samples.view(np.uint64))
+
+    @pytest.mark.parametrize("body", ["\n", "\n# no rows yet\n\n", "#"])
+    def test_only_skipped_lines_read_as_no_samples(self, tmp_path, body):
+        # a (2, 0) trace whose only text is its zip comment
+        path = tmp_path / "trace.csv"
+        empty = CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex))
+        commented(body.encode(), lambda p: io.write_trace(p, empty))(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = io.read_trace(path)
+        assert got.fs == 1000.0
+        assert got.samples.shape == (2, 0)
+        assert got.samples.flags.c_contiguous
 
     def test_header_wider_than_rows_allocates_nothing(self, tmp_path):
         # a (1, 10**12) complex array cannot be allocated; the header's shape
@@ -433,66 +520,91 @@ class TestBlockReader:
         assert on_its_own_map(got.samples)
         assert peak + got.samples.nbytes <= 1.25 * got.samples.nbytes
 
+    # Faults in the samples and their bytes, the later ones past the
+    # reader's first pieces; the message after "<path>: ".
+    @pytest.mark.parametrize("write, message", [
+        pytest.param(flipped((1, 11)), "Bad CRC-32 for file 'samples.npy'", id="bad-cell"),
+        pytest.param(members(samples=npy_bytes("<c16", (2, 3), bytes(16 * 5))),
+                     "samples.npy has shape (2, 3), which does not fit its 80 bytes",
+                     id="short-row"),
+        pytest.param(members(samples=npy_bytes("<c16", (2, 3), bytes(16 * 7))),
+                     "samples.npy has shape (2, 3), which does not fit its 112 bytes",
+                     id="long-row"),
+        pytest.param(edited(lambda data: data[:len(data) // 2]), "File is not a zip file",
+                     id="truncated-last"),
+        pytest.param(edited(lambda data: data[:-1]), "File is not a zip file",
+                     id="truncated-last-cell"),
+        pytest.param(with_sample(complex(math.nan, 0.0), at=(0, 0)),
+                     "non-finite sample (nan+0j) at subcarrier 0, index 0", id="first-row"),
+        pytest.param(with_sample(complex(0.0, math.inf), at=(0, PIECE + 10), samples=LONG_SAMPLES),
+                     f"non-finite sample infj at subcarrier 0, index {PIECE + 10}",
+                     id="second-block"),
+        pytest.param(commented(b"\n# note\n", with_sample(complex(1.0, math.nan))),
+                     "non-finite sample (1+nanj) at subcarrier 1, index 7",
+                     id="after-skipped-lines"),
+        pytest.param(with_sample(complex(math.nan, 0.0), at=(0, PIECE - 1),
+                                 samples=LONG_SAMPLES[:1, :PIECE]),
+                     f"non-finite sample (nan+0j) at subcarrier 0, index {PIECE - 1}",
+                     id="block-edge"),
+        pytest.param(with_sample(complex(math.nan, 0.0), at=(0, PIECE), samples=LONG_SAMPLES),
+                     f"non-finite sample (nan+0j) at subcarrier 0, index {PIECE}",
+                     id="range-start-bad-cell"),
+        pytest.param(with_sample(complex(math.nan, 0.0), at=(0, PIECE - 1), samples=LONG_SAMPLES),
+                     f"non-finite sample (nan+0j) at subcarrier 0, index {PIECE - 1}",
+                     id="range-end-bad-cell"),
+        pytest.param(flipped((1, 2 * PIECE - 4500), LONG_SAMPLES),
+                     "Bad CRC-32 for file 'samples.npy'", id="later-range"),
+        pytest.param(with_sample(complex(1.0, math.nan)),
+                     "non-finite sample (1+nanj) at subcarrier 1, index 7", id="nan"),
+        pytest.param(with_sample(complex(math.inf, 0.0)),
+                     "non-finite sample (inf+0j) at subcarrier 1, index 7", id="inf"),
+        pytest.param(with_sample(complex(-math.inf, 2.0), at=(1, 2 * PIECE - 4500),
+                                 samples=LONG_SAMPLES),
+                     f"non-finite sample (-inf+2j) at subcarrier 1, index {2 * PIECE - 4500}",
+                     id="later-range-inf"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, write, message):
+        path = tmp_path / "trace.csv"
+        write(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            io.read_trace(path)
+        for command in ("pipeline", "segment", "featurize"):
+            code = main(["--out", str(tmp_path / "o"), command, "--trace", str(path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {message}")
+            assert "Traceback" not in err
 
-# Bad trace files: a writer of each, and the message after "<path>: ".
-
-GOOD_SAMPLES = random_trace(n_sub=2, n=12).samples
-FS = np.float64(1000.0)
-
-
-def written(data):
-    def write(path):
-        path.write_bytes(data if isinstance(data, bytes) else data.encode())
-    return write
-
-
-def members(compression=zipfile.ZIP_STORED, **arrays):
-    """An archive of the good trace's members, with arrays replacing or adding some."""
-    def write(path):
-        write_archive(path, {f"{name}.npy": value for name, value in
-                             {"fs": FS, "samples": GOOD_SAMPLES, **arrays}.items()
-                             if value is not None}, compression)
-    return write
-
-
-def with_sample(value):
-    samples = GOOD_SAMPLES.copy()
-    samples[1, 7] = value
-    return members(samples=samples)
-
-
-def edited(edit):
-    """The good trace's file, written by write_trace, with edit applied to its bytes."""
-    def write(path):
-        io.write_trace(path, CsiTrace(fs=FS, samples=GOOD_SAMPLES))
-        path.write_bytes(edit(path.read_bytes()))
-    return write
-
-
-def flip_last_sample_byte(data: bytes) -> bytes:
-    at = data.rindex(GOOD_SAMPLES[-1, -1].tobytes())
-    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
-
-
-def flag_first_member_encrypted(data: bytes) -> bytes:
-    at = data.index(b"PK\x01\x02") + 8   # general purpose flags in the central directory
-    return data[:at] + bytes([data[at] | 1]) + data[at + 1:]
+    @pytest.mark.parametrize("bad", [1, 2])
+    @settings(max_examples=15)
+    @given(trace=traces(), data=st.data())
+    def test_bad_line_anywhere_named(self, bad, trace, data):
+        # bad non-finite samples anywhere; the first in C order is named
+        assume(trace.samples.size >= bad)
+        samples = trace.samples.copy()
+        at = data.draw(st.lists(st.integers(0, samples.size - 1), min_size=bad,
+                                max_size=bad, unique=True), label="flat indices")
+        for i in at:
+            samples.flat[i] = data.draw(st.sampled_from(
+                [complex(math.nan, 0.0), complex(0.0, -math.inf), complex(math.inf, math.nan)]))
+        s, t = np.unravel_index(min(at), samples.shape)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "trace.csv"
+            io.write_trace(path, CsiTrace(fs=trace.fs, samples=samples))
+            message = f"{path}: non-finite sample {samples[s, t]} at subcarrier {s}, index {t}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                io.read_trace(path)
 
 
 BAD_TRACE_FILES = {   # id: (write the file, the message after "<path>: ")
-    "truncated": (edited(lambda data: data[:len(data) // 2]), "File is not a zip file"),
-    "last-byte-cut": (edited(lambda data: data[:-1]), "File is not a zip file"),
     "empty": (written(b""), "File is not a zip file"),
     "text": (written("not a trace\n"), "File is not a zip file"),
     "text-trace": (written("# fs=1000 subcarriers=1\n0,1,2\n"), "File is not a zip file"),
-    "corrupt-sample": (edited(flip_last_sample_byte), "Bad CRC-32 for file 'samples.npy'"),
     # the central directory, not moved, then points before the members
     "byte-deleted": (edited(lambda data: data[:40] + data[41:]),
                      "fs.npy starts before the start of the file"),
     "encrypted": (edited(flag_first_member_encrypted),
                   "fs.npy is compressed or encrypted; trace members are stored"),
-    "missing-member": (members(samples=None),
-                       "expected members fs.npy and samples.npy, got ['fs.npy']"),
     "extra-member": (members(labels=np.zeros(3)), "expected members fs.npy and samples.npy, "
                      "got ['fs.npy', 'labels.npy', 'samples.npy']"),
     "compressed": (members(zipfile.ZIP_DEFLATED),
@@ -517,20 +629,8 @@ BAD_TRACE_FILES = {   # id: (write the file, the message after "<path>: ")
     "shape-wider-than-payload": (members(samples=npy_bytes("<c16", (1, 10**12), bytes(32))),
                                  "samples.npy has shape (1, 1000000000000), "
                                  "which does not fit its 32 bytes"),
-    "payload-past-shape": (members(samples=npy_bytes("<c16", (2, 3), bytes(16 * 7))),
-                           "samples.npy has shape (2, 3), which does not fit its 112 bytes"),
-    "negative-shape": (members(samples=npy_bytes("<c16", (-2, -3), bytes(16 * 6))),
-                       "samples.npy has shape (-2, -3), which does not fit its 96 bytes"),
-    "nan-sample": (with_sample(complex(1.0, math.nan)),
-                   "non-finite sample (1+nanj) at subcarrier 1, index 7"),
-    "inf-sample": (with_sample(complex(math.inf, 0.0)),
-                   "non-finite sample (inf+0j) at subcarrier 1, index 7"),
-    "zero-subcarriers": (members(samples=np.zeros((0, 12), dtype=complex)),
-                         "subcarriers must be >= 1"),
-    "fs-zero": (members(fs=np.float64(0.0)), "fs must be positive and finite"),
-    "fs-negative": (members(fs=np.float64(-1000.0)), "fs must be positive and finite"),
-    "fs-nan": (members(fs=np.float64(math.nan)), "fs must be positive and finite"),
-    "fs-inf": (members(fs=np.float64(math.inf)), "fs must be positive and finite"),
+    "negative-shape": (members(samples=npy_bytes("<c16", (2, -3), bytes(16 * 6))),
+                       "samples.npy has shape (2, -3), which does not fit its 96 bytes"),
 }
 
 
@@ -570,6 +670,295 @@ class TestTraceArchive:
         time.sleep(2.1)
         io.write_trace(tmp_path / "b.csv", trace)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+ONE_SUBCARRIER = GOOD_SAMPLES[:1]
+
+
+def bad_fs(text):
+    """A case of fs float(text), which CsiTrace refuses."""
+    message = f"fs must be positive and finite, got {float(text)}"
+    return pytest.param(members(fs=np.float64(float(text)), samples=ONE_SUBCARRIER), message,
+                        id=f"# fs={text} subcarriers=1-{message}")
+
+
+class TestTraceHeader:
+    """The sample rate (fs.npy) and the subcarrier count (the shape in
+    samples.npy's header); the case ids write them as a text trace's
+    header line did, then the fault."""
+    ROW = "0,1,0\n"
+
+    @pytest.mark.parametrize("write, message", [
+        pytest.param(members(fs=None, samples=ONE_SUBCARRIER),
+                     "expected members fs.npy and samples.npy, got ['samples.npy']",
+                     id="# subcarriers=1-lacks fs="),
+        pytest.param(members(samples=None),
+                     "expected members fs.npy and samples.npy, got ['fs.npy']",
+                     id="# fs=1000-lacks subcarriers="),
+        pytest.param(members(samples=raw_npy("{'descr': '<c16', 'fortran_order': False}")),
+                     "Header does not contain the correct keys: ['descr', 'fortran_order']",
+                     id="# fs=1000 subcarriers-'subcarriers' is not key=value"),
+        pytest.param(members(fs=np.str_("fast"), samples=ONE_SUBCARRIER),
+                     "fs.npy has dtype <U4, expected float64",
+                     id="# fs=fast subcarriers=1-fs='fast' is not a valid float"),
+        *map(bad_fs, ["nan", "inf", "1e400", "0", "-1000"]),
+    ])
+    def test_bad_header_names_file_and_line(self, tmp_path, write, message):
+        path = tmp_path / "trace.csv"
+        write(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            io.read_trace(path)
+
+    @pytest.mark.parametrize("subcarriers", [0, -1])
+    @pytest.mark.parametrize("body", ["", ROW, "0,1\n"])
+    def test_subcarriers_below_one_named(self, tmp_path, capsys, subcarriers, body):
+        # the header's count is checked first, whatever bytes follow it
+        path = tmp_path / "trace.csv"
+        members(samples=npy_bytes("<c16", (subcarriers, 3), body.encode()))(path)
+        message = f"{path}: subcarriers must be >= 1, got {subcarriers}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            io.read_trace(path)
+        assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_header_pipeline_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        members(fs=None, samples=ONE_SUBCARRIER)(path)
+        assert main(["--out", str(tmp_path / "o"), "pipeline", "--trace", str(path)]) == 2
+        assert f"{path}: " in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def on_threads(workers):
+    """workers CPUs, and a thread floor of one sample, so that a map of any
+    trace runs on min(workers, tasks) threads."""
+    with mock.patch.object(_workers, "cpus", lambda: workers), \
+            mock.patch.object(_workers, "_MIN_SAMPLES_PER_THREAD", 1):
+        yield
+
+
+@contextlib.contextmanager
+def watch_pools():
+    """The worker count of each thread pool _workers starts, in order."""
+    pools = []
+    executor = _workers.ThreadPoolExecutor
+
+    def counted(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    with mock.patch.object(_workers, "ThreadPoolExecutor", counted):
+        yield pools
+
+
+@st.composite
+def dirty_archives(draw):
+    """A trace, and a writer of it in one of the archive layouts that
+    write_trace does not make but a reader may meet."""
+    trace = draw(traces())
+    fs, samples = np.float64(trace.fs), trace.samples
+    layouts = {
+        "numpy-savez": lambda path: np.savez(path, fs=fs, samples=samples),
+        "members-reversed": lambda path: write_archive(path, {"samples.npy": samples,
+                                                              "fs.npy": fs}),
+        "commented": commented(draw(st.binary(max_size=40)),
+                               lambda path: io.write_trace(path, trace)),
+        "npy-version-2": lambda path: write_archive(path, {
+            "fs.npy": fs, "samples.npy": npy_v2(samples)}),
+    }
+    return trace, draw(st.sampled_from(sorted(layouts)).map(layouts.get))
+
+
+def npy_v2(array) -> bytes:
+    out = BytesIO()
+    np.lib.format.write_array(out, array, version=(2, 0))
+    return out.getvalue()
+
+
+def failing_format(row_fmt, columns, a, b):
+    raise RuntimeError(f"disk full at t={float(columns[0][a:b][0])!r}")
+
+
+WORKER_COUNTS = [1, 2, 3]   # 3 is more workers than a 2-CPU host has CPUs
+
+
+class TestWorkerProcesses:
+    """_workers.thread_map, the one parallel map, and the files around it:
+    nothing forks, and no pool outlives its call."""
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @settings(max_examples=10)
+    @given(trace=traces(), task_values=st.sampled_from([1, 4, 30]))
+    def test_same_bytes_and_bits_at_any_worker_count(self, workers, trace, task_values):
+        series = AmplitudeSeries(fs=trace.fs, values=trace.samples[0].imag, source_subcarrier=5)
+        threads = threading.active_count()
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            with codec_split(task_values), on_threads(workers):
+                io.write_trace(d / "trace.csv", trace)
+                io.write_series(d / "series.csv", series)
+                got = io.read_trace(d / "trace.csv")
+                with warnings.catch_warnings():   # extreme values overflow in abs
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    variances = subcarrier_variances(got) if trace.n_samples else None
+            oracle_write_trace(d / "trace_old.csv", trace)
+            oracle_write_series(d / "series_old.csv", series)
+            assert (d / "trace.csv").read_bytes() == (d / "trace_old.csv").read_bytes()
+            assert (d / "series.csv").read_bytes() == (d / "series_old.csv").read_bytes()
+        np.testing.assert_array_equal(got.samples.view(np.uint64),
+                                      trace.samples.view(np.uint64))
+        if trace.n_samples:   # against the calling thread alone
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = np.array([_row_variance(row) for row in trace.samples])
+            np.testing.assert_array_equal(variances.view(np.uint64), want.view(np.uint64))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @settings(max_examples=10)
+    @given(archive=dirty_archives())
+    def test_dirty_bodies_same_bits_at_any_worker_count(self, workers, archive):
+        trace, write = archive
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "trace.npz"
+            write(path)
+            with on_threads(workers):
+                got = io.read_trace(path)
+                with warnings.catch_warnings():   # extreme values overflow in abs
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    variances = subcarrier_variances(got) if trace.n_samples else None
+        assert got.fs == trace.fs
+        assert got.samples.flags.c_contiguous
+        np.testing.assert_array_equal(got.samples.view(np.uint64),
+                                      trace.samples.view(np.uint64))
+        if trace.n_samples:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = np.array([_row_variance(row) for row in trace.samples])
+            np.testing.assert_array_equal(variances.view(np.uint64), want.view(np.uint64))
+
+    def test_pool_only_for_tables_of_several_tasks(self, tmp_path):
+        least = _workers._MIN_SAMPLES_PER_THREAD
+        for workers, samples, pooled in [(2, 0, []), (2, 2 * least - 1, []), (2, 2 * least, [2]),
+                                         (3, 3 * least - 1, [2]), (3, 3 * least, [3]),
+                                         (1, 10 * least, [])]:
+            with mock.patch.object(_workers, "cpus", lambda: workers), watch_pools() as pools:
+                got = _workers.thread_map(lambda i: i * i, range(5), samples)
+            assert pools == pooled, (workers, samples)
+            assert got == [0, 1, 4, 9, 16]
+        # text tables are formatted in the calling thread, at any size
+        values = np.random.default_rng(0).normal(size=36_000)
+        with on_threads(2), watch_pools() as pools:
+            io.write_series(tmp_path / "filtered.csv",
+                            AmplitudeSeries(fs=1000.0, values=values, source_subcarrier=3))
+            io.write_nor(tmp_path / "nor.csv", values, values)
+        assert pools == []
+
+    def test_tasks_reach_the_workers_unpickled(self):
+        lock = threading.Lock()   # a lock cannot be pickled
+        pair = threading.Barrier(2)   # each task waits for one on the other thread
+
+        def task(args):
+            i, held = args
+            pair.wait(10)
+            return i, held is lock, threading.get_ident()
+
+        with on_threads(2):
+            got = _workers.thread_map(task, [(i, lock) for i in range(40)], 40)
+        assert [(i, same) for i, same, _ in got] == [(i, True) for i in range(40)]
+        assert len({ident for *_, ident in got} - {threading.get_ident()}) == 2
+
+    @pytest.mark.parametrize("case", ["one-cpu", "no-fork", "another-thread"])
+    def test_in_process_without_a_pool(self, tmp_path, monkeypatch, case):
+        trace = random_trace(n=50)
+        release = threading.Event()
+        with contextlib.ExitStack() as stack:
+            if case == "one-cpu":   # however small the thread floor
+                stack.enter_context(on_threads(1))
+            if case == "no-fork":   # a platform without fork
+                monkeypatch.delattr(os, "fork")
+            else:
+                stack.enter_context(mock.patch.object(
+                    os, "fork", mock.Mock(side_effect=AssertionError("forked"))))
+            if case == "another-thread":
+                other = threading.Thread(target=release.wait, args=(10,))
+                other.start()
+                stack.callback(other.join, 10)
+                stack.callback(release.set)
+            pools = stack.enter_context(watch_pools())
+            io.write_trace(tmp_path / "trace.csv", trace)
+            got = io.read_trace(tmp_path / "trace.csv")
+            selected = select_subcarrier(got)
+            io.write_series(tmp_path / "series.csv", selected)
+        assert pools == []
+        if case == "another-thread":
+            assert not other.is_alive()
+        oracle_write_trace(tmp_path / "old.csv", trace)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        np.testing.assert_array_equal(got.samples, trace.samples)
+        assert selected.source_subcarrier == int(np.argmax(np.abs(trace.samples).var(axis=1)))
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_worker_error_reaches_the_caller(self, tmp_path, workers):
+        path = tmp_path / "series.csv"
+        path.write_text("old\n")
+        series = AmplitudeSeries(fs=1000.0, values=np.ones(500), source_subcarrier=0)
+        threads = threading.active_count()
+        with on_threads(workers), codec_split(task_values=90), \
+                mock.patch.object(io, "_format_rows", failing_format):
+            with pytest.raises(RuntimeError, match=re.escape("disk full at t=0.0")):
+                io.write_series(path, series)
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+
+        def fail_at_seven(i):
+            if i == 7:
+                raise RuntimeError(f"task {i} failed")
+            return i
+
+        with on_threads(workers), pytest.raises(RuntimeError, match="^task 7 failed$"):
+            _workers.thread_map(fail_at_seven, range(40), 40)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_interrupt_stops_the_workers(self, workers):
+        # task 5 is interrupted, as Ctrl-C interrupts a task run in the
+        # calling thread
+        ran = []
+
+        def task(i):
+            ran.append(i)
+            if i == 5:
+                raise KeyboardInterrupt
+            time.sleep(0.001)
+            return i
+
+        threads = threading.active_count()
+        with on_threads(workers), pytest.raises(KeyboardInterrupt):
+            _workers.thread_map(task, range(1000), 1000)
+        assert 5 in ran
+        assert len(ran) < 1000
+        if workers == 1:
+            assert ran == list(range(6))
+        assert threading.active_count() == threads
+
+    def test_caller_leaving_early_stops_the_workers(self):
+        # the caller leaves at the first task's error; the tasks not yet
+        # started never run
+        ran = []
+
+        def task(i):
+            ran.append(i)
+            if i == 0:
+                raise RuntimeError("first task failed")
+            time.sleep(0.001)
+            return i
+
+        threads = threading.active_count()
+        with on_threads(2), pytest.raises(RuntimeError, match="first task failed"):
+            _workers.thread_map(task, range(1000), 1000)
+        assert len(ran) < 1000
+        assert threading.active_count() == threads
 
 
 class TestConfig:
