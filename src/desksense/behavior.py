@@ -55,7 +55,6 @@ class BehaviorHmm:
     pi: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    behavior: Behavior | None = None
 
     def __post_init__(self):
         self.pi = _check_stochastic("pi", self.pi, 2)
@@ -224,7 +223,7 @@ def fit_behavior_models(
             raise ValueError(f"no training sequences for {behavior}")
         pi_b = estimate_initial(sequences) if pi is None else np.asarray(pi, dtype=float)
         A, _ = baum_welch(sequences, B=B, pi=pi_b, max_iter=max_iter, tol=tol)
-        models[behavior] = BehaviorHmm(pi=pi_b, A=A, B=B, behavior=behavior)
+        models[behavior] = BehaviorHmm(pi=pi_b, A=A, B=B)
     return models
 
 

@@ -138,8 +138,8 @@ class Standardizer:
 @dataclass
 class KnnClassifier:
     kind = "knn"
-    k: int
     standardizer: Standardizer
+    k: int
     points: np.ndarray
     labels: np.ndarray
 

@@ -65,7 +65,6 @@ def _load_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         config = replace(config, seeds=replace(config.seeds, simulation=args.seed))
-    config.validate()
     return config
 
 

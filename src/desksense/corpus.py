@@ -9,6 +9,7 @@ small seeded micro-motion so synthetic strokes are not unnaturally smooth.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,16 +109,15 @@ def simulate_script(config: PipelineConfig, script, duration: float, seed: int) 
 
 def generate_segmentation_corpus(
     config: PipelineConfig, n_traces: int = 100, seed: int | None = None
-) -> list[CsiTrace]:
-    """Annotated traces with 1-5 gestures each and >= 1.5 s inter-gesture gaps."""
+) -> Iterator[CsiTrace]:
+    """Annotated traces with 1-5 gestures each and >= 1.5 s inter-gesture
+    gaps, simulated one at a time as they are taken."""
     seed = config.seeds.simulation if seed is None else seed
     rng = np.random.default_rng(seed)
-    traces = []
     for _ in range(n_traces):
         n_gestures = int(rng.integers(1, 6))
         script, duration = random_gesture_script(config, rng, n_gestures)
-        traces.append(simulate_script(config, script, duration, int(rng.integers(0, 2**31))))
-    return traces
+        yield simulate_script(config, script, duration, int(rng.integers(0, 2**31)))
 
 
 def segment_trace(config: PipelineConfig, trace: CsiTrace) -> list[GestureSegment]:
@@ -200,8 +200,10 @@ def score_detections(runs) -> SegmentationMetrics:
 
 
 def evaluate_segmentation(
-    config: PipelineConfig, traces: list[CsiTrace]
+    config: PipelineConfig, traces: Iterable[CsiTrace]
 ) -> SegmentationMetrics:
+    """Each trace segmented and scored in turn, so a generator's traces are
+    held one at a time."""
     return score_detections((segment_trace(config, trace), trace) for trace in traces)
 
 

@@ -10,7 +10,9 @@ it diffs cleanly and round-trips losslessly: one writer formats every table
 in tasks of rows, one `%` per task, and streams them in order into a temp
 file renamed over the target.  The files people write or edit (annotations,
 datasets, gesture scripts, confusion tables) are read by read_records, one
-rule for comments, blank lines, headers and errors.
+rule for comments, blank lines, headers and errors.  The JSON files (the
+config and the model files) go through one codec, _from_json and _to_json,
+driven by the fields of the dataclasses they hold.
 """
 from __future__ import annotations
 
@@ -20,23 +22,20 @@ import os
 import struct
 import tempfile
 import zipfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from itertools import chain
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 from numpy.lib import format as npy
 
 from .behavior import Behavior, BehaviorHmm
 from .channel import Annotation, CsiTrace, GestureKind, _mapped_empty
-from .classify import (
-    FeatureVector,
-    GaussianNbClassifier,
-    GestureLabel,
-    KnnClassifier,
-    LabeledExample,
-    Standardizer,
-)
+from .classify import Classifier, FeatureVector, GestureLabel, LabeledExample
 
 FLOAT_FMT = "%.17g"
 _TASK_VALUES = 1 << 14  # values a task of a text table formats
@@ -279,92 +278,154 @@ def read_confusion(path) -> np.ndarray:
     return np.array(counts)
 
 
-def classifier_to_dict(model) -> dict:
-    base = {
-        "kind": model.kind,
-        "standardizer": {
-            "mean": model.standardizer.mean.tolist(),
-            "std": model.standardizer.std.tolist(),
-        },
-    }
-    if isinstance(model, KnnClassifier):
-        base.update(
-            k=model.k, points=model.points.tolist(), labels=model.labels.tolist()
-        )
-    elif isinstance(model, GaussianNbClassifier):
-        base.update(
-            log_priors=model.log_priors.tolist(),
-            means=model.means.tolist(),
-            variances=model.variances.tolist(),
-        )
-    else:
-        raise ValueError(f"unknown model type {type(model).__name__}")
-    return base
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
-def classifier_from_dict(doc: dict):
-    std = Standardizer(
-        mean=np.array(doc["standardizer"]["mean"]),
-        std=np.array(doc["standardizer"]["std"]),
-    )
-    if doc["kind"] == "knn":
-        return KnnClassifier(
-            k=doc["k"],
-            standardizer=std,
-            points=np.array(doc["points"]),
-            labels=np.array(doc["labels"]),
-        )
-    if doc["kind"] == "gaussian_nb":
-        return GaussianNbClassifier(
-            standardizer=std,
-            log_priors=np.array(doc["log_priors"]),
-            means=np.array(doc["means"]),
-            variances=np.array(doc["variances"]),
-        )
-    raise ValueError(f"unknown classifier kind {doc['kind']!r}")
-
-
-def write_classifier(path, model) -> None:
-    atomic_write_text(path, json.dumps(classifier_to_dict(model), indent=2) + "\n")
-
-
-def _read_json_model(path, build):
-    """build(document of the JSON file at path); a malformed model names the file."""
+def _read_json(path, build):
+    """build(the JSON document of the file at path), NaN and Infinity
+    refused; any ValueError is raised as ValueError("<path>: ...")."""
     with open(path) as fh:
         try:
-            return build(json.load(fh))
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing key {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return build(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def read_classifier(path):
-    return _read_json_model(path, classifier_from_dict)
-
-
-def write_behavior_models(path, models: dict[Behavior, BehaviorHmm]) -> None:
-    doc = {
-        b.value: {"pi": m.pi.tolist(), "A": m.A.tolist(), "B": m.B.tolist()}
-        for b, m in models.items()
-    }
+def _write_json(path, doc) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _behavior_models_from_dict(doc: dict) -> dict[Behavior, BehaviorHmm]:
-    return {
-        Behavior(name): BehaviorHmm(
-            pi=np.array(entry["pi"]),
-            A=np.array(entry["A"]),
-            B=np.array(entry["B"]),
-            behavior=Behavior(name),
-        )
-        for name, entry in doc.items()
-    }
+# a scalar field's JSON check by its type hint; values are kept as given,
+# so an int in a float field stays an int and writing it back keeps the file
+_SCALARS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+            "a finite number"),
+    str: (lambda v: type(v) is str, "a string"),
+}
+
+
+@cache
+def _fields(cls) -> dict:
+    """name: (type hint, required) of each field of dataclass cls, in order."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """value, a JSON array (of arrays) of finite numbers, as an array: of
+    ints when every number is an int, else of floats."""
+    if type(value) is list:
+        cells = np.array(value, dtype=object)   # a ragged array keeps its rows as cells
+        kinds = set(map(type, cells.flat))
+        if kinds <= {int, float}:
+            with suppress(OverflowError):   # an int past int64, or past a float's range
+                array = cells.astype(float if float in kinds else int)
+                if np.isfinite(array).all():
+                    return array
+    raise ValueError(f"{key} must be finite numbers in a JSON array")
+
+
+def _from_json(cls, doc, what: str, name: str = ""):
+    """Dataclass cls from the JSON object doc, section name (dotted; "" for
+    the root) of a what file.  Each field is built by its type hint: a
+    dataclass from an object, np.ndarray by _numbers, int, float and str by
+    _SCALARS.  An unknown key, a wrong JSON type, a missing field without a
+    default and cls's own refusal raise ValueError; in a class made only of
+    sections an unknown key is an unknown section.  A union of dataclasses
+    takes the member whose class's kind is doc's "kind"."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} section {name!r} must be an object" if name
+                         else f"{what} root must be an object")
+    at = f"{name}." if name else ""
+    if isinstance(cls, UnionType):
+        kinds = {member.kind: member for member in get_args(cls)}
+        doc = dict(doc)
+        kind = doc.pop("kind", None)
+        if kind not in kinds:
+            raise ValueError(f"{at}kind: must be {' or '.join(map(repr, kinds))}, got {kind!r}")
+        cls = kinds[kind]
+    spec = _fields(cls)
+    unknown = sorted(doc.keys() - spec.keys())
+    if unknown:
+        if all(is_dataclass(hint) for hint, _ in spec.values()):
+            raise ValueError(f"unknown {what} section {unknown[0]!r}")
+        raise ValueError(f"unknown {what} key {at}{unknown[0]}")
+    kwargs = {}
+    for key, (hint, required) in spec.items():
+        if key not in doc:
+            if required:
+                where = f" in {what} section {name!r}" if name else ""
+                raise ValueError(f"missing key {key!r}{where}")
+            continue
+        value = doc[key]
+        if is_dataclass(hint):
+            kwargs[key] = _from_json(hint, value, what, at + key)
+        elif hint is np.ndarray:
+            kwargs[key] = _numbers(value, at + key)
+        else:
+            accepts, kind = _SCALARS[hint]
+            if not accepts(value):
+                raise ValueError(f"{at}{key}: must be {kind}, got {value!r}")
+            kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"invalid {what} section {name!r}: {exc}" if name
+                         else f"invalid {what}: {exc}") from None
+
+
+def _to_json(obj) -> dict:
+    """Inverse of _from_json for one dataclass: its fields in order, arrays
+    as nested lists."""
+    doc = {}
+    for key in _fields(type(obj)):
+        value = getattr(obj, key)
+        if is_dataclass(value):
+            value = _to_json(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        doc[key] = value
+    return doc
+
+
+def write_classifier(path, model: Classifier) -> None:
+    """The model's kind, then its fields."""
+    _write_json(path, {"kind": model.kind, **_to_json(model)})
+
+
+def read_classifier(path) -> Classifier:
+    return _read_json(path, lambda doc: _from_json(Classifier, doc, "gesture model"))
+
+
+def write_behavior_models(path, models: dict[Behavior, BehaviorHmm]) -> None:
+    _write_json(path, {b.value: _to_json(m) for b, m in models.items()})
+
+
+def _behavior_models(doc) -> dict[Behavior, BehaviorHmm]:
+    if not isinstance(doc, dict):
+        raise ValueError("behavior model root must be an object")
+    names = {b.value: b for b in Behavior}
+    models = {}
+    for name, entry in doc.items():
+        if name not in names:
+            raise ValueError(f"unknown behavior {name!r}")
+        models[names[name]] = _from_json(BehaviorHmm, entry, "behavior model", name)
+    if len(models) < 2:   # what classify_behavior needs
+        raise ValueError(f"expected at least two behaviors, got {len(models)}")
+    return models
 
 
 def read_behavior_models(path) -> dict[Behavior, BehaviorHmm]:
-    return _read_json_model(path, _behavior_models_from_dict)
+    """Inverse of write_behavior_models: an object of two or more behaviors,
+    each {"pi", "A", "B"}."""
+    return _read_json(path, _behavior_models)
 
 
 def write_nor(path, nor1, nor2) -> None:

@@ -50,7 +50,7 @@ def corpus_timing():
 def segmentation_corpus(session_config, corpus_timing):
     """100 annotated traces, 1-5 gestures each, >= 1.5 s gaps, 2% noise."""
     t0 = time.perf_counter()
-    corpus = generate_segmentation_corpus(session_config, n_traces=100)
+    corpus = list(generate_segmentation_corpus(session_config, n_traces=100))
     corpus_timing["segmentation_corpus"] = time.perf_counter() - t0
     return corpus
 

@@ -358,10 +358,8 @@ class TestBehaviorModels:
 class TestClassifyBehavior:
     def degenerate_models(self):
         return {
-            Behavior.SURFING: BehaviorHmm(pi=[1, 0], A=IDENTITY, B=IDENTITY,
-                                          behavior=Behavior.SURFING),
-            Behavior.WORKING: BehaviorHmm(pi=PI_REF, A=A_REF, B=B_REF,
-                                          behavior=Behavior.WORKING),
+            Behavior.SURFING: BehaviorHmm(pi=[1, 0], A=IDENTITY, B=IDENTITY),
+            Behavior.WORKING: BehaviorHmm(pi=PI_REF, A=A_REF, B=B_REF),
         }
 
     def test_degenerate_sequence_matches_its_model(self):

@@ -27,7 +27,15 @@ from hypothesis import strategies as st
 from desksense import _workers, io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import Annotation, CsiTrace, GestureKind
-from desksense.classify import FeatureVector, GestureLabel, LabeledExample, fit
+from desksense.classify import (
+    FeatureVector,
+    GaussianNbClassifier,
+    GestureLabel,
+    KnnClassifier,
+    LabeledExample,
+    Standardizer,
+    fit,
+)
 from desksense.cli import main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
 from desksense.corpus import keystroke_burst_script, simulate_script
@@ -58,13 +66,11 @@ BEHAVIOR_MODELS = {
         pi=[0.25, 0.75],
         A=[[0.5, 0.5], [1 / 6, 5 / 6]],
         B=[[0.9, 0.1], [0.2, 0.8]],
-        behavior=Behavior.SURFING,
     ),
     Behavior.GAMING: BehaviorHmm(
         pi=[0.5, 0.5],
         A=[[0.5, 0.5], [0.5, 0.5]],
         B=[[0.9, 0.1], [0.2, 0.8]],
-        behavior=Behavior.GAMING,
     ),
 }
 
@@ -1114,11 +1120,11 @@ class TestModelFiles:
         ({"kind": "knn"}, "missing key 'standardizer'"),
         ({"kind": "knn", "standardizer": {"mean": [0, 0, 0], "std": [1, 1, 1]}},
          "missing key 'k'"),
-        ([], "list indices"),
+        ([], "gesture model root must be an object"),
         ("{not json", "Expecting property name"),
         (dict(KNN, k=0), "k must be an integer >= 1, got 0"),
         (dict(KNN, k=-1), "k must be an integer >= 1, got -1"),
-        (dict(KNN, k=2.5), "k must be an integer >= 1, got 2.5"),
+        (dict(KNN, k=2.5), "k: must be an integer, got 2.5"),
         (dict(KNN, labels=[0, 5]), "labels must be 2 integers, each 0 or 1"),
         (dict(KNN, labels=[0]), "labels must be 2 integers, each 0 or 1"),
         (dict(KNN, points=[[0, 0], [1, 1]]), "points must have shape (n, 3), got (2, 2)"),
@@ -1148,9 +1154,9 @@ class TestModelFiles:
         ({"surfing": {"pi": [0.5, 0.5], "B": [[0.9, 0.1], [0.2, 0.8]]}}, "missing key 'A'"),
         ({"sleeping": {"pi": [0.5, 0.5], "A": [[0.5, 0.5], [0.5, 0.5]],
                        "B": [[0.9, 0.1], [0.2, 0.8]]}}, "'sleeping'"),
-        ({"surfing": [1, 2]}, "list indices"),
+        ({"surfing": [1, 2]}, "behavior model section 'surfing' must be an object"),
         ({"surfing": {"pi": [0.5, 0.5], "A": [[float("nan"), 0.3], [0.4, 0.6]],
-                      "B": [[0.9, 0.1], [0.2, 0.8]]}}, "A must be finite"),
+                      "B": [[0.9, 0.1], [0.2, 0.8]]}}, "NaN is not a JSON number"),
     ])
     def test_bad_behavior_models_exit_code(self, tmp_path, capsys, doc, message):
         trace = tmp_path / "trace.csv"
@@ -1165,6 +1171,145 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert f"error: {models}: " in err and message in err
 
+
+
+HMM = {"pi": [0.5, 0.5], "A": [[0.5, 0.5], [0.5, 0.5]], "B": [[0.9, 0.1], [0.2, 0.8]]}
+
+
+def run_pipeline_on_models(tmp_path, gesture_model, behavior_models=None) -> int:
+    """main's exit code for `pipeline` on a small trace with the model files."""
+    trace = tmp_path / "trace.npz"
+    io.write_trace(trace, random_trace())
+    argv = ["--out", str(tmp_path / "o"), "pipeline", "--trace", str(trace),
+            "--gesture-model", str(gesture_model)]
+    if behavior_models is not None:
+        argv += ["--behavior-models", str(behavior_models)]
+    return main(argv)
+
+
+class TestStrictModelFiles:
+    """Model files follow the config's JSON rules: no unknown key, JSON types
+    by field, no NaN or Infinity, and at least two behaviors."""
+
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps(dict(KNN, extra=1)), "unknown gesture model key extra"),
+        (json.dumps(dict(KNN, standardizer={"mean": [0, 0, 0], "std": [1, 1, 1], "scale": 2})),
+         "unknown gesture model key standardizer.scale"),
+        (json.dumps(dict(KNN, kind="svm")), "kind: must be 'knn' or 'gaussian_nb', got 'svm'"),
+        (json.dumps(dict(KNN, labels=[0, True])),
+         "labels must be finite numbers in a JSON array"),
+        (json.dumps(dict(NB, means=[[0, 0, 0], [1, 1]])),
+         "means must be finite numbers in a JSON array"),
+        (json.dumps(KNN).replace("[[0, 0, 0]", "[[NaN, 0, 0]"),
+         "not valid JSON (NaN is not a JSON number)"),
+        (json.dumps(KNN).replace('"k": 1', '"k": 1e400'), "k: must be an integer, got inf"),
+        (json.dumps(KNN).replace("[[0, 0, 0]", "[[1e400, 0, 0]"),
+         "points must be finite numbers in a JSON array"),
+        (json.dumps(dict(KNN, labels=[0, 10**30])), "labels must be finite numbers in a JSON array"),
+        (json.dumps(dict(KNN, standardizer={"mean": 0, "std": [1, 1, 1]})),
+         "standardizer.mean must be finite numbers in a JSON array"),
+    ], ids=["top-level", "standardizer", "kind", "bool", "ragged", "nan", "overflow",
+            "overflow-in-array", "int-past-int64", "number-for-array"])
+    def test_bad_gesture_model(self, tmp_path, capsys, text, message):
+        path = tmp_path / "gesture_model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            io.read_classifier(path)
+        assert run_pipeline_on_models(tmp_path, path) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"surfing": dict(HMM, pi=["0.25", "0.75"]), "gaming": HMM},
+         "surfing.pi must be finite numbers in a JSON array"),
+        ({"surfing": dict(HMM, C=[1]), "gaming": HMM}, "unknown behavior model key surfing.C"),
+        ({"surfing": HMM}, "expected at least two behaviors, got 1"),
+        ({}, "expected at least two behaviors, got 0"),
+        ([HMM, HMM], "behavior model root must be an object"),
+        ({"surfing": HMM, "gaming": dict(HMM, A=[[0.5, 0.5], [0.5, float("inf")]])},
+         "not valid JSON (Infinity is not a JSON number)"),
+    ], ids=["string-pi", "unknown-key", "one-behavior", "empty", "list", "infinity"])
+    def test_bad_behavior_models(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "behavior_models.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            io.read_behavior_models(path)
+        gesture_model = tmp_path / "gesture_model.json"
+        io.write_classifier(gesture_model, fit("knn", EXAMPLES))
+        assert run_pipeline_on_models(tmp_path, gesture_model, path) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def finite(shape, positive=False):
+    """Arrays of shape of finite float64s, > 0 when positive."""
+    return st.lists(st.floats(min_value=0.0 if positive else None, exclude_min=positive,
+                              allow_nan=False, allow_infinity=False),
+                    min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda values: np.array(values, dtype=float).reshape(shape))
+
+
+@st.composite
+def classifiers(draw):
+    standardizer = Standardizer(mean=draw(finite((3,))), std=draw(finite((3,), positive=True)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        return KnnClassifier(standardizer=standardizer, k=draw(st.integers(1, 10)),
+                             points=draw(finite((n, 3))),
+                             labels=np.array(draw(st.lists(st.sampled_from([0, 1]),
+                                                           min_size=n, max_size=n))))
+    return GaussianNbClassifier(standardizer=standardizer, log_priors=draw(finite((2,))),
+                                means=draw(finite((2, 3))),
+                                variances=draw(finite((2, 3), positive=True)))
+
+
+STOCHASTIC_ROWS = st.floats(0.0, 1.0).map(lambda p: [p, 1.0 - p])
+
+
+@st.composite
+def behavior_models(draw):
+    behaviors = draw(st.lists(st.sampled_from(list(Behavior)), min_size=2, max_size=3,
+                              unique=True))
+    return {b: BehaviorHmm(pi=draw(STOCHASTIC_ROWS),
+                           A=[draw(STOCHASTIC_ROWS), draw(STOCHASTIC_ROWS)],
+                           B=[draw(STOCHASTIC_ROWS), draw(STOCHASTIC_ROWS)])
+            for b in behaviors}
+
+
+class TestModelRoundTrip:
+    """write, read, write: the same bytes and arrays equal to the model's."""
+
+    @staticmethod
+    def twice(write, read, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+            write(first, model)
+            back = read(first)
+            write(second, back)
+            assert second.read_bytes() == first.read_bytes()
+        return back
+
+    @settings(max_examples=60)
+    @given(model=classifiers())
+    def test_classifier(self, model):
+        back = self.twice(io.write_classifier, io.read_classifier, model)
+        assert type(back) is type(model)
+        for name, value in vars(model).items():
+            if name == "standardizer":
+                np.testing.assert_array_equal(back.standardizer.mean, value.mean)
+                np.testing.assert_array_equal(back.standardizer.std, value.std)
+            elif isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(getattr(back, name), value)
+                assert getattr(back, name).dtype == value.dtype
+            else:
+                assert getattr(back, name) == value
+
+    @settings(max_examples=60)
+    @given(models=behavior_models())
+    def test_behavior_models(self, models):
+        back = self.twice(io.write_behavior_models, io.read_behavior_models, models)
+        assert list(back) == list(models)
+        for b, model in models.items():
+            for name in ("pi", "A", "B"):
+                np.testing.assert_array_equal(getattr(back[b], name), getattr(model, name))
 
 
 class TestHmmConfigReachesModelDistance:

@@ -263,6 +263,18 @@ class TestSegment:
         assert metrics.precision >= 0.9
         assert metrics.mean_boundary_error_s <= 0.1
 
+    def test_corpus_simulates_each_trace_as_it_is_taken(self, config):
+        with mock.patch("desksense.corpus.simulate_script", wraps=simulate_script) as sim:
+            corpus = generate_segmentation_corpus(config, n_traces=3, seed=42)
+            assert sim.call_count == 0
+            first = next(corpus)
+            assert sim.call_count == 1
+            rest = list(corpus)
+        assert sim.call_count == 3
+        again = list(generate_segmentation_corpus(config, n_traces=3, seed=42))
+        for got, want in zip([first, *rest], again, strict=True):
+            np.testing.assert_array_equal(got.samples, want.samples)
+
 
 class TestGestureSegmentType:
     def test_invariants(self):
