@@ -35,9 +35,12 @@ class Behavior(Enum):
         return (cls.SURFING, cls.WORKING, cls.GAMING)
 
 
-def _check_stochastic(name: str, m, shape) -> np.ndarray:
-    """m as a float array of the given shape, each row a finite distribution."""
-    m = np.asarray(m, dtype=float).reshape(shape)
+def _check_stochastic(name: str, m, shape: tuple[int, ...]) -> np.ndarray:
+    """m as a float array of exactly the given shape, each row a finite
+    distribution."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
     if np.any(m < 0):
@@ -57,7 +60,7 @@ class BehaviorHmm:
     B: np.ndarray
 
     def __post_init__(self):
-        self.pi = _check_stochastic("pi", self.pi, 2)
+        self.pi = _check_stochastic("pi", self.pi, (2,))
         self.A = _check_stochastic("A", self.A, (2, 2))
         self.B = _check_stochastic("B", self.B, (2, 2))
 
@@ -145,7 +148,7 @@ def baum_welch(
     if not sequences:
         raise ValueError("need at least one training sequence")
     B = _check_stochastic("B", B, (2, 2))
-    pi = _check_stochastic("pi", pi, 2)
+    pi = _check_stochastic("pi", pi, (2,))
     if A_init is None:
         A = np.array([[0.6, 0.4], [0.4, 0.6]])
     else:
@@ -208,22 +211,18 @@ def estimate_initial(sequences: list[GestureSequence]) -> np.ndarray:
 def fit_behavior_models(
     training: dict[Behavior, list[GestureSequence]],
     B: np.ndarray,
-    pi: np.ndarray | None = None,
     max_iter: int = DEFAULT_BW_MAX_ITER,
     tol: float = DEFAULT_BW_TOL,
 ) -> dict[Behavior, BehaviorHmm]:
-    """One Baum-Welch-trained model per behavior.
-
-    When pi is not given it is estimated per behavior from first-gesture
-    frequencies.
-    """
+    """One Baum-Welch-trained model per behavior, its pi estimated from
+    first-gesture frequencies."""
     models = {}
     for behavior, sequences in training.items():
         if not sequences:
             raise ValueError(f"no training sequences for {behavior}")
-        pi_b = estimate_initial(sequences) if pi is None else np.asarray(pi, dtype=float)
-        A, _ = baum_welch(sequences, B=B, pi=pi_b, max_iter=max_iter, tol=tol)
-        models[behavior] = BehaviorHmm(pi=pi_b, A=A, B=B)
+        pi = estimate_initial(sequences)
+        A, _ = baum_welch(sequences, B=B, pi=pi, max_iter=max_iter, tol=tol)
+        models[behavior] = BehaviorHmm(pi=pi, A=A, B=B)
     return models
 
 
@@ -231,59 +230,26 @@ def fit_behavior_models(
 class BehaviorClassification:
     behavior: Behavior | None
     scores: dict[Behavior, float]
-    method: str
     tie: bool = False
     unclassifiable: bool = False
 
 
 def classify_behavior(
-    models: dict[Behavior, BehaviorHmm],
-    seq: GestureSequence,
-    method: str = "likelihood",
-    max_iter: int = DEFAULT_BW_MAX_ITER,
-    tol: float = DEFAULT_BW_TOL,
+    models: dict[Behavior, BehaviorHmm], seq: GestureSequence
 ) -> BehaviorClassification:
-    """Assign a sequence to the best-matching behavior model.
-
-    "likelihood" (default): argmax of forward log-likelihood per symbol.
-    "model-distance": fit a candidate model on the sequence itself (Baum-Welch
-    with max_iter and tol), then take the behavior minimizing
-    [log P(O|candidate) - log P(O|model)] / T.
-    Ties resolve in the fixed order surfing < working < gaming.
-    """
+    """The behavior whose model gives the highest forward log-likelihood per
+    symbol; ties resolve in the fixed order surfing < working < gaming.
+    Unclassifiable when no model can emit the sequence."""
     if len(models) < 2:
         raise ValueError("need at least two behavior models")
-    n = len(seq)
     ordered = [b for b in Behavior.classified() if b in models]
-
-    if method == "likelihood":
-        scores = {b: forward_log_likelihood(models[b], seq) / n for b in ordered}
-        better = max
-    elif method == "model-distance":
-        B = next(iter(models.values())).B
-        if any(not np.array_equal(m.B, B) for m in models.values()):
-            raise ValueError("model-distance needs behavior models that share B")
-        pi_c = estimate_initial([seq])
-        A_c, _ = baum_welch([seq], B=B, pi=pi_c, max_iter=max_iter, tol=tol)
-        ll_candidate = forward_log_likelihood(BehaviorHmm(pi=pi_c, A=A_c, B=B), seq)
-        scores = {
-            b: (ll_candidate - forward_log_likelihood(models[b], seq)) / n
-            for b in ordered
-        }
-        better = min
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    scores = {b: forward_log_likelihood(models[b], seq) / len(seq) for b in ordered}
     finite = {b: s for b, s in scores.items() if np.isfinite(s)}
     if not finite:
-        return BehaviorClassification(
-            behavior=None, scores=scores, method=method, unclassifiable=True
-        )
-    best_score = better(finite.values())
+        return BehaviorClassification(behavior=None, scores=scores, unclassifiable=True)
+    best_score = max(finite.values())
     winners = [b for b in ordered if np.isfinite(scores[b]) and scores[b] == best_score]
-    return BehaviorClassification(
-        behavior=winners[0], scores=scores, method=method, tie=len(winners) > 1
-    )
+    return BehaviorClassification(behavior=winners[0], scores=scores, tie=len(winners) > 1)
 
 
 @dataclass(frozen=True)
@@ -295,7 +261,7 @@ class BehaviorProfile:
     A_true: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pi_true", _check_stochastic("pi_true", self.pi_true, 2))
+        object.__setattr__(self, "pi_true", _check_stochastic("pi_true", self.pi_true, (2,)))
         object.__setattr__(self, "A_true", _check_stochastic("A_true", self.A_true, (2, 2)))
 
     def stationary(self) -> np.ndarray:

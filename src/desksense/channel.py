@@ -161,10 +161,9 @@ class GestureModel:
     """One micro-gesture: a short reflector trajectory anchored at rest_pos.
 
     Keystrokes travel down-then-up along -z and return to rest; mouse moves
-    displace one-directionally along +x.  speed_profile "sinusoidal" gives a
-    sinusoidal velocity over the gesture, "constant" a uniform speed.
-    jitter_std adds seeded hand micro-motion (metres, 0 disables); corpora
-    use it, the clean interference examples do not.
+    displace one-directionally along +x; both with a sinusoidal velocity
+    over the gesture.  jitter_std adds seeded hand micro-motion (metres, 0
+    disables); corpora use it, the clean interference examples do not.
     """
 
     kind: GestureKind
@@ -173,7 +172,6 @@ class GestureModel:
     )
     travel: float = 0.02
     duration: float = 0.7
-    speed_profile: str = "sinusoidal"
     jitter_std: float = 0.0
 
     def __post_init__(self):
@@ -182,8 +180,6 @@ class GestureModel:
             raise ValueError(f"travel must be positive and finite, got {self.travel!r}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
-        if self.speed_profile not in ("sinusoidal", "constant"):
-            raise ValueError(f"unknown speed profile {self.speed_profile!r}")
         if self.jitter_std < 0:
             raise ValueError("jitter_std must be >= 0")
 
@@ -193,17 +189,9 @@ class GestureModel:
         frac = t / self.duration
         out = np.zeros(t.shape + (3,))
         if self.kind is GestureKind.KEYSTROKE:
-            if self.speed_profile == "sinusoidal":
-                depth = np.sin(np.pi * frac) ** 2
-            else:
-                depth = 1.0 - np.abs(2.0 * frac - 1.0)
-            out[..., 2] = -self.travel * depth
+            out[..., 2] = -self.travel * np.sin(np.pi * frac) ** 2
         else:
-            if self.speed_profile == "sinusoidal":
-                adv = (1.0 - np.cos(np.pi * frac)) / 2.0
-            else:
-                adv = frac
-            out[..., 0] = self.travel * adv
+            out[..., 0] = self.travel * (1.0 - np.cos(np.pi * frac)) / 2.0
         return out
 
     def positions(self, t_rel: np.ndarray) -> np.ndarray:
@@ -563,13 +551,9 @@ def simulate_trace(
 def simulate_plate_sweep(
     geometry: FresnelGeometry,
     side_lengths: Sequence[float],
-    drag_range: float = 0.015,
-    drag_speed: float = 0.08,
     grid_density: float = 200.0,
-    depth: float = 0.5,
     static_component: complex = 1.0 + 0j,
     reflectivity: float = 25.0,
-    fs: float = DEFAULT_FS,
     noise_std: float = 0.0,
     rng_seed: int = 0,
 ) -> list[tuple[float, float]]:
@@ -578,7 +562,8 @@ def simulate_plate_sweep(
     Each plate is a uniform grid of coherent point scatterers in the vertical
     plane through the Tx-Rx axis, per-scatterer amplitude reflectivity *
     cell area (total reflection scales with plate area).  The plate centre
-    starts `depth` metres below the midpoint and is dragged along the axis.
+    starts 0.5 m below the midpoint and is dragged 15 mm along the axis at
+    0.08 m/s, sampled at DEFAULT_FS.
     Larger plates span neighbouring Fresnel zones whose contributions cancel,
     so the returned curve is non-monotonic in side length.
     """
@@ -587,16 +572,14 @@ def simulate_plate_sweep(
         raise ValueError("side lengths must be positive")
     if sides != sorted(sides):
         raise ValueError("side lengths must be ascending")
-    if drag_range <= 0 or drag_speed <= 0:
-        raise ValueError("drag range and speed must be positive")
     if not 0 <= noise_std < math.inf:
         raise ValueError("noise_std must be non-negative and finite")
 
+    depth, drag_range, drag_speed = 0.5, 0.015, 0.08   # m, m, m/s
     mid = geometry.midpoint
     axis = geometry.axis
     down = np.array([0.0, 0.0, -1.0])
-    duration = drag_range / drag_speed
-    n_steps = int(round(duration * fs)) + 1
+    n_steps = int(round(drag_range / drag_speed * DEFAULT_FS)) + 1
     shifts = np.linspace(0.0, drag_range, n_steps)
     rng = np.random.default_rng(rng_seed)
 

@@ -86,15 +86,12 @@ class ClassifierConfig:
 class HmmConfig:
     max_iter: int = 200
     tol: float = 1e-6
-    method: str = "likelihood"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.method not in ("likelihood", "model-distance"):
-            raise ValueError("method must be 'likelihood' or 'model-distance'")
 
 
 @dataclass(frozen=True)

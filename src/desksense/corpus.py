@@ -32,13 +32,13 @@ def keystroke_burst_script(
     config: PipelineConfig,
     count: int = 17,
     gap: float = 1.3,
-    lead_in: float = 1.0,
 ) -> tuple[list, float]:
-    """`count` consecutive keystrokes at the deployed rest position."""
+    """`count` consecutive keystrokes at the deployed rest position, the
+    first at 1 s."""
     sim = config.simulation
     rest = np.array([config.geometry.antenna_distance / 2, 0.0, -config.geometry.rest_depth])
     script = []
-    t = lead_in
+    t = 1.0
     for _ in range(count):
         g = GestureModel(GestureKind.KEYSTROKE, rest, jitter_std=sim.gesture_jitter_std)
         script.append((t, g))
@@ -50,11 +50,9 @@ def random_gesture_script(
     config: PipelineConfig,
     rng: np.random.Generator,
     n_gestures: int,
-    kinds=(GestureKind.KEYSTROKE, GestureKind.MOUSE_MOVE),
-    min_gap: float = 1.5,
-    max_gap: float = 2.5,
 ) -> tuple[list, float]:
-    """Randomized gesture sequence within the deployable parameter envelope."""
+    """Randomized gesture sequence within the deployable parameter envelope:
+    keystrokes and mouse moves drawn with equal odds, 1.5-2.5 s apart."""
     sim = config.simulation
     d = config.geometry.antenna_distance
     script = []
@@ -62,7 +60,7 @@ def random_gesture_script(
     side = 1.0 if rng.random() < 0.5 else -1.0
     x = d / 2 + side * rng.uniform(0.15, 0.30) * d
     for _ in range(n_gestures):
-        kind = kinds[int(rng.integers(0, len(kinds)))]
+        kind = tuple(GestureKind)[int(rng.integers(0, 2))]
         if kind is GestureKind.KEYSTROKE:
             depth = rng.uniform(0.57, 0.66)
             model = GestureModel(
@@ -82,7 +80,7 @@ def random_gesture_script(
                 jitter_std=sim.gesture_jitter_std,
             )
         script.append((t, model))
-        t += model.duration + rng.uniform(min_gap, max_gap)
+        t += model.duration + rng.uniform(1.5, 2.5)
     return script, t + 0.7
 
 
@@ -224,7 +222,11 @@ def segments_from_annotations(
     return out
 
 
-def _dataset_script(config, rng, n_gestures, kind, jitter_std):
+# metres of micro-motion in the feature corpus's gestures
+_DATASET_JITTER_STD = 5e-4
+
+
+def _dataset_script(config, rng, n_gestures, kind):
     """Gesture placement for the feature corpus.
 
     Both gesture kinds happen at the same desk spots; the mouse's
@@ -246,7 +248,7 @@ def _dataset_script(config, rng, n_gestures, kind, jitter_std):
                 rest_pos=np.array([x, 0.0, -depth]),
                 travel=0.02,
                 duration=rng.uniform(0.65, 0.75),
-                jitter_std=jitter_std,
+                jitter_std=_DATASET_JITTER_STD,
             )
         else:
             x = d / 2 + side * rng.uniform(0.04, 0.15) * d
@@ -255,7 +257,7 @@ def _dataset_script(config, rng, n_gestures, kind, jitter_std):
                 rest_pos=np.array([x, 0.0, -depth]),
                 travel=rng.uniform(0.015, 0.04),
                 duration=rng.uniform(0.35, 1.0),
-                jitter_std=jitter_std,
+                jitter_std=_DATASET_JITTER_STD,
             )
         script.append((t, model))
         t += model.duration + rng.uniform(1.5, 2.0)
@@ -266,7 +268,6 @@ def generate_gesture_dataset(
     config: PipelineConfig,
     n_segments: int = 400,
     seed: int | None = None,
-    jitter_std: float = 5e-4,
 ) -> list[LabeledExample]:
     """Labeled feature vectors from annotation-sliced synthetic gestures:
     ceil(n/2) typing and floor(n/2) mouse examples, each trace of the kind
@@ -277,9 +278,7 @@ def generate_gesture_dataset(
     examples: list[LabeledExample] = []
     while any(todo.values()):
         want = max(todo, key=todo.get)
-        script, duration = _dataset_script(
-            config, rng, int(rng.integers(2, 5)), want, jitter_std
-        )
+        script, duration = _dataset_script(config, rng, int(rng.integers(2, 5)), want)
         trace = simulate_script(config, script, duration, int(rng.integers(0, 2**31)))
         for seg, label in segments_from_annotations(config, trace)[:todo[want]]:
             examples.append(LabeledExample(features=extract_features(seg), label=label))

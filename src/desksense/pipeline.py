@@ -148,8 +148,7 @@ def run_pipeline(
         if behavior_models is not None and labels:
             with _StageTimer(report, "classify_behavior", artifacts):
                 seq = GestureSequence(np.array([l.value for l in labels]))
-                result = classify_behavior(behavior_models, seq, config.hmm.method,
-                                           config.hmm.max_iter, config.hmm.tol)
+                result = classify_behavior(behavior_models, seq)
             report.metrics["behavior"] = {
                 "label": result.behavior.value if result.behavior else None,
                 "scores": {b.value: s for b, s in result.scores.items()},
@@ -208,8 +207,7 @@ def behavior_study(
             seq = sample_behavior_sequence(
                 PROFILES[b], B, test_length, seed=seed0 + 7_000_000 + 1000 * i_b + i
             )
-            result = classify_behavior(models, seq, config.hmm.method,
-                                       config.hmm.max_iter, config.hmm.tol)
+            result = classify_behavior(models, seq)
             confusion_b[i_b, behaviors.index(result.behavior)] += 1
     per_class = confusion_b.diagonal() / confusion_b.sum(axis=1)
     return float(per_class.mean()), confusion_b, models

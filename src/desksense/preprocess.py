@@ -213,11 +213,10 @@ def measured_gain(
     freq_hz: float,
     fs: float,
     spec: FilterSpec | None = None,
-    warmup_s: float = 2.0,
 ) -> float:
     """Steady-state sine gain of the implemented filter at one frequency.
 
-    Runs a unit sinusoid long enough to settle, discards the warm-up, and
+    Runs a unit sinusoid long enough to settle, discards a 2 s warm-up, and
     projects the tail onto quadrature references over whole periods.
     """
     spec = spec or FilterSpec()
@@ -227,12 +226,12 @@ def measured_gain(
     measure_s = max(1.0, 2.0 * period)
     n_periods = max(1, int(round(measure_s / period)))
     measure_s = n_periods * period
-    n_total = int(round((warmup_s + measure_s) * fs))
+    n_total = int(round((2.0 + measure_s) * fs))
     t = np.arange(n_total) / fs
     x = np.sin(2 * np.pi * freq_hz * t)
     y = butterworth_lowpass(AmplitudeSeries(fs=fs, values=x), spec).values
-    tail = y[int(round(warmup_s * fs)):]
-    t_tail = t[int(round(warmup_s * fs)):]
+    warm = int(round(2.0 * fs))
+    tail, t_tail = y[warm:], t[warm:]
     ref_s = np.sin(2 * np.pi * freq_hz * t_tail)
     ref_c = np.cos(2 * np.pi * freq_hz * t_tail)
     a = 2.0 * np.mean(tail * ref_s)

@@ -390,52 +390,6 @@ class TestClassifyBehavior:
         assert result.tie
         assert result.behavior is Behavior.WORKING  # working precedes gaming
 
-    def test_model_distance_rejects_models_with_different_emissions(self):
-        models = {
-            Behavior.SURFING: BehaviorHmm(pi=PI_REF, A=A_REF, B=B_REF),
-            Behavior.WORKING: BehaviorHmm(pi=PI_REF, A=A_REF, B=[[0.8, 0.2], [0.2, 0.8]]),
-        }
-        seq = GestureSequence(np.array([0, 1, 1, 0]))
-        with pytest.raises(ValueError, match="share B"):
-            classify_behavior(models, seq, method="model-distance")
-        assert classify_behavior(models, seq, method="likelihood").behavior is not None
-
-    def test_model_distance_method_agrees_on_clear_cases(self):
-        B = B_REF
-        training = {
-            b: [sample_behavior_sequence(PROFILES[b], B, 200, seed=50 + i) for i in range(12)]
-            for b in Behavior.classified()
-        }
-        models = fit_behavior_models(training, B=B)
-        hits = 0
-        for i, b in enumerate(Behavior.classified()):
-            seq = sample_behavior_sequence(PROFILES[b], B, 80, seed=900 + i)
-            r1 = classify_behavior(models, seq, method="likelihood")
-            r2 = classify_behavior(models, seq, method="model-distance")
-            hits += (r1.behavior is b) + (r2.behavior is b)
-        assert hits >= 4
-
-    def test_model_distance_fit_obeys_max_iter_and_tol(self, caplog):
-        # at the bench confusion this 50-symbol candidate fit converges after
-        # 7 iterations at the default tol
-        B = build_emission(np.array([[196, 4], [10, 190]]))
-        models = {
-            Behavior.SURFING: BehaviorHmm(pi=PI_REF, A=A_REF, B=B),
-            Behavior.WORKING: BehaviorHmm(pi=PI_REF, A=[[0.9, 0.1], [0.3, 0.7]], B=B),
-        }
-        seq = sample_behavior_sequence(PROFILES[Behavior.GAMING], B, 50, seed=2)
-        assert len(baum_welch([seq], B=B, pi=estimate_initial([seq]))[1]) == 7
-        with caplog.at_level(logging.WARNING, logger="desksense.behavior"):
-            want = classify_behavior(models, seq, method="model-distance")
-            assert caplog.records == []
-            capped = classify_behavior(models, seq, method="model-distance", max_iter=3)
-            [record] = caplog.records
-            assert "max_iter=3" in record.getMessage()
-            caplog.clear()
-            loose = classify_behavior(models, seq, method="model-distance", max_iter=3, tol=1.0)
-            assert caplog.records == []
-        assert capped.scores != want.scores and loose.scores != want.scores
-
 
 class TestSampling:
     def test_identity_emission_reveals_hidden(self):

@@ -320,34 +320,21 @@ class TestSimulateTrace:
         assert x[-1] == pytest.approx(0.03, abs=1e-12)
         assert g.end_pos[0] == pytest.approx(g.rest_pos[0] + 0.03)
 
-    def test_constant_speed_keystroke(self):
-        g = GestureModel(
-            kind=GestureKind.KEYSTROKE, travel=0.02, duration=0.7,
-            speed_profile="constant",
-        )
-        t = np.linspace(0, 0.7, 701)
-        z = g.displacement(t)[:, 2]
-        assert z[350] == pytest.approx(-0.02, abs=1e-12)
-        assert z[0] == 0.0 and z[-1] == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(np.diff(z[:350]), z[1] - z[0], atol=1e-12)
-
     def test_sinusoidal_mouse_monotone(self):
-        g = GestureModel(
-            kind=GestureKind.MOUSE_MOVE, travel=0.04, duration=0.5,
-            speed_profile="sinusoidal",
-        )
+        g = GestureModel(kind=GestureKind.MOUSE_MOVE, travel=0.04, duration=0.5)
         t = np.linspace(0, 0.5, 501)
         x = g.displacement(t)[:, 0]
         assert np.all(np.diff(x) >= 0)
         assert x[-1] == pytest.approx(0.04, abs=1e-12)
+        # sinusoidal speed: half the travel at half time, fastest there
+        assert x[250] == pytest.approx(0.02, abs=1e-12)
+        assert np.argmax(np.diff(x)) in (249, 250)
 
     def test_gesture_model_validation(self):
         with pytest.raises(ValueError):
             GestureModel(kind=GestureKind.KEYSTROKE, travel=0.0)
         with pytest.raises(ValueError):
             GestureModel(kind=GestureKind.KEYSTROKE, duration=-1.0)
-        with pytest.raises(ValueError):
-            GestureModel(kind=GestureKind.KEYSTROKE, speed_profile="jerky")
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="travel must be positive and finite"):
                 GestureModel(kind=GestureKind.KEYSTROKE, travel=bad)

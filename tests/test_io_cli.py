@@ -38,8 +38,7 @@ from desksense.classify import (
 )
 from desksense.cli import main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
-from desksense.corpus import keystroke_burst_script, simulate_script
-from desksense.pipeline import behavior_study, run_pipeline
+from desksense.pipeline import behavior_study
 from desksense.preprocess import (
     AmplitudeSeries,
     _row_variance,
@@ -1227,7 +1226,12 @@ class TestStrictModelFiles:
         ([HMM, HMM], "behavior model root must be an object"),
         ({"surfing": HMM, "gaming": dict(HMM, A=[[0.5, 0.5], [0.5, float("inf")]])},
          "not valid JSON (Infinity is not a JSON number)"),
-    ], ids=["string-pi", "unknown-key", "one-behavior", "empty", "list", "infinity"])
+        ({"surfing": dict(HMM, pi=[[0.5, 0.5]]), "gaming": HMM},
+         "invalid behavior model section 'surfing': pi must have shape (2,), got (1, 2)"),
+        ({"surfing": HMM, "gaming": dict(HMM, A=[[0.5, 0.5, 0.5, 0.5]])},
+         "invalid behavior model section 'gaming': A must have shape (2, 2), got (1, 4)"),
+    ], ids=["string-pi", "unknown-key", "one-behavior", "empty", "list", "infinity",
+            "nested-pi", "flat-A"])
     def test_bad_behavior_models(self, tmp_path, capsys, doc, message):
         path = tmp_path / "behavior_models.json"
         path.write_text(json.dumps(doc))
@@ -1313,31 +1317,17 @@ class TestModelRoundTrip:
 
 
 class TestHmmConfigReachesModelDistance:
-    """config.hmm's max_iter and tol reach the candidate fit of
-    classify_behavior(method="model-distance") at both pipeline call sites."""
-
-    @staticmethod
-    def capped(caplog, max_iter):
-        return [r for r in caplog.records if f"max_iter={max_iter} " in r.getMessage()]
+    """config.hmm's max_iter and tol reach behavior_study's training fits."""
 
     def test_behavior_study(self, caplog):
         confusion = np.array([[196, 4], [10, 190]])
-        for hmm, fits_capped in [({"max_iter": 3}, 6), ({"max_iter": 3, "tol": 10.0}, 0)]:
-            config = config_from_dict({"hmm": {"method": "model-distance", **hmm}})
+        for hmm, fits_capped in [({"max_iter": 3}, 3), ({"max_iter": 3, "tol": 10.0}, 0)]:
+            config = config_from_dict({"hmm": hmm})
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="desksense.behavior"):
                 behavior_study(config, confusion, n_train=2, train_length=30, n_test=1)
-            # three training fits, then one candidate fit per test sequence
-            assert len(self.capped(caplog, 3)) == fits_capped
-
-    def test_run_pipeline(self, caplog):
-        config = config_from_dict({"hmm": {"method": "model-distance", "max_iter": 1}})
-        script, duration = keystroke_burst_script(config, count=3)
-        trace = simulate_script(config, script, duration, seed=5)
-        with caplog.at_level(logging.WARNING, logger="desksense.behavior"):
-            report, _ = run_pipeline(config, trace, fit("knn", EXAMPLES), BEHAVIOR_MODELS)
-        assert report.metrics["behavior"]["label"] is not None
-        assert len(self.capped(caplog, 1)) == 1
+            # one fit per behavior
+            assert sum("max_iter=3 " in r.getMessage() for r in caplog.records) == fits_capped
 
 
 class TestDatasetFiles:
@@ -1651,14 +1641,17 @@ class TestCli:
         assert (tmp_path / "segments.csv").read_text() == "start_idx,end_idx,truncated\n"
 
     def test_pipeline_segmenter_step_rejected(self, tmp_path, capsys):
+        """A config that sets a dropped knob exits 2 naming the key."""
         path = tmp_path / "trace.csv"
         io.write_trace(path, random_trace(n=200))
-        cfg = tmp_path / "step.json"
-        cfg.write_text('{"segmenter": {"step": 2}}')
-        code = self.run("--config", str(cfg), "--out", str(tmp_path / "o"),
-                        "pipeline", "--trace", str(path))
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {cfg}: unknown config key segmenter.step\n"
+        cfg = tmp_path / "dropped.json"
+        for key, doc in [("segmenter.step", '{"segmenter": {"step": 2}}'),
+                         ("hmm.method", '{"hmm": {"method": "likelihood"}}')]:
+            cfg.write_text(doc)
+            code = self.run("--config", str(cfg), "--out", str(tmp_path / "o"),
+                            "pipeline", "--trace", str(path))
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {cfg}: unknown config key {key}\n"
 
     def test_featurize_from_detections(self, tmp_path):
         out = tmp_path / "det"
