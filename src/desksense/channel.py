@@ -84,35 +84,43 @@ def _as_point(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FresnelGeometry:
-    """Transmitter/receiver placement and carrier wavelength."""
+    """The one placement: Tx at the origin, Rx antenna_distance along +x,
+    the carrier wavelength, and the desk rest_depth below the antenna line.
+    It is the config's `geometry` section."""
 
-    tx_pos: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rx_pos: np.ndarray = field(
-        default_factory=lambda: np.array([DEFAULT_ANTENNA_DISTANCE, 0.0, 0.0])
-    )
+    antenna_distance: float = DEFAULT_ANTENNA_DISTANCE
     wavelength: float = DEFAULT_WAVELENGTH
+    rest_depth: float = DEFAULT_REST_DEPTH
 
     def __post_init__(self):
-        object.__setattr__(self, "tx_pos", _as_point(self.tx_pos))
-        object.__setattr__(self, "rx_pos", _as_point(self.rx_pos))
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if np.array_equal(self.tx_pos, self.rx_pos):
-            raise ValueError("tx_pos and rx_pos must differ")
+        if not 0 < self.antenna_distance < math.inf:
+            raise ValueError("antenna_distance must be positive and finite")
+        if not 0 < self.wavelength < math.inf:
+            raise ValueError("wavelength must be positive and finite")
+        if not 0.55 <= self.rest_depth <= 0.70:
+            raise ValueError("rest_depth must lie in [0.55, 0.70] m")
 
     @property
-    def antenna_distance(self) -> float:
-        return float(np.linalg.norm(self.rx_pos - self.tx_pos))
+    def tx_pos(self) -> np.ndarray:
+        return np.zeros(3)
+
+    @property
+    def rx_pos(self) -> np.ndarray:
+        return np.array([self.antenna_distance, 0.0, 0.0])
 
     @property
     def midpoint(self) -> np.ndarray:
-        return (self.tx_pos + self.rx_pos) / 2.0
+        return np.array([self.antenna_distance / 2, 0.0, 0.0])
 
     @property
     def axis(self) -> np.ndarray:
         """Unit vector from Tx to Rx."""
-        delta = self.rx_pos - self.tx_pos
-        return delta / np.linalg.norm(delta)
+        return np.array([1.0, 0.0, 0.0])
+
+    @property
+    def rest_pos(self) -> np.ndarray:
+        """Where a gesture rests by default: below the link's midpoint."""
+        return np.array([self.antenna_distance / 2, 0.0, -self.rest_depth])
 
 
 def path_length(geometry: FresnelGeometry, positions: np.ndarray) -> np.ndarray:
@@ -167,9 +175,7 @@ class GestureModel:
     """
 
     kind: GestureKind
-    rest_pos: np.ndarray = field(
-        default_factory=lambda: np.array([0.5, 0.0, -DEFAULT_REST_DEPTH])
-    )
+    rest_pos: np.ndarray = field(default_factory=lambda: FresnelGeometry().rest_pos)
     travel: float = 0.02
     duration: float = 0.7
     jitter_std: float = 0.0

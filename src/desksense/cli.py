@@ -49,9 +49,7 @@ def _scripted_gesture(config: PipelineConfig, fields) -> tuple[float, GestureMod
     if len(fields) == 7:
         rest = np.array([_script_number(v, name) for v, name in zip(fields[4:], "xyz")])
     else:
-        rest = np.array(
-            [config.geometry.antenna_distance / 2, 0.0, -config.geometry.rest_depth]
-        )
+        rest = config.geometry.rest_pos
     return start, GestureModel(kind, rest, travel, duration,
                                jitter_std=config.simulation.gesture_jitter_std)
 
@@ -64,6 +62,8 @@ def parse_script(path, config: PipelineConfig):
 def _load_config(args) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         config = replace(config, seeds=replace(config.seeds, simulation=args.seed))
     return config
 
@@ -225,6 +225,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_plate(args) -> int:
+    if args.min_cm < 1:
+        return _usage_error(args, f"--min-cm must be >= 1, got {args.min_cm}")
     if args.min_cm > args.max_cm:
         return _usage_error(args, f"--min-cm must be <= --max-cm, "
                                   f"got {args.min_cm} > {args.max_cm}")
@@ -234,12 +236,11 @@ def cmd_sweep_plate(args) -> int:
         return _usage_error(args, f"--noise-std must be >= 0 and finite, got {args.noise_std}")
     config = _load_config(args)
     out = _out_dir(args)
-    geometry = config.geometry.build()
     sides = [s / 100.0 for s in range(args.min_cm, args.max_cm + 1)]
     acc = np.zeros(len(sides))
     for r in range(args.repeats):
         rows = simulate_plate_sweep(
-            geometry,
+            config.geometry,
             sides,
             noise_std=args.noise_std,
             rng_seed=config.seeds.simulation + r,
@@ -258,7 +259,9 @@ def cmd_plotdata(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     if args.kind == "filter-response":
-        freqs = np.logspace(np.log10(0.1), np.log10(100.0), 200)
+        # three decades up to 100 Hz, or to 0.45 fs if lower: measured_gain needs f < fs/2
+        top = min(100.0, 0.45 * config.simulation.fs)
+        freqs = np.logspace(np.log10(top) - 3, np.log10(top), 200)
         spec = config.filter
         io.write_table(out / "filter_response.csv", ["freq_hz", "gain_measured", "gain_analytic"],
                        [freqs, [measured_gain(f, config.simulation.fs, spec) for f in freqs],

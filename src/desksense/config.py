@@ -10,41 +10,16 @@ import json
 from dataclasses import dataclass, field
 
 from .channel import (
-    DEFAULT_ANTENNA_DISTANCE,
     DEFAULT_FS,
     DEFAULT_NOISE_STD,
     DEFAULT_REFLECTION_AMPLITUDE,
-    DEFAULT_REST_DEPTH,
     DEFAULT_STATIC_AMPLITUDE,
     DEFAULT_SUBCARRIERS,
-    DEFAULT_WAVELENGTH,
     FresnelGeometry,
 )
 from .io import _from_json, _read_json, _to_json
 from .preprocess import FilterSpec
 from .segmentation import SegmenterParams
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    antenna_distance: float = DEFAULT_ANTENNA_DISTANCE
-    wavelength: float = DEFAULT_WAVELENGTH
-    rest_depth: float = DEFAULT_REST_DEPTH   # desk offset below the antennas
-
-    def __post_init__(self):
-        if self.antenna_distance <= 0:
-            raise ValueError("antenna_distance must be positive")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if not 0.55 <= self.rest_depth <= 0.70:
-            raise ValueError("rest_depth must lie in [0.55, 0.70] m")
-
-    def build(self) -> FresnelGeometry:
-        return FresnelGeometry(
-            tx_pos=[0.0, 0.0, 0.0],
-            rx_pos=[self.antenna_distance, 0.0, 0.0],
-            wavelength=self.wavelength,
-        )
 
 
 @dataclass(frozen=True)
@@ -100,10 +75,15 @@ class SeedConfig:
     cross_validation: int = 2
     behavior: int = 3
 
+    def __post_init__(self):
+        for name, seed in vars(self).items():
+            if seed < 0:
+                raise ValueError(f"{name} must be >= 0, got {seed}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
+    geometry: FresnelGeometry = field(default_factory=FresnelGeometry)
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
     filter: FilterSpec = field(default_factory=FilterSpec)
     segmenter: SegmenterParams = field(default_factory=SegmenterParams)

@@ -35,12 +35,11 @@ def keystroke_burst_script(
 ) -> tuple[list, float]:
     """`count` consecutive keystrokes at the deployed rest position, the
     first at 1 s."""
-    sim = config.simulation
-    rest = np.array([config.geometry.antenna_distance / 2, 0.0, -config.geometry.rest_depth])
     script = []
     t = 1.0
     for _ in range(count):
-        g = GestureModel(GestureKind.KEYSTROKE, rest, jitter_std=sim.gesture_jitter_std)
+        g = GestureModel(GestureKind.KEYSTROKE, config.geometry.rest_pos,
+                         jitter_std=config.simulation.gesture_jitter_std)
         script.append((t, g))
         t += g.duration + gap
     return script, t + 1.0
@@ -85,10 +84,9 @@ def random_gesture_script(
 
 
 def simulate_script(config: PipelineConfig, script, duration: float, seed: int) -> CsiTrace:
-    geometry = config.geometry.build()
     sim = config.simulation
     model = ChannelModel(
-        geometry=geometry,
+        geometry=config.geometry,
         static_component=sim.static_amplitude + 0j,
         noise_std=sim.noise_std,
         rng_seed=seed,
@@ -98,9 +96,8 @@ def simulate_script(config: PipelineConfig, script, duration: float, seed: int) 
         script,
         duration=duration,
         fs=sim.fs,
-        subcarrier_wavelengths_m=subcarrier_wavelengths(
-            geometry.wavelength, sim.subcarriers
-        ),
+        subcarrier_wavelengths_m=subcarrier_wavelengths(config.geometry.wavelength,
+                                                        sim.subcarriers),
         reflection_amplitude=sim.reflection_amplitude,
     )
 

@@ -51,10 +51,19 @@ def boundary_radius_by_root_find(geom, n):
 
 class TestGeometry:
     def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
+        for d in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^antenna_distance must be positive and finite$"):
+                FresnelGeometry(antenna_distance=d)
+        with pytest.raises(ValueError, match="^wavelength must be positive and finite$"):
             FresnelGeometry(wavelength=0.0)
-        with pytest.raises(ValueError):
-            FresnelGeometry(tx_pos=[0, 0, 0], rx_pos=[0, 0, 0])
+
+    def test_antennas_on_x_and_gestures_rest_below_the_midpoint(self):
+        geom = FresnelGeometry(antenna_distance=1.4, rest_depth=0.65)
+        assert geom.tx_pos.tolist() == [0.0, 0.0, 0.0]
+        assert geom.rx_pos.tolist() == [1.4, 0.0, 0.0]
+        assert geom.rest_pos.tolist() == [0.7, 0.0, -0.65]
+        assert np.array_equal(GestureModel(GestureKind.KEYSTROKE).rest_pos,
+                              FresnelGeometry().rest_pos)
 
     def test_excess_path_zero_on_direct_path(self):
         assert excess_path(GEOM, GEOM.midpoint) == pytest.approx(0.0, abs=1e-12)
@@ -407,11 +416,8 @@ class TestSimulateTrace:
     def test_zone_nesting_random_geometries(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            geom = FresnelGeometry(
-                tx_pos=rng.uniform(-1, 1, 3),
-                rx_pos=rng.uniform(2, 4, 3),
-                wavelength=rng.uniform(0.01, 0.5),
-            )
+            geom = FresnelGeometry(antenna_distance=rng.uniform(0.1, 5.0),
+                                   wavelength=rng.uniform(0.01, 0.5))
             radii = [zone_boundary_radius(geom, n) for n in range(1, 12)]
             assert all(a < b for a, b in zip(radii, radii[1:]))
 

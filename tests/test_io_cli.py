@@ -26,7 +26,17 @@ from hypothesis import strategies as st
 
 from desksense import _workers, io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
-from desksense.channel import Annotation, CsiTrace, GestureKind
+from desksense.channel import (
+    Annotation,
+    ChannelModel,
+    CsiTrace,
+    FresnelGeometry,
+    GestureKind,
+    GestureModel,
+    simulate_plate_sweep,
+    simulate_trace,
+    subcarrier_wavelengths,
+)
 from desksense.classify import (
     FeatureVector,
     GaussianNbClassifier,
@@ -1017,6 +1027,12 @@ class TestConfig:
          "not valid JSON (Infinity is not a JSON number)"),
         ('{"geometry": {"wavelength": -Infinity}}',
          "not valid JSON (-Infinity is not a JSON number)"),
+        ('{"seeds": {"simulation": -1}}',
+         "invalid config section 'seeds': simulation must be >= 0, got -1"),
+        ('{"seeds": {"cross_validation": -1}}',
+         "invalid config section 'seeds': cross_validation must be >= 0, got -1"),
+        ('{"seeds": {"behavior": -1}}',
+         "invalid config section 'seeds': behavior must be >= 0, got -1"),
     ])
     def test_field_types_checked(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
@@ -1563,6 +1579,7 @@ class TestCli:
         (["--noise-std", "-1"], "--noise-std must be >= 0 and finite, got -1.0"),
         (["--noise-std", "nan"], "--noise-std must be >= 0 and finite, got nan"),
         (["--noise-std", "inf"], "--noise-std must be >= 0 and finite, got inf"),
+        (["--min-cm", "0"], "--min-cm must be >= 1, got 0"),
     ])
     def test_sweep_plate_bad_arguments_exit_code(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
@@ -1579,6 +1596,52 @@ class TestCli:
         for line in rows[1:]:
             f, measured, analytic = map(float, line.split(","))
             assert abs(measured - analytic) < 0.01
+
+    def test_plotdata_filter_response_below_nyquist(self, tmp_path):
+        # at fs 150 Hz the grid ends at 0.45 fs, not at 100 Hz
+        config = tmp_path / "config.json"
+        config.write_text('{"simulation": {"fs": 150.0}}')
+        out = tmp_path / "plot"
+        assert self.run("--config", str(config), "--out", str(out),
+                        "plotdata", "--kind", "filter-response") == 0
+        rows = (out / "filter_response.csv").read_text().strip().splitlines()[1:]
+        freqs = np.array([float(line.split(",")[0]) for line in rows])
+        assert len(freqs) == 200 and np.all(np.diff(freqs) > 0)
+        assert freqs[-1] == pytest.approx(67.5) and freqs[0] == pytest.approx(0.0675)
+
+    def test_config_geometry_reaches_simulate_and_sweep_plate(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"geometry": {"antenna_distance": 1.4, "wavelength": 0.1, '
+                          '"rest_depth": 0.65}}')
+        geometry = FresnelGeometry(1.4, 0.1, 0.65)
+        script = tmp_path / "script.txt"
+        script.write_text("1.0,keystroke,0.02,0.7\n")
+        out = tmp_path / "o"
+        assert self.run("--config", str(config), "--out", str(out),
+                        "simulate", "--script", str(script)) == 0
+        # the 4-field line rests half way between the antennas, rest_depth below
+        defaults = PipelineConfig().simulation
+        gesture = GestureModel(GestureKind.KEYSTROKE, [0.7, 0.0, -0.65],
+                               jitter_std=defaults.gesture_jitter_std)
+        want = simulate_trace(
+            ChannelModel(geometry, defaults.static_amplitude + 0j,
+                         noise_std=defaults.noise_std, rng_seed=1),
+            [(1.0, gesture)], 2.7, subcarrier_wavelengths_m=subcarrier_wavelengths(0.1),
+            reflection_amplitude=defaults.reflection_amplitude)
+        assert np.array_equal(io.read_trace(out / "trace.csv").samples, want.samples)
+
+        assert self.run("--config", str(config), "--out", str(out), "sweep-plate",
+                        "--min-cm", "2", "--max-cm", "4", "--repeats", "1") == 0
+        rows = (out / "plate_sweep.csv").read_text().strip().splitlines()[1:]
+        got = [tuple(map(float, line.split(","))) for line in rows]
+        assert got == simulate_plate_sweep(geometry, [0.02, 0.03, 0.04], rng_seed=1)
+        assert got != simulate_plate_sweep(FresnelGeometry(), [0.02, 0.03, 0.04], rng_seed=1)
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert self.run("--seed", "-1", "--out", str(out), "simulate") == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_plotdata_subcarrier_variance(self, tmp_path):
         out = tmp_path / "pv"
