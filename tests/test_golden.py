@@ -7,7 +7,9 @@ evaluate and each plotdata kind on a small deployment, and run_pipeline on
 a 60 s in-memory trace at the default configuration.  Its discrete outputs
 (selected subcarrier, segment indices, kept and dropped counts, labels,
 confusion matrices) are compared with tests/golden.json as they are, and
-every output file and comparable report by its sha256.  Float bits may
+every output file by its sha256.  Each comparable report is hashed in two
+parts, its metrics and the rest (the config and the seeds), so a change to
+the config's keys shows apart from a change to what the run measured.  Float bits may
 move with the Python or numpy version, so the file records the versions
 it was made with, and a hash mismatch names those that differ.
 
@@ -67,10 +69,12 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def comparable_json(report: dict) -> bytes:
-    """A report as RunReport.to_json writes it, without its timings."""
-    return json.dumps({k: v for k, v in report.items() if k != "timings_s"},
-                      indent=2).encode()
+def report_hashes(name: str, report: dict) -> dict:
+    """sha256 of a report's metrics and of the rest of its comparable part
+    (the config and the seeds), each dumped as RunReport.to_json writes it."""
+    rest = {k: v for k, v in report.items() if k not in ("metrics", "timings_s")}
+    return {f"{name} (metrics)": sha256(json.dumps(report["metrics"], indent=2).encode()),
+            f"{name} (config, seeds)": sha256(json.dumps(rest, indent=2).encode())}
 
 
 def table(path) -> list[list[str]]:
@@ -141,8 +145,8 @@ def collect(workdir: Path) -> dict:
         str(path.relative_to(workdir)): sha256(path.read_bytes())
         for path in sorted(workdir.glob("*/*")) if path.name != "report.json"
     }
-    hashes["run/report.json (comparable)"] = sha256(comparable_json(run_report))
-    hashes["eval/report.json (comparable)"] = sha256(comparable_json(eval_report))
+    hashes |= report_hashes("run/report.json", run_report)
+    hashes |= report_hashes("eval/report.json", eval_report)
 
     # run_pipeline on a 60 s trace of 20 gestures at the default configuration,
     # with the models trained above
@@ -161,8 +165,7 @@ def collect(workdir: Path) -> dict:
     discrete["run_pipeline.labels"] = [label.name.lower() for label in artifacts["labels"]]
     discrete["run_pipeline.behavior"] = report.metrics["behavior"]["label"]
     hashes["run_pipeline trace samples"] = sha256(memory_trace.samples.tobytes())
-    hashes["run_pipeline report (comparable)"] = sha256(
-        json.dumps(report.comparable_dict(), indent=2).encode())
+    hashes |= report_hashes("run_pipeline report", report.comparable_dict())
     return {"versions": versions(), "discrete": discrete, "sha256": hashes}
 
 
