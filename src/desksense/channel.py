@@ -40,11 +40,13 @@ DEFAULT_BANDWIDTH_HZ = 20e6
 
 # Amplitude scale for synthetic traces (arbitrary linear units).  The
 # segmenter's accumulator thresholds are absolute, so these defaults are
-# calibrated together with segmentation.SegmenterParams.
+# calibrated together with segmentation's constants.
 DEFAULT_STATIC_AMPLITUDE = 8.0
 DEFAULT_REFLECTION_AMPLITUDE = 4.0
 DEFAULT_NOISE_STD = 0.16  # quiet-period amplitude std ~= 2% of |H_s|
 DEFAULT_REST_DEPTH = 0.61  # metres below the antenna line, inside zone 10
+# Std of a scripted gesture's hand micro-motion, in metres.
+DEFAULT_GESTURE_JITTER_STD = 2.5e-3
 
 # Largest trace simulate_trace builds, in complex samples over all
 # subcarriers (fs x duration x subcarriers): 2**30 samples are 16 GiB.

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import io
 from .behavior import build_emission
-from .channel import CsiTrace, GestureKind, GestureModel, simulate_plate_sweep
+from .channel import (DEFAULT_GESTURE_JITTER_STD, CsiTrace, GestureKind, GestureModel,
+                      simulate_plate_sweep)
 from .classify import GestureLabel, LabeledExample, cross_validate, extract_features, fit
 from .config import PipelineConfig, load_config
 from .corpus import (keystroke_burst_script, match_segments, segment_trace,
@@ -51,7 +52,7 @@ def _scripted_gesture(config: PipelineConfig, fields) -> tuple[float, GestureMod
     else:
         rest = config.geometry.rest_pos
     return start, GestureModel(kind, rest, travel, duration,
-                               jitter_std=config.simulation.gesture_jitter_std)
+                               jitter_std=DEFAULT_GESTURE_JITTER_STD)
 
 
 def parse_script(path, config: PipelineConfig):

@@ -7,13 +7,13 @@ desksense's JSON files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .channel import (
     DEFAULT_FS,
     DEFAULT_NOISE_STD,
     DEFAULT_REFLECTION_AMPLITUDE,
-    DEFAULT_STATIC_AMPLITUDE,
     DEFAULT_SUBCARRIERS,
     FresnelGeometry,
 )
@@ -26,20 +26,17 @@ from .segmentation import SegmenterParams
 class SimulationConfig:
     fs: float = DEFAULT_FS
     subcarriers: int = DEFAULT_SUBCARRIERS
-    static_amplitude: float = DEFAULT_STATIC_AMPLITUDE
     reflection_amplitude: float = DEFAULT_REFLECTION_AMPLITUDE
     noise_std: float = DEFAULT_NOISE_STD
-    gesture_jitter_std: float = 2.5e-3
 
     def __post_init__(self):
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        if not 0 < self.fs < math.inf:
+            raise ValueError("fs must be positive and finite")
         if self.subcarriers < 1:
             raise ValueError("subcarriers must be >= 1")
-        for name in ("static_amplitude", "reflection_amplitude", "noise_std",
-                     "gesture_jitter_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("reflection_amplitude", "noise_std"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,8 @@ class HmmConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

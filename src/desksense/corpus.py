@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    DEFAULT_GESTURE_JITTER_STD,
     ChannelModel,
     CsiTrace,
     GestureKind,
@@ -39,7 +40,7 @@ def keystroke_burst_script(
     t = 1.0
     for _ in range(count):
         g = GestureModel(GestureKind.KEYSTROKE, config.geometry.rest_pos,
-                         jitter_std=config.simulation.gesture_jitter_std)
+                         jitter_std=DEFAULT_GESTURE_JITTER_STD)
         script.append((t, g))
         t += g.duration + gap
     return script, t + 1.0
@@ -52,7 +53,6 @@ def random_gesture_script(
 ) -> tuple[list, float]:
     """Randomized gesture sequence within the deployable parameter envelope:
     keystrokes and mouse moves drawn with equal odds, 1.5-2.5 s apart."""
-    sim = config.simulation
     d = config.geometry.antenna_distance
     script = []
     t = 1.0 + rng.uniform(0.0, 0.8)
@@ -67,7 +67,7 @@ def random_gesture_script(
                 rest_pos=np.array([np.clip(x, 0.12 * d, 0.88 * d), 0.0, -depth]),
                 travel=0.02,
                 duration=rng.uniform(0.6, 0.8),
-                jitter_std=sim.gesture_jitter_std,
+                jitter_std=DEFAULT_GESTURE_JITTER_STD,
             )
         else:
             depth = rng.uniform(0.57, 0.66)
@@ -76,7 +76,7 @@ def random_gesture_script(
                 rest_pos=np.array([np.clip(x, 0.12 * d, 0.85 * d), 0.0, -depth]),
                 travel=rng.uniform(0.03, 0.05),
                 duration=rng.uniform(0.4, 1.0),
-                jitter_std=sim.gesture_jitter_std,
+                jitter_std=DEFAULT_GESTURE_JITTER_STD,
             )
         script.append((t, model))
         t += model.duration + rng.uniform(1.5, 2.5)
@@ -85,12 +85,7 @@ def random_gesture_script(
 
 def simulate_script(config: PipelineConfig, script, duration: float, seed: int) -> CsiTrace:
     sim = config.simulation
-    model = ChannelModel(
-        geometry=config.geometry,
-        static_component=sim.static_amplitude + 0j,
-        noise_std=sim.noise_std,
-        rng_seed=seed,
-    )
+    model = ChannelModel(geometry=config.geometry, noise_std=sim.noise_std, rng_seed=seed)
     return simulate_trace(
         model,
         script,
@@ -226,11 +221,18 @@ _DATASET_JITTER_STD = 5e-4
 def _dataset_script(config, rng, n_gestures, kind):
     """Gesture placement for the feature corpus.
 
-    Both gesture kinds happen at the same desk spots; the mouse's
-    along-axis direction is geometrically far less path-length-sensitive
-    than the keystroke's vertical travel, which is exactly the contrast the
-    features are supposed to pick up.  Detectability by the segmenter is
-    not required here (segments come from the annotations).
+    All gestures of one trace sit on one side of the link's midpoint,
+    0.57-0.66 m below the antenna line, but the two kinds are placed apart:
+    keystrokes 0.15-0.30 d off centre with 2 cm of travel, mouse moves
+    0.04-0.15 d off centre with 1.5-4 cm of travel.  Both carry
+    _DATASET_JITTER_STD (5e-4 m) of micro-motion, against the
+    DEFAULT_GESTURE_JITTER_STD (2.5e-3 m) of scripted gestures, and
+    random_gesture_script puts both kinds at one x with 3-5 cm of mouse
+    travel; so this corpus is not drawn from the envelope the segmenter
+    sees.  The mouse's along-axis direction is geometrically far less
+    path-length-sensitive than the keystroke's vertical travel, which is
+    the contrast the features are supposed to pick up.  Detectability by
+    the segmenter is not required here (segments come from the annotations).
     """
     d = config.geometry.antenna_distance
     script = []

@@ -53,8 +53,8 @@ class FilterSpec:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
-        if self.cutoff_hz <= 0:
-            raise ValueError("cutoff must be positive")
+        if not 0 < self.cutoff_hz < math.inf:
+            raise ValueError("cutoff must be positive and finite")
         if self.order < 2 or self.order % 2 != 0:
             raise ValueError("order must be a positive even integer")
 

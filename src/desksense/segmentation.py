@@ -21,6 +21,7 @@ and the segments equal those of a scan to the end of the trace.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ DEFAULT_MIN_AMPLITUDE_SPAN = 0.8
 # ~0 wherever nor1 is locally flat, and those lulls are shorter than this.
 DEFAULT_END_HOLD = 200
 
+# The start sweep's 50 accumulator thresholds, 0.1 to 5.0, are absolute, so
+# they are calibrated together with channel.DEFAULT_STATIC_AMPLITUDE.  A
+# start point is the first of _STABILITY_COUNT consecutive crossing
+# candidates that lie within _STABILITY_SPREAD samples.
+_SE_VALUES = 0.1 + 0.1 * np.arange(50)
+_STABILITY_COUNT = 6
+_STABILITY_SPREAD = 10
+_SMOOTHING_GAIN = 100.0  # nor2 over the variance of nor1's moving sum
+
 # First look-ahead of the start sweep and the end-point search, in samples;
 # it doubles until the search has its answer.  About 4 s at the default
 # 1 kHz: a gesture and its gap or two.
@@ -44,35 +54,16 @@ _FIRST_PREFIX = 4096
 @dataclass(frozen=True)
 class SegmenterParams:
     window: float = 1.0 / 20.0        # seconds
-    smoothing_gain: float = 100.0
-    se_start: float = 0.1
-    se_stop: float = 5.0
-    se_step: float = 0.1
-    stability_count: int = 6
-    stability_spread: int = 10        # samples ("10/fs s")
     min_amplitude_span: float = DEFAULT_MIN_AMPLITUDE_SPAN
     end_hold: int = DEFAULT_END_HOLD
 
     def __post_init__(self):
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.smoothing_gain <= 0:
-            raise ValueError("smoothing gain must be positive")
-        if self.stability_count < 2 or self.stability_spread <= 0:
-            raise ValueError("stability parameters must be positive")
-        if self.min_amplitude_span <= 0:
-            raise ValueError("min_amplitude_span must be positive")
+        if not 0 < self.window < math.inf:
+            raise ValueError("window must be positive and finite")
+        if not 0 < self.min_amplitude_span < math.inf:
+            raise ValueError("min_amplitude_span must be positive and finite")
         if self.end_hold < 1:
             raise ValueError("end_hold must be >= 1 sample")
-        if self.se_step <= 0:  # the sweep's early stop takes the last se for the largest
-            raise ValueError("se_step must be positive")
-        # round(steps) == 49, counted without building (or overflowing) the sweep
-        if not 48.5 < (self.se_stop - self.se_start) / self.se_step < 49.5:
-            raise ValueError("the se sweep must yield exactly 50 candidates")
-
-    @property
-    def se_values(self) -> np.ndarray:
-        return self.se_start + self.se_step * np.arange(50)
 
     def window_samples(self, fs: float) -> int:
         w = int(round(self.window * fs))
@@ -144,21 +135,21 @@ def _moving_sum(x: np.ndarray, w: int, running: np.ndarray) -> np.ndarray:
     return np.subtract(running[w:], running[:-w])
 
 
-def smooth_variance(nor1: np.ndarray, window_samples: int, gain: float = 100.0) -> np.ndarray:
-    """nor2: variance of nor1's moving sum, amplified by `gain`.
+def smooth_variance(nor1: np.ndarray, window_samples: int) -> np.ndarray:
+    """nor2: variance of nor1's moving sum, amplified by _SMOOTHING_GAIN.
 
     Suppresses the micro-fluctuations nor1 shows in stationary spans while
     reacting strongly where the variance level itself changes.
     """
     nor2 = sliding_variance(moving_sum(nor1, window_samples), window_samples)
-    nor2 *= gain
+    nor2 *= _SMOOTHING_GAIN
     return nor2
 
 
-def _first_stable_start(candidates: np.ndarray, params: SegmenterParams) -> int | None:
-    k = params.stability_count
+def _first_stable_start(candidates: np.ndarray) -> int | None:
+    k = _STABILITY_COUNT
     for j in range(len(candidates) - k + 1):
-        if candidates[j + k - 1] - candidates[j] < params.stability_spread:
+        if candidates[j + k - 1] - candidates[j] < _STABILITY_SPREAD:
             return int(candidates[j])
     return None
 
@@ -172,9 +163,7 @@ def _prefix_ends(start: int, n: int):
     yield n
 
 
-def _sweep_candidates(
-    nor1: np.ndarray, nor2: np.ndarray, cursor: int, params: SegmenterParams
-) -> np.ndarray:
+def _sweep_candidates(nor1: np.ndarray, nor2: np.ndarray, cursor: int) -> np.ndarray:
     """First index past the cursor where each se value's accumulator drops below 0.
 
     se decreases by nor2 - nor1 at each sample, so the crossing index is
@@ -182,13 +171,12 @@ def _sweep_candidates(
     Once the running maximum passes the largest se, every crossing lies in
     the prefix scanned so far.
     """
-    se = params.se_values
     for end in _prefix_ends(cursor, len(nor2)):
         diff = np.cumsum(nor2[cursor:end] - nor1[cursor:end])
         running_max = np.maximum.accumulate(diff)
-        if running_max[-1] > se[-1]:
+        if running_max[-1] > _SE_VALUES[-1]:
             break
-    idx = np.searchsorted(running_max, se, side="right")
+    idx = np.searchsorted(running_max, _SE_VALUES, side="right")
     idx = idx[idx < len(diff)] + cursor
     return np.sort(idx)
 
@@ -223,10 +211,10 @@ def _scan(nor1: np.ndarray, nor2: np.ndarray, params: SegmenterParams):
     float arrays of one length."""
     cursor = 0
     while cursor < len(nor2) - 1:
-        candidates = _sweep_candidates(nor1, nor2, cursor, params)
+        candidates = _sweep_candidates(nor1, nor2, cursor)
         if len(candidates) == 0:
             break
-        start = _first_stable_start(candidates, params)
+        start = _first_stable_start(candidates)
         if start is None:
             # Dispersed candidates mean stationary drift consumed the sweep;
             # resume past them so the next sweep starts with a fresh budget.
@@ -267,7 +255,7 @@ def segment(series: AmplitudeSeries, params: SegmenterParams | None = None) -> S
     nor1, nor2 = np.zeros(0), np.zeros(0)
     if len(series.values) >= 3 * w - 2:
         nor1 = sliding_variance(series.values, w)
-        nor2 = smooth_variance(nor1, w, params.smoothing_gain)
+        nor2 = smooth_variance(nor1, w)
         nor1 = nor1[: len(nor2)]
     kept, dropped = [], []
     for start, end, truncated in _scan(nor1, nor2, params):

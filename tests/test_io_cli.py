@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from desksense import _workers, io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import (
+    DEFAULT_GESTURE_JITTER_STD,
     Annotation,
     ChannelModel,
     CsiTrace,
@@ -1046,26 +1047,56 @@ class TestConfig:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
-    @pytest.mark.parametrize("segmenter", [
-        {"se_step": 0}, {"se_step": -0.1, "se_start": 5, "se_stop": 0.1}, {"se_step": 1e-6},
-        {"se_step": 1e-320},
-    ], ids=["zero", "negative", "tiny", "subnormal"])
-    def test_se_step_checked(self, tmp_path, capsys, segmenter):
+    # the keys that became constants are refused, even at their old defaults
+    @pytest.mark.parametrize("doc, key", [
+        ({"segmenter": {"se_step": 0}}, "segmenter.se_step"),
+        ({"segmenter": {"se_step": -0.1, "se_start": 5, "se_stop": 0.1}}, "segmenter.se_start"),
+        ({"segmenter": {"se_step": 1e-6}}, "segmenter.se_step"),
+        ({"segmenter": {"se_step": 1e-320}}, "segmenter.se_step"),
+        ({"segmenter": {"se_stop": 5.0}}, "segmenter.se_stop"),
+        ({"segmenter": {"smoothing_gain": 100.0}}, "segmenter.smoothing_gain"),
+        ({"segmenter": {"stability_count": 6}}, "segmenter.stability_count"),
+        ({"segmenter": {"stability_spread": 10}}, "segmenter.stability_spread"),
+        ({"simulation": {"static_amplitude": 8.0}}, "simulation.static_amplitude"),
+        ({"simulation": {"gesture_jitter_std": 2.5e-3}}, "simulation.gesture_jitter_std"),
+    ], ids=["zero", "negative", "tiny", "subnormal", "se_stop", "smoothing_gain",
+            "stability_count", "stability_spread", "static_amplitude", "gesture_jitter_std"])
+    def test_se_step_checked(self, tmp_path, capsys, doc, key):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"segmenter": segmenter}))
+        path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {path}: invalid config section 'segmenter': ")
+        assert capsys.readouterr().err == f"error: {path}: unknown config key {key}\n"
 
-    def test_tiny_se_step_refused_before_the_sweep_is_built(self):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="50 candidates"):
-                config_from_dict({"segmenter": {"se_step": 1e-6}})
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    def test_settable_keys(self):
+        # a new config knob shows here as a changed test
+        assert {name: list(section) for name, section in PipelineConfig().to_dict().items()} == {
+            "geometry": ["antenna_distance", "wavelength", "rest_depth"],
+            "simulation": ["fs", "subcarriers", "reflection_amplitude", "noise_std"],
+            "filter": ["cutoff_hz", "order"],
+            "segmenter": ["window", "min_amplitude_span", "end_hold"],
+            "classifier": ["kind", "k", "folds"],
+            "hmm": ["max_iter", "tol"],
+            "seeds": ["simulation", "cross_validation", "behavior"],
+        }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("section, key, message", [
+        ("simulation", "fs", "fs must be positive and finite"),
+        ("simulation", "noise_std", "noise_std must be >= 0 and finite"),
+        ("simulation", "reflection_amplitude", "reflection_amplitude must be >= 0 and finite"),
+        ("filter", "cutoff_hz", "cutoff must be positive and finite"),
+        ("segmenter", "window", "window must be positive and finite"),
+        ("segmenter", "min_amplitude_span", "min_amplitude_span must be positive and finite"),
+        ("hmm", "tol", "tol must be positive and finite"),
+    ])
+    def test_non_finite_values_refused(self, tmp_path, capsys, section, key, message, value):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            type(getattr(PipelineConfig(), section))(**{key: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {key: value}}))  # NaN or Infinity
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON") and "Traceback" not in err
 
     def test_int_in_float_field_kept_as_given(self, tmp_path):
         path = tmp_path / "config.json"
@@ -1622,10 +1653,9 @@ class TestCli:
         # the 4-field line rests half way between the antennas, rest_depth below
         defaults = PipelineConfig().simulation
         gesture = GestureModel(GestureKind.KEYSTROKE, [0.7, 0.0, -0.65],
-                               jitter_std=defaults.gesture_jitter_std)
+                               jitter_std=DEFAULT_GESTURE_JITTER_STD)
         want = simulate_trace(
-            ChannelModel(geometry, defaults.static_amplitude + 0j,
-                         noise_std=defaults.noise_std, rng_seed=1),
+            ChannelModel(geometry, noise_std=defaults.noise_std, rng_seed=1),
             [(1.0, gesture)], 2.7, subcarrier_wavelengths_m=subcarrier_wavelengths(0.1),
             reflection_amplitude=defaults.reflection_amplitude)
         assert np.array_equal(io.read_trace(out / "trace.csv").samples, want.samples)

@@ -66,7 +66,7 @@ class TestVarianceTraces:
         assert nor1.tobytes() == whole_array_sliding_variance(x, w).tobytes()
         assert moving_sum(x, w).tobytes() == whole_array_moving_sum(x, w).tobytes()
         want = 100.0 * whole_array_sliding_variance(whole_array_moving_sum(nor1, w), w)
-        assert smooth_variance(nor1, w, 100.0).tobytes() == want.tobytes()
+        assert smooth_variance(nor1, w).tobytes() == want.tobytes()
         assert x.tobytes() == kept.tobytes()
 
     def test_constant_series_zero_variance(self):
@@ -110,7 +110,7 @@ class TestVarianceTraces:
         w = 50
         slope = 0.01
         nor1 = slope * np.arange(500)
-        nor2 = smooth_variance(nor1, w, gain=100.0)
+        nor2 = smooth_variance(nor1, w)
         interior = nor2[5:-5]
         expected = 100.0 * (slope * w) ** 2 * (w**2 - 1) / 12.0
         np.testing.assert_allclose(interior, expected, rtol=1e-6)
@@ -129,14 +129,11 @@ class TestVarianceTraces:
 
 class TestParams:
     def test_se_sweep_is_fifty_values(self):
-        params = SegmenterParams()
-        assert len(params.se_values) == 50
-        assert params.se_values[0] == pytest.approx(0.1)
-        assert params.se_values[-1] == pytest.approx(5.0)
-
-    def test_malformed_sweep_rejected(self):
-        with pytest.raises(ValueError, match="50"):
-            SegmenterParams(se_stop=3.0)
+        se = segmentation._SE_VALUES
+        assert len(se) == 50
+        assert se[0] == pytest.approx(0.1)
+        assert se[-1] == pytest.approx(5.0)
+        np.testing.assert_allclose(np.diff(se), 0.1)
 
     def test_thresholds_validated(self):
         with pytest.raises(ValueError):
@@ -291,18 +288,18 @@ class TestGestureSegmentType:
 # stops each search at the first prefix that holds its answer and must give
 # exactly these results.
 
-def oracle_sweep_candidates(nor1, nor2, cursor, params):
+def oracle_sweep_candidates(nor1, nor2, cursor):
     diff = np.cumsum(nor2[cursor:] - nor1[cursor:])
     running_max = np.maximum.accumulate(diff)
-    idx = np.searchsorted(running_max, params.se_values, side="right")
+    idx = np.searchsorted(running_max, segmentation._SE_VALUES, side="right")
     idx = idx[idx < len(diff)] + cursor
     return np.sort(idx)
 
 
-def oracle_first_stable_start(candidates, params):
-    k = params.stability_count
+def oracle_first_stable_start(candidates):
+    k = segmentation._STABILITY_COUNT
     for j in range(len(candidates) - k + 1):
-        if candidates[j + k - 1] - candidates[j] < params.stability_spread:
+        if candidates[j + k - 1] - candidates[j] < segmentation._STABILITY_SPREAD:
             return int(candidates[j])
     return None
 
@@ -327,10 +324,10 @@ def oracle_scan(nor1, nor2, params):
     out = []
     cursor = 0
     while cursor < n - 1:
-        candidates = oracle_sweep_candidates(nor1, nor2, cursor, params)
+        candidates = oracle_sweep_candidates(nor1, nor2, cursor)
         if len(candidates) == 0:
             break
-        start = oracle_first_stable_start(candidates, params)
+        start = oracle_first_stable_start(candidates)
         if start is None:
             advance = int(candidates[-1])
             cursor = advance if advance > cursor else cursor + 1
@@ -351,7 +348,7 @@ def oracle_variance_traces(series, params):
     if len(series.values) < 3 * w - 2:
         return np.zeros(0), np.zeros(0)
     nor1 = sliding_variance(series.values, w)
-    nor2 = smooth_variance(nor1, w, params.smoothing_gain)
+    nor2 = smooth_variance(nor1, w)
     return nor1[: len(nor2)], nor2
 
 
