@@ -2,13 +2,14 @@
 
 A trace is one uncompressed `.npz` archive, whatever its file name, of two
 `.npy` members: `fs.npy` (0-d float64) and `samples.npy` ((S, T) C-order
-complex128).  Both are streamed through the archive, so the file keeps every
-bit, a write holds one row at a time and a read holds the samples once; a
-member's header is checked against the bytes it stores before anything is
-allocated.  Every other artifact is plain text at full double precision, so
-it diffs cleanly and round-trips losslessly: one writer formats every table
-in tasks of rows, one `%` per task, and streams them in order into a temp
-file renamed over the target.  The files people write or edit (annotations,
+complex128), and the file keeps every bit.  A write streams each member a
+row at a time.  A read checks a member's header against the bytes it stores
+before anything is allocated, then takes the samples from the file into
+their array in one call and checks zip's CRC of them itself.  Every other
+artifact is plain text at full double precision, so it diffs cleanly and
+round-trips losslessly: one writer formats every table in tasks of rows,
+one `%` per task, and streams them in order into a temp file renamed over
+the target.  The files people write or edit (annotations,
 datasets, gesture scripts, confusion tables) are read by read_records, one
 rule for comments, blank lines, headers and errors.  The JSON files (the
 config and the model files) go through one codec, _from_json and _to_json,
@@ -22,6 +23,7 @@ import os
 import struct
 import tempfile
 import zipfile
+import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
@@ -43,7 +45,6 @@ _TASK_VALUES = 1 << 14  # values a task of a text table formats
 _TRACE_MEMBERS = (("fs.npy", "<f8", 0), ("samples.npy", "<c16", 2))
 # zip's earliest date stamps every member, so a write's bytes never depend on the clock
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
-_READ_CHUNK = 1 << 16  # bytes a read takes from a member at a time
 
 
 @contextmanager
@@ -126,7 +127,8 @@ def _read_member(archive, name: str, dtype: str, ndim: int) -> np.ndarray:
     """The .npy member name of archive, which must be stored, have dtype,
     ndim dimensions and C order (samples: at least one subcarrier), and
     hold exactly the bytes of its shape, all checked before the array is
-    allocated."""
+    allocated.  The payload is then read from the file in one call, and the
+    CRC of the member's bytes checked as zipfile checks it."""
     info = archive.getinfo(name)
     if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
         raise ValueError(f"{name} is compressed or encrypted; trace members are stored")
@@ -145,15 +147,22 @@ def _read_member(archive, name: str, dtype: str, ndim: int) -> np.ndarray:
                              f"expected {ndim} dimensions in C order")
         if name == "samples.npy" and shape[0] < 1:   # whatever bytes follow the header
             raise ValueError(f"subcarriers must be >= 1, got {shape[0]}")
-        stored = info.file_size - member.tell()
+        head = member.tell()   # the .npy header's bytes
+        stored = info.file_size - head
         if min(shape, default=0) < 0 or math.prod(shape) * got.itemsize != stored:
             raise ValueError(f"{name} has shape {shape}, which does not fit its {stored} bytes")
-        array = _mapped_empty(shape, dtype)
-        view = memoryview(array.reshape(-1)).cast("B")
-        for at in range(0, len(view), _READ_CHUNK):   # zipfile checks the CRC at the end
-            chunk = view[at:at + _READ_CHUNK]
-            if member.readinto(chunk) != len(chunk):
-                raise ValueError(f"{name} ends before its {stored} bytes")
+    array = _mapped_empty(shape, dtype)
+    view = memoryview(array.reshape(-1)).cast("B")
+    # the member's bytes start past its local header (which zipfile.open has
+    # checked): 30 bytes that end in the lengths of its name and extra field
+    fh = archive.fp
+    fh.seek(info.header_offset + 26)
+    fh.seek(info.header_offset + 30 + sum(struct.unpack("<HH", fh.read(4))))
+    crc = zlib.crc32(fh.read(head))
+    if fh.readinto(view) != len(view):
+        raise EOFError   # the file ends first, as zipfile's reader raises it
+    if zlib.crc32(view, crc) != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
     return array
 
 

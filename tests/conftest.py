@@ -18,8 +18,9 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(autouse=True)
 def no_worker_left():
-    """Every test leaves no worker behind: the codec's forked processes and
-    the simulator's threads stop whether the call succeeded or failed."""
+    """Every test leaves no worker behind: no process is started, and the
+    threads of _workers.thread_map (the simulator's and the subcarrier
+    variances') stop whether the call succeeded or failed."""
     yield
     assert multiprocessing.active_children() == []
     assert threading.active_count() == 1

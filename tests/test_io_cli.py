@@ -406,7 +406,7 @@ def raw_npy(header: str) -> bytes:
 
 GOOD_SAMPLES = random_trace(n_sub=2, n=12).samples
 FS = np.float64(1000.0)
-PIECE = io._READ_CHUNK // 16   # samples the reader takes from the file at a time
+PIECE = 4096   # samples in 64 KiB, the unit by which the cases place faults in a member
 LONG_SAMPLES = random_trace(seed=1, n_sub=2, n=5000).samples   # 2.4 pieces
 
 
@@ -446,6 +446,23 @@ def flipped(at, samples=GOOD_SAMPLES):
         i = data.index(samples.tobytes()) + 16 * int(np.ravel_multi_index(at, samples.shape))
         return data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
     return edited(flip, samples)
+
+
+def fs_flipped(data: bytes) -> bytes:
+    """The bytes with the lowest bit of the stored fs flipped, a positive and
+    finite fs still, which only zip's CRC check sees."""
+    i = data.index(FS.tobytes())
+    return data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
+
+
+def past_the_end(path):
+    """An archive whose samples.npy claims, in its .npy header and in the
+    central directory, 1 MiB more than the file holds."""
+    members(samples=npy_bytes("<c16", (2, 12 + 2**15), GOOD_SAMPLES.tobytes()))(path)
+    data = path.read_bytes()
+    at = data.index(b"PK\x01\x02", data.index(b"PK\x01\x02") + 1) + 20   # its two sizes
+    sizes = (size + 2**20 for size in struct.unpack_from("<II", data, at))
+    path.write_bytes(data[:at] + struct.pack("<II", *sizes) + data[at + 8:])
 
 
 def commented(comment: bytes, write):
@@ -537,9 +554,10 @@ class TestBlockReader:
         assert peak + got.samples.nbytes <= 1.25 * got.samples.nbytes
 
     # Faults in the samples and their bytes, the later ones past the
-    # reader's first pieces; the message after "<path>: ".
+    # member's first pieces; the message after "<path>: ".
     @pytest.mark.parametrize("write, message", [
         pytest.param(flipped((1, 11)), "Bad CRC-32 for file 'samples.npy'", id="bad-cell"),
+        pytest.param(edited(fs_flipped), "Bad CRC-32 for file 'fs.npy'", id="bad-fs"),
         pytest.param(members(samples=npy_bytes("<c16", (2, 3), bytes(16 * 5))),
                      "samples.npy has shape (2, 3), which does not fit its 80 bytes",
                      id="short-row"),
@@ -619,6 +637,10 @@ BAD_TRACE_FILES = {   # id: (write the file, the message after "<path>: ")
     # the central directory, not moved, then points before the members
     "byte-deleted": (edited(lambda data: data[:40] + data[41:]),
                      "fs.npy starts before the start of the file"),
+    # zipfile compares the name in each member's own header with the directory's
+    "header-name-differs": (edited(lambda data: data.replace(b"fs.npy", b"fz.npy", 1)),
+                            "File name in directory 'fs.npy' and header b'fz.npy' differ."),
+    "payload-past-the-end": (past_the_end, "the archive ends inside a member"),
     "encrypted": (edited(flag_first_member_encrypted),
                   "fs.npy is compressed or encrypted; trace members are stored"),
     "extra-member": (members(labels=np.zeros(3)), "expected members fs.npy and samples.npy, "
