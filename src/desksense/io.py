@@ -92,19 +92,6 @@ def _write_table(path, first_line, columns, fmts) -> None:
             fh.write(_format_rows(row_fmt, columns, a, a + step))
 
 
-class _Times:
-    """The column i / fs of an n-row table, made a slice at a time."""
-
-    def __init__(self, n: int, fs: float):
-        self.n, self.fs = n, fs
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return np.arange(*rows.indices(self.n)) / self.fs
-
-
 def _write_member(archive, name: str, dtype: str, array) -> None:
     """array as the C-order .npy member name of archive, a row at a time."""
     array = np.asarray(array)
@@ -232,9 +219,11 @@ def read_annotations(path) -> list[Annotation]:
 
 
 def write_series(path, series) -> None:
-    """Two columns `t, amplitude` under a `# fs=... subcarrier=...` header."""
+    """Two columns `index, amplitude` under a `# fs=... subcarrier=...`
+    header; sample index is at t = index / fs, which the header's fs gives
+    to every bit."""
     _write_table(path, f"# fs={FLOAT_FMT % series.fs} subcarrier={series.source_subcarrier}",
-                 [_Times(len(series.values), series.fs), series.values], [FLOAT_FMT] * 2)
+                 [np.arange(len(series.values)), series.values], ["%d", FLOAT_FMT])
 
 
 _DATASET_HEADER = ["variance", "slope_ratio", "duration", "label"]

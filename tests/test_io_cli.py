@@ -178,8 +178,7 @@ def oracle_write_trace(path, trace):
 def oracle_write_series(path, series):
     fmt = io.FLOAT_FMT
     lines = [f"# fs={fmt % series.fs} subcarrier={series.source_subcarrier}"]
-    t = np.arange(len(series.values)) / series.fs
-    lines += [f"{fmt % ti},{fmt % v}" for ti, v in zip(t, series.values)]
+    lines += [f"{i},{fmt % v}" for i, v in enumerate(series.values)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -265,6 +264,29 @@ class TestBlockWriter:
                 io.write_series(Path(d) / "new.csv", series)
             oracle_write_series(Path(d) / "old.csv", series)
             assert (Path(d) / "new.csv").read_bytes() == (Path(d) / "old.csv").read_bytes()
+
+    @settings(max_examples=40)
+    @given(data=st.data(), n=st.one_of(ROW_COUNTS, st.sampled_from([8191, 8192, 8193])),
+           fs=SAMPLE_RATES, task_values=TASK_VALUES)
+    def test_series_round_trip(self, data, n, fs, task_values):
+        # rows index,amplitude; index / the header's fs is the time column
+        # that the rows held before, t = i / fs in %.17g, to every bit
+        values = special_floats(data.draw, (n,))
+        with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+            path = Path(d) / "filtered.csv"
+            with codec_split(task_values=task_values):
+                io.write_series(path, AmplitudeSeries(fs=fs, values=values, source_subcarrier=1))
+            header = path.read_text().split("\n", 1)[0]
+            warnings.simplefilter("ignore", UserWarning)   # a table of no rows
+            rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        assert rows.shape == ((n, 2) if n else (0, 1))
+        index, amplitude = rows.reshape(n, 2).T
+        np.testing.assert_array_equal(index, np.arange(n))
+        np.testing.assert_array_equal(amplitude.view(np.uint64), values.view(np.uint64))
+        header_fs = float(re.fullmatch(r"# fs=(\S+) subcarrier=1", header)[1])
+        old_t = np.array([float(io.FLOAT_FMT % t) for t in np.arange(n) / fs])
+        np.testing.assert_array_equal((np.arange(n) / header_fs).view(np.uint64),
+                                      old_t.view(np.uint64))
 
     @settings(max_examples=30)
     @given(data=st.data(), n=ROW_COUNTS, task_values=TASK_VALUES)
