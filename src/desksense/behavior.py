@@ -67,10 +67,9 @@ class BehaviorHmm:
 
 @dataclass
 class GestureSequence:
-    """Observed gesture labels in temporal order, optionally with hidden truth."""
+    """Observed gesture labels in temporal order."""
 
     observations: np.ndarray
-    hidden: np.ndarray | None = None
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=int)
@@ -78,10 +77,6 @@ class GestureSequence:
             raise ValueError("observations must be a non-empty 1-D sequence")
         if np.any((self.observations < 0) | (self.observations > 1)):
             raise ValueError("observations must be 0 (typing) or 1 (mouse)")
-        if self.hidden is not None:
-            self.hidden = np.asarray(self.hidden, dtype=int)
-            if self.hidden.shape != self.observations.shape:
-                raise ValueError("hidden truth must align with observations")
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -264,13 +259,6 @@ class BehaviorProfile:
         object.__setattr__(self, "pi_true", _check_stochastic("pi_true", self.pi_true, (2,)))
         object.__setattr__(self, "A_true", _check_stochastic("A_true", self.A_true, (2, 2)))
 
-    def stationary(self) -> np.ndarray:
-        """Stationary distribution of A_true."""
-        vals, vecs = np.linalg.eig(self.A_true.T)
-        v = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
-        v = np.abs(v)
-        return v / v.sum()
-
 
 def _profile(behavior, p_typing, typing_run, mouse_run) -> BehaviorProfile:
     a = 1.0 / typing_run
@@ -305,4 +293,4 @@ def sample_behavior_sequence(
     for t in range(1, length):
         hidden[t] = rng.choice(2, p=profile.A_true[hidden[t - 1]])
     observations = np.array([rng.choice(2, p=B[h]) for h in hidden])
-    return GestureSequence(observations=observations, hidden=hidden)
+    return GestureSequence(observations=observations)

@@ -61,11 +61,6 @@ MAX_TRACE_SAMPLES = 2**30
 # 30-subcarrier trace and blocks of 8,192 about 1 MB.
 _BLOCK = 8192
 
-# How far 1/lambda_s may lie off 1/lambda_0 + s*dk, relative to itself:
-# subcarrier_wavelengths gives at most 1.94 eps (2-256 subcarriers, 20-160
-# MHz), and 4 eps moves a 3 m path's phase at 0.125 m by 1.3e-13 rad.
-_SPACING_RTOL = 4 * np.finfo(float).eps
-
 # Hand jitter is white noise smoothed by a normalised Gaussian kernel of 25
 # samples' std (a few Hz at 1 kHz), cut at a radius of four std.
 _JITTER_SIGMA = 25.0
@@ -336,24 +331,6 @@ class ChannelModel:
             raise ValueError("noise_std must be >= 0")
 
 
-def _wavenumber_step(lams: np.ndarray) -> float:
-    """Step dk of the wavenumbers 1/lambda_s of 1-D wavelengths, which must
-    be positive, finite and on 1/lambda_0 + s*dk to _SPACING_RTOL, else
-    ValueError naming the first index that is not."""
-    if lams.ndim != 1 or len(lams) == 0:
-        raise ValueError("subcarrier wavelengths must be a non-empty 1-D array")
-    bad = np.flatnonzero(~(np.isfinite(lams) & (lams > 0)))
-    if len(bad):
-        raise ValueError(f"wavelength {bad[0]} is {float(lams[bad[0]])!r}; "
-                         "wavelengths must be positive and finite")
-    k = 1.0 / lams
-    dk = (k[-1] - k[0]) / max(len(k) - 1, 1)
-    bad = np.flatnonzero(~(np.abs(k - (k[0] + np.arange(len(k)) * dk)) <= _SPACING_RTOL * k))
-    if len(bad):
-        raise ValueError(f"wavelength {bad[0]} is not evenly spaced in 1/wavelength")
-    return dk
-
-
 def _add_band(h: np.ndarray, paths, lam0: float, dk: float) -> None:
     """h[s] += sum_k a_k * exp(-j*2*pi*d_k*(1/lam0 + s*dk)) over the rows s of h.
 
@@ -373,27 +350,33 @@ def _add_band(h: np.ndarray, paths, lam0: float, dk: float) -> None:
             row += ph
 
 
-def cfr_at(model: ChannelModel, t, wavelength: float | np.ndarray | None = None):
+def _band(geometry: FresnelGeometry, subcarriers: int) -> tuple[float, float]:
+    """lambda_0 and the wavenumber step dk of the subcarrier_wavelengths
+    band of `subcarriers` around the geometry's carrier wavelength."""
+    lams = subcarrier_wavelengths(geometry.wavelength, subcarriers)
+    k = 1.0 / lams
+    return lams[0], (k[-1] - k[0]) / max(subcarriers - 1, 1)
+
+
+def cfr_at(model: ChannelModel, t, subcarriers: int | None = None):
     """Noise-free channel response H_s + sum_k a_k * exp(-j*2*pi*d_k(t)/lambda).
 
-    An array of S wavelengths evenly spaced in 1/lambda gives the (S, T)
-    band that a noise-free simulate_trace scales by its gains, bit for bit;
-    one wavelength (the geometry's by default) is a direct exponential.
+    By default at the geometry's wavelength alone, a direct exponential; with
+    a subcarrier count, the (subcarriers, T) band around it that a noise-free
+    simulate_trace of that count scales by its gains, bit for bit.
     """
-    lam = np.asarray(model.geometry.wavelength if wavelength is None else wavelength,
-                     dtype=float)
-    lams = np.atleast_1d(lam)
-    dk = _wavenumber_step(lams)
+    count = 1 if subcarriers is None else subcarriers
+    lam0, dk = _band(model.geometry, count)
     times = np.atleast_1d(np.asarray(t, dtype=float))
     paths = [
         (path_length(model.geometry, np.asarray(traj(times), dtype=float)), amp)
         for traj, amp in model.dynamic_paths
     ]
-    h = np.full(lams.shape + times.shape, model.static_component, dtype=complex)
-    _add_band(h, paths, lams[0], dk)
+    h = np.full((count,) + times.shape, model.static_component, dtype=complex)
+    _add_band(h, paths, lam0, dk)
     if np.ndim(t) == 0:
         h = h[:, 0]
-    return h[0] if lam.ndim == 0 else h
+    return h[0] if subcarriers is None else h
 
 
 def subcarrier_wavelengths(
@@ -418,8 +401,6 @@ def default_subcarrier_gains(count: int = DEFAULT_SUBCARRIERS) -> np.ndarray:
     subcarriers; with additive noise held constant, low-index subcarriers
     end up with the most informative amplitude series.
     """
-    if count == 1:
-        return np.ones(1)
     return np.linspace(1.0, 0.4, count)
 
 
@@ -462,11 +443,23 @@ def _build_reflector_track(
     return positions, annotations
 
 
-def _check_slab(geometry: FresnelGeometry, positions: np.ndarray) -> None:
+def _check_slab(geometry: FresnelGeometry, positions: np.ndarray,
+                what: str = "reflector trajectory") -> None:
     axis = geometry.axis
     proj = (positions - geometry.tx_pos) @ axis
     if np.any(proj <= 0.0) or np.any(proj >= geometry.antenna_distance):
-        raise ValueError("reflector trajectory leaves the space between the antennas")
+        raise ValueError(f"{what} leaves the space between the antennas")
+
+
+def check_trace_size(fs: float, duration: float, subcarriers: int) -> None:
+    """Refuse a trace of more than MAX_TRACE_SAMPLES complex samples over all
+    subcarriers (fs x duration x subcarriers) with a ValueError naming its
+    sample count, before anything of that size is built."""
+    if fs * duration * subcarriers > MAX_TRACE_SAMPLES:
+        raise ValueError(
+            f"trace of {fs * duration:.0f} samples x {subcarriers} subcarriers exceeds "
+            f"the limit of {MAX_TRACE_SAMPLES} samples"
+        )
 
 
 def simulate_trace(
@@ -474,23 +467,23 @@ def simulate_trace(
     script: Sequence[tuple[float, GestureModel]],
     duration: float,
     fs: float = DEFAULT_FS,
-    subcarrier_wavelengths_m: np.ndarray | None = None,
-    subcarrier_gains: np.ndarray | None = None,
+    subcarriers: int = DEFAULT_SUBCARRIERS,
     reflection_amplitude: float = DEFAULT_REFLECTION_AMPLITUDE,
 ) -> CsiTrace:
     """Synthesize an annotated multi-subcarrier CSI trace for a gesture script.
 
     The scripted reflector is one dynamic path with the given reflection
     amplitude; any dynamic_paths already on the model contribute as well.
-    The subcarrier wavelengths must be evenly spaced in 1/lambda.
+    The band is subcarrier_wavelengths(model.geometry.wavelength, subcarriers)
+    with the gains default_subcarrier_gains(subcarriers).
 
     Through _workers.thread_map it first fills blocks of _BLOCK columns with
-    gains[:, None] * cfr_at(model, t, wavelengths), bit for bit, then adds
+    gains[:, None] * cfr_at(model, t, subcarriers), bit for bit, then adds
     the complex Gaussian noise of model.noise_std row by row: subcarrier s
     draws its real and imaginary parts from streams 2s and 2s + 1 of
     SeedSequence(model.rng_seed).spawn(2 * subcarriers), _BLOCK at a time,
-    so the bytes are the same at any CPU count and any block.  A trace of
-    more than MAX_TRACE_SAMPLES samples over all subcarriers is refused.
+    so the bytes are the same at any CPU count and any block.  A trace that
+    check_trace_size refuses is not built.
     """
     if not 0 < fs < math.inf:
         raise ValueError("fs must be positive and finite")
@@ -498,22 +491,9 @@ def simulate_trace(
         raise ValueError("duration must be positive and finite")
     if reflection_amplitude < 0:
         raise ValueError("reflection amplitude must be >= 0")
-
-    if subcarrier_wavelengths_m is None:
-        subcarrier_wavelengths_m = subcarrier_wavelengths(model.geometry.wavelength)
-    lams = np.asarray(subcarrier_wavelengths_m, dtype=float)
-    dk = _wavenumber_step(lams)
-    if subcarrier_gains is None:
-        subcarrier_gains = default_subcarrier_gains(len(lams))
-    gains = np.asarray(subcarrier_gains, dtype=float)
-    if gains.shape != lams.shape:
-        raise ValueError("subcarrier gains and wavelengths must align")
-
-    if fs * duration * len(lams) > MAX_TRACE_SAMPLES:
-        raise ValueError(
-            f"trace of {fs * duration:.0f} samples x {len(lams)} subcarriers exceeds "
-            f"the limit of {MAX_TRACE_SAMPLES} samples"
-        )
+    check_trace_size(fs, duration, subcarriers)
+    lam0, dk = _band(model.geometry, subcarriers)
+    gains = default_subcarrier_gains(subcarriers)
     n_samples = int(round(fs * duration))
     if n_samples < 1:
         raise ValueError("duration too short for one sample")
@@ -532,13 +512,13 @@ def simulate_trace(
         _check_slab(model.geometry, pos)
         paths.append((path_length(model.geometry, pos), amp))
 
-    samples = _mapped_empty((len(lams), n_samples), complex)
-    streams = np.random.SeedSequence(model.rng_seed).spawn(2 * len(lams))
+    samples = _mapped_empty((subcarriers, n_samples), complex)
+    streams = np.random.SeedSequence(model.rng_seed).spawn(2 * subcarriers)
 
     def fill_columns(a: int) -> None:
         block = samples[:, a:a + _BLOCK]
         block.fill(model.static_component)
-        _add_band(block, [(lengths[a:a + _BLOCK], amp) for lengths, amp in paths], lams[0], dk)
+        _add_band(block, [(lengths[a:a + _BLOCK], amp) for lengths, amp in paths], lam0, dk)
         block *= gains[:, None]
 
     def add_noise(s: int) -> None:
@@ -552,7 +532,7 @@ def simulate_trace(
 
     thread_map(fill_columns, range(0, n_samples, _BLOCK), samples.size)
     if model.noise_std > 0:
-        thread_map(add_noise, range(len(lams)), samples.size)
+        thread_map(add_noise, range(subcarriers), samples.size)
     return CsiTrace(fs=fs, samples=samples, meta=annotations)
 
 
@@ -591,7 +571,9 @@ def simulate_plate_sweep(
     shifts = np.linspace(0.0, drag_range, n_steps)
     rng = np.random.default_rng(rng_seed)
 
-    results = []
+    # every plate is checked before any is built: the grid's first column
+    # at rest and its last one fully dragged must stay between the antennas
+    grids = []
     for side in sides:
         m = int(round(side * grid_density))
         if m < 2:
@@ -600,6 +582,12 @@ def simulate_plate_sweep(
                 f"{m}x{m} scatterer grid (need at least 2x2)"
             )
         offsets = ((np.arange(m) + 0.5) / m - 0.5) * side
+        ends = mid + depth * down + offsets[[0, -1], None] * axis + shifts[[0, -1], None] * axis
+        _check_slab(geometry, ends, f"plate of side {side} m")
+        grids.append((side, m, offsets))
+
+    results = []
+    for side, m, offsets in grids:
         u, w = np.meshgrid(offsets, offsets, indexing="ij")
         base = mid + depth * down + u.ravel()[:, None] * axis + w.ravel()[:, None] * (-down)
         amp = reflectivity * (side / m) ** 2

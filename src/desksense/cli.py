@@ -236,7 +236,6 @@ def cmd_sweep_plate(args) -> int:
     if not 0 <= args.noise_std < math.inf:
         return _usage_error(args, f"--noise-std must be >= 0 and finite, got {args.noise_std}")
     config = _load_config(args)
-    out = _out_dir(args)
     sides = [s / 100.0 for s in range(args.min_cm, args.max_cm + 1)]
     acc = np.zeros(len(sides))
     for r in range(args.repeats):
@@ -248,6 +247,7 @@ def cmd_sweep_plate(args) -> int:
         )
         acc += np.array([pp for _s, pp in rows])
     acc /= args.repeats
+    out = _out_dir(args)
     io.write_table(out / "plate_sweep.csv", ["side_m", "peak_to_peak"], [sides, acc],
                    [io.FLOAT_FMT] * 2)
     print(f"wrote {out / 'plate_sweep.csv'} ({len(sides)} sizes, {args.repeats} repeats)")

@@ -20,8 +20,8 @@ from .channel import (
     CsiTrace,
     GestureKind,
     GestureModel,
+    check_trace_size,
     simulate_trace,
-    subcarrier_wavelengths,
 )
 from .classify import GestureLabel, LabeledExample, extract_features
 from .config import PipelineConfig
@@ -35,12 +35,18 @@ def keystroke_burst_script(
     gap: float = 1.3,
 ) -> tuple[list, float]:
     """`count` consecutive keystrokes at the deployed rest position, the
-    first at 1 s."""
+    first at 1 s, and the duration of their trace, to 1 s past the last.  A
+    count whose trace check_trace_size refuses at the config's rate and
+    subcarriers is refused before its script is built."""
+    g = GestureModel(GestureKind.KEYSTROKE, config.geometry.rest_pos,
+                     jitter_std=DEFAULT_GESTURE_JITTER_STD)
+    # the loop's t + 1.0 in closed form, equal to it bit for bit at the
+    # default 2 s period, which the simulate command uses
+    check_trace_size(config.simulation.fs, 2.0 + count * (g.duration + gap),
+                     config.simulation.subcarriers)
     script = []
     t = 1.0
     for _ in range(count):
-        g = GestureModel(GestureKind.KEYSTROKE, config.geometry.rest_pos,
-                         jitter_std=DEFAULT_GESTURE_JITTER_STD)
         script.append((t, g))
         t += g.duration + gap
     return script, t + 1.0
@@ -86,15 +92,8 @@ def random_gesture_script(
 def simulate_script(config: PipelineConfig, script, duration: float, seed: int) -> CsiTrace:
     sim = config.simulation
     model = ChannelModel(geometry=config.geometry, noise_std=sim.noise_std, rng_seed=seed)
-    return simulate_trace(
-        model,
-        script,
-        duration=duration,
-        fs=sim.fs,
-        subcarrier_wavelengths_m=subcarrier_wavelengths(config.geometry.wavelength,
-                                                        sim.subcarriers),
-        reflection_amplitude=sim.reflection_amplitude,
-    )
+    return simulate_trace(model, script, duration, fs=sim.fs, subcarriers=sim.subcarriers,
+                          reflection_amplitude=sim.reflection_amplitude)
 
 
 def generate_segmentation_corpus(

@@ -82,7 +82,7 @@ def test_criterion_2_superposition_physics():
         model = ChannelModel(geometry=GEOM, static_component=1.0, noise_std=0.0)
         trace = simulate_trace(
             model, [(1.0, gesture)], duration=2.5, fs=1000.0,
-            subcarrier_wavelengths_m=[GEOM.wavelength], subcarrier_gains=[1.0],
+            subcarriers=1,
             reflection_amplitude=0.5,
         )
         return np.abs(trace.samples[0])

@@ -391,28 +391,46 @@ class TestClassifyBehavior:
         assert result.behavior is Behavior.WORKING  # working precedes gaming
 
 
+def hidden_chain(profile, length, seed):
+    """The hidden chain sample_behavior_sequence draws first from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    hidden = [int(rng.choice(2, p=profile.pi_true))]
+    for _ in range(1, length):
+        hidden.append(int(rng.choice(2, p=profile.A_true[hidden[-1]])))
+    return np.array(hidden)
+
+
+def stationary_typing(profile):
+    """Typing share of A_true's stationary distribution: for a two-state
+    chain, the mouse-to-typing rate over the sum of both switching rates."""
+    A = profile.A_true
+    return A[1, 0] / (A[0, 1] + A[1, 0])
+
+
 class TestSampling:
     def test_identity_emission_reveals_hidden(self):
         seq = sample_behavior_sequence(PROFILES[Behavior.WORKING], IDENTITY, 200, seed=4)
-        np.testing.assert_array_equal(seq.observations, seq.hidden)
+        np.testing.assert_array_equal(seq.observations,
+                                      hidden_chain(PROFILES[Behavior.WORKING], 200, 4))
 
     def test_gaming_switches_more_than_working(self):
+        # through the identity emission the observations are the hidden chain
         B = IDENTITY
         gaming = sample_behavior_sequence(PROFILES[Behavior.GAMING], B, 10_000, seed=8)
         working = sample_behavior_sequence(PROFILES[Behavior.WORKING], B, 10_000, seed=8)
-        switch = lambda s: np.mean(s.hidden[1:] != s.hidden[:-1])
+        switch = lambda s: np.mean(s.observations[1:] != s.observations[:-1])
         assert switch(gaming) > switch(working)
 
     def test_working_typing_fraction_near_stationary(self):
         profile = PROFILES[Behavior.WORKING]
-        expected = profile.stationary()[0]
+        expected = stationary_typing(profile)
         seq = sample_behavior_sequence(profile, IDENTITY, 10_000, seed=21)
-        assert np.mean(seq.hidden == 0) == pytest.approx(expected, abs=0.05)
+        assert np.mean(seq.observations == 0) == pytest.approx(expected, abs=0.05)
 
     def test_profile_stationary_values(self):
-        assert PROFILES[Behavior.SURFING].stationary()[0] == pytest.approx(0.25)
-        assert PROFILES[Behavior.WORKING].stationary()[0] == pytest.approx(0.65)
-        assert PROFILES[Behavior.GAMING].stationary()[0] == pytest.approx(0.50)
+        assert stationary_typing(PROFILES[Behavior.SURFING]) == pytest.approx(0.25)
+        assert stationary_typing(PROFILES[Behavior.WORKING]) == pytest.approx(0.65)
+        assert stationary_typing(PROFILES[Behavior.GAMING]) == pytest.approx(0.50)
 
     def test_determinism(self):
         a = sample_behavior_sequence(PROFILES[Behavior.GAMING], B_REF, 50, seed=33)

@@ -216,6 +216,11 @@ def make_model(**kwargs):
     return ChannelModel(**defaults)
 
 
+def at_wavelength(model, wavelength):
+    """model with its geometry's carrier wavelength set to `wavelength`."""
+    return replace(model, geometry=replace(model.geometry, wavelength=float(wavelength)))
+
+
 def single_subcarrier(trace):
     return np.abs(trace.samples[0])
 
@@ -224,7 +229,7 @@ class TestSimulateTrace:
     def test_empty_script_constant(self):
         trace = simulate_trace(
             make_model(), [], duration=1.0, fs=500.0,
-            subcarrier_wavelengths_m=[GEOM.wavelength], subcarrier_gains=[1.0],
+            subcarriers=1,
         )
         amp = single_subcarrier(trace)
         assert np.allclose(amp, amp[0], atol=1e-12)
@@ -239,7 +244,7 @@ class TestSimulateTrace:
         )
         trace = simulate_trace(
             make_model(static_component=1.0), [(1.0, gesture)], duration=2.5, fs=1000.0,
-            subcarrier_wavelengths_m=[GEOM.wavelength], subcarrier_gains=[1.0],
+            subcarriers=1,
             reflection_amplitude=0.5,
         )
         return single_subcarrier(trace)
@@ -278,7 +283,7 @@ class TestSimulateTrace:
         ]
         trace = simulate_trace(
             make_model(), gestures, duration=4.5, fs=1000.0,
-            subcarrier_wavelengths_m=[GEOM.wavelength], subcarrier_gains=[1.0],
+            subcarriers=1,
             reflection_amplitude=0.5,
         )
         amp = single_subcarrier(trace)
@@ -361,8 +366,8 @@ class TestSimulateTrace:
         assert gains[0] == 1.0 and gains[-1] < gains[0]
 
     def test_per_subcarrier_samples_match_cfr(self):
-        # noiseless samples are exactly the gain-scaled channel response at
-        # each subcarrier's own wavelength
+        # noiseless samples are the gain-scaled channel response at each
+        # subcarrier's own wavelength, a direct exponential
         def traj(t):
             t = np.atleast_1d(t)
             out = np.zeros(t.shape + (3,))
@@ -372,14 +377,11 @@ class TestSimulateTrace:
 
         model = make_model(dynamic_paths=((traj, 0.4),))
         lams = subcarrier_wavelengths(GEOM.wavelength, count=5)
-        gains = np.array([1.0, 0.9, 0.8, 0.7, 0.6])
-        trace = simulate_trace(
-            model, [], duration=0.5, fs=200.0,
-            subcarrier_wavelengths_m=lams, subcarrier_gains=gains,
-        )
+        gains = default_subcarrier_gains(5)
+        trace = simulate_trace(model, [], duration=0.5, fs=200.0, subcarriers=5)
         t = np.arange(trace.n_samples) / trace.fs
         for s in range(5):
-            expected = gains[s] * cfr_at(model, t, wavelength=lams[s])
+            expected = gains[s] * cfr_at(at_wavelength(model, lams[s]), t)
             np.testing.assert_allclose(trace.samples[s], expected, rtol=1e-12)
 
     def test_invalid_rate_and_duration_rejected(self):
@@ -392,15 +394,12 @@ class TestSimulateTrace:
                 simulate_trace(make_model(), [], duration=duration, fs=fs)
 
     def test_sample_limit(self, monkeypatch):
-        lams = subcarrier_wavelengths(GEOM.wavelength, count=2)
         monkeypatch.setattr(channel, "MAX_TRACE_SAMPLES", 100)
-        trace = simulate_trace(make_model(), [], duration=0.05, fs=1000.0,
-                               subcarrier_wavelengths_m=lams)
+        trace = simulate_trace(make_model(), [], duration=0.05, fs=1000.0, subcarriers=2)
         assert trace.samples.shape == (2, 50)
         with pytest.raises(ValueError, match=r"^trace of 51 samples x 2 subcarriers "
                                              r"exceeds the limit of 100 samples$"):
-            simulate_trace(make_model(), [], duration=0.051, fs=1000.0,
-                           subcarrier_wavelengths_m=lams)
+            simulate_trace(make_model(), [], duration=0.051, fs=1000.0, subcarriers=2)
 
     def test_oversized_trace_refused_before_allocating(self):
         # 10**12 samples per subcarrier would be 16 TB per row
@@ -456,66 +455,39 @@ class TestBand:
         amp=st.floats(0.0, 4.0),
     )
     def test_recurrence_within_1e_12_of_direct_exponential(self, data, n_sub, bandwidth, amp):
+        # the band kernel over any band the recurrence may serve, built here
+        # as simulate_trace builds its own: lambda_0 and the wavenumber step
         pts = data.draw(points_across_the_slab(data.draw(st.integers(1, 20))))
-        model = make_model(static_component=8.0, dynamic_paths=((lambda t: pts, amp),))
         lams = subcarrier_wavelengths(GEOM.wavelength, n_sub, bandwidth)
-        trace = simulate_trace(model, [], len(pts) / 1000.0, subcarrier_wavelengths_m=lams,
-                               subcarrier_gains=np.ones(n_sub))
+        k = 1.0 / lams
+        h = np.full((n_sub, len(pts)), 8.0 + 0j)
+        _add_band(h, [(path_length(GEOM, pts), amp)], lams[0],
+                  (k[-1] - k[0]) / max(n_sub - 1, 1))
         lengths = (np.linalg.norm(pts - GEOM.tx_pos, axis=-1)
                    + np.linalg.norm(pts - GEOM.rx_pos, axis=-1))
         direct = 8.0 + amp * np.exp(-2j * np.pi * lengths / lams[:, None])
-        assert np.abs(trace.samples - direct).max() <= 1e-12
+        assert np.abs(h - direct).max() <= 1e-12
         # the first subcarrier is the direct exponential itself
-        assert np.array_equal(trace.samples[0].view(np.uint64), direct[0].view(np.uint64))
+        assert np.array_equal(h[0].view(np.uint64), direct[0].view(np.uint64))
 
     def test_subcarrier_wavelengths_accepted_for_1_to_256(self):
         model = make_model(dynamic_paths=((lambda t: np.array([[0.5, 0.0, -0.6]]), 1.0),))
         for n in range(1, 257):
-            lams = subcarrier_wavelengths(count=n)
-            assert cfr_at(model, [0.0], lams).shape == (n, 1)
-            trace = simulate_trace(model, [], 0.001, subcarrier_wavelengths_m=lams)
+            assert cfr_at(model, [0.0], n).shape == (n, 1)
+            trace = simulate_trace(model, [], 0.001, subcarriers=n)
             assert trace.samples.shape == (n, 1)
-
-    @pytest.mark.parametrize("index", [0, 3, 4])
-    @pytest.mark.parametrize("value", [0.0, -0.125, math.nan, math.inf, -math.inf])
-    def test_wavelength_not_positive_and_finite_refused(self, index, value):
-        lams = subcarrier_wavelengths(count=5)
-        lams[index] = value
-        pattern = rf"^wavelength {index} is {value!r}; wavelengths must be positive and finite$"
-        with pytest.raises(ValueError, match=pattern):
-            simulate_trace(make_model(), [], 0.01, subcarrier_wavelengths_m=lams)
-        with pytest.raises(ValueError, match=pattern):
-            cfr_at(make_model(), 0.0, lams)
-
-    @pytest.mark.parametrize("index", [1, 2, 4])
-    def test_unevenly_spaced_wavelengths_refused(self, index):
-        # one subcarrier moved by 1e-9 of its wavelength, far beyond rounding
-        lams = subcarrier_wavelengths(count=5)
-        lams[index] *= 1.0 + 1e-9
-        first = 1 if index == 4 else index  # a moved last one tilts the line
-        pattern = rf"^wavelength {first} is not evenly spaced in 1/wavelength"
-        with pytest.raises(ValueError, match=pattern):
-            simulate_trace(make_model(), [], 0.01, subcarrier_wavelengths_m=lams)
-        with pytest.raises(ValueError, match=pattern):
-            cfr_at(make_model(), 0.0, lams)
-
-    def test_wavelength_array_shape_refused(self):
-        for lams in ([], [[0.125, 0.124]]):
-            with pytest.raises(ValueError, match="non-empty 1-D"):
-                simulate_trace(make_model(), [], 0.01, subcarrier_wavelengths_m=lams)
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            cfr_at(make_model(), 0.0, np.empty(0))
 
     def test_band_rows_match_scalar_calls(self):
         # the band form's shapes, and each row within 1e-12 of its own
         # wavelength's direct exponential
         model = make_model(dynamic_paths=((TestCfr.static_path([0.5, 0.0, -0.6]), 0.5),))
         lams = subcarrier_wavelengths(count=4)
-        band = cfr_at(model, np.array([0.0, 0.5]), lams)
+        band = cfr_at(model, np.array([0.0, 0.5]), 4)
         assert band.shape == (4, 2)
-        assert cfr_at(model, 0.0, lams).shape == (4,)
+        assert cfr_at(model, 0.0, 4).shape == (4,)
         for s, lam in enumerate(lams):
-            np.testing.assert_allclose(band[s], cfr_at(model, np.array([0.0, 0.5]), lam),
+            np.testing.assert_allclose(band[s], cfr_at(at_wavelength(model, lam),
+                                                       np.array([0.0, 0.5])),
                                        rtol=0, atol=1e-12)
 
 
@@ -554,6 +526,15 @@ class TestPlateSweep:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             simulate_plate_sweep(GEOM, [0.004], grid_density=200.0)
+
+    def test_plate_leaving_the_link_refused(self):
+        # at 10 scatterers per metre the 1 m plate's last column, dragged
+        # 15 mm, ends at 0.965 m; the 1.07 m plate's would end at 1.0014 m,
+        # past the receiver only once dragged
+        assert len(simulate_plate_sweep(GEOM, [1.0], grid_density=10.0)) == 1
+        with pytest.raises(ValueError, match=r"^plate of side 1\.07 m leaves the space "
+                                             r"between the antennas$"):
+            simulate_plate_sweep(GEOM, [1.0, 1.07], grid_density=10.0)
 
     def test_linearity_without_static(self):
         sides = [0.04, 0.08]
@@ -594,11 +575,11 @@ def row_noise(model, n_sub, n_samples):
     return np.stack([draws[0::2], draws[1::2]])
 
 
-def one_shot_noise_samples(model, script, duration, fs, lams):
+def one_shot_noise_samples(model, script, duration, fs, n_sub):
     """The simulator's samples with each row's noise drawn whole and added
     out of place."""
     noiseless = simulate_trace(
-        replace(model, noise_std=0.0), script, duration, fs=fs, subcarrier_wavelengths_m=lams
+        replace(model, noise_std=0.0), script, duration, fs=fs, subcarriers=n_sub
     ).samples
     if model.noise_std == 0:
         return noiseless
@@ -620,10 +601,9 @@ class TestStreamedNoise:
             (0.05, GestureModel(kind=GestureKind.KEYSTROKE, duration=0.3, jitter_std=jitter))
         ]
         model = make_model(static_component=8.0, noise_std=noise_std, rng_seed=seed)
-        lams = subcarrier_wavelengths(GEOM.wavelength, count=n_sub)
         duration = n_samples / 1000.0
-        got = simulate_trace(model, script, duration, fs=1000.0, subcarrier_wavelengths_m=lams)
-        want = one_shot_noise_samples(model, script, duration, 1000.0, lams)
+        got = simulate_trace(model, script, duration, fs=1000.0, subcarriers=n_sub)
+        want = one_shot_noise_samples(model, script, duration, 1000.0, n_sub)
         assert got.samples.shape == want.shape
         assert np.array_equal(got.samples.view(np.uint64), want.view(np.uint64))
 
@@ -644,9 +624,13 @@ class TestStreamedNoise:
         assert peak + trace.samples.nbytes <= 1.5 * trace.samples.nbytes
 
 
-def serial_simulate_trace(model, script, duration, fs, lams, gains, reflection_amplitude):
+def serial_simulate_trace(model, script, duration, fs, n_sub, reflection_amplitude):
     """The simulator as one serial pass: the whole band from the kernel,
     then each row's whole-row noise draws added in place."""
+    lams = subcarrier_wavelengths(model.geometry.wavelength, n_sub)
+    k = 1.0 / lams
+    dk = (k[-1] - k[0]) / max(n_sub - 1, 1)
+    gains = default_subcarrier_gains(n_sub)
     n_samples = int(round(fs * duration))
     rng = np.random.default_rng(model.rng_seed)
     t = np.arange(n_samples) / fs
@@ -660,11 +644,11 @@ def serial_simulate_trace(model, script, duration, fs, lams, gains, reflection_a
         pos = np.asarray(traj(t), dtype=float)
         _check_slab(model.geometry, pos)
         paths.append((path_length(model.geometry, pos), amp))
-    h = np.full((len(lams), n_samples), model.static_component, dtype=complex)
-    _add_band(h, paths, lams[0], channel._wavenumber_step(lams))
+    h = np.full((n_sub, n_samples), model.static_component, dtype=complex)
+    _add_band(h, paths, lams[0], dk)
     samples = gains[:, None] * h
     if model.noise_std > 0:
-        noise = row_noise(model, len(lams), n_samples)
+        noise = row_noise(model, n_sub, n_samples)
         samples.real += noise[0]
         samples.imag += noise[1]
     return samples, annotations
@@ -681,12 +665,10 @@ def swaying_hand(t):
 
 
 def assert_matches_serial(model, script, n_samples, n_sub, fs=1000.0):
-    lams = subcarrier_wavelengths(GEOM.wavelength, count=n_sub)
-    gains = default_subcarrier_gains(n_sub)
     duration = n_samples / fs
-    got = simulate_trace(model, script, duration, fs=fs, subcarrier_wavelengths_m=lams,
-                         subcarrier_gains=gains, reflection_amplitude=3.0)
-    want, annotations = serial_simulate_trace(model, script, duration, fs, lams, gains, 3.0)
+    got = simulate_trace(model, script, duration, fs=fs, subcarriers=n_sub,
+                         reflection_amplitude=3.0)
+    want, annotations = serial_simulate_trace(model, script, duration, fs, n_sub, 3.0)
     assert got.samples.shape == (n_sub, n_samples)
     assert np.array_equal(got.samples.view(np.uint64), want.view(np.uint64))
     assert got.meta == annotations
@@ -731,12 +713,10 @@ class TestBlockedSimulator:
         # times cfr_at over the band, bit for bit, on both sides of block edges
         model = self.model(0.0)
         n_sub, n_samples = 3, 2 * channel._BLOCK + 1
-        lams = subcarrier_wavelengths(GEOM.wavelength, count=n_sub)
         gains = default_subcarrier_gains(n_sub)
-        trace = simulate_trace(model, [], n_samples / 1000.0, subcarrier_wavelengths_m=lams,
-                               subcarrier_gains=gains)
+        trace = simulate_trace(model, [], n_samples / 1000.0, subcarriers=n_sub)
         t = np.arange(n_samples) / 1000.0
-        want = gains[:, None] * cfr_at(model, t, wavelength=lams)
+        want = gains[:, None] * cfr_at(model, t, n_sub)
         assert np.array_equal(trace.samples.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("workers", [1, 2, 8])

@@ -36,7 +36,6 @@ from desksense.channel import (
     GestureModel,
     simulate_plate_sweep,
     simulate_trace,
-    subcarrier_wavelengths,
 )
 from desksense.classify import (
     FeatureVector,
@@ -1626,6 +1625,42 @@ class TestCli:
             "the limit of 1073741824 samples\n"
         )
 
+    def test_simulate_keystroke_count_refused_before_its_script(self, tmp_path, capsys):
+        # 10**8 keystrokes are a 2e8 s trace: their script alone would take
+        # minutes and tens of GB to build before the sample limit refused it
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = self.run("--out", str(out), "simulate", "--keystrokes", "100000000")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: trace of 200000002000 samples x 30 subcarriers exceeds "
+            "the limit of 1073741824 samples\n"
+        )
+        assert peak < 1e6
+        assert not out.exists()
+
+    def test_sweep_plate_wider_than_the_link_refused(self, tmp_path, capsys):
+        # the 2 m plate's dragged scatterers alone would be 188 x 400**2 x 3
+        # floats (0.7 GB); the first plate to leave the link is refused
+        # before any plate is built
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = self.run("--out", str(out), "sweep-plate", "--max-cm", "200")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: plate of side 0.98 m leaves the space between the antennas\n"
+        )
+        assert peak < 1e6
+        assert not out.exists()
+
     def test_sweep_plate_table(self, tmp_path):
         out = tmp_path / "sweep"
         code = self.run(
@@ -1700,8 +1735,7 @@ class TestCli:
                                jitter_std=DEFAULT_GESTURE_JITTER_STD)
         want = simulate_trace(
             ChannelModel(geometry, noise_std=defaults.noise_std, rng_seed=1),
-            [(1.0, gesture)], 2.7, subcarrier_wavelengths_m=subcarrier_wavelengths(0.1),
-            reflection_amplitude=defaults.reflection_amplitude)
+            [(1.0, gesture)], 2.7, reflection_amplitude=defaults.reflection_amplitude)
         assert np.array_equal(io.read_trace(out / "trace.csv").samples, want.samples)
 
         assert self.run("--config", str(config), "--out", str(out), "sweep-plate",
