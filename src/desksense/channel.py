@@ -49,7 +49,7 @@ DEFAULT_REST_DEPTH = 0.61  # metres below the antenna line, inside zone 10
 DEFAULT_GESTURE_JITTER_STD = 2.5e-3
 
 # Largest trace simulate_trace builds, in complex samples over all
-# subcarriers (fs x duration x subcarriers): 2**30 samples are 16 GiB.
+# subcarriers (fs x duration x subcarriers): 2**30 complex64 samples are 8 GiB.
 # Checked before any allocation of that size, so an oversized fs or
 # duration is a ValueError naming the sample count, not a MemoryError.
 MAX_TRACE_SAMPLES = 2**30
@@ -260,24 +260,35 @@ def _mapped_empty(shape, dtype) -> np.ndarray:
     the next from its heap (its mmap threshold rises to the largest block
     freed) and kept the freed heap resident: the peak RSS of simulating,
     writing and reading a 36 s trace read 64 or 78 MB from run to run (2
-    vCPUs, Linux, glibc).  Arrays of _HEAP_MAX bytes or more stay with np.empty: glibc maps those
-    itself, and numpy asks for huge pages for them."""
+    vCPUs, Linux, glibc).  The map is private, not shared memory, and asks
+    for huge pages where mmap can: touching each page of 17.3 MB took
+    9.2 ms on a shared map, 7.5 ms on a private one and 3.0 ms with the
+    hint (medians of 15, 2 vCPUs, Linux).  Arrays of _HEAP_MAX bytes or
+    more stay with np.empty: glibc maps those itself, and numpy asks for
+    huge pages for them."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if not 0 < nbytes < _HEAP_MAX:
         return np.empty(shape, dtype)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
+    buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buffer.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buffer, dtype).reshape(shape)
 
 
 @dataclass
 class CsiTrace:
-    """Uniformly sampled multi-subcarrier complex channel response."""
+    """Uniformly sampled multi-subcarrier complex channel response.
+
+    The samples are complex64, as commodity CSI reports them with far fewer
+    bits than a float32 holds; other input, complex128 included, is rounded
+    once to complex64."""
 
     fs: float
-    samples: np.ndarray  # (subcarriers, T) complex
+    samples: np.ndarray  # (subcarriers, T) complex64
     meta: list[Annotation] = field(default_factory=list)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
+        self.samples = np.asarray(self.samples, dtype=np.complex64)
         if self.samples.ndim != 2:
             raise ValueError("samples must be a (subcarriers, T) array")
         if self.samples.shape[0] < 1:
@@ -331,23 +342,33 @@ class ChannelModel:
             raise ValueError("noise_std must be >= 0")
 
 
-def _add_band(h: np.ndarray, paths, lam0: float, dk: float) -> None:
-    """h[s] += sum_k a_k * exp(-j*2*pi*d_k*(1/lam0 + s*dk)) over the rows s of h.
+def _fill_band(out: np.ndarray, static: complex, paths, lam0: float, dk: float,
+               gains=None) -> None:
+    """out[s] = gains[s] * (static + sum_k a_k * exp(-j*2*pi*d_k*(1/lam0 + s*dk)))
+    over the rows s of out, a gain of 1 without gains.
 
-    Row 0 gets e0 = a_k*exp(-j*2*pi*d_k/lam0), each next row the phasor
-    times r = exp(-j*2*pi*d_k*dk), in real multiplies and adds: numpy's
-    complex multiply rounds differently with fused multiply-adds and at
-    length 1, which would tie the bits to the CPU and the block width.
-    Paths go in the given order, so cfr_at and simulate_trace agree bit for bit.
+    Each row is built in one complex128 buffer and stored in out's dtype, so
+    a complex64 out is rounded once and never holds more than a row in
+    complex128.  Row 0 takes e0 = a_k*exp(-j*2*pi*d_k/lam0) of each path,
+    each next row the phasor times r = exp(-j*2*pi*d_k*dk), in real
+    multiplies and adds: numpy's complex multiply rounds differently with
+    fused multiply-adds and at length 1, which would tie the bits to the
+    CPU and the block width.  A row adds the paths in the given order, so
+    cfr_at and simulate_trace agree bit for bit.
     """
-    for lengths, amp in paths:
-        ph = amp * np.exp(-2j * np.pi * lengths / lam0)
-        h[0] += ph
-        r = np.exp(-2j * np.pi * lengths * dk)
-        re, im = ph.real, ph.imag
-        for row in h[1:]:
-            re[...], im[...] = re * r.real - im * r.imag, re * r.imag + im * r.real
+    steps = [(amp * np.exp(-2j * np.pi * lengths / lam0), np.exp(-2j * np.pi * lengths * dk))
+             for lengths, amp in paths]
+    row = np.empty(out.shape[1:], dtype=complex)
+    for s, target in enumerate(out):
+        row.fill(static)
+        for ph, r in steps:
+            if s:
+                re, im = ph.real, ph.imag
+                re[...], im[...] = re * r.real - im * r.imag, re * r.imag + im * r.real
             row += ph
+        if gains is not None:
+            row *= gains[s]
+        target[...] = row
 
 
 def _band(geometry: FresnelGeometry, subcarriers: int) -> tuple[float, float]:
@@ -372,8 +393,8 @@ def cfr_at(model: ChannelModel, t, subcarriers: int | None = None):
         (path_length(model.geometry, np.asarray(traj(times), dtype=float)), amp)
         for traj, amp in model.dynamic_paths
     ]
-    h = np.full((count,) + times.shape, model.static_component, dtype=complex)
-    _add_band(h, paths, lam0, dk)
+    h = np.empty((count,) + times.shape, dtype=complex)
+    _fill_band(h, model.static_component, paths, lam0, dk)
     if np.ndim(t) == 0:
         h = h[:, 0]
     return h[0] if subcarriers is None else h
@@ -477,13 +498,15 @@ def simulate_trace(
     The band is subcarrier_wavelengths(model.geometry.wavelength, subcarriers)
     with the gains default_subcarrier_gains(subcarriers).
 
-    Through _workers.thread_map it first fills blocks of _BLOCK columns with
-    gains[:, None] * cfr_at(model, t, subcarriers), bit for bit, then adds
-    the complex Gaussian noise of model.noise_std row by row: subcarrier s
-    draws its real and imaginary parts from streams 2s and 2s + 1 of
-    SeedSequence(model.rng_seed).spawn(2 * subcarriers), _BLOCK at a time,
-    so the bytes are the same at any CPU count and any block.  A trace that
-    check_trace_size refuses is not built.
+    The samples are complex64.  Through _workers.thread_map it first fills
+    blocks of _BLOCK columns with gains[:, None] * cfr_at(model, t,
+    subcarriers), computed in complex128 and rounded once, bit for bit.  It
+    then adds the complex Gaussian noise of model.noise_std row by row:
+    subcarrier s draws its real and imaginary parts from streams 2s and
+    2s + 1 of SeedSequence(model.rng_seed).spawn(2 * subcarriers), _BLOCK
+    at a time, and each part's sum is taken in float64 and rounded once to
+    float32.  So the bytes are the same at any CPU count and any block.  A
+    trace that check_trace_size refuses is not built.
     """
     if not 0 < fs < math.inf:
         raise ValueError("fs must be positive and finite")
@@ -512,14 +535,12 @@ def simulate_trace(
         _check_slab(model.geometry, pos)
         paths.append((path_length(model.geometry, pos), amp))
 
-    samples = _mapped_empty((subcarriers, n_samples), complex)
+    samples = _mapped_empty((subcarriers, n_samples), np.complex64)
     streams = np.random.SeedSequence(model.rng_seed).spawn(2 * subcarriers)
 
     def fill_columns(a: int) -> None:
-        block = samples[:, a:a + _BLOCK]
-        block.fill(model.static_component)
-        _add_band(block, [(lengths[a:a + _BLOCK], amp) for lengths, amp in paths], lam0, dk)
-        block *= gains[:, None]
+        _fill_band(samples[:, a:a + _BLOCK], model.static_component,
+                   [(lengths[a:a + _BLOCK], amp) for lengths, amp in paths], lam0, dk, gains)
 
     def add_noise(s: int) -> None:
         draw = np.empty(min(_BLOCK, n_samples))
@@ -528,7 +549,7 @@ def simulate_trace(
             for a in range(0, n_samples, _BLOCK):
                 z = stream.standard_normal(out=draw[:min(_BLOCK, n_samples - a)])
                 z *= model.noise_std
-                part[a:a + len(z)] += z
+                part[a:a + len(z)] += z   # float32 + float64: added in float64, rounded once
 
     thread_map(fill_columns, range(0, n_samples, _BLOCK), samples.size)
     if model.noise_std > 0:

@@ -2,10 +2,12 @@
 
 A trace is one uncompressed `.npz` archive, whatever its file name, of two
 `.npy` members: `fs.npy` (0-d float64) and `samples.npy` ((S, T) C-order
-complex128), and the file keeps every bit.  A write streams each member a
-row at a time.  A read checks a member's header against the bytes it stores
-before anything is allocated, then takes the samples from the file into
-their array in one call and checks zip's CRC of them itself.  Every other
+complex64, little-endian), and the file keeps every bit.  Samples of any
+other dtype, complex128 included, are refused by name, not rounded.  A
+write streams each member a row at a time.  A read checks a member's
+header against the bytes it stores before anything is allocated, then
+takes the samples from the file into their array in one call and checks
+zip's CRC of them itself.  Every other
 artifact is plain text at full double precision, so it diffs cleanly and
 round-trips losslessly: one writer formats every table in tasks of rows,
 one `%` per task, and streams them in order into a temp file renamed over
@@ -42,7 +44,7 @@ from .classify import Classifier, FeatureVector, GestureLabel, LabeledExample
 FLOAT_FMT = "%.17g"
 _TASK_VALUES = 1 << 14  # values a task of a text table formats
 # a trace archive's members: (name, dtype, ndim), written in this order
-_TRACE_MEMBERS = (("fs.npy", "<f8", 0), ("samples.npy", "<c16", 2))
+_TRACE_MEMBERS = (("fs.npy", "<f8", 0), ("samples.npy", "<c8", 2))
 # zip's earliest date stamps every member, so a write's bytes never depend on the clock
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 

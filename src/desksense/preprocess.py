@@ -60,15 +60,16 @@ class FilterSpec:
 
 
 def _row_variance(row: np.ndarray) -> np.float64:
-    """np.abs(row).var(), bit for bit, in the one float row np.abs makes:
-    numpy's own var steps, with the deviations squared in place."""
+    """np.abs(row).var(dtype=np.float64), bit for bit, in numpy's own var
+    steps: the float32 |H| of the complex64 row is summed in float64, and
+    its float64 deviations are squared in place."""
     a = np.abs(row)
     n = a.size
-    m = np.add.reduce(a, keepdims=True)
+    m = np.add.reduce(a, dtype=np.float64, keepdims=True)
     m /= n
-    np.subtract(a, m, out=a)
-    np.multiply(a, a, out=a)
-    return np.add.reduce(a) / n
+    d = np.subtract(a, m)
+    np.multiply(d, d, out=d)
+    return np.add.reduce(d) / n
 
 
 def subcarrier_variances(trace: CsiTrace) -> np.ndarray:
@@ -76,8 +77,8 @@ def subcarrier_variances(trace: CsiTrace) -> np.ndarray:
 
     Rows are taken one per thread of _workers.thread_map (numpy releases
     the GIL in abs and the sums), so each thread holds one amplitude row;
-    each row's variance equals the row of np.abs(trace.samples).var(axis=1)
-    bit for bit.
+    each row's variance equals the row of
+    np.abs(trace.samples).var(axis=1, dtype=np.float64) bit for bit.
     """
     if trace.samples.size == 0:
         raise ValueError("trace is empty")

@@ -1,5 +1,6 @@
 import math
 import mmap
+import os
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -15,9 +16,9 @@ from scipy.optimize import brentq
 
 from desksense import _workers, channel
 from desksense.channel import (
-    _add_band,
     _build_reflector_track,
     _check_slab,
+    _fill_band,
     Annotation,
     ChannelModel,
     CsiTrace,
@@ -380,9 +381,13 @@ class TestSimulateTrace:
         gains = default_subcarrier_gains(5)
         trace = simulate_trace(model, [], duration=0.5, fs=200.0, subcarriers=5)
         t = np.arange(trace.n_samples) / trace.fs
+        band = gains[:, None] * cfr_at(model, t, 5)
+        # the samples are the band rounded once to complex64
+        assert np.array_equal(trace.samples.view(np.uint64),
+                              band.astype(np.complex64).view(np.uint64))
         for s in range(5):
             expected = gains[s] * cfr_at(at_wavelength(model, lams[s]), t)
-            np.testing.assert_allclose(trace.samples[s], expected, rtol=1e-12)
+            np.testing.assert_allclose(band[s], expected, rtol=1e-12)
 
     def test_invalid_rate_and_duration_rejected(self):
         with pytest.raises(ValueError, match="fs"):
@@ -392,6 +397,22 @@ class TestSimulateTrace:
         for fs, duration in ((np.inf, 1.0), (np.nan, 1.0), (1000.0, np.inf), (1000.0, np.nan)):
             with pytest.raises(ValueError, match="positive and finite"):
                 simulate_trace(make_model(), [], duration=duration, fs=fs)
+
+    @pytest.mark.parametrize("n_sub, n_samples", [(1, 1), (3, 500), (30, 2 * channel._BLOCK + 1)])
+    def test_samples_are_complex64(self, n_sub, n_samples):
+        model = make_model(static_component=8.0, noise_std=0.16)
+        trace = simulate_trace(model, [], duration=n_samples / 1000.0, subcarriers=n_sub)
+        assert trace.samples.dtype == np.complex64
+        assert trace.samples.shape == (n_sub, n_samples)
+        assert trace.samples.nbytes == 8 * n_sub * n_samples
+
+    def test_complex128_input_rounded_once(self):
+        re, im = np.random.default_rng(2).normal(8.0, 1.0, (2, 2, 40))
+        samples = re + 1j * im
+        got = CsiTrace(fs=1000.0, samples=samples).samples
+        assert got.dtype == np.complex64
+        assert np.array_equal(got.real, samples.real.astype(np.float32))
+        assert np.array_equal(got.imag, samples.imag.astype(np.float32))
 
     def test_sample_limit(self, monkeypatch):
         monkeypatch.setattr(channel, "MAX_TRACE_SAMPLES", 100)
@@ -460,9 +481,9 @@ class TestBand:
         pts = data.draw(points_across_the_slab(data.draw(st.integers(1, 20))))
         lams = subcarrier_wavelengths(GEOM.wavelength, n_sub, bandwidth)
         k = 1.0 / lams
-        h = np.full((n_sub, len(pts)), 8.0 + 0j)
-        _add_band(h, [(path_length(GEOM, pts), amp)], lams[0],
-                  (k[-1] - k[0]) / max(n_sub - 1, 1))
+        h = np.empty((n_sub, len(pts)), dtype=complex)
+        _fill_band(h, 8.0 + 0j, [(path_length(GEOM, pts), amp)], lams[0],
+                   (k[-1] - k[0]) / max(n_sub - 1, 1))
         lengths = (np.linalg.norm(pts - GEOM.tx_pos, axis=-1)
                    + np.linalg.norm(pts - GEOM.rx_pos, axis=-1))
         direct = 8.0 + amp * np.exp(-2j * np.pi * lengths / lams[:, None])
@@ -575,6 +596,15 @@ def row_noise(model, n_sub, n_samples):
     return np.stack([draws[0::2], draws[1::2]])
 
 
+def with_noise(noiseless, noise):
+    """complex64 samples plus the (2, S, T) float64 noise parts, each part's
+    sum taken in float64 and rounded once to float32."""
+    out = np.empty_like(noiseless)
+    out.real = noiseless.real + noise[0]
+    out.imag = noiseless.imag + noise[1]
+    return out
+
+
 def one_shot_noise_samples(model, script, duration, fs, n_sub):
     """The simulator's samples with each row's noise drawn whole and added
     out of place."""
@@ -583,8 +613,7 @@ def one_shot_noise_samples(model, script, duration, fs, n_sub):
     ).samples
     if model.noise_std == 0:
         return noiseless
-    noise = row_noise(model, *noiseless.shape)
-    return noiseless + noise[0] + 1j * noise[1]
+    return with_noise(noiseless, row_noise(model, *noiseless.shape))
 
 
 class TestStreamedNoise:
@@ -608,8 +637,10 @@ class TestStreamedNoise:
         assert np.array_equal(got.samples.view(np.uint64), want.view(np.uint64))
 
     def test_peak_memory_near_the_samples(self):
-        # 60 s x 30 subcarriers: the samples are 28.8 MB; the one-shot noise
-        # draw and its complex temporaries took about four times that
+        # 60 s x 30 subcarriers: the complex64 samples are 14.4 MB; a
+        # one-shot noise draw and its complex128 temporaries would take
+        # about eight times that, and (30, 8192) complex128 fill blocks
+        # 3.9 MB per worker
         gesture = GestureModel(kind=GestureKind.KEYSTROKE, jitter_std=5e-4)
         model = make_model(static_component=8.0, noise_std=0.16, rng_seed=3)
         tracemalloc.start()
@@ -623,10 +654,23 @@ class TestStreamedNoise:
         assert isinstance(trace.samples.base.base.obj, mmap.mmap)
         assert peak + trace.samples.nbytes <= 1.5 * trace.samples.nbytes
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads Linux's /proc")
+    def test_freed_samples_leave_the_resident_set(self):
+        def resident() -> int:
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * mmap.PAGESIZE
+
+        trace = simulate_trace(make_model(noise_std=0.16), [], duration=60.0)
+        nbytes = trace.samples.nbytes
+        before = resident()
+        del trace
+        assert before - resident() >= 0.9 * nbytes
+
 
 def serial_simulate_trace(model, script, duration, fs, n_sub, reflection_amplitude):
-    """The simulator as one serial pass: the whole band from the kernel,
-    then each row's whole-row noise draws added in place."""
+    """The simulator as one serial pass: the whole complex128 band from the
+    kernel, scaled by the gains and rounded to complex64, then each row's
+    whole-row noise draws added."""
     lams = subcarrier_wavelengths(model.geometry.wavelength, n_sub)
     k = 1.0 / lams
     dk = (k[-1] - k[0]) / max(n_sub - 1, 1)
@@ -644,13 +688,11 @@ def serial_simulate_trace(model, script, duration, fs, n_sub, reflection_amplitu
         pos = np.asarray(traj(t), dtype=float)
         _check_slab(model.geometry, pos)
         paths.append((path_length(model.geometry, pos), amp))
-    h = np.full((n_sub, n_samples), model.static_component, dtype=complex)
-    _add_band(h, paths, lams[0], dk)
-    samples = gains[:, None] * h
+    h = np.empty((n_sub, n_samples), dtype=complex)
+    _fill_band(h, model.static_component, paths, lams[0], dk)
+    samples = (gains[:, None] * h).astype(np.complex64)
     if model.noise_std > 0:
-        noise = row_noise(model, n_sub, n_samples)
-        samples.real += noise[0]
-        samples.imag += noise[1]
+        samples = with_noise(samples, row_noise(model, n_sub, n_samples))
     return samples, annotations
 
 
@@ -710,13 +752,14 @@ class TestBlockedSimulator:
 
     def test_noise_free_rows_are_the_kernel_bits(self):
         # no stream is drawn from without noise: the trace is the gains
-        # times cfr_at over the band, bit for bit, on both sides of block edges
+        # times cfr_at over the band, rounded once to complex64, bit for
+        # bit, on both sides of block edges
         model = self.model(0.0)
         n_sub, n_samples = 3, 2 * channel._BLOCK + 1
         gains = default_subcarrier_gains(n_sub)
         trace = simulate_trace(model, [], n_samples / 1000.0, subcarriers=n_sub)
         t = np.arange(n_samples) / 1000.0
-        want = gains[:, None] * cfr_at(model, t, n_sub)
+        want = (gains[:, None] * cfr_at(model, t, n_sub)).astype(np.complex64)
         assert np.array_equal(trace.samples.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -737,9 +780,9 @@ class TestBlockedSimulator:
         assert got.samples.tobytes() == default.samples.tobytes()
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        def broken(h, paths, lam0, dk):
+        def broken(out, static, paths, lam0, dk, gains=None):
             raise FloatingPointError("kernel failed")
 
-        monkeypatch.setattr(channel, "_add_band", broken)
+        monkeypatch.setattr(channel, "_fill_band", broken)
         with pytest.raises(FloatingPointError, match="kernel failed"):
             simulate_trace(self.model(0.16), self.KEYSTROKE, duration=20.0)

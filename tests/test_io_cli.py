@@ -195,6 +195,10 @@ def oracle_write_table(path, first_line, rows):
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                   1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e-300,
                   0.1, 1 / 3, 1.0, -2.5]
+# The same for float32, the parts of a trace's complex64 samples.
+SPECIAL_FLOAT32 = np.float32([0.0, -0.0, 1e-45, -1e-45, 1e-40, 1.1754944e-38,
+                              3.4028235e38, -3.4028235e38, 1e30, -1e-30,
+                              0.1, 1 / 3, 1.0, -2.5]).tolist()
 
 ROW_COUNTS = st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025]), st.integers(0, 2100))
 SAMPLE_RATES = st.one_of(
@@ -205,12 +209,16 @@ SAMPLE_RATES = st.one_of(
 TASK_VALUES = st.sampled_from([1, 40, io._TASK_VALUES])
 
 
-def special_floats(draw, shape):
-    """Normal draws with SPECIAL_VALUES and hypothesis floats scattered in."""
+def special_floats(draw, shape, width=64):
+    """Normal draws with SPECIAL_VALUES (SPECIAL_FLOAT32 at width 32) and
+    hypothesis floats of that width scattered in, as float64 or float32."""
+    dtype, special = (np.float64, SPECIAL_VALUES) if width == 64 else (np.float32,
+                                                                        SPECIAL_FLOAT32)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), shape).ravel()
-    extra = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
-    pool = np.array(SPECIAL_VALUES + extra)
+    values = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), shape).astype(dtype).ravel()
+    extra = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=width),
+                          max_size=20))
+    pool = np.array(special + extra, dtype=dtype)
     if values.size:
         hits = rng.integers(0, values.size, min(values.size, 4 * len(pool)))
         values[hits] = pool[rng.integers(0, len(pool), len(hits))]
@@ -218,8 +226,9 @@ def special_floats(draw, shape):
 
 
 def complex_from_parts(re, im):
-    """re + i*im with every bit kept (arithmetic would lose signed zeros)."""
-    out = np.empty(re.shape, dtype=complex)
+    """re + i*im as complex64, each part rounded once to float32 and every
+    bit of a float32 part kept (arithmetic would lose signed zeros)."""
+    out = np.empty(re.shape, dtype=np.complex64)
     out.real = re
     out.imag = im
     return out
@@ -229,8 +238,8 @@ def complex_from_parts(re, im):
 def traces(draw):
     n_sub = draw(st.integers(1, 4))
     n = draw(ROW_COUNTS)
-    re = special_floats(draw, (n_sub, n))
-    im = special_floats(draw, (n_sub, n))
+    re = special_floats(draw, (n_sub, n), width=32)
+    im = special_floats(draw, (n_sub, n), width=32)
     return CsiTrace(fs=draw(SAMPLE_RATES), samples=complex_from_parts(re, im))
 
 
@@ -353,11 +362,14 @@ class TestBlockWriter:
     @settings(max_examples=40)
     @given(trace=traces())
     @example(trace=CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
+    @example(trace=CsiTrace(fs=1000.0, samples=complex_from_parts(   # float32 subnormals
+        np.float32([[-0.0, 1e-45, -1e-40, 0.0]]), np.float32([[0.0, -1e-45, 1.1754942e-38, -0.0]]))))
     def test_trace_round_trip_bit_exact(self, trace):
         with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
             warnings.simplefilter("error")
             io.write_trace(Path(d) / "trace.csv", trace)
             back = io.read_trace(Path(d) / "trace.csv")
+        assert back.samples.dtype == trace.samples.dtype == np.complex64
         assert back.samples.shape == trace.samples.shape
         assert back.fs == trace.fs
         np.testing.assert_array_equal(back.samples.view(np.uint64), trace.samples.view(np.uint64))
@@ -446,6 +458,14 @@ def members(compression=zipfile.ZIP_STORED, **arrays):
     return write
 
 
+def savez(**arrays):
+    """The archive numpy.savez makes of arrays."""
+    def write(path):
+        with open(path, "wb") as fh:   # a file object, so that no ".npz" is appended
+            np.savez(fh, **arrays)
+    return write
+
+
 def with_sample(value, at=(1, 7), samples=GOOD_SAMPLES):
     samples = samples.copy()
     samples[at] = value
@@ -464,7 +484,8 @@ def flipped(at, samples=GOOD_SAMPLES):
     """The file of samples with one bit of sample at flipped, a finite
     value still, which only zip's CRC check sees."""
     def flip(data):
-        i = data.index(samples.tobytes()) + 16 * int(np.ravel_multi_index(at, samples.shape))
+        i = data.index(samples.tobytes()) + samples.itemsize * int(
+            np.ravel_multi_index(at, samples.shape))
         return data[:i] + bytes([data[i] ^ 1]) + data[i + 1:]
     return edited(flip, samples)
 
@@ -479,7 +500,7 @@ def fs_flipped(data: bytes) -> bytes:
 def past_the_end(path):
     """An archive whose samples.npy claims, in its .npy header and in the
     central directory, 1 MiB more than the file holds."""
-    members(samples=npy_bytes("<c16", (2, 12 + 2**15), GOOD_SAMPLES.tobytes()))(path)
+    members(samples=npy_bytes("<c8", (2, 12 + 2**16), GOOD_SAMPLES.tobytes()))(path)
     data = path.read_bytes()
     at = data.index(b"PK\x01\x02", data.index(b"PK\x01\x02") + 1) + 20   # its two sizes
     sizes = (size + 2**20 for size in struct.unpack_from("<II", data, at))
@@ -545,7 +566,7 @@ class TestBlockReader:
         # is checked against the member's 32 stored bytes first
         path = tmp_path / "trace.csv"
         write_archive(path, {"fs.npy": np.float64(1000.0),
-                             "samples.npy": npy_bytes("<c16", (1, 10**12), bytes(32))})
+                             "samples.npy": npy_bytes("<c8", (1, 10**12), bytes(32))})
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=re.escape(
@@ -579,11 +600,11 @@ class TestBlockReader:
     @pytest.mark.parametrize("write, message", [
         pytest.param(flipped((1, 11)), "Bad CRC-32 for file 'samples.npy'", id="bad-cell"),
         pytest.param(edited(fs_flipped), "Bad CRC-32 for file 'fs.npy'", id="bad-fs"),
-        pytest.param(members(samples=npy_bytes("<c16", (2, 3), bytes(16 * 5))),
-                     "samples.npy has shape (2, 3), which does not fit its 80 bytes",
+        pytest.param(members(samples=npy_bytes("<c8", (2, 3), bytes(8 * 5))),
+                     "samples.npy has shape (2, 3), which does not fit its 40 bytes",
                      id="short-row"),
-        pytest.param(members(samples=npy_bytes("<c16", (2, 3), bytes(16 * 7))),
-                     "samples.npy has shape (2, 3), which does not fit its 112 bytes",
+        pytest.param(members(samples=npy_bytes("<c8", (2, 3), bytes(8 * 7))),
+                     "samples.npy has shape (2, 3), which does not fit its 56 bytes",
                      id="long-row"),
         pytest.param(edited(lambda data: data[:len(data) // 2]), "File is not a zip file",
                      id="truncated-last"),
@@ -671,9 +692,12 @@ BAD_TRACE_FILES = {   # id: (write the file, the message after "<path>: ")
     "not-npy": (members(samples=b"not a .npy member"),
                 "the magic string is not correct"),
     "wrong-dtype": (members(samples=GOOD_SAMPLES.real),
-                    "samples.npy has dtype float64, expected complex128"),
-    "big-endian": (members(samples=GOOD_SAMPLES.astype(">c16")),
-                   "samples.npy has dtype >c16, expected complex128"),
+                    "samples.npy has dtype float32, expected complex64"),
+    # complex128 samples, as trace files held them before, are not rounded on the way in
+    "savez-complex128": (savez(fs=FS, samples=GOOD_SAMPLES.astype(np.complex128)),
+                         "samples.npy has dtype complex128, expected complex64"),
+    "big-endian": (members(samples=GOOD_SAMPLES.astype(">c8")),
+                   "samples.npy has dtype >c8, expected complex64"),
     "fs-wrong-dtype": (members(fs=np.float32(1000.0)),
                        "fs.npy has dtype float32, expected float64"),
     "wrong-ndim": (members(samples=GOOD_SAMPLES[0]),
@@ -684,12 +708,12 @@ BAD_TRACE_FILES = {   # id: (write the file, the message after "<path>: ")
                       "samples.npy has shape (2, 12) in Fortran order, "
                       "expected 2 dimensions in C order"),
     "pickled-object": (members(samples=GOOD_SAMPLES.astype(object)),
-                       "samples.npy has dtype object, expected complex128"),
-    "shape-wider-than-payload": (members(samples=npy_bytes("<c16", (1, 10**12), bytes(32))),
+                       "samples.npy has dtype object, expected complex64"),
+    "shape-wider-than-payload": (members(samples=npy_bytes("<c8", (1, 10**12), bytes(32))),
                                  "samples.npy has shape (1, 1000000000000), "
                                  "which does not fit its 32 bytes"),
-    "negative-shape": (members(samples=npy_bytes("<c16", (2, -3), bytes(16 * 6))),
-                       "samples.npy has shape (2, -3), which does not fit its 96 bytes"),
+    "negative-shape": (members(samples=npy_bytes("<c8", (2, -3), bytes(8 * 6))),
+                       "samples.npy has shape (2, -3), which does not fit its 48 bytes"),
 }
 
 
@@ -754,7 +778,7 @@ class TestTraceHeader:
         pytest.param(members(samples=None),
                      "expected members fs.npy and samples.npy, got ['fs.npy']",
                      id="# fs=1000-lacks subcarriers="),
-        pytest.param(members(samples=raw_npy("{'descr': '<c16', 'fortran_order': False}")),
+        pytest.param(members(samples=raw_npy("{'descr': '<c8', 'fortran_order': False}")),
                      "Header does not contain the correct keys: ['descr', 'fortran_order']",
                      id="# fs=1000 subcarriers-'subcarriers' is not key=value"),
         pytest.param(members(fs=np.str_("fast"), samples=ONE_SUBCARRIER),
@@ -773,7 +797,7 @@ class TestTraceHeader:
     def test_subcarriers_below_one_named(self, tmp_path, capsys, subcarriers, body):
         # the header's count is checked first, whatever bytes follow it
         path = tmp_path / "trace.csv"
-        members(samples=npy_bytes("<c16", (subcarriers, 3), body.encode()))(path)
+        members(samples=npy_bytes("<c8", (subcarriers, 3), body.encode()))(path)
         message = f"{path}: subcarriers must be >= 1, got {subcarriers}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             io.read_trace(path)
@@ -955,7 +979,8 @@ class TestWorkerProcesses:
         oracle_write_trace(tmp_path / "old.csv", trace)
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         np.testing.assert_array_equal(got.samples, trace.samples)
-        assert selected.source_subcarrier == int(np.argmax(np.abs(trace.samples).var(axis=1)))
+        assert selected.source_subcarrier == int(np.argmax(
+            np.abs(trace.samples).var(axis=1, dtype=np.float64)))
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_error_reaches_the_caller(self, tmp_path, workers):

@@ -24,6 +24,9 @@ from desksense.preprocess import (
 )
 
 FS = 1000.0
+# Bytes per sample of one row's variance temporaries: the float32 |H| of a
+# complex64 row and its float64 deviations.
+ROW_BYTES = 4 + 8
 
 
 def trace_from_amplitudes(rows, fs=FS):
@@ -80,7 +83,7 @@ def whole_array_select(trace):
         raise ValueError("trace is empty")
     if not np.any(amp):
         raise ValueError("all-zero trace: no informative subcarrier")
-    idx = int(np.argmax(amp.var(axis=1)))
+    idx = int(np.argmax(amp.var(axis=1, dtype=np.float64)))
     return AmplitudeSeries(fs=trace.fs, values=amp[idx], source_subcarrier=idx)
 
 
@@ -115,7 +118,7 @@ class TestRowStreamedSelection:
             with pytest.raises(ValueError, match="trace is empty"):
                 subcarrier_variances(trace)
             return
-        want = np.abs(trace.samples).var(axis=1)
+        want = np.abs(trace.samples).var(axis=1, dtype=np.float64)
         got = subcarrier_variances(trace)
         assert got.shape == want.shape and got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -157,13 +160,14 @@ class TestRowStreamedSelection:
     def test_simulated_trace_matches_whole_array(self, config):
         script, duration = keystroke_burst_script(config, count=4)
         trace = simulate_script(config, script, duration, seed=9)
-        want = np.abs(trace.samples).var(axis=1)
+        want = np.abs(trace.samples).var(axis=1, dtype=np.float64)
         assert subcarrier_variances(trace).tobytes() == want.tobytes()
         assert outcome(select_subcarrier, trace) == outcome(whole_array_select, trace)
 
     def test_peak_memory_a_few_rows(self, config, monkeypatch):
         # the whole (30, T) amplitude array and its variance temporaries are
-        # never built: the peak is one row per worker, two workers here
+        # never built: the peak is one row's temporaries per worker, two
+        # workers here, and slack of one more
         monkeypatch.setattr(_workers, "cpus", lambda: 2)
         script, _duration = keystroke_burst_script(config, count=2)
         trace = simulate_script(config, script, 60.0, seed=4)
@@ -175,7 +179,7 @@ class TestRowStreamedSelection:
         finally:
             tracemalloc.stop()
         assert series.values.nbytes == trace.n_samples * 8
-        assert peak <= 3 * trace.n_samples * 8
+        assert peak <= 3 * trace.n_samples * ROW_BYTES
 
 
 @st.composite
@@ -203,14 +207,14 @@ class TestThreadedVariances:
         with threads(workers):
             got = subcarrier_variances(trace)
             selected = outcome(select_subcarrier, trace)
-        want = np.abs(trace.samples).var(axis=1)
+        want = np.abs(trace.samples).var(axis=1, dtype=np.float64)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert selected == outcome(whole_array_select, trace)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_peak_memory_one_row_per_worker(self, workers):
-        # one amplitude row per worker, then the winning row, plus slack
+        # one row's temporaries per worker, then the winning row, plus slack
         rng = np.random.default_rng(workers)
         trace = trace_from_amplitudes(rng.uniform(0.5, 2.0, (12, 50_000)))
         tracemalloc.start()
@@ -221,7 +225,7 @@ class TestThreadedVariances:
         finally:
             tracemalloc.stop()
         assert series.values.nbytes == trace.n_samples * 8
-        assert peak <= (workers + 1) * trace.n_samples * 8
+        assert peak <= (workers + 1) * trace.n_samples * ROW_BYTES
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_row_error_reaches_the_caller(self, monkeypatch, workers):
