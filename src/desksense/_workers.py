@@ -18,11 +18,16 @@ def cpus() -> int:
         return os.cpu_count() or 1
 
 
+def threads(samples: int) -> int:
+    """Threads thread_map runs tasks covering `samples` samples on, at least 1."""
+    return max(1, min(cpus(), samples // _MIN_SAMPLES_PER_THREAD))
+
+
 def thread_map(fn, tasks, samples: int) -> list:
     """[fn(task) for task in tasks], on a thread per _MIN_SAMPLES_PER_THREAD
     of the samples the tasks cover; no pool outlives the call."""
-    n = min(cpus(), samples // _MIN_SAMPLES_PER_THREAD)
-    if n <= 1:
+    n = threads(samples)
+    if n == 1:
         return [fn(task) for task in tasks]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, tasks))

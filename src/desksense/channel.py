@@ -275,24 +275,45 @@ def _mapped_empty(shape, dtype) -> np.ndarray:
     return np.frombuffer(buffer, dtype).reshape(shape)
 
 
+def _check_cast(given: np.ndarray, samples: np.ndarray) -> None:
+    """Refuse a finite part of a (subcarriers, T) input that its rounding to
+    complex64, samples, made infinite, naming the first such sample."""
+    for s, row in enumerate(samples):
+        lost = np.flatnonzero(np.isinf(row.real) | np.isinf(row.imag))
+        if not len(lost):
+            continue
+        parts = np.asarray(given[s, lost], dtype=np.clongdouble)
+        overflow = ((np.isfinite(parts.real) & np.isinf(row.real[lost]))
+                    | (np.isfinite(parts.imag) & np.isinf(row.imag[lost])))
+        if overflow.any():
+            i = int(lost[np.argmax(overflow)])
+            raise ValueError(f"sample {complex(given[s, i])} at subcarrier {s}, index {i} "
+                             "is beyond complex64's range")
+
+
 @dataclass
 class CsiTrace:
     """Uniformly sampled multi-subcarrier complex channel response.
 
     The samples are complex64, as commodity CSI reports them with far fewer
     bits than a float32 holds; other input, complex128 included, is rounded
-    once to complex64."""
+    once to complex64, and a finite part beyond float32's range is refused
+    rather than rounded to infinity."""
 
     fs: float
     samples: np.ndarray  # (subcarriers, T) complex64
     meta: list[Annotation] = field(default_factory=list)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex64)
+        given = np.asarray(self.samples)
+        with np.errstate(over="ignore"):   # an overflow is refused below
+            self.samples = given.astype(np.complex64, copy=False)
         if self.samples.ndim != 2:
             raise ValueError("samples must be a (subcarriers, T) array")
         if self.samples.shape[0] < 1:
             raise ValueError("subcarriers must be >= 1")
+        if self.samples is not given:
+            _check_cast(given, self.samples)
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ValueError(f"fs must be positive and finite, got {self.fs}")
         last = -1
@@ -426,13 +447,20 @@ def default_subcarrier_gains(count: int = DEFAULT_SUBCARRIERS) -> np.ndarray:
 
 
 def _build_reflector_track(
+    geometry: FresnelGeometry,
     script: Sequence[tuple[float, GestureModel]],
     n_samples: int,
     fs: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[Annotation]]:
-    """Piecewise trajectory: scripted gestures, resting in place between them."""
-    t = np.arange(n_samples) / fs
+    """Path lengths of a piecewise trajectory: scripted gestures, resting in
+    place between them, and the gestures' annotations.
+
+    Built span by span into the (n_samples,) lengths: a rest span takes its
+    point's one length, and a gesture span is computed and slab-checked from
+    its own positions and jitter, drawn from rng in start order.  So the
+    whole (n_samples, 3) track is never built.
+    """
     entries = sorted(script, key=lambda item: item[0])
     prev_end = None
     for start, gesture in entries:
@@ -442,26 +470,34 @@ def _build_reflector_track(
             raise ValueError(f"gestures overlap at t={start:.3f}s")
         prev_end = start + gesture.duration
 
-    positions = np.zeros((n_samples, 3))
+    lengths = np.empty(n_samples)
     annotations = []
     cursor = 0
-    current_rest = entries[0][1].rest_pos if entries else np.zeros(3)
+    current_rest = entries[0][1].rest_pos
     for start, gesture in entries:
         s_idx = int(np.floor(start * fs))
         e_idx = min(int(np.ceil((start + gesture.duration) * fs)), n_samples - 1)
         if s_idx >= n_samples:
             break
-        positions[cursor:s_idx] = current_rest
-        t_rel = t[s_idx:e_idx + 1] - start
+        _rest_lengths(geometry, current_rest, lengths[cursor:s_idx])
+        t_rel = np.arange(s_idx, e_idx + 1) / fs - start
         block = gesture.positions(t_rel)
         if gesture.jitter_std > 0:
             block = block + gesture_jitter(len(t_rel), rng, gesture.jitter_std)
-        positions[s_idx:e_idx + 1] = block
+        _check_slab(geometry, block)
+        lengths[s_idx:e_idx + 1] = path_length(geometry, block)
         annotations.append(Annotation(s_idx, e_idx, gesture.kind.value))
         current_rest = gesture.end_pos
         cursor = e_idx + 1
-    positions[cursor:] = current_rest
-    return positions, annotations
+    _rest_lengths(geometry, current_rest, lengths[cursor:])
+    return lengths, annotations
+
+
+def _rest_lengths(geometry: FresnelGeometry, point: np.ndarray, out: np.ndarray) -> None:
+    """Fill out with the path length via point, slab-checked, if out has samples."""
+    if len(out):
+        _check_slab(geometry, point[None])
+        out[...] = path_length(geometry, point[None])
 
 
 def _check_slab(geometry: FresnelGeometry, positions: np.ndarray,
@@ -521,17 +557,14 @@ def simulate_trace(
     if n_samples < 1:
         raise ValueError("duration too short for one sample")
 
-    rng = np.random.default_rng(model.rng_seed)
-    t = np.arange(n_samples) / fs
-
     paths: list[tuple[np.ndarray, float]] = []
     annotations: list[Annotation] = []
     if script:
-        track, annotations = _build_reflector_track(script, n_samples, fs, rng)
-        _check_slab(model.geometry, track)
-        paths.append((path_length(model.geometry, track), reflection_amplitude))
+        lengths, annotations = _build_reflector_track(
+            model.geometry, script, n_samples, fs, np.random.default_rng(model.rng_seed))
+        paths.append((lengths, reflection_amplitude))
     for traj, amp in model.dynamic_paths:
-        pos = np.asarray(traj(t), dtype=float)
+        pos = np.asarray(traj(np.arange(n_samples) / fs), dtype=float)
         _check_slab(model.geometry, pos)
         paths.append((path_length(model.geometry, pos), amp))
 

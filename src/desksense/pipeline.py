@@ -113,6 +113,7 @@ def run_pipeline(
 
     with _StageTimer(report, "filter", artifacts):
         filtered = butterworth_lowpass(series, config.filter)
+    del series   # the unfiltered amplitude would stay resident through segmentation
     artifacts["series"] = filtered
 
     with _StageTimer(report, "segment", artifacts):

@@ -12,11 +12,12 @@ convolution with its impulse response by FFT overlap-add (Stockham 1966,
 from __future__ import annotations
 
 import math
+import queue
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._workers import thread_map
+from ._workers import thread_map, threads
 from .channel import CsiTrace
 
 DEFAULT_CUTOFF_HZ = 7.5
@@ -25,6 +26,12 @@ DEFAULT_ORDER = 4
 # The impulse response is cut where the slowest pole's envelope r**k falls
 # below this; what follows is far below a float's resolution of the input.
 _TAIL = 1e-20
+
+# Overlap-add rows per transform step of _convolve_offset.  At the default
+# filter (16,384-point transforms) on 549,920 samples, steps of 2, 4, 8, 16
+# and all 40 rows took 15.5, 12.9, 13.5, 15.0 and 18.5 ms and held 1.2, 2.2,
+# 4.2, 8.2 and 15.1 MiB besides the output (medians of 15, 2 vCPUs).
+_STEP_ROWS = 4
 
 
 @dataclass
@@ -59,15 +66,17 @@ class FilterSpec:
             raise ValueError("order must be a positive even integer")
 
 
-def _row_variance(row: np.ndarray) -> np.float64:
+def _row_variance(row: np.ndarray, a: np.ndarray | None = None,
+                  d: np.ndarray | None = None) -> np.float64:
     """np.abs(row).var(dtype=np.float64), bit for bit, in numpy's own var
-    steps: the float32 |H| of the complex64 row is summed in float64, and
-    its float64 deviations are squared in place."""
-    a = np.abs(row)
+    steps: the float32 |H| of the complex64 row, written into a, is summed
+    in float64, and its float64 deviations, written into d, are squared in
+    place.  Without a or d, each is allocated."""
+    a = np.abs(row, out=a)
     n = a.size
     m = np.add.reduce(a, dtype=np.float64, keepdims=True)
     m /= n
-    d = np.subtract(a, m)
+    d = np.subtract(a, m, out=d)
     np.multiply(d, d, out=d)
     return np.add.reduce(d) / n
 
@@ -76,13 +85,29 @@ def subcarrier_variances(trace: CsiTrace) -> np.ndarray:
     """Variance of |H| over the trace, per subcarrier.
 
     Rows are taken one per thread of _workers.thread_map (numpy releases
-    the GIL in abs and the sums), so each thread holds one amplitude row;
-    each row's variance equals the row of
-    np.abs(trace.samples).var(axis=1, dtype=np.float64) bit for bit.
+    the GIL in abs and the sums); each row's variance equals the row of
+    np.abs(trace.samples).var(axis=1, dtype=np.float64) bit for bit.  Its
+    scratch is one float32 |H| row and one float64 deviation row per
+    thread, 12 bytes per sample and thread, allocated once by the calling
+    thread: rows allocated in the worker threads stay resident in their
+    malloc arenas after the call.
     """
-    if trace.samples.size == 0:
+    samples = trace.samples
+    if samples.size == 0:
         raise ValueError("trace is empty")
-    return np.array(thread_map(_row_variance, trace.samples, trace.samples.size), dtype=float)
+    n = samples.shape[1]
+    free = queue.SimpleQueue()
+    for _ in range(threads(samples.size)):
+        free.put((np.empty(n, np.float32), np.empty(n)))
+
+    def variance(row: np.ndarray) -> np.float64:
+        scratch = free.get()   # a thread holds one pair at a time, so one is free
+        try:
+            return _row_variance(row, *scratch)
+        finally:
+            free.put(scratch)
+
+    return np.array(thread_map(variance, samples, samples.size), dtype=float)
 
 
 def select_subcarrier(trace: CsiTrace) -> AmplitudeSeries:
@@ -163,20 +188,31 @@ def _convolve_offset(x: np.ndarray, level: float, h: np.ndarray) -> np.ndarray:
     transform are the blocks' linear convolutions; each row's tail then
     adds onto the start of the next.  Transforms of at least four times
     len(h) cost least per sample of the multiples 2 to 64 tried on 550,000
-    samples; a short x is one block.
+    samples; a short x is one block.  Rows are transformed _STEP_ROWS at a
+    time into the output, and the last row's tail is carried into the next
+    step, so besides its output it holds one step's padded rows, their
+    transforms, products and inverses, about 4 x _STEP_ROWS rows of floats.
     """
     n, taps = len(x), len(h)
     size = 1 << (min(4 * taps, n + taps - 1) - 1).bit_length()
     block = size - taps + 1
-    rows, rest = divmod(n, block)
-    padded = np.zeros((rows + (rest > 0), size))
-    np.subtract(x[:rows * block].reshape(rows, block), level, out=padded[:rows, :block])
-    np.subtract(x[rows * block:], level, out=padded[rows:, :rest].reshape(-1))
-    y = np.fft.irfft(np.fft.rfft(padded) * np.fft.rfft(h, size), size)
-    y[1:, :taps - 1] += y[:-1, block:]
-    out = np.empty((len(y), block))
-    np.add(y[:, :block], level, out=out)
-    return out.reshape(-1)[:n]
+    spectrum = np.fft.rfft(h, size)
+    out = np.empty(n)
+    tail = None
+    for a in range(0, n, _STEP_ROWS * block):
+        rows, rest = divmod(min(_STEP_ROWS * block, n - a), block)
+        b = a + rows * block
+        padded = np.zeros((rows + (rest > 0), size))
+        np.subtract(x[a:b].reshape(rows, block), level, out=padded[:rows, :block])
+        np.subtract(x[b:b + rest], level, out=padded[rows:, :rest].reshape(-1))
+        y = np.fft.irfft(np.fft.rfft(padded) * spectrum, size)
+        if tail is not None:
+            y[0, :taps - 1] += tail
+        y[1:, :taps - 1] += y[:-1, block:]
+        tail = y[-1, block:].copy()
+        np.add(y[:rows, :block], level, out=out[a:b].reshape(rows, block))
+        np.add(y[rows:, :rest], level, out=out[b:b + rest].reshape(len(y) - rows, rest))
+    return out
 
 
 def butterworth_lowpass(series: AmplitudeSeries, spec: FilterSpec | None = None) -> AmplitudeSeries:

@@ -99,7 +99,12 @@ class GestureSegment:
 
 
 def sliding_variance(values: np.ndarray, window_samples: int) -> np.ndarray:
-    """Population variance over each window of `window_samples` consecutive samples."""
+    """Population variance over each window of `window_samples` consecutive samples.
+
+    Besides the input it holds three arrays of the input's length: the
+    centred copy, squared in place and then overwritten by the windowed
+    second moment, which becomes the result; the running sum; and the
+    windowed first moment."""
     x = np.asarray(values, dtype=float)
     w = int(window_samples)
     if w < 2:
@@ -111,7 +116,7 @@ def sliding_variance(values: np.ndarray, window_samples: int) -> np.ndarray:
     running = np.empty(len(x) + 1)
     s1 = _moving_sum(x, w, running)
     np.multiply(x, x, out=x)
-    var = _moving_sum(x, w, running)
+    var = _moving_sum(x, w, running, out=x[:len(x) - w + 1])
     var /= w
     s1 /= w
     np.multiply(s1, s1, out=s1)
@@ -127,12 +132,14 @@ def moving_sum(values: np.ndarray, window_samples: int) -> np.ndarray:
     return _moving_sum(x, w, np.empty(len(x) + 1))
 
 
-def _moving_sum(x: np.ndarray, w: int, running: np.ndarray) -> np.ndarray:
+def _moving_sum(x: np.ndarray, w: int, running: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Sums of each w consecutive values of x, by differences of the running
-    sum, which is written into `running` (len(x) + 1 floats)."""
+    sum, which is written into `running` (len(x) + 1 floats); into out if
+    given (x itself may hold it)."""
     running[0] = 0.0
     np.cumsum(x, out=running[1:])
-    return np.subtract(running[w:], running[:-w])
+    return np.subtract(running[w:], running[:-w], out=out)
 
 
 def smooth_variance(nor1: np.ndarray, window_samples: int) -> np.ndarray:

@@ -1,22 +1,29 @@
-"""The per-layer metrics that BENCHMARK.json declares name desksense functions.
+"""The per-layer metrics that BENCHMARK.json declares name desksense functions,
+and the committed bench records report what it declares.
 
 perfbench's tracer wraps every public function of a desksense module and
 reports a span that never ran as 0, so a metric whose function was renamed
 or made private would read 0 rather than fail.  A metric `<module>.<function>.<what>`
 whose first part is a desksense module must therefore name a public
 function defined in that module, the functions the tracer wraps.
+
+Each BENCH_<workload>_trace<T>.json at the root is a copy of perfbench/run.py's
+record of one run: it names a declared workload, no operation failed, and
+its metrics are the declared end-to-end ones (T = 0) or per-layer ones (T = 1).
 """
 import importlib
 import inspect
 import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import desksense
 
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 MODULES = {info.name for info in pkgutil.iter_modules(desksense.__path__)}
 
 
@@ -47,3 +54,25 @@ def test_metric_names_a_public_function(metric, module, function):
     assert not function.startswith("_") and inspect.isfunction(obj) \
         and obj.__module__ == mod.__name__, \
         f"{metric}: desksense.{module} has no public function {function!r}"
+
+
+DECLARED = json.loads(BENCHMARK.read_text())
+RECORDS = sorted(ROOT.glob("BENCH_*_trace*.json"))
+
+
+def test_every_workload_recorded_untraced_and_traced():
+    names = {path.name for path in RECORDS}
+    assert names == {f"BENCH_{w['name']}_trace{t}.json"
+                     for w in DECLARED["workloads"] for t in (0, 1)}
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[path.name for path in RECORDS])
+def test_record_reports_the_declared_metrics(path):
+    workload, trace = re.fullmatch(r"BENCH_(\w+)_trace([01])\.json", path.name).groups()
+    record = json.loads(path.read_text())
+    assert workload in {w["name"] for w in DECLARED["workloads"]}
+    assert record["environment"]["workload"] == workload
+    assert record["environment"]["trace"] == int(trace)
+    assert record["failed"] == 0 and record["attempted"] > 0
+    declared = DECLARED["end_to_end"] if trace == "0" else DECLARED["per_layer"]
+    assert set(record["metrics"]) == {m["name"] for m in declared}

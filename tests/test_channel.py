@@ -38,6 +38,9 @@ from desksense.channel import (
 )
 
 GEOM = FresnelGeometry()  # tx (0,0,0), rx (1,0,0), lambda 0.125
+# Traced bytes of two simulator workers' block temporaries, besides the
+# arrays of the trace's length: 2.1 MiB measured at _BLOCK = 8192
+PEAK_ALLOWANCE = 3 << 20
 
 
 def boundary_radius_by_root_find(geom, n):
@@ -414,6 +417,20 @@ class TestSimulateTrace:
         assert np.array_equal(got.real, samples.real.astype(np.float32))
         assert np.array_equal(got.imag, samples.imag.astype(np.float32))
 
+    @pytest.mark.parametrize("samples, where", [
+        ([[1e300 + 0j, 1 + 0j]], "subcarrier 0, index 0"),
+        ([[1 + 0j, 2 + 0j], [3 + 0j, complex(np.inf, -4e38)]], "subcarrier 1, index 1"),
+        (np.array([[1.0, np.nan, -3.5e38]]), "subcarrier 0, index 2"),
+    ])
+    def test_finite_part_beyond_float32_refused(self, samples, where):
+        with pytest.raises(ValueError, match=f"at {where} is beyond complex64's range"):
+            CsiTrace(fs=1000.0, samples=samples)
+
+    def test_complex64_input_taken_as_it_is(self):
+        # neither cast nor checked, infinities included
+        samples = np.array([[1.0, np.inf, np.nan]], dtype=np.complex64)
+        assert CsiTrace(fs=1000.0, samples=samples).samples is samples
+
     def test_sample_limit(self, monkeypatch):
         monkeypatch.setattr(channel, "MAX_TRACE_SAMPLES", 100)
         trace = simulate_trace(make_model(), [], duration=0.05, fs=1000.0, subcarriers=2)
@@ -654,6 +671,26 @@ class TestStreamedNoise:
         assert isinstance(trace.samples.base.base.obj, mmap.mmap)
         assert peak + trace.samples.nbytes <= 1.5 * trace.samples.nbytes
 
+    def test_peak_memory_one_trace_length_array(self, monkeypatch):
+        # 100 jittered gestures over 300 s on two workers: besides the
+        # samples, the path lengths of the reflector are the one array of
+        # the trace's length; the whole (T, 3) track, its path_length
+        # temporaries and the time axis would be about five such arrays
+        monkeypatch.setattr(_workers, "cpus", lambda: 2)
+        gestures = [GestureModel(kind=kind, jitter_std=5e-4)
+                    for kind in (GestureKind.KEYSTROKE, GestureKind.MOUSE_MOVE)]
+        script = [(1.0 + 3.0 * i, gestures[i % 2]) for i in range(100)]
+        model = make_model(static_component=8.0, noise_std=0.16, rng_seed=3)
+        tracemalloc.start()
+        try:
+            trace = simulate_trace(model, script, duration=300.0, subcarriers=4)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(trace.samples.base.base.obj, mmap.mmap)
+        assert len(trace.meta) == 100
+        assert peak <= 8 * trace.n_samples + PEAK_ALLOWANCE
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads Linux's /proc")
     def test_freed_samples_leave_the_resident_set(self):
         def resident() -> int:
@@ -665,6 +702,34 @@ class TestStreamedNoise:
         before = resident()
         del trace
         assert before - resident() >= 0.9 * nbytes
+
+
+def whole_reflector_track(script, n_samples, fs, rng):
+    """The scripted reflector's whole (n_samples, 3) trajectory and the
+    gestures' annotations, resting in place between gestures; the script's
+    checks are _build_reflector_track's."""
+    t = np.arange(n_samples) / fs
+    entries = sorted(script, key=lambda item: item[0])
+    positions = np.zeros((n_samples, 3))
+    annotations = []
+    cursor = 0
+    current_rest = entries[0][1].rest_pos
+    for start, gesture in entries:
+        s_idx = int(np.floor(start * fs))
+        e_idx = min(int(np.ceil((start + gesture.duration) * fs)), n_samples - 1)
+        if s_idx >= n_samples:
+            break
+        positions[cursor:s_idx] = current_rest
+        t_rel = t[s_idx:e_idx + 1] - start
+        block = gesture.positions(t_rel)
+        if gesture.jitter_std > 0:
+            block = block + gesture_jitter(len(t_rel), rng, gesture.jitter_std)
+        positions[s_idx:e_idx + 1] = block
+        annotations.append(Annotation(s_idx, e_idx, gesture.kind.value))
+        current_rest = gesture.end_pos
+        cursor = e_idx + 1
+    positions[cursor:] = current_rest
+    return positions, annotations
 
 
 def serial_simulate_trace(model, script, duration, fs, n_sub, reflection_amplitude):
@@ -681,7 +746,7 @@ def serial_simulate_trace(model, script, duration, fs, n_sub, reflection_amplitu
     paths = []
     annotations = []
     if script:
-        track, annotations = _build_reflector_track(script, n_samples, fs, rng)
+        track, annotations = whole_reflector_track(script, n_samples, fs, rng)
         _check_slab(model.geometry, track)
         paths.append((path_length(model.geometry, track), reflection_amplitude))
     for traj, amp in model.dynamic_paths:
@@ -786,3 +851,56 @@ class TestBlockedSimulator:
         monkeypatch.setattr(channel, "_fill_band", broken)
         with pytest.raises(FloatingPointError, match="kernel failed"):
             simulate_trace(self.model(0.16), self.KEYSTROKE, duration=20.0)
+
+
+@st.composite
+def gesture_scripts(draw):
+    """(script, n_samples, fs): 1-4 gestures two samples apart at least, with
+    rest points on both sides of the slab's ends, possibly running past the
+    trace's end or starting after it."""
+    fs = draw(st.sampled_from([100.0, 250.0, 1000.0]))
+    start = draw(st.floats(0.0, 0.5))
+    script = []
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.sampled_from([-0.01, 0.98]) | st.floats(0.02, 0.9))
+        gesture = GestureModel(
+            kind=draw(st.sampled_from(list(GestureKind))),
+            rest_pos=[x, draw(st.floats(-0.2, 0.2)), -draw(st.floats(0.55, 0.7))],
+            travel=draw(st.floats(0.005, 0.05)),
+            duration=draw(st.floats(0.02, 0.5)),
+            jitter_std=draw(st.sampled_from([0.0, 1e-3])),
+        )
+        script.append((start, gesture))
+        start += gesture.duration + 2.0 / fs + draw(st.floats(0.0, 0.4))
+    n_samples = draw(st.integers(1, int(start * fs) + 50))
+    return draw(st.permutations(script)), n_samples, fs
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReflectorTrack:
+    @given(gesture_scripts(), st.integers(0, 2**32 - 1))
+    def test_lengths_are_the_whole_tracks(self, case, seed):
+        # the path lengths built span by span equal those of the whole
+        # track, bit for bit, with the same annotations, jitter draws and
+        # slab refusals
+        script, n_samples, fs = case
+
+        def whole():
+            track, annotations = whole_reflector_track(script, n_samples, fs,
+                                                       np.random.default_rng(seed))
+            _check_slab(GEOM, track)
+            return path_length(GEOM, track).tobytes(), annotations
+
+        def by_span():
+            lengths, annotations = _build_reflector_track(GEOM, script, n_samples, fs,
+                                                          np.random.default_rng(seed))
+            assert lengths.shape == (n_samples,)
+            return lengths.tobytes(), annotations
+
+        assert outcome(by_span) == outcome(whole)

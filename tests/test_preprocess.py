@@ -1,4 +1,5 @@
 import contextlib
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -228,13 +229,41 @@ class TestThreadedVariances:
         assert peak <= (workers + 1) * trace.n_samples * ROW_BYTES
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_one_scratch_pair_per_thread(self, monkeypatch, workers):
+        # the calling thread allocates one float32 |H| row and one float64
+        # deviation row per thread, and the rows' variances reuse them; with
+        # thread switches forced every microsecond, a pair two threads
+        # wrote at once would change the bits
+        row_variance = preprocess._row_variance
+        used = []
+
+        def recording(row, a, d):
+            used.append((id(a), id(d), a.dtype.name, d.dtype.name, len(a), len(d)))
+            return row_variance(row, a, d)
+
+        monkeypatch.setattr(preprocess, "_row_variance", recording)
+        trace = trace_from_amplitudes(np.random.default_rng(workers).uniform(0.5, 2.0, (40, 5000)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with threads(workers):
+                got = subcarrier_variances(trace)
+        finally:
+            sys.setswitchinterval(interval)
+        want = np.abs(trace.samples).var(axis=1, dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert len(used) == 40
+        assert {u[2:] for u in used} == {("float32", "float64", 5000, 5000)}
+        assert 1 <= len({u[:2] for u in used}) <= workers
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_row_error_reaches_the_caller(self, monkeypatch, workers):
         row_variance = preprocess._row_variance
 
-        def failing_on_nan(row):
+        def failing_on_nan(row, *scratch):
             if np.isnan(row).any():
                 raise RuntimeError("bad row")
-            return row_variance(row)
+            return row_variance(row, *scratch)
 
         monkeypatch.setattr(preprocess, "_row_variance", failing_on_nan)
         rows = np.ones((20, 100), dtype=complex)
@@ -262,6 +291,69 @@ class TestThreadedVariances:
         assert trace.samples.shape == (30, n_samples)
         select_subcarrier(trace)
         assert pools == want
+
+
+def whole_array_convolve_offset(x, level, h):
+    """level + (h * (x - level))[:len(x)] by overlap-add over all rows of
+    blocks in one transform."""
+    n, taps = len(x), len(h)
+    size = 1 << (min(4 * taps, n + taps - 1) - 1).bit_length()
+    block = size - taps + 1
+    rows, rest = divmod(n, block)
+    padded = np.zeros((rows + (rest > 0), size))
+    np.subtract(x[:rows * block].reshape(rows, block), level, out=padded[:rows, :block])
+    np.subtract(x[rows * block:], level, out=padded[rows:, :rest].reshape(-1))
+    y = np.fft.irfft(np.fft.rfft(padded) * np.fft.rfft(h, size), size)
+    y[1:, :taps - 1] += y[:-1, block:]
+    out = np.empty((len(y), block))
+    np.add(y[:, :block], level, out=out)
+    return out.reshape(-1)[:n]
+
+
+def overlap_add_block(taps):
+    """Samples per row of _convolve_offset's transforms on a long input."""
+    return (1 << (4 * taps - 1).bit_length()) - taps + 1
+
+
+class TestSteppedOverlapAdd:
+    """_convolve_offset transforms a few rows at a time, bit for bit the
+    overlap-add of all rows at once."""
+
+    @staticmethod
+    def assert_same_bits(n, taps, seed=0):
+        rng = np.random.default_rng(seed)
+        x = 8.0 + rng.normal(0.0, 1.0, n).cumsum() * 0.01
+        h = rng.normal(0.0, 1.0, taps) * np.exp(-np.arange(taps) / (taps / 4 + 1))
+        level = float(np.mean(x[:50]))
+        got = preprocess._convolve_offset(x, level, h)
+        assert got.shape == (n,)
+        assert got.tobytes() == whole_array_convolve_offset(x, level, h).tobytes()
+
+    @pytest.mark.parametrize("taps", [1, 2, 50])
+    @pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), ("k", -1), ("k", 1),
+                                        ("2k", -1), ("2k", 1), ("3k", 0)])
+    def test_lengths_around_blocks_and_steps(self, taps, offset):
+        # 1, block - 1, block, block + 1 and k * block +- 1, for k rows a step
+        k = preprocess._STEP_ROWS
+        rows, delta = offset
+        rows = {"k": k, "2k": 2 * k, "3k": 3 * k}.get(rows, rows)
+        self.assert_same_bits(max(rows * overlap_add_block(taps) + delta, 1), taps)
+
+    @pytest.mark.parametrize("n", [1, 13_829, 13_830, 13_831, 4 * 13_830 + 1, 549_920])
+    def test_default_filter(self, n):
+        h = preprocess._impulse_response(FilterSpec(), FS, n)
+        if n > 1_000:
+            assert overlap_add_block(len(h)) == 13_830
+        x = 8.0 + np.random.default_rng(n).normal(0.0, 0.3, n)
+        got = preprocess._convolve_offset(x, 8.0, h)
+        assert got.tobytes() == whole_array_convolve_offset(x, 8.0, h).tobytes()
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 5_000), taps=st.integers(1, 120), step=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_step(self, n, taps, step, seed):
+        with mock.patch.object(preprocess, "_STEP_ROWS", step):
+            self.assert_same_bits(n, taps, seed)
 
 
 def sos_response(sos, w):

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksense import segmentation
+from desksense import _workers, segmentation
 from desksense.channel import Annotation, CsiTrace
 from desksense.corpus import (
     evaluate_segmentation,
@@ -86,6 +88,19 @@ class TestVarianceTraces:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             sliding_variance(np.ones(5), 10)
+
+    def test_peak_memory_three_arrays(self):
+        # the centred copy, its running sum and the windowed first moment;
+        # the result is written into the centred copy
+        x = np.random.default_rng(0).normal(8.0, 1.0, 200_000)
+        tracemalloc.start()
+        try:
+            nor1 = sliding_variance(x, 50)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(nor1) == len(x) - 49
+        assert peak <= 3.1 * x.nbytes
 
     def test_values_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -620,3 +635,22 @@ class TestScoreDetections:
             "precision": scores.precision,
             "mean_boundary_error_s": scores.mean_boundary_error_s,
         }
+
+
+def test_run_pipeline_peak_memory(config, monkeypatch):
+    # a 550 s trace of 200 gestures on two selection workers: the stages
+    # hold their outputs and a bounded scratch, so the peak is the
+    # segmentation's six arrays of the trace's length (the filtered series,
+    # nor1, the moving sum and sliding_variance's three), not eight
+    monkeypatch.setattr(_workers, "cpus", lambda: 2)
+    config = replace(config, simulation=replace(config.simulation, subcarriers=4))
+    script, duration = random_gesture_script(config, np.random.default_rng(7), 200)
+    trace = simulate_script(config, script, duration, seed=11)
+    tracemalloc.start()
+    try:
+        report, _ = run_pipeline(config, trace)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.metrics["detection"]["recall"] >= 0.95
+    assert peak <= 6.5 * 8 * trace.n_samples
