@@ -9,7 +9,6 @@ two-state hidden Markov models.
 from .behavior import (
     Behavior,
     BehaviorHmm,
-    BehaviorProfile,
     GestureSequence,
     PROFILES,
     baum_welch,

@@ -247,50 +247,38 @@ def classify_behavior(
     return BehaviorClassification(behavior=winners[0], scores=scores, tie=len(winners) > 1)
 
 
-@dataclass(frozen=True)
-class BehaviorProfile:
-    """Ground-truth hidden-chain parameters used by the sequence simulator."""
-
-    behavior: Behavior
-    pi_true: np.ndarray
-    A_true: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pi_true", _check_stochastic("pi_true", self.pi_true, (2,)))
-        object.__setattr__(self, "A_true", _check_stochastic("A_true", self.A_true, (2, 2)))
-
-
-def _profile(behavior, p_typing, typing_run, mouse_run) -> BehaviorProfile:
+def _profile(p_typing, typing_run, mouse_run) -> BehaviorHmm:
+    """The hidden chain of a behavior as a perfect classifier sees it:
+    emissions B = I, so each observation is its gesture."""
     a = 1.0 / typing_run
     b = 1.0 / mouse_run
-    return BehaviorProfile(
-        behavior=behavior,
-        pi_true=np.array([p_typing, 1.0 - p_typing]),
-        A_true=np.array([[1.0 - a, a], [b, 1.0 - b]]),
+    return BehaviorHmm(
+        pi=np.array([p_typing, 1.0 - p_typing]),
+        A=np.array([[1.0 - a, a], [b, 1.0 - b]]),
+        B=np.eye(2),
     )
 
 
 # Quantified keyboard/mouse usage profiles.  Stationary typing fractions
 # 0.25 / 0.65 / 0.50, with gaming switching the fastest; run lengths chosen
 # so each chain's stationary distribution matches its typing fraction.
-PROFILES: dict[Behavior, BehaviorProfile] = {
-    Behavior.SURFING: _profile(Behavior.SURFING, 0.25, typing_run=2.0, mouse_run=6.0),
-    Behavior.WORKING: _profile(Behavior.WORKING, 0.65, typing_run=6.0, mouse_run=42.0 / 13.0),
-    Behavior.GAMING: _profile(Behavior.GAMING, 0.50, typing_run=2.0, mouse_run=2.0),
+PROFILES: dict[Behavior, BehaviorHmm] = {
+    Behavior.SURFING: _profile(0.25, typing_run=2.0, mouse_run=6.0),
+    Behavior.WORKING: _profile(0.65, typing_run=6.0, mouse_run=42.0 / 13.0),
+    Behavior.GAMING: _profile(0.50, typing_run=2.0, mouse_run=2.0),
 }
 
 
-def sample_behavior_sequence(
-    profile: BehaviorProfile, B: np.ndarray, length: int, seed: int = 0
-) -> GestureSequence:
-    """Sample a hidden gesture chain and emit observations through B."""
+def sample_behavior_sequence(hmm: BehaviorHmm, length: int, seed: int = 0) -> GestureSequence:
+    """Sample a hidden gesture chain from hmm.pi and hmm.A, then emit each
+    hidden state through hmm.B, all from default_rng(seed): the states in
+    order, then the observations in order."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    B = _check_stochastic("B", B, (2, 2))
     rng = np.random.default_rng(seed)
     hidden = np.empty(length, dtype=int)
-    hidden[0] = rng.choice(2, p=profile.pi_true)
+    hidden[0] = rng.choice(2, p=hmm.pi)
     for t in range(1, length):
-        hidden[t] = rng.choice(2, p=profile.A_true[hidden[t - 1]])
-    observations = np.array([rng.choice(2, p=B[h]) for h in hidden])
+        hidden[t] = rng.choice(2, p=hmm.A[hidden[t - 1]])
+    observations = np.array([rng.choice(2, p=hmm.B[h]) for h in hidden])
     return GestureSequence(observations=observations)

@@ -22,7 +22,7 @@ import math
 import mmap
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -248,26 +248,20 @@ class Annotation:
             raise ValueError("annotation indices out of order")
 
 
-# glibc's mmap threshold stops at 32 MiB and its heap keeps at most twice
-# that free, so it maps a block this large however the threshold moved
-_HEAP_MAX = 64 << 20
-
-
 def _mapped_empty(shape, dtype) -> np.ndarray:
-    """np.empty(shape, dtype) on an anonymous memory map of its own, for a
-    trace's samples, so their pages go back to the system when the array is
-    freed.  Through malloc, once one samples array was freed glibc served
-    the next from its heap (its mmap threshold rises to the largest block
-    freed) and kept the freed heap resident: the peak RSS of simulating,
-    writing and reading a 36 s trace read 64 or 78 MB from run to run (2
-    vCPUs, Linux, glibc).  The map is private, not shared memory, and asks
-    for huge pages where mmap can: touching each page of 17.3 MB took
-    9.2 ms on a shared map, 7.5 ms on a private one and 3.0 ms with the
-    hint (medians of 15, 2 vCPUs, Linux).  Arrays of _HEAP_MAX bytes or
-    more stay with np.empty: glibc maps those itself, and numpy asks for
-    huge pages for them."""
+    """np.empty(shape, dtype) on a private anonymous memory map of its own,
+    for a trace's samples, so their pages go back to the system when the
+    array is freed.  Through malloc, once one samples array was freed glibc
+    served the next from its heap (its mmap threshold rises to the largest
+    block freed) and kept the freed heap resident: the peak RSS of
+    simulating, writing and reading a 36 s trace read 64 or 78 MB from run
+    to run (2 vCPUs, Linux, glibc).  The map is private, not shared memory,
+    and asks for huge pages where mmap can: touching each page of 17.3 MB
+    took 9.2 ms on a shared map, 7.5 ms on a private one and 3.0 ms with the
+    hint (medians of 15, 2 vCPUs, Linux).  A shape of no bytes stays with
+    np.empty, since mmap refuses an empty map."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if not 0 < nbytes < _HEAP_MAX:
+    if not nbytes:
         return np.empty(shape, dtype)
     buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
@@ -331,9 +325,6 @@ class CsiTrace:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
-
-
-TrajectoryFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)

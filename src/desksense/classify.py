@@ -20,6 +20,7 @@ from .segmentation import GestureSegment
 
 VARIANCE_FLOOR = 1e-9
 DEFAULT_KNN_K = 3
+MIN_SEGMENT_SAMPLES = 4   # two halves of two samples, each with a slope
 
 
 class GestureLabel(IntEnum):
@@ -84,8 +85,8 @@ def extract_features(segment: GestureSegment) -> FeatureVector:
     half has slope 0; two zero slopes give ratio 1, one gives infinity.
     """
     w = segment.waveform
-    if len(w) < 4:
-        raise ValueError("waveform must have at least 4 samples")
+    if len(w) < MIN_SEGMENT_SAMPLES:
+        raise ValueError(f"waveform must have at least {MIN_SEGMENT_SAMPLES} samples")
     mid = math.ceil(len(w) / 2)
     s1 = _half_slope(w[:mid], segment.fs)
     s2 = _half_slope(w[mid:], segment.fs)

@@ -18,12 +18,14 @@ from . import io
 from .behavior import build_emission
 from .channel import (DEFAULT_GESTURE_JITTER_STD, CsiTrace, GestureKind, GestureModel,
                       simulate_plate_sweep)
-from .classify import GestureLabel, LabeledExample, cross_validate, extract_features, fit
+from .classify import (MIN_SEGMENT_SAMPLES, GestureLabel, LabeledExample, cross_validate,
+                       extract_features, fit)
 from .config import PipelineConfig, load_config
 from .corpus import (keystroke_burst_script, match_segments, segment_trace,
                      segments_from_annotations, simulate_script)
 from .preprocess import analytic_gain, filtered_series, measured_gain, subcarrier_variances
-from .pipeline import StageError, evaluate_system, run_pipeline, train_behavior_models
+from .pipeline import (StageError, check_sequence_count, evaluate_system, run_pipeline,
+                       train_behavior_models)
 from .segmentation import segment
 
 
@@ -106,15 +108,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _segment_tables(config, trace, out):
-    """Filter and segment trace, writing nor.csv and segments.csv to out."""
-    series = filtered_series(trace, config.filter)
-    result = segment(series, config.segmenter)
-    io.write_nor(out / "nor.csv", result.nor1, result.nor2)
-    io.write_segments(out / "segments.csv", result.segments)
-    return series, result
-
-
 def _annotated(trace, annotations_path) -> CsiTrace:
     """trace carrying the annotations read from annotations_path, checked
     to be sorted, disjoint and inside the trace."""
@@ -128,7 +121,10 @@ def _annotated(trace, annotations_path) -> CsiTrace:
 def cmd_segment(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    series, result = _segment_tables(config, io.read_trace(args.trace), out)
+    series = filtered_series(io.read_trace(args.trace), config.filter)
+    result = segment(series, config.segmenter)
+    io.write_nor(out / "nor.csv", result.nor1, result.nor2)
+    io.write_segments(out / "segments.csv", result.segments)
     io.write_series(out / "filtered.csv", series)
     print(f"found {len(result.segments)} segments ({len(result.dropped)} below the span floor); "
           f"artifacts in {out}")
@@ -144,6 +140,12 @@ def cmd_featurize(args) -> int:
     if args.use_annotations:
         if not trace.meta:
             return _usage_error(args, "--use-annotations requires --annotations")
+        for n, ann in enumerate(trace.meta, 1):
+            k = ann.end_idx - ann.start_idx + 1
+            if k < MIN_SEGMENT_SAMPLES:
+                raise ValueError(f"{args.annotations}: annotation {n} ({ann.start_idx}-"
+                                 f"{ann.end_idx}) has {k} samples; featurizing needs at least "
+                                 f"{MIN_SEGMENT_SAMPLES}")
         labeled = segments_from_annotations(config, trace)
     else:
         pairs, _ = match_segments(segment_trace(config, trace), trace.meta)
@@ -177,6 +179,7 @@ def cmd_train_behavior(args) -> int:
     for flag, value in (("--sequences", args.sequences), ("--length", args.length)):
         if value < 1:
             return _usage_error(args, f"{flag} must be >= 1, got {value}")
+    check_sequence_count(args.sequences, "--sequences")
     config = _load_config(args)
     out = _out_dir(args)
     counts = io.read_confusion(args.confusion)
@@ -195,6 +198,7 @@ def cmd_evaluate(args) -> int:
                         ("--behavior-sequences", args.behavior_sequences)):
         if value < 1:
             return _usage_error(args, f"{flag} must be >= 1, got {value}")
+    check_sequence_count(args.behavior_sequences, "--behavior-sequences")
     config = _load_config(args)
     if args.segments < config.classifier.folds:
         return _usage_error(args, f"--segments must be at least the {config.classifier.folds} "
@@ -248,14 +252,14 @@ def cmd_sweep_plate(args) -> int:
         acc += np.array([pp for _s, pp in rows])
     acc /= args.repeats
     out = _out_dir(args)
-    io.write_table(out / "plate_sweep.csv", ["side_m", "peak_to_peak"], [sides, acc],
+    io.write_table(out / "plate_sweep.csv", "side_m,peak_to_peak", [sides, acc],
                    [io.FLOAT_FMT] * 2)
     print(f"wrote {out / 'plate_sweep.csv'} ({len(sides)} sizes, {args.repeats} repeats)")
     return 0
 
 
 def cmd_plotdata(args) -> int:
-    if args.kind in ("subcarrier-variance", "segments") and args.artifact is None:
+    if args.kind == "subcarrier-variance" and args.artifact is None:
         return _usage_error(args, f"--kind {args.kind} needs --artifact")
     config = _load_config(args)
     out = _out_dir(args)
@@ -264,19 +268,15 @@ def cmd_plotdata(args) -> int:
         top = min(100.0, 0.45 * config.simulation.fs)
         freqs = np.logspace(np.log10(top) - 3, np.log10(top), 200)
         spec = config.filter
-        io.write_table(out / "filter_response.csv", ["freq_hz", "gain_measured", "gain_analytic"],
+        io.write_table(out / "filter_response.csv", "freq_hz,gain_measured,gain_analytic",
                        [freqs, [measured_gain(f, config.simulation.fs, spec) for f in freqs],
                         [analytic_gain(f, spec) for f in freqs]], [io.FLOAT_FMT] * 3)
         print(f"wrote {out / 'filter_response.csv'}")
         return 0
-    if args.kind == "subcarrier-variance":
-        variances = subcarrier_variances(io.read_trace(args.artifact))
-        io.write_table(out / "subcarrier_variance.csv", ["subcarrier", "variance"],
-                       [np.arange(len(variances)), variances], ["%d", io.FLOAT_FMT])
-        print(f"wrote {out / 'subcarrier_variance.csv'}")
-        return 0
-    _segment_tables(config, io.read_trace(args.artifact), out)   # --kind segments
-    print(f"wrote {out / 'nor.csv'} and {out / 'segments.csv'}")
+    variances = subcarrier_variances(io.read_trace(args.artifact))
+    io.write_table(out / "subcarrier_variance.csv", "subcarrier,variance",
+                   [np.arange(len(variances)), variances], ["%d", io.FLOAT_FMT])
+    print(f"wrote {out / 'subcarrier_variance.csv'}")
     return 0
 
 
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plotdata", help="emit plot-ready tables")
     p.add_argument("--kind", required=True,
-                   choices=["filter-response", "subcarrier-variance", "segments"])
+                   choices=["filter-response", "subcarrier-variance"])
     p.add_argument("--artifact", help=f"input artifact, a {_TRACE_HELP}")
     p.set_defaults(func=cmd_plotdata)
 

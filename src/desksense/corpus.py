@@ -66,24 +66,15 @@ def random_gesture_script(
     x = d / 2 + side * rng.uniform(0.15, 0.30) * d
     for _ in range(n_gestures):
         kind = tuple(GestureKind)[int(rng.integers(0, 2))]
-        if kind is GestureKind.KEYSTROKE:
-            depth = rng.uniform(0.57, 0.66)
-            model = GestureModel(
-                kind=kind,
-                rest_pos=np.array([np.clip(x, 0.12 * d, 0.88 * d), 0.0, -depth]),
-                travel=0.02,
-                duration=rng.uniform(0.6, 0.8),
-                jitter_std=DEFAULT_GESTURE_JITTER_STD,
-            )
-        else:
-            depth = rng.uniform(0.57, 0.66)
-            model = GestureModel(
-                kind=kind,
-                rest_pos=np.array([np.clip(x, 0.12 * d, 0.85 * d), 0.0, -depth]),
-                travel=rng.uniform(0.03, 0.05),
-                duration=rng.uniform(0.4, 1.0),
-                jitter_std=DEFAULT_GESTURE_JITTER_STD,
-            )
+        mouse = kind is GestureKind.MOUSE_MOVE
+        depth = rng.uniform(0.57, 0.66)
+        model = GestureModel(
+            kind=kind,
+            rest_pos=np.array([np.clip(x, 0.12 * d, (0.85 if mouse else 0.88) * d), 0.0, -depth]),
+            travel=rng.uniform(0.03, 0.05) if mouse else 0.02,
+            duration=rng.uniform(0.4, 1.0) if mouse else rng.uniform(0.6, 0.8),
+            jitter_std=DEFAULT_GESTURE_JITTER_STD,
+        )
         script.append((t, model))
         t += model.duration + rng.uniform(1.5, 2.5)
     return script, t + 0.7
@@ -237,26 +228,17 @@ def _dataset_script(config, rng, n_gestures, kind):
     script = []
     t = 1.0 + rng.uniform(0.0, 0.5)
     side = 1.0 if rng.random() < 0.5 else -1.0
+    mouse = kind is GestureKind.MOUSE_MOVE
     for _ in range(n_gestures):
         depth = rng.uniform(0.57, 0.66)
-        if kind is GestureKind.KEYSTROKE:
-            x = d / 2 + side * rng.uniform(0.15, 0.30) * d
-            model = GestureModel(
-                kind=kind,
-                rest_pos=np.array([x, 0.0, -depth]),
-                travel=0.02,
-                duration=rng.uniform(0.65, 0.75),
-                jitter_std=_DATASET_JITTER_STD,
-            )
-        else:
-            x = d / 2 + side * rng.uniform(0.04, 0.15) * d
-            model = GestureModel(
-                kind=kind,
-                rest_pos=np.array([x, 0.0, -depth]),
-                travel=rng.uniform(0.015, 0.04),
-                duration=rng.uniform(0.35, 1.0),
-                jitter_std=_DATASET_JITTER_STD,
-            )
+        x = d / 2 + side * (rng.uniform(0.04, 0.15) if mouse else rng.uniform(0.15, 0.30)) * d
+        model = GestureModel(
+            kind=kind,
+            rest_pos=np.array([x, 0.0, -depth]),
+            travel=rng.uniform(0.015, 0.04) if mouse else 0.02,
+            duration=rng.uniform(0.35, 1.0) if mouse else rng.uniform(0.65, 0.75),
+            jitter_std=_DATASET_JITTER_STD,
+        )
         script.append((t, model))
         t += model.duration + rng.uniform(1.5, 2.0)
     return script, t + 0.7

@@ -78,7 +78,7 @@ def _format_rows(row_fmt: str, columns, a: int, b: int) -> str:
     return (row_fmt * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
 
 
-def _write_table(path, first_line, columns, fmts) -> None:
+def write_table(path, first_line: str | None, columns, fmts) -> None:
     """first_line, unless it is None, then one row per index of the
     equal-length columns, column j in fmts[j], written atomically.
 
@@ -177,8 +177,8 @@ def read_trace(path) -> CsiTrace:
 
 
 def write_annotations(path, annotations: list[Annotation]) -> None:
-    _write_table(path, None, [[a.start_idx for a in annotations], [a.end_idx for a in annotations],
-                              [a.label for a in annotations]], ["%d", "%d", "%s"])
+    write_table(path, None, [[a.start_idx for a in annotations], [a.end_idx for a in annotations],
+                             [a.label for a in annotations]], ["%d", "%d", "%s"])
 
 
 def read_records(path, widths, parse, header=None) -> list:
@@ -224,8 +224,8 @@ def write_series(path, series) -> None:
     """Two columns `index, amplitude` under a `# fs=... subcarrier=...`
     header; sample index is at t = index / fs, which the header's fs gives
     to every bit."""
-    _write_table(path, f"# fs={FLOAT_FMT % series.fs} subcarrier={series.source_subcarrier}",
-                 [np.arange(len(series.values)), series.values], ["%d", FLOAT_FMT])
+    write_table(path, f"# fs={FLOAT_FMT % series.fs} subcarrier={series.source_subcarrier}",
+                [np.arange(len(series.values)), series.values], ["%d", FLOAT_FMT])
 
 
 _DATASET_HEADER = ["variance", "slope_ratio", "duration", "label"]
@@ -233,8 +233,8 @@ _DATASET_HEADER = ["variance", "slope_ratio", "duration", "label"]
 
 def write_dataset(path, examples: list[LabeledExample]) -> None:
     features = [[getattr(ex.features, name) for ex in examples] for name in _DATASET_HEADER[:3]]
-    _write_table(path, ",".join(_DATASET_HEADER),
-                 features + [[ex.label.name.lower() for ex in examples]], [FLOAT_FMT] * 3 + ["%s"])
+    write_table(path, ",".join(_DATASET_HEADER),
+                features + [[ex.label.name.lower() for ex in examples]], [FLOAT_FMT] * 3 + ["%s"])
 
 
 def _example(fields) -> LabeledExample:
@@ -253,8 +253,8 @@ _CONFUSION_ROWS = ["typing", "mouse"]   # GestureLabel order, the rows of build_
 
 def write_confusion(path, confusion) -> None:
     """Cross-validation counts of the true labels typing, then mouse."""
-    _write_table(path, ",".join(_CONFUSION_HEADER),
-                 [_CONFUSION_ROWS, *np.asarray(confusion).T], ["%s", "%d", "%d"])
+    write_table(path, ",".join(_CONFUSION_HEADER),
+                [_CONFUSION_ROWS, *np.asarray(confusion).T], ["%s", "%d", "%d"])
 
 
 def read_confusion(path) -> np.ndarray:
@@ -430,18 +430,12 @@ def read_behavior_models(path) -> dict[Behavior, BehaviorHmm]:
 
 def write_nor(path, nor1, nor2) -> None:
     """Plot table `index,nor1,nor2` of the segmenter's variance traces."""
-    _write_table(path, "index,nor1,nor2", [np.arange(len(nor2)), nor1, nor2],
-                 ["%d", FLOAT_FMT, FLOAT_FMT])
+    write_table(path, "index,nor1,nor2", [np.arange(len(nor2)), nor1, nor2],
+                ["%d", FLOAT_FMT, FLOAT_FMT])
 
 
 def write_segments(path, segments) -> None:
     """Plot table `start_idx,end_idx,truncated`, one row per segment."""
-    _write_table(path, "start_idx,end_idx,truncated",
-                 [[s.start_idx for s in segments], [s.end_idx for s in segments],
-                  [s.truncated for s in segments]], ["%d"] * 3)
-
-
-def write_table(path, header: list[str], columns, fmts) -> None:
-    """Plot-data table: a header line, then one row per index of the
-    equal-length columns, column j in fmts[j]."""
-    _write_table(path, ",".join(header), columns, fmts)
+    write_table(path, "start_idx,end_idx,truncated",
+                [[s.start_idx for s in segments], [s.end_idx for s in segments],
+                 [s.truncated for s in segments]], ["%d"] * 3)

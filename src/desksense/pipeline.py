@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -160,25 +160,35 @@ def run_pipeline(
     return report, artifacts
 
 
+_SEED_STRIDE = 1000   # seeds between two behaviors' first sequences in _sample_sets
+
+
+def check_sequence_count(n: int, name: str) -> None:
+    """Refuse more sampled sequences per behavior than have seeds of their own."""
+    if n > _SEED_STRIDE:
+        raise ValueError(f"{name} must be at most {_SEED_STRIDE}, got {n}: sequence "
+                         f"{_SEED_STRIDE} would reuse the seed of the next behavior's first")
+
+
+def _sample_sets(B: np.ndarray, n: int, length: int, seed0: int):
+    """n sequences of the given length per classified behavior, sampled from
+    its profile with the emission matrix B: sequence i of the i_b-th
+    behavior with seed seed0 + _SEED_STRIDE * i_b + i."""
+    sets = {}
+    for i_b, b in enumerate(Behavior.classified()):
+        hmm = replace(PROFILES[b], B=B)
+        sets[b] = [sample_behavior_sequence(hmm, length, seed=seed0 + _SEED_STRIDE * i_b + i)
+                   for i in range(n)]
+    return sets
+
+
 def train_behavior_models(
     config: PipelineConfig, B: np.ndarray, n_train: int = 50, train_length: int = 100
 ):
-    """Per-behavior HMMs fitted on n_train sampled sequences per behavior.
-
-    Sequence i of the i_b-th classified behavior is sampled from its profile
-    through the emission matrix B with seed config.seeds.behavior +
-    1000 * i_b + i.
-    """
-    seed0 = config.seeds.behavior
-    training = {
-        b: [
-            sample_behavior_sequence(
-                PROFILES[b], B, train_length, seed=seed0 + 1000 * i_b + i
-            )
-            for i in range(n_train)
-        ]
-        for i_b, b in enumerate(Behavior.classified())
-    }
+    """Per-behavior HMMs fitted on n_train sampled sequences per behavior,
+    from seed config.seeds.behavior on (_sample_sets)."""
+    check_sequence_count(n_train, "n_train")
+    training = _sample_sets(B, n_train, train_length, config.seeds.behavior)
     return fit_behavior_models(
         training, B=B, max_iter=config.hmm.max_iter, tol=config.hmm.tol
     )
@@ -192,22 +202,21 @@ def behavior_study(
     n_test: int = 100,
     test_length: int = 50,
 ):
-    """Train per-behavior models on sampled sequences and score fresh ones.
+    """Train per-behavior models on sampled sequences and score fresh ones
+    (_sample_sets from seed config.seeds.behavior + 7_000_000).
 
     Returns (macro accuracy, confusion matrix over the classified behaviors,
     fitted models).
     """
+    check_sequence_count(n_test, "n_test")
     B = build_emission(confusion)
     behaviors = Behavior.classified()
-    seed0 = config.seeds.behavior
     models = train_behavior_models(config, B, n_train, train_length)
+    tests = _sample_sets(B, n_test, test_length, config.seeds.behavior + 7_000_000)
 
     confusion_b = np.zeros((len(behaviors), len(behaviors)), dtype=int)
     for i_b, b in enumerate(behaviors):
-        for i in range(n_test):
-            seq = sample_behavior_sequence(
-                PROFILES[b], B, test_length, seed=seed0 + 7_000_000 + 1000 * i_b + i
-            )
+        for seq in tests[b]:
             result = classify_behavior(models, seq)
             confusion_b[i_b, behaviors.index(result.behavior)] += 1
     per_class = confusion_b.diagonal() / confusion_b.sum(axis=1)
@@ -234,6 +243,7 @@ def evaluate_system(
     n_behavior_test: int = 100,
 ) -> RunReport:
     """Run the three synthetic studies end to end and report their metrics."""
+    check_sequence_count(n_behavior_test, "n_behavior_test")
     report = _new_report(config)
 
     with _StageTimer(report, "segmentation_study"):

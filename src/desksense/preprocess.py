@@ -12,7 +12,6 @@ convolution with its impulse response by FFT overlap-add (Stockham 1966,
 from __future__ import annotations
 
 import math
-import queue
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,17 +65,16 @@ class FilterSpec:
             raise ValueError("order must be a positive even integer")
 
 
-def _row_variance(row: np.ndarray, a: np.ndarray | None = None,
-                  d: np.ndarray | None = None) -> np.float64:
+def _row_variance(row: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.float64:
     """np.abs(row).var(dtype=np.float64), bit for bit, in numpy's own var
     steps: the float32 |H| of the complex64 row, written into a, is summed
     in float64, and its float64 deviations, written into d, are squared in
-    place.  Without a or d, each is allocated."""
-    a = np.abs(row, out=a)
+    place."""
+    np.abs(row, out=a)
     n = a.size
     m = np.add.reduce(a, dtype=np.float64, keepdims=True)
     m /= n
-    d = np.subtract(a, m, out=d)
+    np.subtract(a, m, out=d)
     np.multiply(d, d, out=d)
     return np.add.reduce(d) / n
 
@@ -84,30 +82,26 @@ def _row_variance(row: np.ndarray, a: np.ndarray | None = None,
 def subcarrier_variances(trace: CsiTrace) -> np.ndarray:
     """Variance of |H| over the trace, per subcarrier.
 
-    Rows are taken one per thread of _workers.thread_map (numpy releases
-    the GIL in abs and the sums); each row's variance equals the row of
-    np.abs(trace.samples).var(axis=1, dtype=np.float64) bit for bit.  Its
-    scratch is one float32 |H| row and one float64 deviation row per
-    thread, 12 bytes per sample and thread, allocated once by the calling
-    thread: rows allocated in the worker threads stay resident in their
-    malloc arenas after the call.
+    The rows are split into min(threads, rows) contiguous runs, mapped by
+    _workers.thread_map (numpy releases the GIL in abs and the sums); each
+    row's variance equals the row of np.abs(trace.samples).var(axis=1,
+    dtype=np.float64) bit for bit.  A run's scratch is one float32 |H| row
+    and one float64 deviation row, 12 bytes per sample and run, allocated
+    by the calling thread: rows allocated in the worker threads stay
+    resident in their malloc arenas after the call.
     """
     samples = trace.samples
     if samples.size == 0:
         raise ValueError("trace is empty")
     n = samples.shape[1]
-    free = queue.SimpleQueue()
-    for _ in range(threads(samples.size)):
-        free.put((np.empty(n, np.float32), np.empty(n)))
+    tasks = [(run, np.empty(n, np.float32), np.empty(n))
+             for run in np.array_split(samples, min(threads(samples.size), len(samples)))]
 
-    def variance(row: np.ndarray) -> np.float64:
-        scratch = free.get()   # a thread holds one pair at a time, so one is free
-        try:
-            return _row_variance(row, *scratch)
-        finally:
-            free.put(scratch)
+    def variances(task) -> list[np.float64]:
+        run, a, d = task
+        return [_row_variance(row, a, d) for row in run]
 
-    return np.array(thread_map(variance, samples, samples.size), dtype=float)
+    return np.concatenate(thread_map(variances, tasks, samples.size))
 
 
 def select_subcarrier(trace: CsiTrace) -> AmplitudeSeries:

@@ -1,4 +1,6 @@
 import logging
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_likelihood
+from desksense import pipeline
 from desksense.behavior import (
     Behavior,
     BehaviorHmm,
@@ -20,6 +23,7 @@ from desksense.behavior import (
     forward_log_likelihood,
     sample_behavior_sequence,
 )
+from desksense.config import PipelineConfig
 
 IDENTITY = np.eye(2)
 # A strictly positive 2-vector summing to 1, or a matrix of two such rows.
@@ -318,18 +322,19 @@ class TestBehaviorModels:
         rng_seed = 100
         training = {
             b: [
-                sample_behavior_sequence(PROFILES[b], B, 200, seed=rng_seed + 37 * i + b_i)
+                sample_behavior_sequence(replace(PROFILES[b], B=B), 200,
+                                         seed=rng_seed + 37 * i + b_i)
                 for i in range(20)
             ]
             for b_i, b in enumerate(Behavior.classified())
         }
         models = fit_behavior_models(training, B=B)
         for b in Behavior.classified():
-            own = np.linalg.norm(models[b].A - PROFILES[b].A_true)
+            own = np.linalg.norm(models[b].A - PROFILES[b].A)
             for other in Behavior.classified():
                 if other is b:
                     continue
-                cross = np.linalg.norm(models[b].A - PROFILES[other].A_true)
+                cross = np.linalg.norm(models[b].A - PROFILES[other].A)
                 assert own < cross
 
     def test_keyboard_only_training(self):
@@ -343,7 +348,7 @@ class TestBehaviorModels:
     def test_identical_training_identical_models(self):
         B = B_REF
         seqs = [
-            sample_behavior_sequence(PROFILES[Behavior.GAMING], B, 100, seed=s)
+            sample_behavior_sequence(replace(PROFILES[Behavior.GAMING], B=B), 100, seed=s)
             for s in range(8)
         ]
         m1 = fit_behavior_models({Behavior.SURFING: seqs, Behavior.WORKING: seqs}, B=B)
@@ -391,40 +396,51 @@ class TestClassifyBehavior:
         assert result.behavior is Behavior.WORKING  # working precedes gaming
 
 
-def hidden_chain(profile, length, seed):
+def hidden_chain(hmm, length, seed):
     """The hidden chain sample_behavior_sequence draws first from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    hidden = [int(rng.choice(2, p=profile.pi_true))]
+    hidden = [int(rng.choice(2, p=hmm.pi))]
     for _ in range(1, length):
-        hidden.append(int(rng.choice(2, p=profile.A_true[hidden[-1]])))
+        hidden.append(int(rng.choice(2, p=hmm.A[hidden[-1]])))
     return np.array(hidden)
 
 
-def stationary_typing(profile):
-    """Typing share of A_true's stationary distribution: for a two-state
-    chain, the mouse-to-typing rate over the sum of both switching rates."""
-    A = profile.A_true
+def chain_then_emission(pi, A, B, length, seed):
+    """A sampler over a chain (pi, A) and a separate emission matrix B, the
+    draws in sample_behavior_sequence's order: states, then observations."""
+    rng = np.random.default_rng(seed)
+    hidden = np.empty(length, dtype=int)
+    hidden[0] = rng.choice(2, p=pi)
+    for t in range(1, length):
+        hidden[t] = rng.choice(2, p=A[hidden[t - 1]])
+    return np.array([rng.choice(2, p=B[h]) for h in hidden])
+
+
+def stationary_typing(hmm):
+    """Typing share of A's stationary distribution: for a two-state chain,
+    the mouse-to-typing rate over the sum of both switching rates."""
+    A = hmm.A
     return A[1, 0] / (A[0, 1] + A[1, 0])
 
 
 class TestSampling:
     def test_identity_emission_reveals_hidden(self):
-        seq = sample_behavior_sequence(PROFILES[Behavior.WORKING], IDENTITY, 200, seed=4)
+        seq = sample_behavior_sequence(PROFILES[Behavior.WORKING], 200, seed=4)
         np.testing.assert_array_equal(seq.observations,
                                       hidden_chain(PROFILES[Behavior.WORKING], 200, 4))
 
     def test_gaming_switches_more_than_working(self):
         # through the identity emission the observations are the hidden chain
-        B = IDENTITY
-        gaming = sample_behavior_sequence(PROFILES[Behavior.GAMING], B, 10_000, seed=8)
-        working = sample_behavior_sequence(PROFILES[Behavior.WORKING], B, 10_000, seed=8)
+        assert all(np.array_equal(hmm.B, IDENTITY) for hmm in PROFILES.values())
+        gaming = sample_behavior_sequence(PROFILES[Behavior.GAMING], 10_000, seed=8)
+        working = sample_behavior_sequence(PROFILES[Behavior.WORKING], 10_000, seed=8)
         switch = lambda s: np.mean(s.observations[1:] != s.observations[:-1])
         assert switch(gaming) > switch(working)
 
     def test_working_typing_fraction_near_stationary(self):
         profile = PROFILES[Behavior.WORKING]
         expected = stationary_typing(profile)
-        seq = sample_behavior_sequence(profile, IDENTITY, 10_000, seed=21)
+        seq = sample_behavior_sequence(profile, 10_000, seed=21)
         assert np.mean(seq.observations == 0) == pytest.approx(expected, abs=0.05)
 
     def test_profile_stationary_values(self):
@@ -433,9 +449,21 @@ class TestSampling:
         assert stationary_typing(PROFILES[Behavior.GAMING]) == pytest.approx(0.50)
 
     def test_determinism(self):
-        a = sample_behavior_sequence(PROFILES[Behavior.GAMING], B_REF, 50, seed=33)
-        b = sample_behavior_sequence(PROFILES[Behavior.GAMING], B_REF, 50, seed=33)
+        hmm = replace(PROFILES[Behavior.GAMING], B=B_REF)
+        a = sample_behavior_sequence(hmm, 50, seed=33)
+        b = sample_behavior_sequence(hmm, 50, seed=33)
         np.testing.assert_array_equal(a.observations, b.observations)
+
+    @settings(max_examples=30)
+    @given(behavior=st.sampled_from(Behavior.classified()), B=STOCHASTIC_MATRIX,
+           length=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_same_draws_as_chain_then_emission(self, behavior, B, length, seed):
+        # the profile's chain with B swapped in draws what a sampler over the
+        # chain and a separate B draws, bit for bit
+        chain = PROFILES[behavior]
+        seq = sample_behavior_sequence(replace(chain, B=B), length, seed=seed)
+        np.testing.assert_array_equal(
+            seq.observations, chain_then_emission(chain.pi, chain.A, np.array(B), length, seed))
 
 
 class TestValidation:
@@ -459,3 +487,42 @@ class TestValidation:
             GestureSequence(np.array([], dtype=int))
         with pytest.raises(ValueError):
             GestureSequence(np.array([0, 2]))
+
+
+CONFUSION = np.array([[18, 2], [3, 17]])
+
+
+class TestSampledSequenceCounts:
+    # sequence i of the i_b-th behavior draws seed seed0 + 1000 * i_b + i,
+    # so sequence 1000 of one behavior would draw the next one's first seed
+    @pytest.mark.parametrize("run, name", [
+        (lambda c: pipeline.train_behavior_models(c, B_REF, n_train=1001, train_length=1),
+         "n_train"),
+        (lambda c: pipeline.behavior_study(c, CONFUSION, n_train=1001, train_length=1, n_test=1),
+         "n_train"),
+        (lambda c: pipeline.behavior_study(c, CONFUSION, n_train=1, n_test=1001, test_length=1),
+         "n_test"),
+        (lambda c: pipeline.evaluate_system(c, n_traces=1, n_gesture_segments=10,
+                                            n_behavior_test=1001), "n_behavior_test"),
+    ], ids=["train_behavior_models", "behavior_study-n_train", "behavior_study-n_test",
+            "evaluate_system"])
+    def test_more_than_a_seed_stride_refused_before_sampling(self, run, name):
+        with mock.patch.object(pipeline, "sample_behavior_sequence") as sample, \
+                mock.patch.object(pipeline, "generate_segmentation_corpus") as corpus, \
+                pytest.raises(ValueError, match=f"^{name} must be at most 1000, got 1001: "):
+            run(PipelineConfig())
+        sample.assert_not_called()
+        corpus.assert_not_called()
+
+    def test_a_seed_stride_of_sequences_draw_distinct_seeds(self):
+        seeds = []
+        sample = pipeline.sample_behavior_sequence
+
+        def recording(hmm, length, seed):
+            seeds.append(seed)
+            return sample(hmm, length, seed)
+
+        with mock.patch.object(pipeline, "sample_behavior_sequence", recording):
+            pipeline.behavior_study(PipelineConfig(), CONFUSION, n_train=1000, train_length=2,
+                                    n_test=1000, test_length=2)
+        assert len(seeds) == len(set(seeds)) == 6000

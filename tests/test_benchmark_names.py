@@ -10,6 +10,7 @@ function defined in that module, the functions the tracer wraps.
 Each BENCH_<workload>_trace<T>.json at the root is a copy of perfbench/run.py's
 record of one run: it names a declared workload, no operation failed, and
 its metrics are the declared end-to-end ones (T = 0) or per-layer ones (T = 1).
+BENCH_tier1.json records a tier-1 run of the suite, in which nothing failed.
 """
 import importlib
 import inspect
@@ -76,3 +77,9 @@ def test_record_reports_the_declared_metrics(path):
     assert record["failed"] == 0 and record["attempted"] > 0
     declared = DECLARED["end_to_end"] if trace == "0" else DECLARED["per_layer"]
     assert set(record["metrics"]) == {m["name"] for m in declared}
+
+
+def test_tier1_record():
+    record = json.loads((ROOT / "BENCH_tier1.json").read_text())
+    assert {"command", "passed", "failed", "errors", "wall_s"} <= record.keys()
+    assert record["failed"] == record["errors"] == 0 and record["passed"] > 0

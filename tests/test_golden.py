@@ -114,7 +114,6 @@ def collect(workdir: Path) -> dict:
     cli("eval", "evaluate", "--traces", "2", "--segments", "16", "--behavior-sequences", "2")
     cli("plot", "plotdata", "--kind", "filter-response")
     cli("plot", "plotdata", "--kind", "subcarrier-variance", "--artifact", trace)
-    cli("plot", "plotdata", "--kind", "segments", "--artifact", trace)
 
     kept, dropped = map(int, re.match(r"found (\d+) segments \((\d+) below", found).groups())
     run_report = json.loads((workdir / "run/report.json").read_text())
@@ -139,7 +138,6 @@ def collect(workdir: Path) -> dict:
                                        eval_report["metrics"]["gesture_cv"].items()},
         "evaluate.behavior_confusion": eval_report["metrics"]["behavior"]["confusion"],
         "plotdata.max_variance_subcarrier": int(np.argmax(variances)),
-        "plotdata.segments": int_table(workdir / "plot/segments.csv"),
     }
     hashes = {  # the outputs: every file in the commands' --out directories
         str(path.relative_to(workdir)): sha256(path.read_bytes())

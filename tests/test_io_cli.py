@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from desksense import _workers, io, segmentation
+from desksense import _workers, channel, io, segmentation
 from desksense.behavior import Behavior, BehaviorHmm
 from desksense.channel import (
     DEFAULT_GESTURE_JITTER_STD,
@@ -51,7 +51,6 @@ from desksense.config import PipelineConfig, config_from_dict, load_config
 from desksense.pipeline import behavior_study
 from desksense.preprocess import (
     AmplitudeSeries,
-    _row_variance,
     select_subcarrier,
     subcarrier_variances,
 )
@@ -340,7 +339,7 @@ class TestBlockWriter:
                 io.write_annotations(d / "trace.ann", annotations)
                 io.write_dataset(d / "dataset.csv", examples)
                 io.write_confusion(d / "confusion.csv", confusion)
-                io.write_table(d / "plot.csv", ["i", "x", "name"],
+                io.write_table(d / "plot.csv", "i,x,name",
                                [np.arange(n), values[0], [ex.label.name for ex in examples]],
                                ["%d", io.FLOAT_FMT, "%s"])
             oracle_write_table(d / "trace_old.ann", None,
@@ -594,6 +593,24 @@ class TestBlockReader:
         # the samples are on a map of their own, which tracemalloc does not see
         assert on_its_own_map(got.samples)
         assert peak + got.samples.nbytes <= 1.25 * got.samples.nbytes
+
+    @pytest.mark.parametrize("shape", [(1,), (4, 30_000), ((64 << 20) // 8 + 1,),
+                                       (2, (64 << 20) // 8)],
+                             ids=["8B", "960kB", "64MiB+8B", "128MiB"])
+    def test_every_samples_array_on_its_own_map(self, shape):
+        # 64 MiB and over too, whose pages are untouched here: every samples
+        # array, simulated or read, goes back to the system when freed
+        arrays = [channel._mapped_empty(shape, np.complex64) for _ in range(2)]
+        for array in arrays:
+            assert array.shape == shape and array.dtype == np.complex64
+            assert array.flags.c_contiguous and array.flags.writeable
+            assert on_its_own_map(array)
+        assert arrays[0].base.base.obj is not arrays[1].base.base.obj
+
+    def test_no_map_for_no_bytes(self):
+        array = channel._mapped_empty((3, 0), np.complex64)
+        assert array.shape == (3, 0) and array.dtype == np.complex64
+        assert not on_its_own_map(array)
 
     # Faults in the samples and their bytes, the later ones past the
     # member's first pieces; the message after "<path>: ".
@@ -893,7 +910,7 @@ class TestWorkerProcesses:
         if trace.n_samples:   # against the calling thread alone
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                want = np.array([_row_variance(row) for row in trace.samples])
+                want = np.array([np.abs(row).var(dtype=np.float64) for row in trace.samples])
             np.testing.assert_array_equal(variances.view(np.uint64), want.view(np.uint64))
         assert threading.active_count() == threads
 
@@ -917,7 +934,7 @@ class TestWorkerProcesses:
         if trace.n_samples:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                want = np.array([_row_variance(row) for row in trace.samples])
+                want = np.array([np.abs(row).var(dtype=np.float64) for row in trace.samples])
             np.testing.assert_array_equal(variances.view(np.uint64), want.view(np.uint64))
 
     def test_pool_only_for_tables_of_several_tasks(self, tmp_path):
@@ -1516,6 +1533,20 @@ class TestAnnotationFiles:
         assert f"error: {ann}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("start, end", [(30, 30), (30, 31), (30, 32)])
+    def test_featurize_names_an_annotation_too_short(self, tmp_path, capsys, start, end):
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace(n=50))
+        ann = tmp_path / "trace.ann"
+        ann.write_text(f"# spans\n10,13,keystroke\n{start},{end},mouse_move\n")
+        code = main(["--out", str(tmp_path / "o"), "featurize", "--trace", str(trace),
+                     "--annotations", str(ann), "--use-annotations"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {ann}: annotation 2 ({start}-{end}) has {end - start + 1} samples; "
+            "featurizing needs at least 4\n")
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
     @pytest.mark.parametrize("command", [
         ["featurize", "--use-annotations"], ["featurize"], ["pipeline"],
     ])
@@ -1786,7 +1817,7 @@ class TestCli:
         rows = (out / "subcarrier_variance.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 30
 
-    @pytest.mark.parametrize("kind", ["subcarrier-variance", "segments"])
+    @pytest.mark.parametrize("kind", ["subcarrier-variance"])
     def test_plotdata_without_artifact_exit_code(self, tmp_path, capsys, kind):
         out = tmp_path / "o"
         assert self.run("--out", str(out), "plotdata", "--kind", kind) == 2
@@ -2043,6 +2074,21 @@ class TestCli:
         assert self.run("--out", str(out), "train-behavior", "--confusion",
                         str(tmp_path / "cv_confusion.csv"), flag, value) == 2
         assert capsys.readouterr().err == f"train-behavior: {flag} must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-behavior", "--sequences", "1001", "--length", "1"], "--sequences"),
+        (["evaluate", "--traces", "1", "--segments", "10", "--behavior-sequences", "1001"],
+         "--behavior-sequences"),
+    ], ids=["train-behavior", "evaluate"])
+    def test_more_sequences_than_seeds_exit_code(self, tmp_path, capsys, argv, flag):
+        path = tmp_path / "cv_confusion.csv"
+        io.write_confusion(path, np.array([[18, 2], [3, 17]]))
+        out = tmp_path / "o"
+        confusion = ["--confusion", str(path)] if argv[0] == "train-behavior" else []
+        assert self.run("--out", str(out), *argv, *confusion) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag} must be at most 1000, got 1001: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("body", ["", "\n", "\n# no rows yet\n  \n"])

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desksense import _workers, segmentation
-from desksense.channel import Annotation, CsiTrace
+from desksense import PipelineConfig, _workers, segmentation
+from desksense.channel import (DEFAULT_GESTURE_JITTER_STD, Annotation, CsiTrace, FresnelGeometry,
+                               GestureKind, GestureModel)
 from desksense.corpus import (
+    _DATASET_JITTER_STD,
+    _dataset_script,
     evaluate_segmentation,
     generate_segmentation_corpus,
     keystroke_burst_script,
@@ -438,6 +441,78 @@ def gesture_series(draw):
         t = np.arange(min(width, n - at))
         values[at:at + len(t)] += rng.uniform(-4.0, 4.0) * np.sin(np.pi * t / width) ** 2
     return AmplitudeSeries(fs=FS, values=values)
+
+
+def two_branch_random_script(config, rng, n_gestures):
+    """random_gesture_script with a keystroke body and a mouse body."""
+    d = config.geometry.antenna_distance
+    script = []
+    t = 1.0 + rng.uniform(0.0, 0.8)
+    side = 1.0 if rng.random() < 0.5 else -1.0
+    x = d / 2 + side * rng.uniform(0.15, 0.30) * d
+    for _ in range(n_gestures):
+        kind = tuple(GestureKind)[int(rng.integers(0, 2))]
+        if kind is GestureKind.KEYSTROKE:
+            depth = rng.uniform(0.57, 0.66)
+            model = GestureModel(kind=kind,
+                                 rest_pos=np.array([np.clip(x, 0.12 * d, 0.88 * d), 0.0, -depth]),
+                                 travel=0.02, duration=rng.uniform(0.6, 0.8),
+                                 jitter_std=DEFAULT_GESTURE_JITTER_STD)
+        else:
+            depth = rng.uniform(0.57, 0.66)
+            model = GestureModel(kind=kind,
+                                 rest_pos=np.array([np.clip(x, 0.12 * d, 0.85 * d), 0.0, -depth]),
+                                 travel=rng.uniform(0.03, 0.05), duration=rng.uniform(0.4, 1.0),
+                                 jitter_std=DEFAULT_GESTURE_JITTER_STD)
+        script.append((t, model))
+        t += model.duration + rng.uniform(1.5, 2.5)
+    return script, t + 0.7
+
+
+def two_branch_dataset_script(config, rng, n_gestures, kind):
+    """_dataset_script with a keystroke body and a mouse body."""
+    d = config.geometry.antenna_distance
+    script = []
+    t = 1.0 + rng.uniform(0.0, 0.5)
+    side = 1.0 if rng.random() < 0.5 else -1.0
+    for _ in range(n_gestures):
+        depth = rng.uniform(0.57, 0.66)
+        if kind is GestureKind.KEYSTROKE:
+            x = d / 2 + side * rng.uniform(0.15, 0.30) * d
+            model = GestureModel(kind=kind, rest_pos=np.array([x, 0.0, -depth]), travel=0.02,
+                                 duration=rng.uniform(0.65, 0.75), jitter_std=_DATASET_JITTER_STD)
+        else:
+            x = d / 2 + side * rng.uniform(0.04, 0.15) * d
+            model = GestureModel(kind=kind, rest_pos=np.array([x, 0.0, -depth]),
+                                 travel=rng.uniform(0.015, 0.04), duration=rng.uniform(0.35, 1.0),
+                                 jitter_std=_DATASET_JITTER_STD)
+        script.append((t, model))
+        t += model.duration + rng.uniform(1.5, 2.0)
+    return script, t + 0.7
+
+
+def script_bits(build, seed):
+    """Every value of build(rng)'s script and duration as bytes, and the
+    generator's state after it: equal only for the same draws in one order."""
+    rng = np.random.default_rng(seed)
+    script, duration = build(rng)
+    entries = [(np.float64(t).tobytes(), g.kind, g.rest_pos.tobytes(),
+                np.float64([g.travel, g.duration, g.jitter_std]).tobytes()) for t, g in script]
+    return entries, np.float64(duration).tobytes(), rng.bit_generator.state
+
+
+class TestScriptGenerators:
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n_gestures=st.integers(0, 12),
+           kind=st.sampled_from(list(GestureKind)), distance=st.sampled_from([0.6, 1.0, 1.7]))
+    def test_same_scripts_as_two_branch_bodies(self, seed, n_gestures, kind, distance):
+        config = replace(PipelineConfig(), geometry=FresnelGeometry(antenna_distance=distance))
+        assert (script_bits(lambda rng: random_gesture_script(config, rng, n_gestures), seed)
+                == script_bits(lambda rng: two_branch_random_script(config, rng, n_gestures),
+                               seed))
+        assert (script_bits(lambda rng: _dataset_script(config, rng, n_gestures, kind), seed)
+                == script_bits(lambda rng: two_branch_dataset_script(config, rng, n_gestures,
+                                                                     kind), seed))
 
 
 class TestScanMatchesWholeTraceScan:
