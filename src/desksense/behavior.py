@@ -25,14 +25,11 @@ logger = logging.getLogger(__name__)
 
 
 class Behavior(Enum):
+    """A desk behavior; the member order is the tie-break order for classification."""
+
     SURFING = "surfing"
     WORKING = "working"
     GAMING = "gaming"
-
-    @classmethod
-    def classified(cls) -> tuple["Behavior", ...]:
-        """Tie-break order for classification."""
-        return (cls.SURFING, cls.WORKING, cls.GAMING)
 
 
 def _check_stochastic(name: str, m, shape: tuple[int, ...]) -> np.ndarray:
@@ -237,7 +234,7 @@ def classify_behavior(
     Unclassifiable when no model can emit the sequence."""
     if len(models) < 2:
         raise ValueError("need at least two behavior models")
-    ordered = [b for b in Behavior.classified() if b in models]
+    ordered = [b for b in Behavior if b in models]
     scores = {b: forward_log_likelihood(models[b], seq) / len(seq) for b in ordered}
     finite = {b: s for b, s in scores.items() if np.isfinite(s)}
     if not finite:

@@ -160,24 +160,24 @@ def run_pipeline(
     return report, artifacts
 
 
-_SEED_STRIDE = 1000   # seeds between two behaviors' first sequences in _sample_sets
+SEED_STRIDE = 1000   # seeds between two behaviors' first sequences in _sample_sets
 
 
 def check_sequence_count(n: int, name: str) -> None:
     """Refuse more sampled sequences per behavior than have seeds of their own."""
-    if n > _SEED_STRIDE:
-        raise ValueError(f"{name} must be at most {_SEED_STRIDE}, got {n}: sequence "
-                         f"{_SEED_STRIDE} would reuse the seed of the next behavior's first")
+    if n > SEED_STRIDE:
+        raise ValueError(f"{name} must be at most {SEED_STRIDE}, got {n}: sequence "
+                         f"{SEED_STRIDE} would reuse the seed of the next behavior's first")
 
 
 def _sample_sets(B: np.ndarray, n: int, length: int, seed0: int):
     """n sequences of the given length per classified behavior, sampled from
     its profile with the emission matrix B: sequence i of the i_b-th
-    behavior with seed seed0 + _SEED_STRIDE * i_b + i."""
+    behavior with seed seed0 + SEED_STRIDE * i_b + i."""
     sets = {}
-    for i_b, b in enumerate(Behavior.classified()):
+    for i_b, b in enumerate(Behavior):
         hmm = replace(PROFILES[b], B=B)
-        sets[b] = [sample_behavior_sequence(hmm, length, seed=seed0 + _SEED_STRIDE * i_b + i)
+        sets[b] = [sample_behavior_sequence(hmm, length, seed=seed0 + SEED_STRIDE * i_b + i)
                    for i in range(n)]
     return sets
 
@@ -210,7 +210,7 @@ def behavior_study(
     """
     check_sequence_count(n_test, "n_test")
     B = build_emission(confusion)
-    behaviors = Behavior.classified()
+    behaviors = list(Behavior)
     models = train_behavior_models(config, B, n_train, train_length)
     tests = _sample_sets(B, n_test, test_length, config.seeds.behavior + 7_000_000)
 
@@ -225,7 +225,7 @@ def behavior_study(
 
 def behavior_confusion_table(confusion: np.ndarray) -> str:
     """Render the behavior confusion matrix as a row-percentage table."""
-    names = [b.value.upper() for b in Behavior.classified()]
+    names = [b.value.upper() for b in Behavior]
     rows = confusion / confusion.sum(axis=1, keepdims=True) * 100.0
     width = max(len(n) for n in names) + 2
     lines = [" " * width + "".join(f"{n:>{width}}" for n in names)]

@@ -326,12 +326,12 @@ class TestBehaviorModels:
                                          seed=rng_seed + 37 * i + b_i)
                 for i in range(20)
             ]
-            for b_i, b in enumerate(Behavior.classified())
+            for b_i, b in enumerate(Behavior)
         }
         models = fit_behavior_models(training, B=B)
-        for b in Behavior.classified():
+        for b in Behavior:
             own = np.linalg.norm(models[b].A - PROFILES[b].A)
-            for other in Behavior.classified():
+            for other in Behavior:
                 if other is b:
                     continue
                 cross = np.linalg.norm(models[b].A - PROFILES[other].A)
@@ -455,7 +455,7 @@ class TestSampling:
         np.testing.assert_array_equal(a.observations, b.observations)
 
     @settings(max_examples=30)
-    @given(behavior=st.sampled_from(Behavior.classified()), B=STOCHASTIC_MATRIX,
+    @given(behavior=st.sampled_from(Behavior), B=STOCHASTIC_MATRIX,
            length=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
     def test_same_draws_as_chain_then_emission(self, behavior, B, length, seed):
         # the profile's chain with B swapped in draws what a sampler over the

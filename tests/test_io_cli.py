@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import json
@@ -46,7 +47,7 @@ from desksense.classify import (
     Standardizer,
     fit,
 )
-from desksense.cli import main, parse_script
+from desksense.cli import _in_range, build_parser, main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
 from desksense.pipeline import behavior_study
 from desksense.preprocess import (
@@ -81,6 +82,22 @@ BEHAVIOR_MODELS = {
         B=[[0.9, 0.1], [0.2, 0.8]],
     ),
 }
+
+
+def subcommand_parsers() -> dict:
+    """build_parser()'s subcommand parsers by name."""
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def refused_by_parser(capsys, argv, command, message):
+    """main refuses argv in the parser of command (None: the top-level one):
+    SystemExit(2), and stderr is that parser's usage and error line."""
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    parser = build_parser() if command is None else subcommand_parsers()[command]
+    assert capsys.readouterr().err == f"{parser.format_usage()}{parser.prog}: error: {message}\n"
 
 
 def codec_split(task_values):
@@ -661,8 +678,11 @@ class TestBlockReader:
         write(path)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             io.read_trace(path)
-        for command in ("pipeline", "segment", "featurize"):
-            code = main(["--out", str(tmp_path / "o"), command, "--trace", str(path)])
+        ann = tmp_path / "trace.ann"
+        ann.write_text("")
+        for command in (["pipeline"], ["segment"], ["featurize", "--annotations", str(ann)]):
+            code = main(["--out", str(tmp_path / "o"), command[0], "--trace", str(path),
+                         *command[1:]])
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: {message}")
@@ -1622,8 +1642,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["--keystrokes", "-1"], "--keystrokes must be >= 0, got -1"),
-        (["--duration", "5"], "--duration needs --script"),
-        (["--duration", "-5"], "--duration needs --script"),
+        (["--duration", "5"], "error: --duration needs --script"),
+        (["--duration", "-5"], "--duration must be > 0 and finite, got -5.0"),
         (["--script", "{script}", "--duration", "0"], "--duration must be > 0 and finite, got 0.0"),
         (["--script", "{script}", "--duration", "-5"], "--duration must be > 0 and finite, got -5.0"),
         (["--script", "{script}", "--duration", "nan"], "--duration must be > 0 and finite, got nan"),
@@ -1636,6 +1656,7 @@ class TestCli:
          "error: {nan_travel}:1: travel must be positive and finite, got nan"),
         (["--script", "{nan_duration}"],
          "error: {nan_duration}:1: duration must be positive and finite, got nan"),
+        (["--keystrokes", "x"], "--keystrokes invalid int value: 'x'"),
     ])
     def test_simulate_bad_arguments_exit_code(self, tmp_path, capsys, argv, message):
         scripts = {"script": "1.0,keystroke,0.02,0.7", "nan_start": "nan,keystroke,0.02,0.7",
@@ -1645,11 +1666,13 @@ class TestCli:
         for name, line in scripts.items():
             paths[name].write_text(line + "\n")
         out = tmp_path / "o"
-        argv = [arg.format(**paths) for arg in argv]
-        assert self.run("--out", str(out), "simulate", *argv) == 2
-        if not message.startswith("error: "):   # a flag is at fault, not a script line
-            message = f"simulate: {message}"
-        assert capsys.readouterr().err == message.format(**paths) + "\n"
+        argv = ["--out", str(out), "simulate", *(arg.format(**paths) for arg in argv)]
+        if message.startswith("error: "):   # main's refusal, not the parser's
+            assert self.run(*argv) == 2
+            assert capsys.readouterr().err == message.format(**paths) + "\n"
+        else:
+            flag, what = message.split(" ", 1)
+            refused_by_parser(capsys, argv, "simulate", f"argument {flag}: {what}")
         assert not out.exists()
 
     def test_simulate_duration_and_zero_keystrokes(self, tmp_path):
@@ -1739,18 +1762,24 @@ class TestCli:
         assert (out1 / "plate_sweep.csv").read_text() == (out20 / "plate_sweep.csv").read_text()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--min-cm", "6", "--max-cm", "5"], "--min-cm must be <= --max-cm, got 6 > 5"),
+        (["--min-cm", "6", "--max-cm", "5"], "error: --min-cm must be <= --max-cm, got 6 > 5"),
         (["--repeats", "0"], "--repeats must be >= 1, got 0"),
         (["--repeats", "-2"], "--repeats must be >= 1, got -2"),
         (["--noise-std", "-1"], "--noise-std must be >= 0 and finite, got -1.0"),
         (["--noise-std", "nan"], "--noise-std must be >= 0 and finite, got nan"),
         (["--noise-std", "inf"], "--noise-std must be >= 0 and finite, got inf"),
         (["--min-cm", "0"], "--min-cm must be >= 1, got 0"),
+        (["--max-cm", "0"], "--max-cm must be >= 1, got 0"),
     ])
     def test_sweep_plate_bad_arguments_exit_code(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
-        assert self.run("--out", str(out), "sweep-plate", *argv) == 2
-        assert capsys.readouterr().err == f"sweep-plate: {message}\n"
+        argv = ["--out", str(out), "sweep-plate", *argv]
+        if message.startswith("error: "):   # main's refusal, not the parser's
+            assert self.run(*argv) == 2
+            assert capsys.readouterr().err == message + "\n"
+        else:
+            flag, what = message.split(" ", 1)
+            refused_by_parser(capsys, argv, "sweep-plate", f"argument {flag}: {what}")
         assert not out.exists()
 
     def test_plotdata_filter_response(self, tmp_path):
@@ -1803,8 +1832,8 @@ class TestCli:
 
     def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
         out = tmp_path / "o"
-        assert self.run("--seed", "-1", "--out", str(out), "simulate") == 2
-        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        refused_by_parser(capsys, ["--seed", "-1", "--out", str(out), "simulate"], None,
+                          "argument --seed: must be >= 0, got -1")
         assert not out.exists()
 
     def test_plotdata_subcarrier_variance(self, tmp_path):
@@ -1821,7 +1850,7 @@ class TestCli:
     def test_plotdata_without_artifact_exit_code(self, tmp_path, capsys, kind):
         out = tmp_path / "o"
         assert self.run("--out", str(out), "plotdata", "--kind", kind) == 2
-        assert capsys.readouterr().err == f"plotdata: --kind {kind} needs --artifact\n"
+        assert capsys.readouterr().err == f"error: --kind {kind} needs --artifact\n"
         assert not out.exists()
 
     def test_flat_trace_pipeline_zero_segments(self, tmp_path):
@@ -1973,8 +2002,9 @@ class TestCli:
     ])
     def test_evaluate_sizes_below_one_exit_code(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
-        assert self.run("--out", str(out), "evaluate", flag, value) == 2
-        assert capsys.readouterr().err == f"evaluate: {flag} must be >= 1, got {value}\n"
+        top = " and <= 1000" if flag == "--behavior-sequences" else ""
+        refused_by_parser(capsys, ["--out", str(out), "evaluate", flag, value], "evaluate",
+                          f"argument {flag}: must be >= 1{top}, got {value}")
         assert not out.exists()
 
     def test_evaluate_segments_below_folds_exit_code(self, tmp_path, capsys):
@@ -1982,7 +2012,7 @@ class TestCli:
         assert self.run("--out", str(out), "evaluate", "--traces", "1", "--segments", "5",
                         "--behavior-sequences", "1") == 2
         assert capsys.readouterr().err == (
-            "evaluate: --segments must be at least the 10 cross-validation folds, got 5\n")
+            "error: --segments must be at least the 10 cross-validation folds, got 5\n")
         assert not out.exists()
 
     def test_evaluate_stage_failure_reported_with_name(self, tmp_path, capsys):
@@ -2071,9 +2101,11 @@ class TestCli:
     ])
     def test_train_behavior_sizes_below_one_exit_code(self, tmp_path, capsys, flag, value):
         out = tmp_path / "o"
-        assert self.run("--out", str(out), "train-behavior", "--confusion",
-                        str(tmp_path / "cv_confusion.csv"), flag, value) == 2
-        assert capsys.readouterr().err == f"train-behavior: {flag} must be >= 1, got {value}\n"
+        top = " and <= 1000" if flag == "--sequences" else ""
+        argv = ["--out", str(out), "train-behavior", "--confusion",
+                str(tmp_path / "cv_confusion.csv"), flag, value]
+        refused_by_parser(capsys, argv, "train-behavior",
+                          f"argument {flag}: must be >= 1{top}, got {value}")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
@@ -2086,9 +2118,8 @@ class TestCli:
         io.write_confusion(path, np.array([[18, 2], [3, 17]]))
         out = tmp_path / "o"
         confusion = ["--confusion", str(path)] if argv[0] == "train-behavior" else []
-        assert self.run("--out", str(out), *argv, *confusion) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {flag} must be at most 1000, got 1001: ")
+        refused_by_parser(capsys, ["--out", str(out), *argv, *confusion], argv[0],
+                          f"argument {flag}: must be >= 1 and <= 1000, got 1001")
         assert not out.exists()
 
     @pytest.mark.parametrize("body", ["", "\n", "\n# no rows yet\n  \n"])
@@ -2140,7 +2171,7 @@ class TestCli:
         out = tmp_path / "o"
         assert self.run("--out", str(out), "pipeline", "--trace", str(trace),
                         "--behavior-models", str(models)) == 2
-        assert capsys.readouterr().err == "pipeline: --behavior-models needs --gesture-model\n"
+        assert capsys.readouterr().err == "error: --behavior-models needs --gesture-model\n"
         assert not out.exists()
 
     def test_pipeline_report_deterministic(self, tmp_path):
@@ -2159,6 +2190,87 @@ class TestCli:
         b.pop("timings_s")
         assert a == b
         assert a["metrics"]["segments_found"] == 3
+
+    @pytest.mark.parametrize("case", [
+        "segment", "pipeline", "featurize", "train-gesture-2-rows", "train-gesture-1-class",
+        "train-behavior", "featurize-2-samples",
+    ])
+    def test_refusal_leaves_no_out_directory(self, tmp_path, capsys, case):
+        # inputs are read and checked before anything is written under --out
+        bad = tmp_path / "bad.csv"
+        bad.write_text("not a zip\n")
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace(n=50))
+        ann = tmp_path / "trace.ann"
+        ann.write_text("30,31,mouse_move\n")
+        rows = {"train-gesture-2-rows": ["0.5,1.2,0.7,typing", "0.6,1.3,0.8,mouse"],
+                "train-gesture-1-class": [f"0.{i},1.2,0.7,typing" for i in range(1, 13)]}
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text("variance,slope_ratio,duration,label\n"
+                           + "".join(row + "\n" for row in rows.get(case, [])))
+        confusion = tmp_path / "cv_confusion.csv"
+        confusion.write_text(self.CONFUSION_HEADER + "\n")
+        argv, message = {
+            "segment": (["segment", "--trace", bad], f"{bad}: File is not a zip file"),
+            "pipeline": (["pipeline", "--trace", bad], f"{bad}: File is not a zip file"),
+            "featurize": (["featurize", "--trace", bad, "--annotations", ann],
+                          f"{bad}: File is not a zip file"),
+            "train-gesture-2-rows": (["train-gesture", "--dataset", dataset],
+                                     f"{dataset}: more folds than examples"),
+            "train-gesture-1-class": (["train-gesture", "--dataset", dataset],
+                                      f"{dataset}: dataset must contain both classes"),
+            "train-behavior": (["train-behavior", "--confusion", confusion],
+                               f"{confusion}: expected a 'typing' row, then a 'mouse' row, "
+                               "got 0 rows"),
+            "featurize-2-samples": (
+                ["featurize", "--trace", trace, "--annotations", ann, "--use-annotations"],
+                f"{ann}: annotation 1 (30-31) has 2 samples; featurizing needs at least 4"),
+        }[case]
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), *map(str, argv)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_featurize_needs_annotations(self, tmp_path, capsys):
+        # without annotations no detection has a label, and the dataset is
+        # always empty
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace(n=50))
+        out = tmp_path / "o"
+        refused_by_parser(capsys, ["--out", str(out), "featurize", "--trace", str(trace)],
+                          "featurize", "the following arguments are required: --annotations")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("use_annotations", [True, False])
+    def test_featurize_empty_annotations(self, tmp_path, capsys, use_annotations):
+        trace = tmp_path / "trace.csv"
+        io.write_trace(trace, random_trace(n=50))
+        ann = tmp_path / "trace.ann"
+        ann.write_text("")
+        out = tmp_path / "o"
+        assert self.run("--out", str(out), "featurize", "--trace", str(trace),
+                        "--annotations", str(ann),
+                        *(["--use-annotations"] if use_annotations else [])) == 0
+        assert (out / "dataset.csv").read_text() == "variance,slope_ratio,duration,label\n"
+        assert capsys.readouterr().out == f"wrote 0 labeled examples to {out / 'dataset.csv'}\n"
+
+    def test_every_number_flag_checks_its_range(self):
+        # a flag's own range is checked where the parser converts its text,
+        # so a new int or float flag cannot skip the check
+        converter = _in_range(int, 0).__code__
+        checked = set()
+        for parser in [build_parser(), *subcommand_parsers().values()]:
+            for action in parser._actions:
+                default = action.default
+                number = action.type in (int, float) or (
+                    isinstance(default, (int, float)) and not isinstance(default, bool))
+                ranged = getattr(action.type, "__code__", None) is converter
+                assert ranged or not number, action.dest
+                if ranged:
+                    checked.add(action.option_strings[0])
+        assert checked == {"--seed", "--keystrokes", "--duration", "--sequences", "--length",
+                           "--traces", "--segments", "--behavior-sequences", "--min-cm",
+                           "--max-cm", "--repeats", "--noise-std"}
 
 
 # Reader fuzz: a valid file of each kind, written by its writer, then mutated.
