@@ -3,8 +3,8 @@ seeds and small sizes.
 
 collect() runs the CLI chain simulate -> segment -> featurize ->
 train-gesture -> train-behavior -> pipeline --annotations, a small
-evaluate and each plotdata kind on a small deployment, and run_pipeline on
-a 60 s in-memory trace at the default configuration.  Its discrete outputs
+evaluate, each plotdata kind and sweep-plate on a small deployment, and
+run_pipeline on a 60 s in-memory trace at the default configuration.  Its discrete outputs
 (selected subcarrier, segment indices, kept and dropped counts, labels,
 confusion matrices) are compared with tests/golden.json as they are, and
 every output file by its sha256.  Each comparable report is hashed in two
@@ -114,6 +114,7 @@ def collect(workdir: Path) -> dict:
     cli("eval", "evaluate", "--traces", "2", "--segments", "16", "--behavior-sequences", "2")
     cli("plot", "plotdata", "--kind", "filter-response")
     cli("plot", "plotdata", "--kind", "subcarrier-variance", "--artifact", trace)
+    cli("plate", "sweep-plate")
 
     kept, dropped = map(int, re.match(r"found (\d+) segments \((\d+) below", found).groups())
     run_report = json.loads((workdir / "run/report.json").read_text())
