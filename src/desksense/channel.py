@@ -587,8 +587,6 @@ def simulate_plate_sweep(
     grid_density: float = 200.0,
     static_component: complex = 1.0 + 0j,
     reflectivity: float = 25.0,
-    noise_std: float = 0.0,
-    rng_seed: int = 0,
 ) -> list[tuple[float, float]]:
     """Peak-to-peak |H| while dragging square plates below the link midpoint.
 
@@ -598,15 +596,15 @@ def simulate_plate_sweep(
     starts 0.5 m below the midpoint and is dragged 15 mm along the axis at
     0.08 m/s, sampled at DEFAULT_FS.
     Larger plates span neighbouring Fresnel zones whose contributions cancel,
-    so the returned curve is non-monotonic in side length.
+    so the returned curve is non-monotonic in side length.  The sweep is
+    noise-free and draws no random numbers: the same arguments give the same
+    rows bit for bit.
     """
     sides = list(side_lengths)
     if any(s <= 0 for s in sides):
         raise ValueError("side lengths must be positive")
     if sides != sorted(sides):
         raise ValueError("side lengths must be ascending")
-    if not 0 <= noise_std < math.inf:
-        raise ValueError("noise_std must be non-negative and finite")
 
     depth, drag_range, drag_speed = 0.5, 0.015, 0.08   # m, m, m/s
     mid = geometry.midpoint
@@ -614,7 +612,6 @@ def simulate_plate_sweep(
     down = np.array([0.0, 0.0, -1.0])
     n_steps = int(round(drag_range / drag_speed * DEFAULT_FS)) + 1
     shifts = np.linspace(0.0, drag_range, n_steps)
-    rng = np.random.default_rng(rng_seed)
 
     # every plate is checked before any is built: the grid's first column
     # at rest and its last one fully dragged must stay between the antennas
@@ -642,9 +639,6 @@ def simulate_plate_sweep(
         h = static_component + amp * np.exp(
             -2j * np.pi * lengths / geometry.wavelength
         ).sum(axis=1)
-        if noise_std > 0:
-            noise = rng.normal(0.0, noise_std, (2, n_steps))
-            h = h + noise[0] + 1j * noise[1]
         magnitude = np.abs(h)
         results.append((float(side), float(magnitude.max() - magnitude.min())))
     return results

@@ -224,19 +224,10 @@ def cmd_sweep_plate(args) -> int:
         raise ValueError(f"--min-cm must be <= --max-cm, got {args.min_cm} > {args.max_cm}")
     config = _load_config(args)
     sides = [s / 100.0 for s in range(args.min_cm, args.max_cm + 1)]
-    acc = np.zeros(len(sides))
-    for r in range(args.repeats):
-        rows = simulate_plate_sweep(
-            config.geometry,
-            sides,
-            noise_std=args.noise_std,
-            rng_seed=config.seeds.simulation + r,
-        )
-        acc += np.array([pp for _s, pp in rows])
-    acc /= args.repeats
-    io.write_table(args.out / "plate_sweep.csv", "side_m,peak_to_peak", [sides, acc],
+    rows = simulate_plate_sweep(config.geometry, sides)
+    io.write_table(args.out / "plate_sweep.csv", "side_m,peak_to_peak", list(zip(*rows)),
                    [io.FLOAT_FMT] * 2)
-    print(f"wrote {args.out / 'plate_sweep.csv'} ({len(sides)} sizes, {args.repeats} repeats)")
+    print(f"wrote {args.out / 'plate_sweep.csv'} ({len(sides)} sizes)")
     return 0
 
 
@@ -330,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-plate", help="plate-size channel response sweep")
     p.add_argument("--min-cm", type=_in_range(int, 1), default=2)
     p.add_argument("--max-cm", type=_in_range(int, 1), default=12)
-    p.add_argument("--repeats", type=_in_range(int, 1), default=20)
-    p.add_argument("--noise-std", type=_in_range(float, 0), default=0.0)
     p.set_defaults(func=cmd_sweep_plate)
 
     p = sub.add_parser("plotdata", help="emit plot-ready tables")

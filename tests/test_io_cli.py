@@ -1744,30 +1744,29 @@ class TestCli:
         out = tmp_path / "sweep"
         code = self.run(
             "--out", str(out), "sweep-plate", "--min-cm", "2", "--max-cm", "5",
-            "--repeats", "1",
         )
         assert code == 0
         lines = (out / "plate_sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "side_m,peak_to_peak"
         assert len(lines) == 5
 
-    def test_sweep_repeats_average_noiseless_identical(self, tmp_path):
-        out1 = tmp_path / "r1"
-        out20 = tmp_path / "r20"
-        for out, reps in ((out1, "1"), (out20, "20")):
-            assert self.run(
-                "--out", str(out), "sweep-plate", "--min-cm", "2", "--max-cm", "4",
-                "--repeats", reps,
-            ) == 0
-        assert (out1 / "plate_sweep.csv").read_text() == (out20 / "plate_sweep.csv").read_text()
+    def test_sweep_plate_reads_no_seed(self, tmp_path):
+        # the sweep draws no random numbers, so --seed changes no byte
+        outs = [tmp_path / "default", tmp_path / "seed5"]
+        assert self.run("--out", str(outs[0]), "sweep-plate", "--max-cm", "4") == 0
+        assert self.run("--seed", "5", "--out", str(outs[1]), "sweep-plate", "--max-cm", "4") == 0
+        tables = [(out / "plate_sweep.csv").read_bytes() for out in outs]
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("argv, message", [
         (["--min-cm", "6", "--max-cm", "5"], "error: --min-cm must be <= --max-cm, got 6 > 5"),
-        (["--repeats", "0"], "--repeats must be >= 1, got 0"),
-        (["--repeats", "-2"], "--repeats must be >= 1, got -2"),
-        (["--noise-std", "-1"], "--noise-std must be >= 0 and finite, got -1.0"),
-        (["--noise-std", "nan"], "--noise-std must be >= 0 and finite, got nan"),
-        (["--noise-std", "inf"], "--noise-std must be >= 0 and finite, got inf"),
+        # the sweep has no repeats and no noise: whatever their value, the
+        # flags that set them are unknown to the parser
+        (["--repeats", "2"], "unrecognized arguments: --repeats 2"),
+        (["--repeats", "-2"], "unrecognized arguments: --repeats -2"),
+        (["--noise-std", "0.1"], "unrecognized arguments: --noise-std 0.1"),
+        (["--noise-std", "nan"], "unrecognized arguments: --noise-std nan"),
+        (["--noise-std", "inf"], "unrecognized arguments: --noise-std inf"),
         (["--min-cm", "0"], "--min-cm must be >= 1, got 0"),
         (["--max-cm", "0"], "--max-cm must be >= 1, got 0"),
     ])
@@ -1777,6 +1776,8 @@ class TestCli:
         if message.startswith("error: "):   # main's refusal, not the parser's
             assert self.run(*argv) == 2
             assert capsys.readouterr().err == message + "\n"
+        elif message.startswith("unrecognized"):   # the top-level parser's
+            refused_by_parser(capsys, argv, None, message)
         else:
             flag, what = message.split(" ", 1)
             refused_by_parser(capsys, argv, "sweep-plate", f"argument {flag}: {what}")
@@ -1824,11 +1825,11 @@ class TestCli:
         assert np.array_equal(io.read_trace(out / "trace.csv").samples, want.samples)
 
         assert self.run("--config", str(config), "--out", str(out), "sweep-plate",
-                        "--min-cm", "2", "--max-cm", "4", "--repeats", "1") == 0
+                        "--min-cm", "2", "--max-cm", "4") == 0
         rows = (out / "plate_sweep.csv").read_text().strip().splitlines()[1:]
         got = [tuple(map(float, line.split(","))) for line in rows]
-        assert got == simulate_plate_sweep(geometry, [0.02, 0.03, 0.04], rng_seed=1)
-        assert got != simulate_plate_sweep(FresnelGeometry(), [0.02, 0.03, 0.04], rng_seed=1)
+        assert got == simulate_plate_sweep(geometry, [0.02, 0.03, 0.04])
+        assert got != simulate_plate_sweep(FresnelGeometry(), [0.02, 0.03, 0.04])
 
     def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -2270,7 +2271,7 @@ class TestCli:
                     checked.add(action.option_strings[0])
         assert checked == {"--seed", "--keystrokes", "--duration", "--sequences", "--length",
                            "--traces", "--segments", "--behavior-sequences", "--min-cm",
-                           "--max-cm", "--repeats", "--noise-std"}
+                           "--max-cm"}
 
 
 # Reader fuzz: a valid file of each kind, written by its writer, then mutated.
