@@ -23,7 +23,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 import zipfile
 import zlib
 from contextlib import contextmanager, suppress
@@ -51,10 +50,12 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 @contextmanager
 def _atomic_open(path, mode="w"):
-    """Handle in mode on a temp file beside path, renamed over path on success."""
+    """Handle in mode on a temp file beside path, renamed over path on success.
+    The temp file is created as open() creates a file, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh

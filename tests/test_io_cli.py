@@ -406,6 +406,18 @@ class TestBlockWriter:
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)],
+                             ids=["022", "002", "077"])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # as open() creates a file: 0o666 less the umask
+        old = os.umask(umask)
+        try:
+            io.write_trace(tmp_path / "trace.csv", random_trace())
+            io.atomic_write_text(tmp_path / "report.json", "{}\n")
+        finally:
+            os.umask(old)
+        assert [p.stat().st_mode & 0o777 for p in sorted(tmp_path.iterdir())] == [mode, mode]
+
     def test_signed_zeros_round_trip(self, tmp_path):
         samples = complex_from_parts(np.array([[-0.0, -0.0, 0.0, -0.0]]),
                                      np.array([[-0.0, 2.0, -0.0, 0.0]]))
