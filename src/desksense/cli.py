@@ -344,6 +344,9 @@ def main(argv=None) -> int:
         try:
             return args.func(args)
         except StageError as exc:   # the partial report and artifacts, then exit 1
+            if args.command == "pipeline":   # and no earlier run's artifacts beside them
+                for name in ("filtered.csv", "segments.csv"):
+                    (args.out / name).unlink(missing_ok=True)
             _write_report(args.out, exc.report, exc.artifacts)
             print(f"{args.command} failed at stage {exc.stage!r}: {exc.cause}", file=sys.stderr)
             return 1

@@ -2054,6 +2054,41 @@ class TestCli:
         doc = json.loads((rdir / "report.json").read_text())
         assert doc["metrics"]["failed_stage"] == "select_subcarrier"
 
+    @pytest.mark.parametrize("fs, scale, stage, written", [
+        (1000.0, 0.0, "select_subcarrier", []),    # all zero: no informative subcarrier
+        (20.0, 1.0, "segment", ["filtered.csv"]),  # the segmenter's windows are too short
+    ])
+    def test_failed_pipeline_keeps_no_earlier_artifacts(self, tmp_path, capsys, fs, scale,
+                                                        stage, written):
+        # an earlier run's filtered.csv and segments.csv are replaced by this
+        # run's, or removed if this run did not get to write them
+        samples = scale * np.random.default_rng(0).normal(size=(3, 400)) + 0j
+        path = tmp_path / "trace.csv"
+        io.write_trace(path, CsiTrace(fs=fs, samples=samples))
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in ("filtered.csv", "segments.csv", "nor.csv"):
+            (out / name).write_text("earlier run\n")
+        assert self.run("--out", str(out), "pipeline", "--trace", str(path)) == 1
+        assert f"failed at stage {stage!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted(["nor.csv", "report.json",
+                                                                *written])
+        for name in written:
+            assert (out / name).read_text() != "earlier run\n"
+
+    def test_evaluate_failure_keeps_other_files(self, tmp_path, capsys):
+        # evaluate writes no artifacts, and the files of other commands in
+        # its --out stay
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "segments.csv").write_text("from segment\n")
+        with mock.patch("desksense.pipeline.generate_segmentation_corpus",
+                        side_effect=ValueError("no traces today")):
+            assert self.run("--out", str(out), "evaluate", "--traces", "1", "--segments", "10",
+                            "--behavior-sequences", "1") == 1
+        capsys.readouterr()
+        assert (out / "segments.csv").read_text() == "from segment\n"
+
     def test_pipeline_empty_trace_fails_at_select_subcarrier(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         io.write_trace(path, CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
