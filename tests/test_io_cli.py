@@ -2029,7 +2029,10 @@ class TestCli:
         assert not out.exists()
 
     def test_evaluate_stage_failure_reported_with_name(self, tmp_path, capsys):
+        # the files of other commands in its --out stay
         out = tmp_path / "o"
+        out.mkdir()
+        (out / "segments.csv").write_text("from segment\n")
         with mock.patch("desksense.pipeline.generate_segmentation_corpus",
                         side_effect=ValueError("no traces today")):
             code = self.run("--out", str(out), "evaluate", "--traces", "1", "--segments", "10",
@@ -2039,6 +2042,7 @@ class TestCli:
         assert captured.err == "evaluate failed at stage 'segmentation_study': no traces today\n"
         doc = json.loads((out / "report.json").read_text())
         assert doc["metrics"]["failed_stage"] == "segmentation_study"
+        assert (out / "segments.csv").read_text() == "from segment\n"
 
     def test_pipeline_stage_failure_reported_with_name(self, tmp_path, capsys):
         # an all-zero trace has no informative subcarrier: the failing stage
@@ -2075,19 +2079,6 @@ class TestCli:
                                                                 *written])
         for name in written:
             assert (out / name).read_text() != "earlier run\n"
-
-    def test_evaluate_failure_keeps_other_files(self, tmp_path, capsys):
-        # evaluate writes no artifacts, and the files of other commands in
-        # its --out stay
-        out = tmp_path / "o"
-        out.mkdir()
-        (out / "segments.csv").write_text("from segment\n")
-        with mock.patch("desksense.pipeline.generate_segmentation_corpus",
-                        side_effect=ValueError("no traces today")):
-            assert self.run("--out", str(out), "evaluate", "--traces", "1", "--segments", "10",
-                            "--behavior-sequences", "1") == 1
-        capsys.readouterr()
-        assert (out / "segments.csv").read_text() == "from segment\n"
 
     def test_pipeline_empty_trace_fails_at_select_subcarrier(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
