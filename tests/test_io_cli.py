@@ -1754,9 +1754,7 @@ class TestCli:
 
     def test_sweep_plate_table(self, tmp_path):
         out = tmp_path / "sweep"
-        code = self.run(
-            "--out", str(out), "sweep-plate", "--min-cm", "2", "--max-cm", "5",
-        )
+        code = self.run("--out", str(out), "sweep-plate", "--min-cm", "2", "--max-cm", "5")
         assert code == 0
         lines = (out / "plate_sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "side_m,peak_to_peak"
