@@ -269,45 +269,28 @@ def _mapped_empty(shape, dtype) -> np.ndarray:
     return np.frombuffer(buffer, dtype).reshape(shape)
 
 
-def _check_cast(given: np.ndarray, samples: np.ndarray) -> None:
-    """Refuse a finite part of a (subcarriers, T) input that its rounding to
-    complex64, samples, made infinite, naming the first such sample."""
-    for s, row in enumerate(samples):
-        lost = np.flatnonzero(np.isinf(row.real) | np.isinf(row.imag))
-        if not len(lost):
-            continue
-        parts = np.asarray(given[s, lost], dtype=np.clongdouble)
-        overflow = ((np.isfinite(parts.real) & np.isinf(row.real[lost]))
-                    | (np.isfinite(parts.imag) & np.isinf(row.imag[lost])))
-        if overflow.any():
-            i = int(lost[np.argmax(overflow)])
-            raise ValueError(f"sample {complex(given[s, i])} at subcarrier {s}, index {i} "
-                             "is beyond complex64's range")
-
-
 @dataclass
 class CsiTrace:
     """Uniformly sampled multi-subcarrier complex channel response.
 
     The samples are complex64, as commodity CSI reports them with far fewer
-    bits than a float32 holds; other input, complex128 included, is rounded
-    once to complex64, and a finite part beyond float32's range is refused
-    rather than rounded to infinity."""
+    bits than a float32 holds, and are kept without a copy.  Samples of any
+    other dtype, complex128 included, are refused by name, not rounded, as
+    a trace file's reader refuses them: its "<c8" is complex64 on the
+    little-endian hosts desksense runs on."""
 
     fs: float
     samples: np.ndarray  # (subcarriers, T) complex64
     meta: list[Annotation] = field(default_factory=list)
 
     def __post_init__(self):
-        given = np.asarray(self.samples)
-        with np.errstate(over="ignore"):   # an overflow is refused below
-            self.samples = given.astype(np.complex64, copy=False)
+        self.samples = np.asarray(self.samples)
+        if self.samples.dtype != np.complex64:
+            raise ValueError(f"samples have dtype {self.samples.dtype}, expected complex64")
         if self.samples.ndim != 2:
             raise ValueError("samples must be a (subcarriers, T) array")
         if self.samples.shape[0] < 1:
             raise ValueError("subcarriers must be >= 1")
-        if self.samples is not given:
-            _check_cast(given, self.samples)
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ValueError(f"fs must be positive and finite, got {self.fs}")
         last = -1

@@ -229,11 +229,11 @@ class CrossValidationResult:
     fold_accuracies: list[float]
     mean_accuracy: float
     confusion: np.ndarray   # rows true, columns predicted
-    kind: str = ""
+    kind: str
 
     def summary(self) -> str:
         return (
-            f"{self.kind or 'classifier'}: mean accuracy {self.mean_accuracy:.3f} "
+            f"{self.kind}: mean accuracy {self.mean_accuracy:.3f} "
             f"over {len(self.fold_accuracies)} folds"
         )
 

@@ -3,19 +3,20 @@
 A trace is one uncompressed `.npz` archive, whatever its file name, of two
 `.npy` members: `fs.npy` (0-d float64) and `samples.npy` ((S, T) C-order
 complex64, little-endian), and the file keeps every bit.  Samples of any
-other dtype, complex128 included, are refused by name, not rounded.  A
-write streams each member a row at a time.  A read checks a member's
-header against the bytes it stores before anything is allocated, then
-takes the samples from the file into their array in one call and checks
-zip's CRC of them itself.  Every other
-artifact is plain text at full double precision, so it diffs cleanly and
-round-trips losslessly: one writer formats every table in tasks of rows,
-one `%` per task, and streams them in order into a temp file renamed over
-the target.  The files people write or edit (annotations,
-datasets, gesture scripts, confusion tables) are read by read_records, one
-rule for comments, blank lines, headers and errors.  The JSON files (the
-config and the model files) go through one codec, _from_json and _to_json,
-driven by the fields of the dataclasses they hold.
+other dtype, complex128 included, are refused by name, not rounded, the
+one rule CsiTrace keeps in memory too.  A write streams each member a row
+at a time.  A read checks a member's header against the bytes it stores
+before anything is allocated, takes the samples from the file into their
+array in one call, checks zip's CRC of them itself and checks them finite
+a row at a time.  Every other artifact is plain text at full double
+precision, so it diffs cleanly and round-trips losslessly: one writer
+formats every table in tasks of rows, one `%` per task, and streams them
+in order into a temp file renamed over the target.  The files people write
+or edit (annotations, datasets, gesture scripts, confusion tables) are
+read by read_records, one rule for comments, blank lines, headers and
+errors.  The JSON files (the config and the model files) go through one
+codec, _from_json and _to_json, driven by the fields of the dataclasses
+they hold.
 """
 from __future__ import annotations
 
@@ -166,10 +167,11 @@ def read_trace(path) -> CsiTrace:
             if names != [name for name, *_ in _TRACE_MEMBERS]:
                 raise ValueError(f"expected members fs.npy and samples.npy, got {names}")
             fs, samples = (_read_member(archive, *member) for member in _TRACE_MEMBERS)
-        finite = np.isfinite(samples)
-        if not finite.all():
-            s, t = np.unravel_index(np.argmin(finite), finite.shape)
-            raise ValueError(f"non-finite sample {samples[s, t]} at subcarrier {s}, index {t}")
+        finite = np.empty(samples.shape[1], dtype=bool)   # one row's mask, not (S, T)'s
+        for s, row in enumerate(samples):
+            if not np.isfinite(row, out=finite).all():
+                t = np.argmin(finite)
+                raise ValueError(f"non-finite sample {row[t]} at subcarrier {s}, index {t}")
         return CsiTrace(fs=float(fs), samples=samples)
     except EOFError:
         raise ValueError(f"{path}: the archive ends inside a member") from None

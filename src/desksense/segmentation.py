@@ -90,10 +90,6 @@ class GestureSegment:
             raise ValueError("waveform length must match the index span")
 
     @property
-    def duration(self) -> float:
-        return len(self.waveform) / self.fs
-
-    @property
     def amplitude_span(self) -> float:
         return float(self.waveform.max() - self.waveform.min())
 

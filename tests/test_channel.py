@@ -1,6 +1,7 @@
 import math
 import mmap
 import os
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.ndimage import gaussian_filter1d
 from scipy.optimize import brentq
 
-from desksense import _workers, channel
+from desksense import _workers, channel, io
 from desksense.channel import (
     _build_reflector_track,
     _check_slab,
@@ -409,23 +410,6 @@ class TestSimulateTrace:
         assert trace.samples.shape == (n_sub, n_samples)
         assert trace.samples.nbytes == 8 * n_sub * n_samples
 
-    def test_complex128_input_rounded_once(self):
-        re, im = np.random.default_rng(2).normal(8.0, 1.0, (2, 2, 40))
-        samples = re + 1j * im
-        got = CsiTrace(fs=1000.0, samples=samples).samples
-        assert got.dtype == np.complex64
-        assert np.array_equal(got.real, samples.real.astype(np.float32))
-        assert np.array_equal(got.imag, samples.imag.astype(np.float32))
-
-    @pytest.mark.parametrize("samples, where", [
-        ([[1e300 + 0j, 1 + 0j]], "subcarrier 0, index 0"),
-        ([[1 + 0j, 2 + 0j], [3 + 0j, complex(np.inf, -4e38)]], "subcarrier 1, index 1"),
-        (np.array([[1.0, np.nan, -3.5e38]]), "subcarrier 0, index 2"),
-    ])
-    def test_finite_part_beyond_float32_refused(self, samples, where):
-        with pytest.raises(ValueError, match=f"at {where} is beyond complex64's range"):
-            CsiTrace(fs=1000.0, samples=samples)
-
     def test_complex64_input_taken_as_it_is(self):
         # neither cast nor checked, infinities included
         samples = np.array([[1.0, np.inf, np.nan]], dtype=np.complex64)
@@ -467,13 +451,35 @@ class TestSimulateTrace:
     @pytest.mark.parametrize("n", [0, 5])
     def test_refuses_what_the_trace_reader_refuses(self, fs, rows, message, n):
         with pytest.raises(ValueError, match=message):
-            CsiTrace(fs=fs, samples=np.ones((rows, n), dtype=complex))
+            CsiTrace(fs=fs, samples=np.ones((rows, n), dtype=np.complex64))
+
+    @pytest.mark.parametrize("samples", [
+        np.ones((2, 5), dtype=np.complex128),
+        np.ones((2, 5), dtype=">c8"),
+        np.ones((2, 5), dtype=np.float32),
+        np.ones((2, 5), dtype=np.float64),
+        np.ones((2, 5), dtype=object),
+        [[1 + 2j] * 5] * 2,
+        np.ones((0, 5), dtype=np.complex128),
+    ], ids=["complex128", ">c8", "float32", "float64", "object", "list-of-complex",
+            "complex128-no-subcarriers"])
+    def test_refuses_the_dtypes_the_trace_reader_refuses(self, tmp_path, samples):
+        # by name, before any shape check and without rounding anything, in
+        # memory as in a trace file
+        dtype = re.escape(str(np.asarray(samples).dtype))
+        with pytest.raises(ValueError, match=f"^samples have dtype {dtype}, expected complex64$"):
+            CsiTrace(fs=1000.0, samples=samples)
+        path = tmp_path / "trace.npz"
+        np.savez(path, fs=np.float64(1000.0), samples=np.asarray(samples))
+        with pytest.raises(ValueError, match=f": samples.npy has dtype {dtype}, "
+                                             "expected complex64$"):
+            io.read_trace(path)
 
     def test_annotations_validated(self):
         with pytest.raises(ValueError, match="sorted"):
             CsiTrace(
                 fs=100.0,
-                samples=np.ones((1, 50), dtype=complex),
+                samples=np.ones((1, 50), dtype=np.complex64),
                 meta=[Annotation(10, 20, "a"), Annotation(15, 30, "b")],
             )
 

@@ -61,7 +61,7 @@ from desksense.segmentation import GestureSegment
 def random_trace(seed=0, n_sub=4, n=50):
     rng = np.random.default_rng(seed)
     samples = rng.normal(0, 1, (n_sub, n)) + 1j * rng.normal(0, 1, (n_sub, n))
-    return CsiTrace(fs=1000.0, samples=samples)
+    return CsiTrace(fs=1000.0, samples=samples.astype(np.complex64))
 
 
 # Examples of both labels, enough to fit either classifier.
@@ -377,7 +377,7 @@ class TestBlockWriter:
 
     @settings(max_examples=40)
     @given(trace=traces())
-    @example(trace=CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
+    @example(trace=CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=np.complex64)))
     @example(trace=CsiTrace(fs=1000.0, samples=complex_from_parts(   # float32 subnormals
         np.float32([[-0.0, 1e-45, -1e-40, 0.0]]), np.float32([[0.0, -1e-45, 1.1754942e-38, -0.0]]))))
     def test_trace_round_trip_bit_exact(self, trace):
@@ -580,7 +580,7 @@ class TestBlockReader:
     def test_only_skipped_lines_read_as_no_samples(self, tmp_path, body):
         # a (2, 0) trace whose only text is its zip comment
         path = tmp_path / "trace.csv"
-        empty = CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex))
+        empty = CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=np.complex64))
         commented(body.encode(), lambda p: io.write_trace(p, empty))(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -621,7 +621,10 @@ class TestBlockReader:
         assert got.samples.shape == (4, n)
         # the samples are on a map of their own, which tracemalloc does not see
         assert on_its_own_map(got.samples)
-        assert peak + got.samples.nbytes <= 1.25 * got.samples.nbytes
+        # beyond them the read holds one row's finiteness mask (n bytes) and
+        # zipfile's own structures, a few rows in all; the whole (4, n) mask
+        # would take 4n by itself
+        assert peak <= 4 * n
 
     @pytest.mark.parametrize("shape", [(1,), (4, 30_000), ((64 << 20) // 8 + 1,),
                                        (2, (64 << 20) // 8)],
@@ -2045,7 +2048,7 @@ class TestCli:
     def test_pipeline_stage_failure_reported_with_name(self, tmp_path, capsys):
         # an all-zero trace has no informative subcarrier: the failing stage
         # is named and the partial report is still written
-        trace = CsiTrace(fs=1000.0, samples=np.zeros((3, 2000), dtype=complex))
+        trace = CsiTrace(fs=1000.0, samples=np.zeros((3, 2000), dtype=np.complex64))
         path = tmp_path / "zero.csv"
         io.write_trace(path, trace)
         rdir = tmp_path / "zr"
@@ -2064,7 +2067,7 @@ class TestCli:
                                                         stage, written):
         # an earlier run's filtered.csv and segments.csv are replaced by this
         # run's, or removed if this run did not get to write them
-        samples = scale * np.random.default_rng(0).normal(size=(3, 400)) + 0j
+        samples = (scale * np.random.default_rng(0).normal(size=(3, 400))).astype(np.complex64)
         path = tmp_path / "trace.csv"
         io.write_trace(path, CsiTrace(fs=fs, samples=samples))
         out = tmp_path / "o"
@@ -2080,7 +2083,7 @@ class TestCli:
 
     def test_pipeline_empty_trace_fails_at_select_subcarrier(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
-        io.write_trace(path, CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
+        io.write_trace(path, CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=np.complex64)))
         assert io.read_trace(path).samples.shape == (2, 0)
         rdir = tmp_path / "er"
         assert self.run("--out", str(rdir), "pipeline", "--trace", str(path)) == 1
@@ -2090,7 +2093,7 @@ class TestCli:
 
     def test_plotdata_subcarrier_variance_empty_trace_exit_code(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
-        io.write_trace(path, CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=complex)))
+        io.write_trace(path, CsiTrace(fs=1000.0, samples=np.zeros((2, 0), dtype=np.complex64)))
         out = tmp_path / "pv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

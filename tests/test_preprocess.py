@@ -31,7 +31,7 @@ ROW_BYTES = 4 + 8
 
 
 def trace_from_amplitudes(rows, fs=FS):
-    return CsiTrace(fs=fs, samples=np.asarray(rows, dtype=complex))
+    return CsiTrace(fs=fs, samples=np.asarray(rows, dtype=np.complex64))
 
 
 @contextlib.contextmanager
@@ -109,7 +109,7 @@ def traces_with_repeated_rows(draw):
     pool = rng.normal(0.0, scale, (3, 2, n)) + draw(st.sampled_from([0.0, 8.0]))
     pool[0] = 0.0
     picks = draw(st.lists(st.integers(0, 2), min_size=n_sub, max_size=n_sub))
-    return CsiTrace(fs=FS, samples=pool[picks, 0] + 1j * pool[picks, 1])
+    return CsiTrace(fs=FS, samples=(pool[picks, 0] + 1j * pool[picks, 1]).astype(np.complex64))
 
 
 class TestRowStreamedSelection:
@@ -194,7 +194,7 @@ def traces_from_a_row_pool(draw):
     pool[1] = 2.0 - 1.0j
     pool[2, draw(st.integers(0, n - 1))] = np.nan
     picks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=40))
-    return CsiTrace(fs=FS, samples=pool[picks])
+    return CsiTrace(fs=FS, samples=pool[picks].astype(np.complex64))
 
 
 WORKER_COUNTS = [1, 2, 3, 8]
