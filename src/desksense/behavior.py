@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 
 import numpy as np
 
@@ -131,11 +130,12 @@ def baum_welch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """EM re-estimation of the transition matrix with B and pi held fixed.
 
-    Sequences of one length are stacked and stepped together through the
-    forward/backward kernels.  Returns (A, log-likelihood history); the
-    history is non-decreasing up to numerical slack.  Rows whose state is
-    never visited keep their previous values.  A fit that stops at max_iter
-    before the change in log-likelihood falls below tol logs a warning.
+    The sequences must all have one length: they are stacked and stepped
+    together through the forward/backward kernels.  Returns (A,
+    log-likelihood history); the history is non-decreasing up to numerical
+    slack.  Rows whose state is never visited keep their previous values.
+    A fit that stops at max_iter before the change in log-likelihood falls
+    below tol logs a warning.
     """
     if not sequences:
         raise ValueError("need at least one training sequence")
@@ -147,22 +147,21 @@ def baum_welch(
         A = _check_stochastic("A_init", A_init, (2, 2))
         if np.any(A <= 0):
             raise ValueError("A_init must be strictly positive")
-    stacks = [np.stack([seq.observations for seq in group])
-              for _, group in groupby(sorted(sequences, key=len), key=len)]
+    lengths = sorted({len(seq) for seq in sequences})
+    if len(lengths) > 1:
+        raise ValueError(f"training sequences must all have one length, got lengths {lengths}")
+    obs = np.stack([seq.observations for seq in sequences])
 
     history, change = [], np.nan
     for _ in range(max_iter):
-        total_ll = 0.0
-        xi_num = np.zeros((2, 2))
-        for obs in stacks:
-            alphas, log_like = _forward(pi, A, B, obs)
-            total_ll += float(log_like.sum())
-            emit_beta = B.T[obs.T[1:]] * _backward(A, B, obs)[1:]      # (T-1, N, 2)
-            terms = alphas[:-1, :, :, None] * A * emit_beta[:, :, None, :]
-            norms = terms.sum(axis=(2, 3), keepdims=True)
-            # an impossible sequence has zero or NaN norms and adds nothing
-            xi = np.divide(terms, norms, out=np.zeros_like(terms), where=norms > 0)
-            xi_num += xi.sum(axis=(0, 1))
+        alphas, log_like = _forward(pi, A, B, obs)
+        total_ll = float(log_like.sum())
+        emit_beta = B.T[obs.T[1:]] * _backward(A, B, obs)[1:]      # (T-1, N, 2)
+        terms = alphas[:-1, :, :, None] * A * emit_beta[:, :, None, :]
+        norms = terms.sum(axis=(2, 3), keepdims=True)
+        # an impossible sequence has zero or NaN norms and adds nothing
+        xi = np.divide(terms, norms, out=np.zeros_like(terms), where=norms > 0)
+        xi_num = xi.sum(axis=(0, 1))
         # a quiet NaN (Python floats) when the data stays impossible at -inf:
         # nothing further to optimise
         change = total_ll - history[-1] if history else np.inf

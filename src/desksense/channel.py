@@ -349,7 +349,8 @@ def _fill_band(out: np.ndarray, static: complex, paths, lam0: float, dk: float,
     multiplies and adds: numpy's complex multiply rounds differently with
     fused multiply-adds and at length 1, which would tie the bits to the
     CPU and the block width.  A row adds the paths in the given order, so
-    cfr_at and simulate_trace agree bit for bit.
+    row 0 at lam0 = the geometry's wavelength is cfr_at's response bit for
+    bit.
     """
     steps = [(amp * np.exp(-2j * np.pi * lengths / lam0), np.exp(-2j * np.pi * lengths * dk))
              for lengths, amp in paths]
@@ -366,47 +367,31 @@ def _fill_band(out: np.ndarray, static: complex, paths, lam0: float, dk: float,
         target[...] = row
 
 
-def _band(geometry: FresnelGeometry, subcarriers: int) -> tuple[float, float]:
-    """lambda_0 and the wavenumber step dk of the subcarrier_wavelengths
-    band of `subcarriers` around the geometry's carrier wavelength."""
-    lams = subcarrier_wavelengths(geometry.wavelength, subcarriers)
-    k = 1.0 / lams
-    return lams[0], (k[-1] - k[0]) / max(subcarriers - 1, 1)
-
-
-def cfr_at(model: ChannelModel, t, subcarriers: int | None = None):
-    """Noise-free channel response H_s + sum_k a_k * exp(-j*2*pi*d_k(t)/lambda).
-
-    By default at the geometry's wavelength alone, a direct exponential; with
-    a subcarrier count, the (subcarriers, T) band around it that a noise-free
-    simulate_trace of that count scales by its gains, bit for bit.
-    """
-    count = 1 if subcarriers is None else subcarriers
-    lam0, dk = _band(model.geometry, count)
+def cfr_at(model: ChannelModel, t):
+    """Noise-free channel response H_s + sum_k a_k * exp(-j*2*pi*d_k(t)/lambda)
+    at the geometry's wavelength, a direct exponential: the bits of row 0 of
+    _fill_band at lam0 = lambda."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    paths = [
-        (path_length(model.geometry, np.asarray(traj(times), dtype=float)), amp)
-        for traj, amp in model.dynamic_paths
-    ]
-    h = np.empty((count,) + times.shape, dtype=complex)
-    _fill_band(h, model.static_component, paths, lam0, dk)
-    if np.ndim(t) == 0:
-        h = h[:, 0]
-    return h[0] if subcarriers is None else h
+    h = np.full(times.shape, model.static_component, dtype=complex)
+    for traj, amp in model.dynamic_paths:
+        lengths = path_length(model.geometry, np.asarray(traj(times), dtype=float))
+        h += amp * np.exp(-2j * np.pi * lengths / model.geometry.wavelength)
+    return h[0] if np.ndim(t) == 0 else h
 
 
 def subcarrier_wavelengths(
     center_wavelength: float = DEFAULT_WAVELENGTH,
     count: int = DEFAULT_SUBCARRIERS,
-    bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ,
 ) -> np.ndarray:
-    """Wavelengths of `count` subcarriers spread uniformly over the band."""
+    """Wavelengths of `count` subcarriers spread uniformly over
+    DEFAULT_BANDWIDTH_HZ around the centre."""
     if count < 1:
         raise ValueError("subcarrier count must be >= 1")
     f_center = SPEED_OF_LIGHT / center_wavelength
     if count == 1:
         return np.array([center_wavelength])
-    freqs = np.linspace(f_center - bandwidth_hz / 2, f_center + bandwidth_hz / 2, count)
+    half = DEFAULT_BANDWIDTH_HZ / 2
+    freqs = np.linspace(f_center - half, f_center + half, count)
     return SPEED_OF_LIGHT / freqs
 
 
@@ -509,14 +494,15 @@ def simulate_trace(
     with the gains default_subcarrier_gains(subcarriers).
 
     The samples are complex64.  Through _workers.thread_map it first fills
-    blocks of _BLOCK columns with gains[:, None] * cfr_at(model, t,
-    subcarriers), computed in complex128 and rounded once, bit for bit.  It
-    then adds the complex Gaussian noise of model.noise_std row by row:
-    subcarrier s draws its real and imaginary parts from streams 2s and
-    2s + 1 of SeedSequence(model.rng_seed).spawn(2 * subcarriers), _BLOCK
-    at a time, and each part's sum is taken in float64 and rounded once to
-    float32.  So the bytes are the same at any CPU count and any block.  A
-    trace that check_trace_size refuses is not built.
+    blocks of _BLOCK columns by _fill_band, at lam0 = the band's first
+    wavelength and dk = its wavenumber step, computed in complex128 and
+    rounded once.  It then adds the complex Gaussian noise of
+    model.noise_std row by row: subcarrier s draws its real and imaginary
+    parts from streams 2s and 2s + 1 of
+    SeedSequence(model.rng_seed).spawn(2 * subcarriers), _BLOCK at a time,
+    and each part's sum is taken in float64 and rounded once to float32.
+    So the bytes are the same at any CPU count and any block.  A trace that
+    check_trace_size refuses is not built.
     """
     if not 0 < fs < math.inf:
         raise ValueError("fs must be positive and finite")
@@ -525,7 +511,9 @@ def simulate_trace(
     if reflection_amplitude < 0:
         raise ValueError("reflection amplitude must be >= 0")
     check_trace_size(fs, duration, subcarriers)
-    lam0, dk = _band(model.geometry, subcarriers)
+    lams = subcarrier_wavelengths(model.geometry.wavelength, subcarriers)
+    k = 1.0 / lams
+    lam0, dk = lams[0], (k[-1] - k[0]) / max(subcarriers - 1, 1)
     gains = default_subcarrier_gains(subcarriers)
     n_samples = int(round(fs * duration))
     if n_samples < 1:

@@ -29,27 +29,17 @@ from .preprocess import filtered_series
 from .segmentation import GestureSegment, segment
 
 
-def keystroke_burst_script(
-    config: PipelineConfig,
-    count: int = 17,
-    gap: float = 1.3,
-) -> tuple[list, float]:
-    """`count` consecutive keystrokes at the deployed rest position, the
-    first at 1 s, and the duration of their trace, to 1 s past the last.  A
-    count whose trace check_trace_size refuses at the config's rate and
-    subcarriers is refused before its script is built."""
+def keystroke_burst_script(config: PipelineConfig, count: int = 17) -> tuple[list, float]:
+    """`count` consecutive keystrokes at the deployed rest position, 1.3 s
+    apart, the first at 1 s, and the duration of their trace, to 1 s past
+    the last.  A count whose trace check_trace_size refuses at the config's
+    rate and subcarriers is refused before its script is built."""
     g = GestureModel(GestureKind.KEYSTROKE, config.geometry.rest_pos,
                      jitter_std=DEFAULT_GESTURE_JITTER_STD)
-    # the loop's t + 1.0 in closed form, equal to it bit for bit at the
-    # default 2 s period, which the simulate command uses
-    check_trace_size(config.simulation.fs, 2.0 + count * (g.duration + gap),
-                     config.simulation.subcarriers)
-    script = []
-    t = 1.0
-    for _ in range(count):
-        script.append((t, g))
-        t += g.duration + gap
-    return script, t + 1.0
+    period = g.duration + 1.3   # 2.0 s exactly, so every start time is exact
+    duration = 2.0 + count * period
+    check_trace_size(config.simulation.fs, duration, config.simulation.subcarriers)
+    return [(1.0 + i * period, g) for i in range(count)], duration
 
 
 def random_gesture_script(
@@ -87,13 +77,11 @@ def simulate_script(config: PipelineConfig, script, duration: float, seed: int) 
                           reflection_amplitude=sim.reflection_amplitude)
 
 
-def generate_segmentation_corpus(
-    config: PipelineConfig, n_traces: int = 100, seed: int | None = None
-) -> Iterator[CsiTrace]:
+def generate_segmentation_corpus(config: PipelineConfig, n_traces: int = 100) -> Iterator[CsiTrace]:
     """Annotated traces with 1-5 gestures each and >= 1.5 s inter-gesture
-    gaps, simulated one at a time as they are taken."""
-    seed = config.seeds.simulation if seed is None else seed
-    rng = np.random.default_rng(seed)
+    gaps, from config.seeds.simulation, simulated one at a time as they are
+    taken."""
+    rng = np.random.default_rng(config.seeds.simulation)
     for _ in range(n_traces):
         n_gestures = int(rng.integers(1, 6))
         script, duration = random_gesture_script(config, rng, n_gestures)
@@ -244,16 +232,12 @@ def _dataset_script(config, rng, n_gestures, kind):
     return script, t + 0.7
 
 
-def generate_gesture_dataset(
-    config: PipelineConfig,
-    n_segments: int = 400,
-    seed: int | None = None,
-) -> list[LabeledExample]:
+def generate_gesture_dataset(config: PipelineConfig, n_segments: int = 400) -> list[LabeledExample]:
     """Labeled feature vectors from annotation-sliced synthetic gestures:
     ceil(n/2) typing and floor(n/2) mouse examples, each trace of the kind
-    with the most examples still to fill, keystrokes on a tie."""
-    seed = config.seeds.simulation if seed is None else seed
-    rng = np.random.default_rng(seed + 1)
+    with the most examples still to fill, keystrokes on a tie, from
+    config.seeds.simulation + 1."""
+    rng = np.random.default_rng(config.seeds.simulation + 1)
     todo = {GestureKind.KEYSTROKE: (n_segments + 1) // 2, GestureKind.MOUSE_MOVE: n_segments // 2}
     examples: list[LabeledExample] = []
     while any(todo.values()):

@@ -108,7 +108,9 @@ def select_subcarrier(trace: CsiTrace) -> AmplitudeSeries:
     """Pick the subcarrier whose amplitude variance is largest.
 
     Motion sensitivity differs per subcarrier; the variance of |H| over the
-    whole trace ranks them.  Ties break toward the lowest index.
+    whole trace ranks them.  Ties break toward the lowest index.  The chosen
+    row's float32 |H| is written straight into the series' float64 array,
+    the bits of np.abs(row).astype(float) without the float32 row.
     """
     variances = subcarrier_variances(trace)
     # an all-zero trace has only zero variances, so the samples need a
@@ -116,9 +118,8 @@ def select_subcarrier(trace: CsiTrace) -> AmplitudeSeries:
     if not np.any(variances) and not np.any(trace.samples):
         raise ValueError("all-zero trace: no informative subcarrier")
     idx = int(np.argmax(variances))
-    return AmplitudeSeries(
-        fs=trace.fs, values=np.abs(trace.samples[idx]), source_subcarrier=idx
-    )
+    values = np.abs(trace.samples[idx], out=np.empty(trace.n_samples))
+    return AmplitudeSeries(fs=trace.fs, values=values, source_subcarrier=idx)
 
 
 def _poles(spec: FilterSpec, fs: float) -> np.ndarray:

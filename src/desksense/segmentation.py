@@ -172,7 +172,8 @@ def _sweep_candidates(nor1: np.ndarray, nor2: np.ndarray, cursor: int) -> np.nda
     se decreases by nor2 - nor1 at each sample, so the crossing index is
     where the running maximum of the cumulative difference first exceeds se.
     Once the running maximum passes the largest se, every crossing lies in
-    the prefix scanned so far.
+    the prefix scanned so far.  The se values increase and the running
+    maximum does not decrease, so the indices come out in order.
     """
     for end in _prefix_ends(cursor, len(nor2)):
         diff = np.cumsum(nor2[cursor:end] - nor1[cursor:end])
@@ -180,8 +181,7 @@ def _sweep_candidates(nor1: np.ndarray, nor2: np.ndarray, cursor: int) -> np.nda
         if running_max[-1] > _SE_VALUES[-1]:
             break
     idx = np.searchsorted(running_max, _SE_VALUES, side="right")
-    idx = idx[idx < len(diff)] + cursor
-    return np.sort(idx)
+    return idx[idx < len(diff)] + cursor
 
 
 def mark_end_point(

@@ -120,38 +120,36 @@ MATRIX = st.tuples(ROW, ROW).map(np.array)
 
 
 @st.composite
-def mixed_length_sequences(draw):
-    """1-10 observation arrays; lengths repeat, so stacks have several rows."""
-    lengths = draw(st.lists(st.sampled_from([1, 2, 5, 8, 13, 40]), min_size=1, max_size=10))
+def one_length_sequences(draw):
+    """1-10 observation arrays of one length, a stack of as many rows."""
+    n = draw(st.sampled_from([1, 2, 5, 8, 13, 40]))
     return [np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=int)
-            for n in lengths]
+            for _ in range(draw(st.integers(1, 10)))]
 
 
 class TestBatchedKernel:
     """The (N, T) kernels against the per-sequence reference above."""
 
     @settings(max_examples=150)
-    @given(pi=ROW, A=MATRIX, B=MATRIX, sequences=mixed_length_sequences())
+    @given(pi=ROW, A=MATRIX, B=MATRIX, sequences=one_length_sequences())
     def test_stack_matches_each_sequence_alone(self, pi, A, B, sequences):
         hmm = BehaviorHmm(pi=pi, A=A, B=B)
-        for n in {len(obs) for obs in sequences}:
-            stack = [obs for obs in sequences if len(obs) == n]
-            _, got = _forward(pi, A, B, np.stack(stack))
-            for obs, log_like in zip(stack, got):
-                _, want = reference_forward(pi, A, B, obs)
-                # N = 1 gives the reference's bits, -inf included
-                alone = forward_log_likelihood(hmm, GestureSequence(obs))
-                assert np.float64(alone).tobytes() == np.float64(want).tobytes()
-                if want == -np.inf:
-                    assert log_like == -np.inf
-                else:
-                    assert abs(log_like - want) <= 1e-12 * abs(want)
-                if n <= 8:
-                    brute = brute_force_likelihood(pi, A, B, obs)
-                    assert np.exp(log_like) == pytest.approx(brute, rel=1e-10, abs=0)
+        _, got = _forward(pi, A, B, np.stack(sequences))
+        for obs, log_like in zip(sequences, got):
+            _, want = reference_forward(pi, A, B, obs)
+            # N = 1 gives the reference's bits, -inf included
+            alone = forward_log_likelihood(hmm, GestureSequence(obs))
+            assert np.float64(alone).tobytes() == np.float64(want).tobytes()
+            if want == -np.inf:
+                assert log_like == -np.inf
+            else:
+                assert abs(log_like - want) <= 1e-12 * abs(want)
+            if len(obs) <= 8:
+                brute = brute_force_likelihood(pi, A, B, obs)
+                assert np.exp(log_like) == pytest.approx(brute, rel=1e-10, abs=0)
 
     @settings(max_examples=60)
-    @given(pi=ROW, B=MATRIX, A_init=STOCHASTIC_MATRIX, sequences=mixed_length_sequences())
+    @given(pi=ROW, B=MATRIX, A_init=STOCHASTIC_MATRIX, sequences=one_length_sequences())
     def test_baum_welch_matches_per_sequence_reference(self, pi, B, A_init, sequences):
         A, history = baum_welch([GestureSequence(obs) for obs in sequences], B=B, pi=pi,
                                 A_init=A_init, max_iter=12, tol=0.0)
@@ -230,8 +228,8 @@ def sample_set(A_true, n_seqs=20, length=500, seed=17):
 class TestBaumWelch:
     @settings(max_examples=60)
     @given(pi=STOCHASTIC_ROW, B=STOCHASTIC_MATRIX, A_init=STOCHASTIC_MATRIX,
-           observations=st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=60),
-                                 min_size=1, max_size=8))
+           observations=st.integers(1, 60).flatmap(lambda n: st.lists(
+               st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=8)))
     @example(pi=[0.5, 0.5], B=B_REF, A_init=None,
              observations=[s.observations for s in sample_set(A_REF, n_seqs=4, length=60)])
     def test_log_likelihood_non_decreasing(self, pi, B, A_init, observations):
@@ -260,6 +258,12 @@ class TestBaumWelch:
         A, _ = baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]), max_iter=25)
         np.testing.assert_allclose(A.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(A >= 0)
+
+    def test_refuses_sequences_of_two_lengths(self):
+        seqs = sample_set(A_REF, n_seqs=2, length=30) + sample_set(A_REF, n_seqs=1, length=20)
+        with pytest.raises(ValueError, match=r"^training sequences must all have one length, "
+                                             r"got lengths \[20, 30\]$"):
+            baum_welch(seqs, B=B_REF, pi=np.array([0.5, 0.5]))
 
     def test_rejects_nonpositive_init(self):
         seqs = sample_set(A_REF, n_seqs=2, length=30)

@@ -222,8 +222,9 @@ class TestGestureDataset:
     def test_class_quotas(self, n, seed):
         # one subcarrier: the class quotas do not depend on the channel's width
         config = PipelineConfig()
-        config = replace(config, simulation=replace(config.simulation, subcarriers=1))
-        dataset = generate_gesture_dataset(config, n_segments=n, seed=seed)
+        config = replace(config, simulation=replace(config.simulation, subcarriers=1),
+                         seeds=replace(config.seeds, simulation=seed))
+        dataset = generate_gesture_dataset(config, n_segments=n)
         typing = sum(ex.label is GestureLabel.TYPING for ex in dataset)
         assert len(dataset) == n
         assert (typing, n - typing) == ((n + 1) // 2, n // 2)

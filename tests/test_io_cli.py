@@ -7,6 +7,7 @@ import math
 import mmap
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -1639,6 +1640,31 @@ class TestCli:
         ) == 0
         dataset = io.read_dataset(out / "dataset.csv")
         assert len(dataset) == 6
+
+    def test_readme_chain_runs_as_written(self, tmp_path, monkeypatch):
+        # the README's CLI block in a fresh directory: its heredoc writes its
+        # file, and each command from simulate through pipeline, exactly as
+        # written, exits 0
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = iter(re.search(r"^## CLI$.*?^```sh\n(.*?)^```$", text, re.M | re.S)[1]
+                     .splitlines())
+        monkeypatch.chdir(tmp_path)
+        commands = []
+        for line in lines:
+            while line.endswith("\\"):
+                line = line[:-1] + next(lines)
+            if heredoc := re.fullmatch(r"cat > (\S+) <<'EOF'", line):
+                Path(heredoc[1]).write_text("".join(f"{body}\n"
+                                                    for body in iter(lines.__next__, "EOF")))
+                continue
+            argv = shlex.split(line, comments=True)
+            assert argv[:3] == ["desksense", "--out", "out"], line
+            assert self.run(*argv[1:]) == 0, line
+            commands.append(argv[3])
+            if argv[3] == "pipeline":
+                break
+        assert commands == ["simulate", "segment", "featurize", "train-gesture",
+                            "train-behavior", "pipeline"]
 
     def test_simulate_deterministic(self, tmp_path):
         out_a = tmp_path / "a"

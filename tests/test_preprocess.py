@@ -53,7 +53,7 @@ class TestSelectSubcarrier:
         assert series.fs == FS
 
     def test_decaying_gain_profile_selects_low_index(self, config):
-        script, duration = keystroke_burst_script(config, count=3, gap=1.0)
+        script, duration = keystroke_burst_script(config, count=3)
         trace = simulate_script(config, script, duration, seed=5)
         series = select_subcarrier(trace)
         assert series.source_subcarrier < 5
@@ -181,6 +181,25 @@ class TestRowStreamedSelection:
             tracemalloc.stop()
         assert series.values.nbytes == trace.n_samples * 8
         assert peak <= 3 * trace.n_samples * ROW_BYTES
+
+    def test_amplitude_built_in_one_row(self, monkeypatch):
+        # once the variances are known, the selected row's |H| is written
+        # straight into its float64 array, with no float32 row beside it:
+        # the peak is that array and AmplitudeSeries' one-byte finiteness
+        # mask, plus slack for small objects
+        rng = np.random.default_rng(3)
+        trace = trace_from_amplitudes(rng.uniform(0.5, 2.0, (4, 100_000)))
+        variances = subcarrier_variances(trace)
+        monkeypatch.setattr(preprocess, "subcarrier_variances", lambda _trace: variances)
+        tracemalloc.start()
+        try:
+            series = select_subcarrier(trace)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = np.abs(trace.samples[series.source_subcarrier]).astype(float)
+        assert series.values.tobytes() == want.tobytes()
+        assert peak <= 9 * trace.n_samples + 4096
 
 
 @st.composite

@@ -37,8 +37,16 @@ FS = 1000.0
 
 
 def filtered_burst(config, count=17, seed=1, gap=1.3):
-    script, duration = keystroke_burst_script(config, count=count, gap=gap)
-    trace = simulate_script(config, script, duration, seed=seed)
+    """`count` keystrokes at the deployed rest position, `gap` seconds apart,
+    the first at 1 s, to 1 s past the last (at gap 1.3 s the script of
+    keystroke_burst_script), simulated and low-passed."""
+    g = GestureModel(GestureKind.KEYSTROKE, config.geometry.rest_pos,
+                     jitter_std=DEFAULT_GESTURE_JITTER_STD)
+    script, t = [], 1.0
+    for _ in range(count):
+        script.append((t, g))
+        t += g.duration + gap
+    trace = simulate_script(config, script, t + 1.0, seed=seed)
     series = butterworth_lowpass(select_subcarrier(trace), config.filter)
     return series, trace.meta
 
@@ -272,21 +280,23 @@ class TestSegment:
             )
 
     def test_small_corpus_quality(self, config):
-        corpus = generate_segmentation_corpus(config, n_traces=10, seed=42)
+        config = replace(config, seeds=replace(config.seeds, simulation=42))
+        corpus = generate_segmentation_corpus(config, n_traces=10)
         metrics = evaluate_segmentation(config, corpus)
         assert metrics.recall >= 0.9
         assert metrics.precision >= 0.9
         assert metrics.mean_boundary_error_s <= 0.1
 
     def test_corpus_simulates_each_trace_as_it_is_taken(self, config):
+        config = replace(config, seeds=replace(config.seeds, simulation=42))
         with mock.patch("desksense.corpus.simulate_script", wraps=simulate_script) as sim:
-            corpus = generate_segmentation_corpus(config, n_traces=3, seed=42)
+            corpus = generate_segmentation_corpus(config, n_traces=3)
             assert sim.call_count == 0
             first = next(corpus)
             assert sim.call_count == 1
             rest = list(corpus)
         assert sim.call_count == 3
-        again = list(generate_segmentation_corpus(config, n_traces=3, seed=42))
+        again = list(generate_segmentation_corpus(config, n_traces=3))
         for got, want in zip([first, *rest], again, strict=True):
             np.testing.assert_array_equal(got.samples, want.samples)
 
