@@ -417,8 +417,8 @@ def _build_reflector_track(
 
     Built span by span into the (n_samples,) lengths: a rest span takes its
     point's one length, and a gesture span is computed and slab-checked from
-    its own positions and jitter, drawn from rng in start order.  So the
-    whole (n_samples, 3) track is never built.
+    its own positions and jitter, drawn from rng in start order, so the whole
+    (n_samples, 3) track is never built.  Each gesture must end in the trace.
     """
     entries = sorted(script, key=lambda item: item[0])
     prev_end = None
@@ -428,6 +428,9 @@ def _build_reflector_track(
         if prev_end is not None and start < prev_end - 1e-12:
             raise ValueError(f"gestures overlap at t={start:.3f}s")
         prev_end = start + gesture.duration
+        if (last := int(np.ceil(prev_end * fs))) >= n_samples:
+            raise ValueError(f"gesture at t={start:.3f}s ends at sample {last}, past the "
+                             f"trace's last sample {n_samples - 1}")
 
     lengths = np.empty(n_samples)
     annotations = []
@@ -435,9 +438,7 @@ def _build_reflector_track(
     current_rest = entries[0][1].rest_pos
     for start, gesture in entries:
         s_idx = int(np.floor(start * fs))
-        e_idx = min(int(np.ceil((start + gesture.duration) * fs)), n_samples - 1)
-        if s_idx >= n_samples:
-            break
+        e_idx = int(np.ceil((start + gesture.duration) * fs))
         _rest_lengths(geometry, current_rest, lengths[cursor:s_idx])
         t_rel = np.arange(s_idx, e_idx + 1) / fs - start
         block = gesture.positions(t_rel)
@@ -565,11 +566,11 @@ def simulate_plate_sweep(
     plane through the Tx-Rx axis, per-scatterer amplitude reflectivity *
     cell area (total reflection scales with plate area).  The plate centre
     starts 0.5 m below the midpoint and is dragged 15 mm along the axis at
-    0.08 m/s, sampled at DEFAULT_FS.
-    Larger plates span neighbouring Fresnel zones whose contributions cancel,
-    so the returned curve is non-monotonic in side length.  The sweep is
-    noise-free and draws no random numbers: the same arguments give the same
-    rows bit for bit.
+    0.08 m/s, sampled at DEFAULT_FS and summed one step at a time, so a
+    sweep holds a few (scatterers, 3) arrays.  Larger plates span neighbouring
+    Fresnel zones whose contributions cancel, so the returned curve is
+    non-monotonic in side length.  The sweep is noise-free and draws no random
+    numbers: the same arguments give the same rows bit for bit.
     """
     sides = list(side_lengths)
     if any(s <= 0 for s in sides):
@@ -584,7 +585,7 @@ def simulate_plate_sweep(
     n_steps = int(round(drag_range / drag_speed * DEFAULT_FS)) + 1
     shifts = np.linspace(0.0, drag_range, n_steps)
 
-    # every plate is checked before any is built: the grid's first column
+    # every plate is checked before any is swept: the grid's first column
     # at rest and its last one fully dragged must stay between the antennas
     grids = []
     for side in sides:
@@ -604,12 +605,11 @@ def simulate_plate_sweep(
         u, w = np.meshgrid(offsets, offsets, indexing="ij")
         base = mid + depth * down + u.ravel()[:, None] * axis + w.ravel()[:, None] * (-down)
         amp = reflectivity * (side / m) ** 2
-        # (steps, scatterers, 3): rigid translation along the axis
-        pos = base[None, :, :] + shifts[:, None, None] * axis[None, None, :]
-        lengths = path_length(geometry, pos)
-        h = static_component + amp * np.exp(
-            -2j * np.pi * lengths / geometry.wavelength
-        ).sum(axis=1)
-        magnitude = np.abs(h)
+        magnitude = np.abs([
+            static_component + amp * np.exp(
+                -2j * np.pi * path_length(geometry, base + s * axis) / geometry.wavelength
+            ).sum()
+            for s in shifts
+        ])
         results.append((float(side), float(magnitude.max() - magnitude.min())))
     return results

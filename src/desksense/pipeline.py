@@ -74,7 +74,7 @@ class _StageTimer:
 
     def __exit__(self, exc_type, exc, tb):
         self.report.timings_s[self.name] = time.perf_counter() - self.t0
-        if exc is not None and not isinstance(exc, StageError):
+        if isinstance(exc, Exception) and not isinstance(exc, StageError):
             self.report.metrics["failed_stage"] = self.name
             self.report.metrics["error"] = str(exc)
             raise StageError(self.name, exc, self.report, self.artifacts) from exc
@@ -102,7 +102,8 @@ def run_pipeline(
 
     Annotated traces also get detection metrics; a gesture classifier turns
     segments into a label sequence; behavior models then classify that
-    sequence.  Returns (report, artifacts).
+    sequence.  Returns (report, artifacts), whose artifacts are the filtered
+    "series", the "segments" and their gesture "labels", as far as it ran.
     """
     report = _new_report(config)
     artifacts: dict = {}
@@ -136,7 +137,6 @@ def run_pipeline(
 
     with _StageTimer(report, "featurize", artifacts):
         features = [extract_features(s) for s in segments]
-    artifacts["features"] = features
 
     if gesture_model is not None:
         with _StageTimer(report, "classify_gestures", artifacts):
@@ -156,7 +156,6 @@ def run_pipeline(
                 "tie": result.tie,
                 "unclassifiable": result.unclassifiable,
             }
-            artifacts["behavior"] = result
     return report, artifacts
 
 

@@ -142,7 +142,7 @@ class TestGeometry:
                    elements=st.floats(-1e3, 1e3)),
     ))
     def test_path_length_is_linalg_norm_bits(self, positions):
-        # (n, 3) tracks and simulate_plate_sweep's (steps, scatterers, 3) grids
+        # (n, 3) tracks and plate steps, and the (..., 3) stacks it also takes
         want = (np.linalg.norm(positions - GEOM.tx_pos, axis=-1)
                 + np.linalg.norm(positions - GEOM.rx_pos, axis=-1))
         got = path_length(GEOM, positions)
@@ -594,6 +594,21 @@ class TestPlateSweep:
         with pytest.raises(ValueError, match="ascending"):
             simulate_plate_sweep(GEOM, [0.05, 0.03])
 
+    def test_large_plate_holds_one_step(self):
+        # the 0.5 m plate's 10,000 scatterers: a few (scatterers, 3) arrays
+        # at a time, not (steps, scatterers) ones (about 1,700 x 8N bytes)
+        n = 100 * 100
+        tracemalloc.start()
+        try:
+            rows = simulate_plate_sweep(GEOM, [0.5])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * n
+        # beyond the golden file's 2-12 cm, the bits stay those of the
+        # whole (steps, scatterers) sum
+        assert rows == [(0.5, float.fromhex("0x1.0edd8c605b000p-10"))]
+
 
 def row_noise(model, n_sub, n_samples):
     """Each subcarrier's noise as one whole-row draw, real parts from
@@ -697,8 +712,9 @@ class TestStreamedNoise:
 
 def whole_reflector_track(script, n_samples, fs, rng):
     """The scripted reflector's whole (n_samples, 3) trajectory and the
-    gestures' annotations, resting in place between gestures; the script's
-    checks are _build_reflector_track's."""
+    gestures' annotations, resting in place between gestures.  A gesture
+    that ends past the trace is refused; the other checks of the script are
+    _build_reflector_track's."""
     t = np.arange(n_samples) / fs
     entries = sorted(script, key=lambda item: item[0])
     positions = np.zeros((n_samples, 3))
@@ -707,9 +723,10 @@ def whole_reflector_track(script, n_samples, fs, rng):
     current_rest = entries[0][1].rest_pos
     for start, gesture in entries:
         s_idx = int(np.floor(start * fs))
-        e_idx = min(int(np.ceil((start + gesture.duration) * fs)), n_samples - 1)
-        if s_idx >= n_samples:
-            break
+        e_idx = int(np.ceil((start + gesture.duration) * fs))
+        if e_idx >= n_samples:
+            raise ValueError(f"gesture at t={start:.3f}s ends at sample {e_idx}, past the "
+                             f"trace's last sample {n_samples - 1}")
         positions[cursor:s_idx] = current_rest
         t_rel = t[s_idx:e_idx + 1] - start
         block = gesture.positions(t_rel)
@@ -835,8 +852,8 @@ class TestBlockedSimulator:
 @st.composite
 def gesture_scripts(draw):
     """(script, n_samples, fs): 1-4 gestures two samples apart at least, with
-    rest points on both sides of the slab's ends, possibly running past the
-    trace's end or starting after it."""
+    rest points on both sides of the slab's ends.  In half the cases the last
+    gesture runs past the trace's end or starts after it, which is refused."""
     fs = draw(st.sampled_from([100.0, 250.0, 1000.0]))
     start = draw(st.floats(0.0, 0.5))
     script = []
@@ -850,8 +867,9 @@ def gesture_scripts(draw):
             jitter_std=draw(st.sampled_from([0.0, 1e-3])),
         )
         script.append((start, gesture))
+        last = math.ceil((start + gesture.duration) * fs)
         start += gesture.duration + 2.0 / fs + draw(st.floats(0.0, 0.4))
-    n_samples = draw(st.integers(1, int(start * fs) + 50))
+    n_samples = draw(st.integers(last + 1, int(start * fs) + 50) | st.integers(1, last))
     return draw(st.permutations(script)), n_samples, fs
 
 

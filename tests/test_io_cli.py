@@ -50,7 +50,7 @@ from desksense.classify import (
 )
 from desksense.cli import _in_range, build_parser, main, parse_script
 from desksense.config import PipelineConfig, config_from_dict, load_config
-from desksense.pipeline import behavior_study
+from desksense.pipeline import behavior_study, run_pipeline
 from desksense.preprocess import (
     AmplitudeSeries,
     select_subcarrier,
@@ -1698,11 +1698,19 @@ class TestCli:
         (["--script", "{nan_duration}"],
          "error: {nan_duration}:1: duration must be positive and finite, got nan"),
         (["--keystrokes", "x"], "--keystrokes invalid int value: 'x'"),
+        # a gesture after the trace's end was dropped, and one cut by it
+        # annotated as whole
+        (["--script", "{after_end}", "--duration", "5"], "error: gesture at t=10.000s ends "
+         "at sample 10700, past the trace's last sample 4999"),
+        (["--script", "{cut}", "--duration", "5"], "error: gesture at t=4.800s ends "
+         "at sample 5400, past the trace's last sample 4999"),
     ])
     def test_simulate_bad_arguments_exit_code(self, tmp_path, capsys, argv, message):
         scripts = {"script": "1.0,keystroke,0.02,0.7", "nan_start": "nan,keystroke,0.02,0.7",
                    "inf_start": "inf,keystroke,0.02,0.7", "nan_travel": "1.0,keystroke,nan,0.7",
-                   "nan_duration": "1.0,keystroke,0.02,nan"}
+                   "nan_duration": "1.0,keystroke,0.02,nan",
+                   "after_end": "1.0,keystroke,0.02,0.7\n10.0,keystroke,0.02,0.7",
+                   "cut": "4.8,mouse_move,0.03,0.6"}
         paths = {name: tmp_path / f"{name}.txt" for name in scripts}
         for name, line in scripts.items():
             paths[name].write_text(line + "\n")
@@ -2084,6 +2092,19 @@ class TestCli:
         assert "select_subcarrier" in err
         doc = json.loads((rdir / "report.json").read_text())
         assert doc["metrics"]["failed_stage"] == "select_subcarrier"
+
+    def test_interrupted_stage_is_no_stage_failure(self, tmp_path, config):
+        # Ctrl-C in a stage stops the run as it came, with no partial report
+        trace = random_trace(n=2000)
+        path = tmp_path / "trace.csv"
+        io.write_trace(path, trace)
+        out = tmp_path / "o"
+        with mock.patch("desksense.pipeline.segment", side_effect=KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(config, trace)
+            with pytest.raises(KeyboardInterrupt):
+                self.run("--out", str(out), "pipeline", "--trace", str(path))
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("fs, scale, stage, written", [
         (1000.0, 0.0, "select_subcarrier", []),    # all zero: no informative subcarrier
