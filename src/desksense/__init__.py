@@ -26,7 +26,6 @@ from .channel import (
     FresnelGeometry,
     GestureKind,
     GestureModel,
-    cfr_at,
     excess_path,
     simulate_plate_sweep,
     simulate_trace,

@@ -1,7 +1,7 @@
 """Fresnel-zone channel model and CSI trace synthesis.
 
-Models the received WiFi channel as a static component plus a sum of
-dynamic reflection paths.  A reflector at position p contributes a phase
+Models the received WiFi channel as a static component plus one moving
+reflector, the hand.  A reflector at position p contributes a phase
 shift proportional to its total path length |Tx,p| + |p,Rx|, so motion of
 a few centimetres sweeps the received amplitude through constructive and
 destructive interference.  Concentric ellipsoidal zones around the Tx-Rx
@@ -10,8 +10,8 @@ interference sense, which is what makes desk-scale micro-gestures visible
 when the antennas are deployed so the hand sits in a zone whose thickness
 matches the gesture size.
 
-Subcarriers are evenly spaced in wavenumber 1/lambda, so a path's phasor
-on subcarrier s is e0 * r**s: two complex exponentials per sample and path.
+Subcarriers are evenly spaced in wavenumber 1/lambda, so the reflector's
+phasor on subcarrier s is e0 * r**s: two complex exponentials per sample.
 
 Everything here is deterministic given a seed; the simulator doubles as
 the ground-truth oracle for the downstream processing stages.
@@ -183,8 +183,8 @@ class GestureModel:
             raise ValueError(f"travel must be positive and finite, got {self.travel!r}")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
-        if self.jitter_std < 0:
-            raise ValueError("jitter_std must be >= 0")
+        if not 0 <= self.jitter_std < math.inf:
+            raise ValueError("jitter_std must be >= 0 and finite")
 
     def displacement(self, t_rel: np.ndarray) -> np.ndarray:
         """Deterministic displacement from rest_pos at times t_rel in [0, duration]."""
@@ -312,35 +312,26 @@ class CsiTrace:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Static CFR plus dynamic reflection paths.
-
-    dynamic_paths holds (trajectory, amplitude) pairs where trajectory maps
-    an array of times to (..., 3) positions.  noise_std is the per-sample
-    complex Gaussian std applied by the simulator (never by cfr_at).
-    """
+    """The static channel response and the simulator's noise: noise_std is
+    the per-sample complex Gaussian std, rng_seed seeds the noise and the
+    hand's jitter."""
 
     geometry: FresnelGeometry = field(default_factory=FresnelGeometry)
     static_component: complex = DEFAULT_STATIC_AMPLITUDE + 0j
-    dynamic_paths: tuple = ()
     noise_std: float = DEFAULT_NOISE_STD
     rng_seed: int = 0
 
     def __post_init__(self):
-        paths = tuple(self.dynamic_paths)
-        for traj, amp in paths:
-            if not callable(traj):
-                raise ValueError("trajectory must be callable")
-            if amp < 0:
-                raise ValueError("reflection amplitude must be >= 0")
-        object.__setattr__(self, "dynamic_paths", paths)
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not np.isfinite(self.static_component):
+            raise ValueError("static_component must be finite")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be >= 0 and finite")
 
 
 def _fill_band(out: np.ndarray, static: complex, paths, lam0: float, dk: float,
-               gains=None) -> None:
+               gains) -> None:
     """out[s] = gains[s] * (static + sum_k a_k * exp(-j*2*pi*d_k*(1/lam0 + s*dk)))
-    over the rows s of out, a gain of 1 without gains.
+    over the rows s of out, for the zero or one (lengths, amplitude) paths.
 
     Each row is built in one complex128 buffer and stored in out's dtype, so
     a complex64 out is rounded once and never holds more than a row in
@@ -348,9 +339,8 @@ def _fill_band(out: np.ndarray, static: complex, paths, lam0: float, dk: float,
     each next row the phasor times r = exp(-j*2*pi*d_k*dk), in real
     multiplies and adds: numpy's complex multiply rounds differently with
     fused multiply-adds and at length 1, which would tie the bits to the
-    CPU and the block width.  A row adds the paths in the given order, so
-    row 0 at lam0 = the geometry's wavelength is cfr_at's response bit for
-    bit.
+    CPU and the block width.  So row 0 of gain 1 is the direct exponential
+    static + a*exp(-j*2*pi*d/lam0) bit for bit.
     """
     steps = [(amp * np.exp(-2j * np.pi * lengths / lam0), np.exp(-2j * np.pi * lengths * dk))
              for lengths, amp in paths]
@@ -362,21 +352,8 @@ def _fill_band(out: np.ndarray, static: complex, paths, lam0: float, dk: float,
                 re, im = ph.real, ph.imag
                 re[...], im[...] = re * r.real - im * r.imag, re * r.imag + im * r.real
             row += ph
-        if gains is not None:
-            row *= gains[s]
+        row *= gains[s]
         target[...] = row
-
-
-def cfr_at(model: ChannelModel, t):
-    """Noise-free channel response H_s + sum_k a_k * exp(-j*2*pi*d_k(t)/lambda)
-    at the geometry's wavelength, a direct exponential: the bits of row 0 of
-    _fill_band at lam0 = lambda."""
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    h = np.full(times.shape, model.static_component, dtype=complex)
-    for traj, amp in model.dynamic_paths:
-        lengths = path_length(model.geometry, np.asarray(traj(times), dtype=float))
-        h += amp * np.exp(-2j * np.pi * lengths / model.geometry.wavelength)
-    return h[0] if np.ndim(t) == 0 else h
 
 
 def subcarrier_wavelengths(
@@ -489,8 +466,8 @@ def simulate_trace(
 ) -> CsiTrace:
     """Synthesize an annotated multi-subcarrier CSI trace for a gesture script.
 
-    The scripted reflector is one dynamic path with the given reflection
-    amplitude; any dynamic_paths already on the model contribute as well.
+    The scripted reflector is the one moving path, with the given reflection
+    amplitude; without a script the trace is the static component and noise.
     The band is subcarrier_wavelengths(model.geometry.wavelength, subcarriers)
     with the gains default_subcarrier_gains(subcarriers).
 
@@ -509,8 +486,8 @@ def simulate_trace(
         raise ValueError("fs must be positive and finite")
     if not 0 < duration < math.inf:
         raise ValueError("duration must be positive and finite")
-    if reflection_amplitude < 0:
-        raise ValueError("reflection amplitude must be >= 0")
+    if not 0 <= reflection_amplitude < math.inf:
+        raise ValueError("reflection_amplitude must be >= 0 and finite")
     check_trace_size(fs, duration, subcarriers)
     lams = subcarrier_wavelengths(model.geometry.wavelength, subcarriers)
     k = 1.0 / lams
@@ -526,10 +503,6 @@ def simulate_trace(
         lengths, annotations = _build_reflector_track(
             model.geometry, script, n_samples, fs, np.random.default_rng(model.rng_seed))
         paths.append((lengths, reflection_amplitude))
-    for traj, amp in model.dynamic_paths:
-        pos = np.asarray(traj(np.arange(n_samples) / fs), dtype=float)
-        _check_slab(model.geometry, pos)
-        paths.append((path_length(model.geometry, pos), amp))
 
     samples = _mapped_empty((subcarriers, n_samples), np.complex64)
     streams = np.random.SeedSequence(model.rng_seed).spawn(2 * subcarriers)

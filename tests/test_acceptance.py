@@ -9,11 +9,12 @@ import numpy as np
 from conftest import brute_force_likelihood
 from desksense.behavior import BehaviorHmm, GestureSequence, baum_welch, forward_log_likelihood
 from desksense.channel import (
+    _fill_band,
     ChannelModel,
     FresnelGeometry,
     GestureKind,
     GestureModel,
-    cfr_at,
+    path_length,
     simulate_plate_sweep,
     simulate_trace,
     zone_boundary_radius,
@@ -56,23 +57,18 @@ def test_criterion_1_zone_geometry():
 
 
 def test_criterion_2_superposition_physics():
-    def static_path(point):
-        p = np.asarray(point, dtype=float)
-        return lambda t: np.broadcast_to(p, np.shape(t) + (3,))
+    def response(point):
+        # the simulator's band kernel, row 0 of gain 1 at lambda_0 = lambda
+        h = np.empty((1, 1), dtype=complex)
+        _fill_band(h, 1.0, [(path_length(GEOM, np.array([point])), 0.5)], GEOM.wavelength,
+                   0.0, [1.0])
+        return h[0, 0]
 
     # constructive: on-axis reflector, total path 8 * lambda
-    constructive = ChannelModel(
-        geometry=GEOM, static_component=1.0,
-        dynamic_paths=((static_path([0.25, 0.0, 0.0]), 0.5),), noise_std=0.0,
-    )
-    err_c = abs(abs(cfr_at(constructive, 0.0)) - 1.5)
+    err_c = abs(abs(response([0.25, 0.0, 0.0])) - 1.5)
     # destructive: total path 8.5 * lambda
     y = np.sqrt(0.53125**2 - 0.25)
-    destructive = ChannelModel(
-        geometry=GEOM, static_component=1.0,
-        dynamic_paths=((static_path([0.5, y, 0.0]), 0.5),), noise_std=0.0,
-    )
-    err_d = abs(abs(cfr_at(destructive, 0.0)) - 0.5)
+    err_d = abs(abs(response([0.5, y, 0.0])) - 0.5)
 
     def keystroke_amplitude(depth):
         gesture = GestureModel(

@@ -26,7 +26,6 @@ from desksense.channel import (
     FresnelGeometry,
     GestureKind,
     GestureModel,
-    cfr_at,
     default_subcarrier_gains,
     excess_path,
     gesture_jitter,
@@ -150,38 +149,30 @@ class TestGeometry:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-class TestCfr:
-    @staticmethod
-    def static_path(point):
-        p = np.asarray(point, dtype=float)
-        return lambda t: np.broadcast_to(p, np.shape(t) + (3,))
+def kernel_response(lengths):
+    """The simulator's band kernel for a reflector of amplitude 0.5 over a
+    static 1.0: row 0, of gain 1, at lambda_0 = the geometry's wavelength,
+    in complex128."""
+    h = np.empty((1, len(lengths)), dtype=complex)
+    _fill_band(h, 1.0, [(lengths, 0.5)], GEOM.wavelength, 0.0, [1.0])
+    return h[0]
 
+
+class TestCfr:
     def test_constructive(self):
         # on-axis point: total path d = 1 m = 8 * lambda, phase 2*pi*m
-        model = ChannelModel(
-            geometry=GEOM,
-            static_component=1.0,
-            dynamic_paths=((self.static_path([0.25, 0.0, 0.0]), 0.5),),
-            noise_std=0.0,
-        )
-        assert abs(cfr_at(model, 0.0)) == pytest.approx(1.5, abs=1e-12)
+        h = kernel_response(path_length(GEOM, np.array([[0.25, 0.0, 0.0]])))
+        assert abs(h[0]) == pytest.approx(1.5, abs=1e-12)
 
     def test_destructive(self):
         # path length 8.5 * lambda = 1.0625 m: y such that 2*sqrt(0.25+y^2) = 1.0625
         y = np.sqrt(0.53125**2 - 0.25)
-        model = ChannelModel(
-            geometry=GEOM,
-            static_component=1.0,
-            dynamic_paths=((self.static_path([0.5, y, 0.0]), 0.5),),
-            noise_std=0.0,
-        )
-        assert abs(cfr_at(model, 0.0)) == pytest.approx(0.5, abs=1e-12)
+        h = kernel_response(path_length(GEOM, np.array([[0.5, y, 0.0]])))
+        assert abs(h[0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_amplitude_bounds_and_extrema_count(self):
         # receding reflector spanning exactly k half-wavelengths of excess
         # path must produce exactly k interior |H| extrema
-        from scipy.optimize import brentq
-
         k = 5
         r0 = 0.3047
         e0 = excess_path(GEOM, [0.5, 0.0, -r0])
@@ -191,39 +182,22 @@ class TestCfr:
             lambda r: excess_path(GEOM, [0.5, 0.0, -r]) - target, r0, 10.0, xtol=1e-14
         )
 
-        def traj(t):
-            t = np.atleast_1d(t)
-            out = np.zeros(t.shape + (3,))
-            out[..., 0] = 0.5
-            out[..., 2] = -(r0 + (r1 - r0) * t)
-            return out
-
-        model = ChannelModel(
-            geometry=GEOM, static_component=1.0,
-            dynamic_paths=((traj, 0.5),), noise_std=0.0,
-        )
         t = np.linspace(0.0, 1.0, 200001)
-        h = np.abs(cfr_at(model, t))
+        track = np.zeros(t.shape + (3,))
+        track[:, 0] = 0.5
+        track[:, 2] = -(r0 + (r1 - r0) * t)
+        h = np.abs(kernel_response(path_length(GEOM, track)))
         assert np.all(h <= 1.5 + 1e-12)
         assert np.all(h >= 0.5 - 1e-12)
         d = np.diff(h)
         extrema = int(np.sum(np.diff(np.sign(d[d != 0])) != 0))
         assert extrema == k
 
-    def test_rejects_negative_amplitude(self):
-        with pytest.raises(ValueError):
-            ChannelModel(dynamic_paths=((self.static_path([0.5, 0, -0.5]), -1.0),))
-
 
 def make_model(**kwargs):
     defaults = dict(geometry=GEOM, static_component=1.0, noise_std=0.0, rng_seed=7)
     defaults.update(kwargs)
     return ChannelModel(**defaults)
-
-
-def at_wavelength(model, wavelength):
-    """model with its geometry's carrier wavelength set to `wavelength`."""
-    return replace(model, geometry=replace(model.geometry, wavelength=float(wavelength)))
 
 
 def single_subcarrier(trace):
@@ -363,6 +337,26 @@ class TestSimulateTrace:
                 simulate_trace(make_model(), [(bad, GestureModel(kind=GestureKind.KEYSTROKE))],
                                duration=2.0)
 
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in ("noise_std", "jitter_std", "reflection_amplitude")
+          for value in (math.nan, math.inf, -1.0)),
+        ("static_component", math.nan),
+        ("static_component", math.inf),
+        ("static_component", complex(8.0, math.nan)),
+    ])
+    def test_refuses_non_finite_parameters(self, name, value):
+        # as the config's sections refuse them, so none becomes a NaN, an
+        # infinite or a silently noise-free trace
+        build = {
+            "noise_std": lambda: make_model(noise_std=value),
+            "static_component": lambda: make_model(static_component=value),
+            "jitter_std": lambda: GestureModel(kind=GestureKind.KEYSTROKE, jitter_std=value),
+            "reflection_amplitude": lambda: simulate_trace(
+                make_model(), [], duration=0.01, reflection_amplitude=value),
+        }[name]
+        with pytest.raises(ValueError, match=f"^{name} must be (>= 0 and )?finite$"):
+            build()
+
     def test_subcarrier_defaults(self):
         lams = subcarrier_wavelengths()
         assert len(lams) == 30
@@ -373,26 +367,23 @@ class TestSimulateTrace:
     def test_per_subcarrier_samples_match_cfr(self):
         # noiseless samples are the gain-scaled channel response at each
         # subcarrier's own wavelength, a direct exponential
-        def traj(t):
-            t = np.atleast_1d(t)
-            out = np.zeros(t.shape + (3,))
-            out[..., 0] = 0.5
-            out[..., 2] = -(0.55 + 0.01 * t)
-            return out
-
-        model = make_model(dynamic_paths=((traj, 0.4),))
+        gesture = GestureModel(kind=GestureKind.KEYSTROKE, rest_pos=[0.5, 0.0, -0.55])
         lams = subcarrier_wavelengths(GEOM.wavelength, count=5)
         gains = default_subcarrier_gains(5)
-        trace = simulate_trace(model, [], duration=0.5, fs=200.0, subcarriers=5)
-        t = np.arange(trace.n_samples) / trace.fs
+        trace = simulate_trace(make_model(), [(0.1, gesture)], duration=1.0, fs=200.0,
+                               subcarriers=5, reflection_amplitude=0.4)
+        # without jitter the track is the gesture's positions, clipped to
+        # rest before and after it
+        pts = gesture.positions(np.arange(trace.n_samples) / trace.fs - 0.1)
+        lengths = (np.linalg.norm(pts - GEOM.tx_pos, axis=-1)
+                   + np.linalg.norm(pts - GEOM.rx_pos, axis=-1))
+        direct = 1.0 + 0.4 * np.exp(-2j * np.pi * lengths / lams[:, None])
         # row 0, of gain 1, is its wavelength's direct exponential rounded
         # once to complex64, bit for bit; every row is within that rounding
         # of its gain times its own wavelength's exponential
-        row0 = cfr_at(at_wavelength(model, lams[0]), t).astype(np.complex64)
+        row0 = direct[0].astype(np.complex64)
         assert np.array_equal(trace.samples[0].view(np.uint64), row0.view(np.uint64))
-        for s in range(5):
-            expected = gains[s] * cfr_at(at_wavelength(model, lams[s]), t)
-            np.testing.assert_allclose(trace.samples[s], expected, rtol=1e-6)
+        np.testing.assert_allclose(trace.samples, gains[:, None] * direct, rtol=1e-6)
 
     def test_invalid_rate_and_duration_rejected(self):
         with pytest.raises(ValueError, match="fs"):
@@ -509,7 +500,7 @@ class TestBand:
         k = 1.0 / lams
         h = np.empty((n_sub, len(pts)), dtype=complex)
         _fill_band(h, 8.0 + 0j, [(path_length(GEOM, pts), amp)], lams[0],
-                   (k[-1] - k[0]) / max(n_sub - 1, 1))
+                   (k[-1] - k[0]) / max(n_sub - 1, 1), np.ones(n_sub))
         lengths = (np.linalg.norm(pts - GEOM.tx_pos, axis=-1)
                    + np.linalg.norm(pts - GEOM.rx_pos, axis=-1))
         direct = 8.0 + amp * np.exp(-2j * np.pi * lengths / lams[:, None])
@@ -518,10 +509,9 @@ class TestBand:
         assert np.array_equal(h[0].view(np.uint64), direct[0].view(np.uint64))
 
     def test_subcarrier_wavelengths_accepted_for_1_to_256(self):
-        model = make_model(dynamic_paths=((lambda t: np.array([[0.5, 0.0, -0.6]]), 1.0),))
         for n in range(1, 257):
             assert subcarrier_wavelengths(count=n).shape == (n,)
-            trace = simulate_trace(model, [], 0.001, subcarriers=n)
+            trace = simulate_trace(make_model(), [], 0.001, subcarriers=n)
             assert trace.samples.shape == (n, 1)
 
 
@@ -750,33 +740,18 @@ def serial_simulate_trace(model, script, duration, fs, n_sub, reflection_amplitu
     gains = default_subcarrier_gains(n_sub)
     n_samples = int(round(fs * duration))
     rng = np.random.default_rng(model.rng_seed)
-    t = np.arange(n_samples) / fs
     paths = []
     annotations = []
     if script:
         track, annotations = whole_reflector_track(script, n_samples, fs, rng)
         _check_slab(model.geometry, track)
         paths.append((path_length(model.geometry, track), reflection_amplitude))
-    for traj, amp in model.dynamic_paths:
-        pos = np.asarray(traj(t), dtype=float)
-        _check_slab(model.geometry, pos)
-        paths.append((path_length(model.geometry, pos), amp))
     h = np.empty((n_sub, n_samples), dtype=complex)
-    _fill_band(h, model.static_component, paths, lams[0], dk)
-    samples = (gains[:, None] * h).astype(np.complex64)
+    _fill_band(h, model.static_component, paths, lams[0], dk, gains)
+    samples = h.astype(np.complex64)
     if model.noise_std > 0:
         samples = with_noise(samples, row_noise(model, n_sub, n_samples))
     return samples, annotations
-
-
-def swaying_hand(t):
-    """A second reflector drifting slowly along y over the trace."""
-    t = np.atleast_1d(t)
-    out = np.zeros(t.shape + (3,))
-    out[..., 0] = 0.4
-    out[..., 1] = 0.01 * np.sin(0.7 * t)
-    out[..., 2] = -0.58
-    return out
 
 
 def assert_matches_serial(model, script, n_samples, n_sub, fs=1000.0):
@@ -795,8 +770,7 @@ class TestBlockedSimulator:
 
     @staticmethod
     def model(noise_std, rng_seed=5):
-        return make_model(static_component=8.0, noise_std=noise_std, rng_seed=rng_seed,
-                          dynamic_paths=((swaying_hand, 0.7),))
+        return make_model(static_component=8.0, noise_std=noise_std, rng_seed=rng_seed)
 
     @pytest.mark.parametrize("noise_std", [0.0, 0.16])
     @pytest.mark.parametrize("offset", ["block-1", "block", "block+1", "2*block+1"])
@@ -813,13 +787,13 @@ class TestBlockedSimulator:
         block=st.integers(1, 70),
         noise_std=st.sampled_from([0.0]) | st.floats(1e-3, 2.0),
         seed=st.integers(0, 2**32 - 1),
-        with_script=st.booleans(),
     )
-    def test_matches_serial_loop_for_any_block(self, n_sub, n_samples, block, noise_std,
-                                                seed, with_script):
+    def test_matches_serial_loop_for_any_block(self, n_sub, n_samples, block, noise_std, seed):
+        # the gesture in every trace that holds it, so that the kernel's
+        # recurrence runs across the block edges
         script = [
             (0.02, GestureModel(kind=GestureKind.MOUSE_MOVE, duration=0.05, jitter_std=1e-4))
-        ] if with_script and n_samples >= 80 else []
+        ] if n_samples >= 80 else []
         with mock.patch.object(channel, "_BLOCK", block):
             assert_matches_serial(self.model(noise_std, seed), script, n_samples, n_sub)
 
@@ -841,7 +815,7 @@ class TestBlockedSimulator:
         assert got.samples.tobytes() == default.samples.tobytes()
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        def broken(out, static, paths, lam0, dk, gains=None):
+        def broken(out, static, paths, lam0, dk, gains):
             raise FloatingPointError("kernel failed")
 
         monkeypatch.setattr(channel, "_fill_band", broken)
